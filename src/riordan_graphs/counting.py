@@ -74,22 +74,23 @@ def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
     """
     if not 1 <= bandwidth <= BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be in [1, {BANDWIDTH_LIMIT}], got {bandwidth}")
-    for i, j in graph.edges():
-        if j - i > bandwidth:
+    for i, row in enumerate(graph.rows, start=1):
+        far = row >> (i + bandwidth)
+        if far:
+            j = i + bandwidth + (far & -far).bit_length()
             raise ValueError(f"edge ({i}, {j}) exceeds bandwidth {bandwidth}")
+    # state bit s: membership of the vertex `bandwidth - s` places back
     window = (1 << bandwidth) - 1
+    top = 1 << (bandwidth - 1)
     states: dict[int, int] = {0: 1}
-    for v in range(1, graph.n + 1):
-        rel = 0  # bit t set when v is adjacent to v-1-t
-        for t in range(min(bandwidth, v - 1)):
-            if graph.has_edge(v, v - 1 - t):
-                rel |= 1 << t
+    for v, row in enumerate(graph.rows):
+        rel = ((row << bandwidth) >> v) & window  # the same window of v's neighbours
         nxt: dict[int, int] = {}
         for w, c in states.items():
-            w0 = (w << 1) & window
+            w0 = w >> 1
             nxt[w0] = nxt.get(w0, 0) + c
             if not w & rel:
-                w1 = w0 | 1
+                w1 = w0 | top
                 nxt[w1] = nxt.get(w1, 0) + c
         states = nxt
     return sum(states.values())

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .counting import count_is
+from .counting import BigCount, count_is
 from .graphs import (
     BitGraph,
     RiordanSpec,
@@ -21,8 +21,6 @@ from .graphs import (
     odd_labels,
 )
 from .series import evaluate
-
-BigCount = int
 
 WELL_BASED_LIMIT = 30
 

@@ -214,45 +214,38 @@ def motzkin_spec(n: int) -> RiordanSpec:
     return RiordanSpec.bell(Builtin("motzkin"), n)
 
 
-def _column_series(g: Gf2Series, f: Gf2Series, n: int, cols: int):
-    """Yield g*f^(j-1) truncated to n-1 coefficients for j = 1..cols (n >= 2)."""
-    order = n - 1
-    col = g.truncate(order)
-    f = f.truncate(order)
-    for j in range(cols):
+def _riordan_matrix(h: Gf2Series, f: Gf2Series, nrows: int, ncols: int) -> BitMatrix:
+    """Leading nrows x ncols block of the Riordan matrix (h, f): column j
+    has generating function h*f^j, so entry (i, j) = [z^i] h f^j."""
+    col = h.truncate(nrows)
+    cols = []
+    for j in range(ncols):
         if j:
-            col = mul_trunc(col, f, order)
-        yield col
+            col = mul_trunc(col, f, nrows)
+        cols.append(col.bits)
+    return BitMatrix(ncols, nrows, tuple(cols)).transpose()
 
 
 def riordan_adjacency(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
-    """Adjacency rows of G_n(g, f) per the (zg, f)_n + transpose rule."""
+    """Adjacency rows of G_n(g, f): L + L^T off the diagonal, where
+    L = (zg, f)_n has entry (i, j) = [z^(i-1)] g f^j, 0-indexed."""
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
         return (0,)
-    lower = [0] * n  # lower[i] bit j = [z^(i-2)] g f^(j-1), 0-indexed vertices
-    for j, col in enumerate(_column_series(g, f, n, n)):
-        bits = col.bits
-        for i in range(1, n):  # i is 0-indexed row; exponent i-1 >= 0
-            if (bits >> (i - 1)) & 1:
-                lower[i] |= 1 << j
-    rows = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if ((lower[i] >> j) ^ (lower[j] >> i)) & 1:
-                rows[i] |= 1 << j
-    return tuple(rows)
-
-
-def build_riordan_from_series(g: Gf2Series, f: Gf2Series, n: int) -> BitGraph:
-    return BitGraph(n, riordan_adjacency(g, f, n))
+    lower = BitMatrix(n, n, (0,) + _riordan_matrix(g, f, n - 1, n).row_bits)
+    upper = lower.transpose()
+    return tuple(
+        (lo ^ up) & ~(1 << i) for i, (lo, up) in enumerate(zip(lower.row_bits, upper.row_bits))
+    )
 
 
 def _series_pair(spec: RiordanSpec, order: int) -> tuple[Gf2Series, Gf2Series]:
-    return evaluate(spec.g_expr, order), evaluate(spec.f_expr, order)
+    """g and f to `order` coefficients; a Bell spec's f = z*g reuses g."""
+    g = evaluate(spec.g_expr, order)
+    if spec.family == "bell":
+        return g, shift_up(g).truncate(order)
+    return g, evaluate(spec.f_expr, order)
 
 
 def build_riordan(spec: RiordanSpec) -> BitGraph:
@@ -263,7 +256,7 @@ def build_riordan(spec: RiordanSpec) -> BitGraph:
     """
     order = max(spec.n, 1)
     g, f = _series_pair(spec, order)
-    return build_riordan_from_series(g, f, spec.n)
+    return BitGraph(spec.n, riordan_adjacency(g, f, spec.n))
 
 
 def build_toeplitz(n: int, distances) -> BitGraph:
@@ -308,6 +301,11 @@ def even_labels(n: int) -> list[int]:
     return list(range(2, n + 1, 2))
 
 
+def _spread_alternate(bits: int, start: int) -> int:
+    """Bit k moves to bit start + 2k; inverts parity_part on adjacency rows."""
+    return int("0".join(format(bits, "b")), 2) << start
+
+
 @dataclass(frozen=True)
 class DecompositionBlocks:
     """X (odd-odd), Y (even-even), B (odd-even) blocks under the
@@ -319,67 +317,44 @@ class DecompositionBlocks:
     permutation: tuple[int, ...]
 
     def reassemble(self) -> BitGraph:
-        """Invert the permutation and rebuild the original adjacency."""
-        n = len(self.permutation)
-        p = self.x.nrows
-        pos = {label: k for k, label in enumerate(self.permutation)}
-
-        def block_bit(a: int, b: int) -> int:
-            if a < p and b < p:
-                return self.x.bit(a, b)
-            if a >= p and b >= p:
-                return self.y.bit(a - p, b - p)
-            if a < p:
-                return self.b.bit(a, b - p)
-            return self.b.bit(b, a - p)
-
-        rows = [0] * n
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j and block_bit(pos[i], pos[j]):
-                    rows[i - 1] |= 1 << (j - 1)
-        return BitGraph(n, rows)
-
-
-def _submatrix(graph: BitGraph, row_labels, col_labels) -> BitMatrix:
-    rows = []
-    for v in row_labels:
-        bits = 0
-        for c, u in enumerate(col_labels):
-            if graph.has_edge(v, u):
-                bits |= 1 << c
-        rows.append(bits)
-    return BitMatrix(len(row_labels), len(col_labels), tuple(rows))
+        """Invert the permutation by interleaving odd and even rows again."""
+        rows = [0] * len(self.permutation)
+        rows[0::2] = [
+            _spread_alternate(x, 0) | _spread_alternate(b, 1)
+            for x, b in zip(self.x.row_bits, self.b.row_bits)
+        ]
+        rows[1::2] = [
+            _spread_alternate(bt, 0) | _spread_alternate(y, 1)
+            for bt, y in zip(self.b.transpose().row_bits, self.y.row_bits)
+        ]
+        return BitGraph(len(rows), rows)
 
 
 def decompose(graph: BitGraph) -> DecompositionBlocks:
     """Split the adjacency into odd/even blocks by structural relabeling."""
     if graph.n < 2:
         raise ValueError("decomposition needs n >= 2")
-    odd = odd_labels(graph.n)
-    even = even_labels(graph.n)
+    n = graph.n
+    p, q = (n + 1) // 2, n // 2
+
+    def columns(rows, parity: str) -> tuple[int, ...]:
+        # label 2k+1 is bit 2k of a row, label 2k+2 is bit 2k+1
+        return tuple(parity_part(Gf2Series(row, n), parity).bits for row in rows)
+
+    odd_rows = graph.rows[0::2]
     return DecompositionBlocks(
-        x=_submatrix(graph, odd, odd),
-        y=_submatrix(graph, even, even),
-        b=_submatrix(graph, odd, even),
-        permutation=tuple(odd + even),
+        x=BitMatrix(p, p, columns(odd_rows, "even")),
+        y=BitMatrix(q, q, columns(graph.rows[1::2], "odd")),
+        b=BitMatrix(p, q, columns(odd_rows, "odd")),
+        permutation=tuple(odd_labels(n) + even_labels(n)),
     )
 
 
-def _rect_riordan(h: Gf2Series, f: Gf2Series, nrows: int, ncols: int) -> BitMatrix:
-    """Leading nrows x ncols block of the matrix whose column j has
-    generating function h*f^j; entry (i, j) = [z^(i-1)] h f^(j-1)."""
-    order = max(nrows, 1)
-    col = h.truncate(order)
-    rows = [0] * nrows
-    for j in range(ncols):
-        if j:
-            col = mul_trunc(col, f.truncate(order), order)
-        bits = col.bits
-        for i in range(nrows):
-            if (bits >> i) & 1:
-                rows[i] |= 1 << j
-    return BitMatrix(nrows, ncols, tuple(rows))
+def _cross_block(h1: Gf2Series, h2: Gf2Series, f: Gf2Series, p: int, q: int) -> BitMatrix:
+    """B block: the p x q block of (h1, f) plus the q x p block of (h2, f) transposed."""
+    m1 = _riordan_matrix(h1, f, p, q)
+    m2t = _riordan_matrix(h2, f, q, p).transpose()
+    return BitMatrix(p, q, tuple(r1 ^ r2 for r1, r2 in zip(m1.row_bits, m2t.row_bits)))
 
 
 def predict_blocks(spec: RiordanSpec) -> DecompositionBlocks:
@@ -409,9 +384,7 @@ def predict_blocks(spec: RiordanSpec) -> DecompositionBlocks:
 
     x = BitMatrix(p, p, riordan_adjacency(g_odd, f, p))
     y = BitMatrix(q, q, riordan_adjacency(y_gen, f, q))
-    m1 = _rect_riordan(shift_up(gf_odd), f, p, q)
-    m2t = _rect_riordan(g_even, f, q, p).transpose()
-    b = BitMatrix(p, q, tuple(r1 ^ r2 for r1, r2 in zip(m1.row_bits, m2t.row_bits)))
+    b = _cross_block(shift_up(gf_odd), g_even, f, p, q)
     return DecompositionBlocks(x=x, y=y, b=b, permutation=tuple(odd_labels(n) + even_labels(n)))
 
 
@@ -421,13 +394,8 @@ def predict_bell_cross_block(spec: RiordanSpec) -> BitMatrix:
     if spec.family != "bell":
         raise ValueError("cross-block form requires a Bell-type spec")
     n = spec.n
-    p = (n + 1) // 2
-    q = n // 2
     g, f = _series_pair(spec, n)
-    zg = shift_up(g).truncate(n)
-    m1 = _rect_riordan(zg, f, p, q)
-    m2t = _rect_riordan(parity_part(g, "even"), f, q, p).transpose()
-    return BitMatrix(p, q, tuple(r1 ^ r2 for r1, r2 in zip(m1.row_bits, m2t.row_bits)))
+    return _cross_block(f, parity_part(g, "even"), f, (n + 1) // 2, n // 2)
 
 
 def is_proper(spec: RiordanSpec) -> bool:

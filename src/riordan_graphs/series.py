@@ -132,15 +132,14 @@ def parity_part(a: Gf2Series, parity: str) -> Gf2Series:
     if a.order < 1:
         raise ValueError("series must carry at least one coefficient")
     if parity == "odd":
-        start, n = 1, a.order // 2
+        start = 1
     elif parity == "even":
-        start, n = 0, (a.order + 1) // 2
+        start = 0
     else:
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    bits = 0
-    for k in range(n):
-        bits |= ((a.bits >> (2 * k + start)) & 1) << k
-    return Gf2Series(bits, n)
+    # coefficient k is character k of the reversed, zero-padded binary string
+    picked = format(a.bits, f"0{a.order}b")[::-1][start::2]
+    return Gf2Series(int(picked[::-1], 2) if picked else 0, len(picked))
 
 
 def shift_up(a: Gf2Series) -> Gf2Series:

@@ -249,10 +249,8 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
         )
 
     if n >= 2:
-        report.entries.append(
-            _entry("odd-even-lower", formulas.odd_even_lower_bound(graph), "lower", exact)
-        )
         uncorrected = formulas.odd_even_lower_bound(graph, as_printed=True)
+        report.entries.append(_entry("odd-even-lower", uncorrected - 1, "lower", exact))
         if uncorrected > exact:
             report.notes.append(
                 f"note: uncorrected odd/even lower bound {uncorrected} fails (exceeds exact {exact})"

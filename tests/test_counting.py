@@ -96,6 +96,13 @@ class TestBandedEngine:
         with pytest.raises(ValueError):
             count_is_banded(build_toeplitz(6, (1, 4)), 2)
 
+    def test_names_first_edge_outside_band(self):
+        # distance-4 edges are (1, 5) and (2, 6); the lexicographically first is named
+        with pytest.raises(ValueError, match=r"^edge \(1, 5\) exceeds bandwidth 2$"):
+            count_is_banded(build_toeplitz(6, (1, 4)), 2)
+        with pytest.raises(ValueError, match=r"^edge \(3, 7\) exceeds bandwidth 3$"):
+            count_is_banded(BitGraph.from_edges(7, [(1, 4), (3, 7), (2, 5)]), 3)
+
     def test_rejects_huge_bandwidth(self):
         with pytest.raises(ValueError):
             count_is_banded(build_toeplitz(4, (1,)), 21)

@@ -31,9 +31,12 @@ from riordan_graphs.graphs import (
     multipartition,
     parse_graph_spec,
     pascal_spec,
+    predict_bell_cross_block,
     predict_blocks,
+    riordan_adjacency,
 )
-from riordan_graphs.series import parse
+from riordan_graphs.graphs import _series_pair
+from riordan_graphs.series import Builtin, Mul, Pow, Var, evaluate, parse
 
 random_graphs = st.builds(
     lambda n, seed: _graph_from_seed(n, seed),
@@ -52,6 +55,28 @@ def _graph_from_seed(n, seed):
 
 def spec_from(g_text, f_text, n):
     return RiordanSpec(parse(g_text), parse(f_text), n)
+
+
+def _poly_text(bits):
+    return "+".join(f"z^{k}" for k in range(bits.bit_length()) if bits >> k & 1) or "0"
+
+
+# g = numerator/denominator with an odd denominator, f a polynomial: proper
+# exactly when g(0) = 1, f(0) = 0 and f'(0) = 1, so most draws are not
+g_exprs = st.builds(
+    lambda num, den: parse(f"({_poly_text(num)})/({_poly_text(den)})"),
+    st.integers(0, 2**8 - 1),
+    st.integers(0, 2**5 - 1).map(lambda d: 2 * d + 1),
+)
+f_exprs = st.integers(0, 2**8 - 1).map(lambda bits: parse(_poly_text(bits)))
+bell_g_exprs = st.one_of(
+    st.sampled_from([parse("1/(1-z)"), Builtin("catalan"), Builtin("motzkin")]),
+    st.builds(
+        lambda num, den: parse(f"({_poly_text(2 * num + 1)})/({_poly_text(2 * den + 1)})"),
+        st.integers(0, 2**7 - 1),
+        st.integers(0, 2**5 - 1),
+    ),
+)
 
 
 class TestBuildRiordan:
@@ -159,6 +184,11 @@ class TestDecompose:
     def test_reassemble_roundtrip(self, graph):
         assert decompose(graph).reassemble() == graph
 
+    @given(g_expr=g_exprs, f_expr=f_exprs, k=st.integers(1, 30))
+    def test_reassemble_roundtrip_on_odd_order_riordan_graphs(self, g_expr, f_expr, k):
+        graph = build_riordan(RiordanSpec(g_expr, f_expr, 2 * k + 1))
+        assert decompose(graph).reassemble() == graph
+
 
 class TestPredictBlocks:
     def test_pascal_8_matches_structural(self):
@@ -178,6 +208,43 @@ class TestPredictBlocks:
     def test_improper_spec_rejected(self):
         with pytest.raises(ValueError):
             predict_blocks(spec_from("z", "z", 6))
+
+    @given(g_expr=bell_g_exprs, n=st.integers(2, 40))
+    def test_bell_cross_block_agrees_with_both_routes(self, g_expr, n):
+        spec = RiordanSpec.bell(g_expr, n)
+        assert (
+            predict_bell_cross_block(spec)
+            == predict_blocks(spec).b
+            == decompose(build_riordan(spec)).b
+        )
+
+
+class TestAdjacencyKernel:
+    @given(g_expr=g_exprs, f_expr=f_exprs, n=st.integers(1, 40))
+    def test_matches_per_cell_definition(self, g_expr, f_expr, n):
+        # M[i][j] = [z^(i-2)] g f^(j-1) for i >= 2, read coefficient by
+        # coefficient; the adjacency is M + M^T off the diagonal.  For a
+        # proper pair M is strictly lower triangular and only i > j counts.
+        cols = [evaluate(Mul(g_expr, Pow(f_expr, j)), n) for j in range(n)]
+
+        def m(i, j):
+            return cols[j - 1].coeff(i - 2) if i >= 2 else 0
+
+        expected = [0] * n
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j and (m(i, j) + m(j, i)) % 2:
+                    expected[i - 1] |= 1 << (j - 1)
+        g, f = evaluate(g_expr, n), evaluate(f_expr, n)
+        assert riordan_adjacency(g, f, n) == tuple(expected)
+
+    @given(g_expr=bell_g_exprs, order=st.integers(1, 40))
+    def test_bell_series_pair_matches_evaluated_f(self, g_expr, order):
+        for spec in (RiordanSpec.bell(g_expr, 4), RiordanSpec(g_expr, Mul(g_expr, Var()), 4)):
+            assert spec.family == "bell"
+            g, f = _series_pair(spec, order)
+            assert g == evaluate(spec.g_expr, order)
+            assert f == evaluate(spec.f_expr, order)
 
 
 class TestPredicates:
