@@ -136,9 +136,10 @@ def _run_count(args) -> int:
         if engine == "banded":
             raise SpecParseError("the banded engine does not apply to clique counting")
         out["engine"] = engine
-        comp = graph.complement()
         out["count"] = (
-            counting.brute_force_is(comp) if engine == "brute" else counting.count_is(comp)
+            counting.brute_force_is(graph.complement())
+            if engine == "brute"
+            else counting.count_cliques(graph)
         )
     elif args.what == "alpha":
         out["count"] = counting.independence_number(graph)

@@ -2,12 +2,17 @@
 
 Three engines cross-check each other: branch-and-reduce (the workhorse),
 a transfer-matrix dynamic program for banded graphs, and plain subset
-enumeration as the oracle.  Counts include the empty set throughout, and
-use Python's arbitrary-precision integers.
+enumeration as the oracle.  One branch-and-reduce core serves the
+independent-set count, the independence number and the maximum-set count,
+each given by what an edgeless remainder is worth and how the two branches
+combine; it memoizes on the remaining-vertex bitmask up to n = 64.  Counts
+include the empty set throughout, and use Python's arbitrary-precision
+integers.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -37,33 +42,44 @@ def _branch_vertex(rows, mask: int) -> int:
     return best
 
 
-def count_is(graph: BitGraph) -> BigCount:
-    """Number of independent sets, the empty set included.
+def _branch(graph: BitGraph, leaf, join):
+    """The branch-and-reduce recursion behind every exact quantity here.
 
-    Branches on a maximum-degree vertex v via
-    i(G) = i(G - v) + i(G - N[v]); edgeless remainders contribute a power
-    of two.  Subproblems are memoized on the remaining-vertex bitmask for
-    n <= 64.
+    Branches on a maximum-degree vertex v, splitting the independent sets
+    by membership of v: the value is join(value(G - v), value(G - N[v])).
+    An edgeless remainder of k vertices has the value leaf(k), the empty
+    graph included.  Subproblems are memoized on the remaining-vertex
+    bitmask for n <= MEMO_LIMIT.  The recursion is at most n deep; one that
+    exceeds the interpreter's limit is reported as a ValueError.
     """
     rows = graph.rows
-    memo: dict[int, int] | None = {} if graph.n <= MEMO_LIMIT else None
+    memo: dict | None = {} if graph.n <= MEMO_LIMIT else None
 
-    def rec(mask: int) -> int:
-        if mask == 0:
-            return 1
+    def rec(mask: int):
         if memo is not None and mask in memo:
             return memo[mask]
         v = _branch_vertex(rows, mask)
         if v < 0:
-            result = 1 << mask.bit_count()
+            result = leaf(mask.bit_count())
         else:
             bit = 1 << v
-            result = rec(mask & ~bit) + rec(mask & ~(rows[v] | bit))
+            result = join(rec(mask & ~bit), rec(mask & ~(rows[v] | bit)))
         if memo is not None:
             memo[mask] = result
         return result
 
-    return rec((1 << graph.n) - 1)
+    try:
+        return rec((1 << graph.n) - 1)
+    except RecursionError:
+        raise ValueError(
+            f"branch-and-reduce recursion too deep at n={graph.n}; use a smaller graph"
+        ) from None
+
+
+def count_is(graph: BitGraph) -> BigCount:
+    """Number of independent sets, the empty set included:
+    i(G) = i(G - v) + i(G - N[v]), and 2^k for k isolated vertices."""
+    return _branch(graph, lambda k: 1 << k, operator.add)
 
 
 def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
@@ -124,70 +140,37 @@ def count_cliques(graph: BitGraph) -> BigCount:
 
 
 def independence_number(graph: BitGraph) -> int:
-    """Size of a maximum independent set, by the same branching scheme."""
-    rows = graph.rows
-    memo: dict[int, int] = {}
-
-    def rec(mask: int) -> int:
-        if mask == 0:
-            return 0
-        if mask in memo:
-            return memo[mask]
-        v = _branch_vertex(rows, mask)
-        if v < 0:
-            result = mask.bit_count()
-        else:
-            bit = 1 << v
-            result = max(rec(mask & ~bit), 1 + rec(mask & ~(rows[v] | bit)))
-        memo[mask] = result
-        return result
-
-    return rec((1 << graph.n) - 1)
+    """Size of a maximum independent set: max(alpha(G - v), alpha(G - N[v]) + 1)."""
+    return _branch(graph, lambda k: k, lambda a, b: max(a, b + 1))
 
 
 class MaximumISCount(NamedTuple):
+    alpha: int
     count: BigCount
     witnesses: list[tuple[int, ...]] | None
 
 
+def _max_join(without_v: tuple[int, int], with_v: tuple[int, int]) -> tuple[int, int]:
+    (a, c), (b, d) = without_v, with_v
+    b += 1
+    if a != b:
+        return (a, c) if a > b else (b, d)
+    return (a, c + d)
+
+
 def count_maximum_is(graph: BitGraph) -> MaximumISCount:
-    """How many independent sets reach the independence number.
+    """The independence number and how many independent sets reach it.
 
     The recursion carries (alpha, count) pairs; the two branches partition
     the independent sets by membership of the branch vertex, so counts add
     exactly on size ties.  Witness sets are enumerated only at oracle
     scale (n <= 24), sorted lexicographically.
     """
-    rows = graph.rows
-    memo: dict[int, tuple[int, int]] = {}
-
-    def rec(mask: int) -> tuple[int, int]:
-        if mask == 0:
-            return (0, 1)
-        if mask in memo:
-            return memo[mask]
-        v = _branch_vertex(rows, mask)
-        if v < 0:
-            result = (mask.bit_count(), 1)
-        else:
-            bit = 1 << v
-            a1, c1 = rec(mask & ~bit)
-            a2, c2 = rec(mask & ~(rows[v] | bit))
-            a2 += 1
-            if a1 > a2:
-                result = (a1, c1)
-            elif a2 > a1:
-                result = (a2, c2)
-            else:
-                result = (a1, c1 + c2)
-        memo[mask] = result
-        return result
-
-    alpha, count = rec((1 << graph.n) - 1)
+    alpha, count = _branch(graph, lambda k: (k, 1), _max_join)
     witnesses = None
     if graph.n <= BRUTE_FORCE_LIMIT:
         witnesses = [s for s in list_maximal_is(graph) if len(s) == alpha]
-    return MaximumISCount(count, witnesses)
+    return MaximumISCount(alpha, count, witnesses)
 
 
 def list_maximal_is(graph: BitGraph) -> list[tuple[int, ...]]:

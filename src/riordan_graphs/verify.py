@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import formulas
-from .counting import count_is, count_is_banded, count_maximum_is, independence_number
+from .counting import BANDWIDTH_LIMIT, count_cliques, count_is, count_is_banded, count_maximum_is
 from .graphs import (
     BitGraph,
     ChordalityRangeError,
@@ -151,7 +151,7 @@ def exact_count(spec: GraphSpec, graph: BitGraph | None = None) -> int:
     matrix for narrow Toeplitz and ladder graphs, branch-and-reduce else."""
     if graph is None:
         graph = spec.build()
-    if spec.kind == "toeplitz" and max(spec.distances) <= 20:
+    if spec.kind == "toeplitz" and max(spec.distances) <= BANDWIDTH_LIMIT:
         return count_is_banded(graph, max(spec.distances))
     if spec.kind in ("delta", "deltaTilde") and spec.n >= 3:
         return count_is_banded(graph, 2)
@@ -197,7 +197,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
                 _entry("chordal-exact", formulas.chordal_toeplitz_is(k, t, n), "exact", exact)
             )
             clique_value = formulas.chordal_toeplitz_cliques(k, t, n)
-            clique_exact = count_is(graph.complement())
+            clique_exact = count_cliques(graph)
             mark = "ok" if clique_value == clique_exact else "FAIL"
             report.notes.append(
                 f"{mark}: chordal clique formula {clique_value} vs exact {clique_exact}"
@@ -225,8 +225,8 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
             _entry("io-dec-lower", formulas.io_dec_lower_bound(rs), "lower", exact)
         )
         alpha_claim, max_cap = formulas.io_independence_claims(n)
-        alpha = independence_number(graph)
-        max_count = count_maximum_is(graph).count
+        maximum = count_maximum_is(graph)
+        alpha, max_count = maximum.alpha, maximum.count
         mark = "ok" if alpha == alpha_claim else "FAIL"
         report.notes.append(f"{mark}: independence number {alpha} vs claimed {alpha_claim}")
         mark = "ok" if max_count <= max_cap else "FAIL"

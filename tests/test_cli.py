@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from riordan_graphs import verify
-from riordan_graphs.cli import main
+from riordan_graphs.cli import main, run
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +78,20 @@ class TestCount:
         monkeypatch.setenv("RIORDAN_MAX_N", "10")
         code, _, err = run_cli(capsys, "count", "--spec", "pascal:n=12")
         assert code == 2 and "guard" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--spec", "delta:n=2000", "--force"],
+            ["count", "--spec", "toeplitz:n=3000;d=1", "--force", "--engine", "branch"],
+        ],
+    )
+    def test_too_deep_recursion_is_exit_2(self, capsys, argv):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "n=" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestSeriesAndGraph:

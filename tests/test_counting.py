@@ -1,7 +1,7 @@
 """Counting engine tests: frozen values, engine agreement, and invariants."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riordan_graphs.counting import (
@@ -40,6 +40,14 @@ def random_graph(n, seed, p=0.4):
 
 
 small_graphs = st.builds(random_graph, st.integers(1, 10), st.integers(0, 10**6))
+
+
+def complete_multipartite(sizes):
+    """Complete multipartite graph whose parts are consecutive label runs."""
+    part = [k for k, s in enumerate(sizes) for _ in range(s)]
+    n = len(part)
+    edges = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if part[i] != part[j]]
+    return BitGraph.from_edges(n, edges)
 
 
 class TestCountIS:
@@ -217,6 +225,24 @@ class TestMaximumIS:
         for witness in result.witnesses:
             assert len(witness) == alpha
             assert all(not graph.has_edge(u, v) for u in witness for v in witness if u < v)
+
+
+class TestCompleteMultipartite:
+    """Closed forms on both sides of MEMO_LIMIT: an independent set lies in
+    one part, so i = 1 + sum(2^s - 1), alpha = max s, and the maximum sets
+    are the parts of largest size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12), min_size=2, max_size=10))
+    @example(sizes=[3, 5, 5])
+    @example(sizes=[12] * 10)
+    def test_closed_forms(self, sizes):
+        graph = complete_multipartite(sizes)
+        alpha = max(sizes)
+        assert count_is(graph) == 1 + sum((1 << s) - 1 for s in sizes)
+        assert independence_number(graph) == alpha
+        result = count_maximum_is(graph)
+        assert (result.alpha, result.count) == (alpha, sizes.count(alpha))
 
 
 class TestMaximalIS:
