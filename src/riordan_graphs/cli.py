@@ -18,8 +18,6 @@ from . import counting, verify
 from .graphs import SpecParseError, export_graph, parse_graph_spec
 from .series import SeriesSyntaxError, evaluate, parse
 
-DEFAULT_GUARD = 40
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -84,7 +82,7 @@ def _guard_value(args) -> int:
             return int(env)
         except ValueError:
             raise SpecParseError(f"RIORDAN_MAX_N must be an integer, got {env!r}") from None
-    return DEFAULT_GUARD
+    return verify.DEFAULT_MAX_N
 
 
 def _emit(payload) -> None:

@@ -17,7 +17,8 @@ from .graphs import (
     RiordanSpec,
     build_riordan,
     even_labels,
-    is_io_decomposable,
+    io_half,
+    is_proper,
     odd_labels,
 )
 from .series import evaluate
@@ -409,10 +410,12 @@ def io_dec_lower_bound(spec: RiordanSpec) -> BigCount:
     n = spec.n
     if n < 2:
         raise ValueError("bound applies for n >= 2")
-    if not is_io_decomposable(spec):
-        raise BoundPreconditionError("spec is not io-decomposable")
+    if not is_proper(spec):
+        raise ValueError("io-decomposability is defined for proper specs")
     whole = build_riordan(spec)
-    half = build_riordan(spec.with_n((n + 1) // 2))
+    half = io_half(whole)
+    if half is None:
+        raise BoundPreconditionError("spec is not io-decomposable")
     value = count_is(half) + (1 << (n // 2)) - 1
     return value + ((n + 1) // 2) * (n // 2) - whole.edge_count + half.edge_count
 

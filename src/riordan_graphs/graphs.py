@@ -10,7 +10,7 @@ distance set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .series import (
     Builtin,
@@ -197,9 +197,6 @@ class RiordanSpec:
     @classmethod
     def appell(cls, g_expr: SeriesExpr, n: int) -> RiordanSpec:
         return cls(g_expr, Var(), n)
-
-    def with_n(self, n: int) -> RiordanSpec:
-        return replace(self, n=n)
 
 
 def pascal_spec(n: int) -> RiordanSpec:
@@ -404,22 +401,22 @@ def is_proper(spec: RiordanSpec) -> bool:
     return bool(g.coeff(0)) and bool(f.coeff(1))
 
 
-def is_io_decomposable(spec: RiordanSpec) -> bool:
-    """Structural io-decomposability check on the built graph.
+def io_half(graph: BitGraph) -> BitGraph | None:
+    """G_ceil(n/2) if the Riordan graph G_n (n >= 2) is io-decomposable, else None:
+    even labels independent, odd labels inducing G_ceil(n/2) in order.  That is
+    G_n on 1..ceil(n/2), as edge (i, j) depends only on [z^(i-2)] g f^(j-1)."""
+    blocks = decompose(graph)
+    if not blocks.y.is_zero():
+        return None
+    half = graph.induced(range(1, (graph.n + 1) // 2 + 1))
+    return half if blocks.x == graph_to_matrix(half) else None
 
-    Requires the even-labeled block to be empty and the odd-labeled block
-    to equal the same construction at order ceil(n/2) under the
-    order-preserving relabeling.
-    """
+
+def is_io_decomposable(spec: RiordanSpec) -> bool:
+    """Structural io-decomposability check on the built graph (see io_half)."""
     if not is_proper(spec):
         raise ValueError("io-decomposability is defined for proper specs")
-    if spec.n == 1:
-        return True
-    blocks = decompose(build_riordan(spec))
-    if not blocks.y.is_zero():
-        return False
-    half = build_riordan(spec.with_n((spec.n + 1) // 2))
-    return blocks.x == graph_to_matrix(half)
+    return spec.n == 1 or io_half(build_riordan(spec)) is not None
 
 
 def is_chordal_toeplitz(n: int, distances) -> bool:

@@ -24,8 +24,8 @@ from .graphs import (
     build_riordan,
     decompose,
     has_consecutive_ham_path,
+    io_half,
     is_chordal_toeplitz,
-    is_io_decomposable,
     is_proper,
     parse_graph_spec,
     predict_bell_cross_block,
@@ -214,13 +214,15 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
             _entry("delta-exact", formulas.delta(n, spec.variant), "exact", exact)
         )
 
-    if (rs is not None and is_proper(rs)) or has_consecutive_ham_path(graph):
+    proper = rs is not None and is_proper(rs)
+    if proper or has_consecutive_ham_path(graph):
         report.entries.append(
             _entry("fibonacci-upper", formulas.fibonacci_upper_bound(n), "upper", exact)
         )
 
-    io_dec = rs is not None and is_proper(rs) and is_io_decomposable(rs)
-    if io_dec and n >= 2:
+    # every io-dec bound needs n >= 2; graph is G_n(rs) for Toeplitz specs too
+    io_dec = proper and n >= 2 and io_half(graph) is not None
+    if io_dec:
         report.entries.append(
             _entry("io-dec-lower", formulas.io_dec_lower_bound(rs), "lower", exact)
         )
@@ -236,12 +238,9 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
             report.entries.append(
                 _entry("io-upper", formulas.io_upper_bound(n), "upper", exact)
             )
-        if n >= 2:
-            report.entries.append(
-                _entry(
-                    "multipartite-lower", formulas.multipartite_lower_bound(n), "lower", exact
-                )
-            )
+        report.entries.append(
+            _entry("multipartite-lower", formulas.multipartite_lower_bound(n), "lower", exact)
+        )
 
     if spec.kind == "pascal" and n >= 5:
         report.entries.append(

@@ -77,6 +77,12 @@ bell_g_exprs = st.one_of(
         st.integers(0, 2**5 - 1),
     ),
 )
+# f = z + higher terms: with any bell_g_exprs draw (g(0) = 1) the pair is proper
+proper_f_exprs = st.integers(0, 2**7 - 1).map(lambda bits: parse(_poly_text(4 * bits + 2)))
+proper_pairs = st.one_of(
+    st.tuples(bell_g_exprs, proper_f_exprs),
+    bell_g_exprs.map(lambda g: (g, Mul(Var(), g))),
+)
 
 
 class TestBuildRiordan:
@@ -245,6 +251,39 @@ class TestAdjacencyKernel:
             g, f = _series_pair(spec, order)
             assert g == evaluate(spec.g_expr, order)
             assert f == evaluate(spec.f_expr, order)
+
+
+class TestLeadingBlocks:
+    @given(
+        pair=st.one_of(st.tuples(g_exprs, f_exprs), proper_pairs),
+        n=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_smaller_order_is_leading_induced_subgraph(self, pair, n, data):
+        m = data.draw(st.integers(1, n))
+        g_expr, f_expr = pair
+        whole = build_riordan(RiordanSpec(g_expr, f_expr, n))
+        assert build_riordan(RiordanSpec(g_expr, f_expr, m)) == whole.induced(range(1, m + 1))
+
+
+def _io_decomposable_by_rebuild(spec):
+    """The definition with G_ceil(n/2) built on its own from g and f."""
+    blocks = decompose(build_riordan(spec))
+    half = build_riordan(RiordanSpec(spec.g_expr, spec.f_expr, (spec.n + 1) // 2))
+    return blocks.y.is_zero() and blocks.x == graph_to_matrix(half)
+
+
+class TestIoDecomposableOracle:
+    @given(pair=proper_pairs, n=st.integers(2, 40))
+    def test_random_proper_specs(self, pair, n):
+        spec = RiordanSpec(*pair, n)
+        assert is_io_decomposable(spec) == _io_decomposable_by_rebuild(spec)
+
+    @pytest.mark.parametrize("maker", [pascal_spec, catalan_spec])
+    def test_pascal_and_catalan(self, maker):
+        for n in range(2, 41):
+            spec = maker(n)
+            assert is_io_decomposable(spec) == _io_decomposable_by_rebuild(spec)
 
 
 class TestPredicates:

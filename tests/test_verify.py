@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from riordan_graphs import graphs
 from riordan_graphs.counting import count_is
 from riordan_graphs.graphs import (
     build_riordan,
@@ -105,6 +106,25 @@ class TestBoundReport:
         report = bound_report("catalan:n=9")
         assert any("independence number 4 vs claimed 4" in n for n in report.notes)
         assert any("maximum independent sets vs cap 4" in n for n in report.notes)
+
+
+def _adjacency_builds(monkeypatch, spec):
+    calls = []
+    build = graphs.riordan_adjacency
+    monkeypatch.setattr(
+        graphs, "riordan_adjacency", lambda *args: calls.append(args) or build(*args)
+    )
+    bound_report(spec)
+    return len(calls)
+
+
+class TestBuildsPerReport:
+    def test_io_decomposable_report(self, monkeypatch):
+        # the report's graph, and G_n once more inside io_dec_lower_bound
+        assert _adjacency_builds(monkeypatch, "pascal:n=16") <= 2
+
+    def test_non_io_decomposable_report(self, monkeypatch):
+        assert _adjacency_builds(monkeypatch, "bell:g=1+z^3;n=16") == 1
 
 
 class TestSweeps:
