@@ -4,8 +4,9 @@ Three engines cross-check each other: branch-and-reduce (the workhorse),
 a transfer-matrix dynamic program for banded graphs, and plain subset
 enumeration as the oracle.  One branch-and-reduce core serves the
 independent-set count, the independence number and the maximum-set count,
-each given by what an edgeless remainder is worth and how the two branches
-combine; it memoizes on the remaining-vertex bitmask up to n = 64.  Counts
+each given by what an edgeless remainder is worth, how the two branches
+combine and how independent parts combine; it splits every subproblem into
+connected components and caches them per call, at every n.  Counts
 include the empty set throughout, and use Python's arbitrary-precision
 integers.
 """
@@ -22,7 +23,7 @@ from .graphs import BitGraph
 BigCount = int
 
 BRUTE_FORCE_LIMIT = 24
-MEMO_LIMIT = 64
+MAXIMAL_LIMIT = 64
 BANDWIDTH_LIMIT = 20
 
 
@@ -42,34 +43,56 @@ def _branch_vertex(rows, mask: int) -> int:
     return best
 
 
-def _branch(graph: BitGraph, leaf, join):
+def _branch(graph: BitGraph, leaf, join, times):
     """The branch-and-reduce recursion behind every exact quantity here.
 
-    Branches on a maximum-degree vertex v, splitting the independent sets
-    by membership of v: the value is join(value(G - v), value(G - N[v])).
-    An edgeless remainder of k vertices has the value leaf(k), the empty
-    graph included.  Subproblems are memoized on the remaining-vertex
-    bitmask for n <= MEMO_LIMIT.  The recursion is at most n deep; one that
-    exceeds the interpreter's limit is reported as a ValueError.
+    A subproblem's isolated vertices, k of them, are worth leaf(k), the
+    empty graph included; each remaining connected component is solved on
+    its own and the parts are combined with times.  A component branches on
+    a maximum-degree vertex v, splitting its independent sets by membership
+    of v: join(value(C - v), value(C - N[v])).  Component values are cached
+    on the component's bitmask for the duration of this call only.  The
+    recursion is at most 2n frames deep; one that exceeds the interpreter's
+    limit is reported as a ValueError.
     """
     rows = graph.rows
-    memo: dict | None = {} if graph.n <= MEMO_LIMIT else None
+    cache: dict = {}
 
-    def rec(mask: int):
-        if memo is not None and mask in memo:
-            return memo[mask]
+    def solve(mask: int):
+        isolated = 0
+        parts = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            comp = frontier = low
+            while frontier and comp != rest:
+                reach = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    reach |= rows[bit.bit_length() - 1]
+                    frontier ^= bit
+                frontier = reach & rest & ~comp
+                comp |= frontier
+            rest ^= comp
+            if comp == low:
+                isolated += 1
+            else:
+                parts.append(component(comp))
+        value = leaf(isolated)
+        for part in parts:
+            value = times(value, part)
+        return value
+
+    def component(mask: int):
+        if mask in cache:
+            return cache[mask]
         v = _branch_vertex(rows, mask)
-        if v < 0:
-            result = leaf(mask.bit_count())
-        else:
-            bit = 1 << v
-            result = join(rec(mask & ~bit), rec(mask & ~(rows[v] | bit)))
-        if memo is not None:
-            memo[mask] = result
+        bit = 1 << v
+        result = cache[mask] = join(solve(mask & ~bit), solve(mask & ~(rows[v] | bit)))
         return result
 
     try:
-        return rec((1 << graph.n) - 1)
+        return solve((1 << graph.n) - 1)
     except RecursionError:
         raise ValueError(
             f"branch-and-reduce recursion too deep at n={graph.n}; use a smaller graph"
@@ -79,7 +102,7 @@ def _branch(graph: BitGraph, leaf, join):
 def count_is(graph: BitGraph) -> BigCount:
     """Number of independent sets, the empty set included:
     i(G) = i(G - v) + i(G - N[v]), and 2^k for k isolated vertices."""
-    return _branch(graph, lambda k: 1 << k, operator.add)
+    return _branch(graph, lambda k: 1 << k, operator.add, operator.mul)
 
 
 def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
@@ -141,7 +164,7 @@ def count_cliques(graph: BitGraph) -> BigCount:
 
 def independence_number(graph: BitGraph) -> int:
     """Size of a maximum independent set: max(alpha(G - v), alpha(G - N[v]) + 1)."""
-    return _branch(graph, lambda k: k, lambda a, b: max(a, b + 1))
+    return _branch(graph, lambda k: k, lambda a, b: max(a, b + 1), operator.add)
 
 
 class MaximumISCount(NamedTuple):
@@ -158,6 +181,10 @@ def _max_join(without_v: tuple[int, int], with_v: tuple[int, int]) -> tuple[int,
     return (a, c + d)
 
 
+def _max_times(part: tuple[int, int], other: tuple[int, int]) -> tuple[int, int]:
+    return (part[0] + other[0], part[1] * other[1])
+
+
 def count_maximum_is(graph: BitGraph) -> MaximumISCount:
     """The independence number and how many independent sets reach it.
 
@@ -166,7 +193,7 @@ def count_maximum_is(graph: BitGraph) -> MaximumISCount:
     exactly on size ties.  Witness sets are enumerated only at oracle
     scale (n <= 24), sorted lexicographically.
     """
-    alpha, count = _branch(graph, lambda k: (k, 1), _max_join)
+    alpha, count = _branch(graph, lambda k: (k, 1), _max_join, _max_times)
     witnesses = None
     if graph.n <= BRUTE_FORCE_LIMIT:
         witnesses = [s for s in list_maximal_is(graph) if len(s) == alpha]
@@ -179,8 +206,8 @@ def list_maximal_is(graph: BitGraph) -> list[tuple[int, ...]]:
     Runs Bron-Kerbosch with pivoting on the complement graph, where
     maximal independent sets appear as maximal cliques.  Capped at n <= 64.
     """
-    if graph.n > MEMO_LIMIT:
-        raise ValueError(f"maximal-set enumeration capped at n <= {MEMO_LIMIT}")
+    if graph.n > MAXIMAL_LIMIT:
+        raise ValueError(f"maximal-set enumeration capped at n <= {MAXIMAL_LIMIT}")
     full = (1 << graph.n) - 1
     comp = tuple(~row & full & ~(1 << i) for i, row in enumerate(graph.rows))
     out: list[tuple[int, ...]] = []

@@ -416,6 +416,12 @@ def io_dec_lower_bound(spec: RiordanSpec) -> BigCount:
     half = io_half(whole)
     if half is None:
         raise BoundPreconditionError("spec is not io-decomposable")
+    return _io_dec_bound(whole, half)
+
+
+def _io_dec_bound(whole: BitGraph, half: BitGraph) -> BigCount:
+    """io_dec_lower_bound on a built io-decomposable G_n and its io_half."""
+    n = whole.n
     value = count_is(half) + (1 << (n // 2)) - 1
     return value + ((n + 1) // 2) * (n // 2) - whole.edge_count + half.edge_count
 

@@ -221,10 +221,11 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
         )
 
     # every io-dec bound needs n >= 2; graph is G_n(rs) for Toeplitz specs too
-    io_dec = proper and n >= 2 and io_half(graph) is not None
+    half = io_half(graph) if proper and n >= 2 else None
+    io_dec = half is not None
     if io_dec:
         report.entries.append(
-            _entry("io-dec-lower", formulas.io_dec_lower_bound(rs), "lower", exact)
+            _entry("io-dec-lower", formulas._io_dec_bound(graph, half), "lower", exact)
         )
         alpha_claim, max_cap = formulas.io_independence_claims(n)
         maximum = count_maximum_is(graph)

@@ -1,9 +1,14 @@
 """Counting engine tests: frozen values, engine agreement, and invariants."""
 
+import random
+from itertools import combinations
+from math import prod
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from riordan_graphs import counting, formulas
 from riordan_graphs.counting import (
     brute_force_is,
     count_cliques,
@@ -15,8 +20,10 @@ from riordan_graphs.counting import (
 )
 from riordan_graphs.graphs import (
     BitGraph,
+    build_delta,
     build_riordan,
     build_toeplitz,
+    catalan_spec,
     pascal_spec,
 )
 
@@ -290,3 +297,123 @@ class TestMaximalIS:
             )
             if maximal and members:
                 assert tuple(members) in seen
+
+
+def independent_sets_by_size(graph):
+    """Micro-oracle: the number of independent k-subsets for k = 0..alpha,
+    by itertools enumeration; it stops at the first size with none, since
+    every subset of an independent set is independent."""
+    rows = graph.rows
+    sizes = []
+    for k in range(graph.n + 1):
+        found = 0
+        for members in combinations(range(graph.n), k):
+            mask = sum(1 << v for v in members)
+            if not any(rows[v] & mask for v in members):
+                found += 1
+        if not found:
+            break
+        sizes.append(found)
+    return sizes
+
+
+@st.composite
+def split_graphs(draw):
+    """Random graphs on up to 18 vertices that fall apart: each vertex joins
+    one of three interleaved parts or stays isolated, and edges run only
+    inside a part."""
+    n = draw(st.integers(1, 18))
+    part = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    p = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    edges = [
+        (i + 1, j + 1)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if part[i] == part[j] < 3 and rng.random() < p
+    ]
+    return BitGraph.from_edges(n, edges)
+
+
+def disjoint_paths(lengths):
+    """Paths on consecutive label runs, one per length."""
+    edges = []
+    start = 1
+    for m in lengths:
+        edges += [(i, i + 1) for i in range(start, start + m - 1)]
+        start += m
+    return BitGraph.from_edges(start - 1, edges)
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+class TestComponentSplit:
+    """The times rule: independent parts multiply counts, add independence
+    numbers, and add alpha while multiplying maximum-set counts."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=split_graphs())
+    @example(graph=disjoint_paths([1, 3, 1, 4, 2, 1, 1]))
+    @example(graph=BitGraph.from_edges(12, []))
+    def test_matches_subset_enumeration(self, graph):
+        sizes = independent_sets_by_size(graph)
+        assert count_is(graph) == brute_force_is(graph) == sum(sizes)
+        assert independence_number(graph) == len(sizes) - 1
+        result = count_maximum_is(graph)
+        assert (result.alpha, result.count) == (len(sizes) - 1, sizes[-1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 60), min_size=1, max_size=12).filter(
+            lambda lengths: 65 <= sum(lengths) <= 200
+        )
+    )
+    @example(lengths=[65])
+    @example(lengths=[1] * 100 + [2] * 50)
+    def test_disjoint_paths(self, lengths):
+        graph = disjoint_paths(lengths)
+        # P_m: F(m+2) independent sets, alpha ceil(m/2), and one maximum
+        # set for odd m, m/2 + 1 of them for even m
+        assert count_is(graph) == prod(fibonacci(m + 2) for m in lengths)
+        alpha = sum((m + 1) // 2 for m in lengths)
+        assert independence_number(graph) == alpha
+        result = count_maximum_is(graph)
+        assert result.alpha == alpha
+        assert result.count == prod(1 if m % 2 else m // 2 + 1 for m in lengths)
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    @pytest.mark.parametrize("variant", ["plain", "tilde"])
+    def test_ladders_match_pell_closed_form(self, n, variant):
+        assert count_is(build_delta(n, variant)) == formulas.delta(n, variant)
+
+
+def _branch_vertex_calls(monkeypatch, graph):
+    calls = []
+    pick = counting._branch_vertex
+    monkeypatch.setattr(
+        counting, "_branch_vertex", lambda *args: calls.append(args) or pick(*args)
+    )
+    count_is(graph)
+    return len(calls)
+
+
+class TestBranchWork:
+    """Branch nodes, a work count that does not depend on the machine."""
+
+    def test_ladder_is_linear(self, monkeypatch):
+        assert _branch_vertex_calls(monkeypatch, build_delta(48)) <= 48
+
+    @pytest.mark.parametrize("spec", [pascal_spec(64), catalan_spec(64)])
+    def test_family_graphs_at_64(self, monkeypatch, spec):
+        assert _branch_vertex_calls(monkeypatch, build_riordan(spec)) <= 2000
+
+    def test_no_cache_survives_a_call(self, monkeypatch):
+        graph = build_riordan(catalan_spec(40))
+        first = _branch_vertex_calls(monkeypatch, graph)
+        assert first > 0
+        assert _branch_vertex_calls(monkeypatch, graph) == first

@@ -123,6 +123,9 @@ class TestBuildsPerReport:
         # the report's graph, and G_n once more inside io_dec_lower_bound
         assert _adjacency_builds(monkeypatch, "pascal:n=16") <= 2
 
+    def test_io_decomposable_report_builds_once(self, monkeypatch):
+        assert _adjacency_builds(monkeypatch, "pascal:n=16") == 1
+
     def test_non_io_decomposable_report(self, monkeypatch):
         assert _adjacency_builds(monkeypatch, "bell:g=1+z^3;n=16") == 1
 
