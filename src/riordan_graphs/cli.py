@@ -13,13 +13,16 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import counting, verify
 from .graphs import SpecParseError, export_graph, parse_graph_spec
 from .series import SeriesSyntaxError, evaluate, parse
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="riordan",
         description="Build Riordan/Toeplitz graphs, count independent sets, check bounds.",

@@ -1,8 +1,9 @@
 """Exact counting of independent sets, cliques, and maximum independent sets.
 
 Three engines cross-check each other: branch-and-reduce (the workhorse),
-a transfer-matrix dynamic program for banded graphs, and plain subset
-enumeration as the oracle.  One branch-and-reduce core serves the
+a transfer-matrix dynamic program for banded graphs, and subset
+enumeration as the oracle, a table of all 2^n subsets held as the bits of
+one Python int.  One branch-and-reduce core serves the
 independent-set count, the independence number and the maximum-set count,
 each given by what an edgeless remainder is worth, how the two branches
 combine and how independent parts combine; it splits every subproblem into
@@ -15,8 +16,6 @@ from __future__ import annotations
 
 import operator
 from typing import NamedTuple
-
-import numpy as np
 
 from .graphs import BitGraph
 
@@ -138,23 +137,22 @@ def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
 def brute_force_is(graph: BitGraph) -> BigCount:
     """Oracle count by enumerating all 2^n vertex subsets (n <= 24).
 
-    A subset is marked independent when its lowest vertex has no neighbor
-    among the rest and the rest is independent; the table covers every
-    subset, vectorized one vertex at a time.
+    The table is one int whose bit m is set when vertex subset m is
+    independent.  Vertex v doubles it: subset m | 2^v is independent when m
+    is and m avoids v's lower neighbours, and comp, the bitset of the masks
+    m < 2^v that avoid them, is built by one shift-or per non-neighbour
+    b < v.  The count is the table's population count.
     """
     if graph.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_LIMIT}, got {graph.n}")
-    independent = np.ones(1, dtype=bool)
-    for v in range(graph.n):
-        below = graph.rows[v] & ((1 << v) - 1)
-        if below:
-            masks = np.arange(independent.size, dtype=np.int64)
-            compatible = (masks & below) == 0
-            with_v = independent & compatible
-        else:
-            with_v = independent
-        independent = np.concatenate([independent, with_v])
-    return int(np.count_nonzero(independent))
+    independent = 1
+    for v, row in enumerate(graph.rows):
+        comp = 1
+        for b in range(v):
+            if not row >> b & 1:
+                comp |= comp << (1 << b)
+        independent |= (independent & comp) << (1 << v)
+    return independent.bit_count()
 
 
 def count_cliques(graph: BitGraph) -> BigCount:
@@ -208,8 +206,7 @@ def list_maximal_is(graph: BitGraph) -> list[tuple[int, ...]]:
     """
     if graph.n > MAXIMAL_LIMIT:
         raise ValueError(f"maximal-set enumeration capped at n <= {MAXIMAL_LIMIT}")
-    full = (1 << graph.n) - 1
-    comp = tuple(~row & full & ~(1 << i) for i, row in enumerate(graph.rows))
+    comp = graph.complement().rows
     out: list[tuple[int, ...]] = []
 
     def emit(mask: int) -> None:
@@ -244,5 +241,5 @@ def list_maximal_is(graph: BitGraph) -> list[tuple[int, ...]]:
             x |= low
             cand ^= low
 
-    expand(0, full, 0)
+    expand(0, (1 << graph.n) - 1, 0)
     return sorted(out)

@@ -1,13 +1,17 @@
 """CLI contract tests: output shapes, engines, guards, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from riordan_graphs import verify
+from riordan_graphs import cli, verify
 from riordan_graphs.cli import main, run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +186,27 @@ class TestBoundsAndVerify:
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["count"]) == 2
         capsys.readouterr()
+
+    def test_one_parser_carries_no_state(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        assert run(["bounds", "--spec"]) == 2
+        capsys.readouterr()
+        argv = ["bounds", "--spec", "pascal:n=10"]
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first
+        assert json.loads(first)["n"] == 10
+
+
+class TestStandardLibraryOnly:
+    def test_import_leaves_numpy_out(self):
+        code = "import sys, riordan_graphs.cli; print('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True, env=env, text=True
+        )
+        assert result.stdout == "False\n"
 
 
 class TestDeterminism:

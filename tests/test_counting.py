@@ -235,9 +235,9 @@ class TestMaximumIS:
 
 
 class TestCompleteMultipartite:
-    """Closed forms on both sides of MEMO_LIMIT: an independent set lies in
-    one part, so i = 1 + sum(2^s - 1), alpha = max s, and the maximum sets
-    are the parts of largest size."""
+    """Closed forms at n from 2 to 120: an independent set lies in one part,
+    so i = 1 + sum(2^s - 1), alpha = max s, and the maximum sets are the
+    parts of largest size."""
 
     @settings(max_examples=40, deadline=None)
     @given(sizes=st.lists(st.integers(1, 12), min_size=2, max_size=10))
@@ -318,11 +318,11 @@ def independent_sets_by_size(graph):
 
 
 @st.composite
-def split_graphs(draw):
-    """Random graphs on up to 18 vertices that fall apart: each vertex joins
-    one of three interleaved parts or stays isolated, and edges run only
-    inside a part."""
-    n = draw(st.integers(1, 18))
+def split_graphs(draw, orders=st.integers(1, 18)):
+    """Random graphs on up to 18 vertices (or of the given orders) that fall
+    apart: each vertex joins one of three interleaved parts or stays
+    isolated, and edges run only inside a part."""
+    n = draw(orders)
     part = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     p = draw(st.sampled_from([0.3, 0.6, 0.9]))
     rng = random.Random(draw(st.integers(0, 10**6)))
@@ -366,6 +366,17 @@ class TestComponentSplit:
         assert independence_number(graph) == len(sizes) - 1
         result = count_maximum_is(graph)
         assert (result.alpha, result.count) == (len(sizes) - 1, sizes[-1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=split_graphs(orders=st.integers(18, 24)))
+    @example(graph=BitGraph.from_edges(24, [(i, i + 4) for i in range(1, 21) if i % 4]))
+    @example(
+        graph=BitGraph.from_edges(
+            24, [(i, j) for i in range(1, 25) for j in range(i + 4, 25, 4) if i % 4]
+        )
+    )
+    def test_matches_subset_enumeration_up_to_24(self, graph):
+        assert count_is(graph) == brute_force_is(graph)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -120,7 +120,7 @@ def _adjacency_builds(monkeypatch, spec):
 
 class TestBuildsPerReport:
     def test_io_decomposable_report(self, monkeypatch):
-        # the report's graph, and G_n once more inside io_dec_lower_bound
+        # the report builds G_n once and passes it to the io-dec bound
         assert _adjacency_builds(monkeypatch, "pascal:n=16") <= 2
 
     def test_io_decomposable_report_builds_once(self, monkeypatch):
