@@ -18,6 +18,7 @@ from .series import (
     Mul,
     SeriesExpr,
     Var,
+    _square_bits,
     evaluate,
     mul_trunc,
     parse,
@@ -82,14 +83,13 @@ class BitGraph:
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, sorted lexicographically."""
         out = []
-        for i in range(self.n):
-            r = self.rows[i] >> (i + 1)
-            j = i + 1
-            while r:
-                if r & 1:
-                    out.append((i + 1, j + 1))
-                r >>= 1
-                j += 1
+        for i, row in enumerate(self.rows):
+            # character j of the reversed binary string is bit j of the row
+            bits = format(row, "b")[::-1]
+            j = bits.find("1", i + 1)
+            while j != -1:
+                out.append((i + 1, j + 1))
+                j = bits.find("1", j + 1)
         return out
 
     @property
@@ -298,11 +298,6 @@ def even_labels(n: int) -> list[int]:
     return list(range(2, n + 1, 2))
 
 
-def _spread_alternate(bits: int, start: int) -> int:
-    """Bit k moves to bit start + 2k; inverts parity_part on adjacency rows."""
-    return int("0".join(format(bits, "b")), 2) << start
-
-
 @dataclass(frozen=True)
 class DecompositionBlocks:
     """X (odd-odd), Y (even-even), B (odd-even) blocks under the
@@ -314,14 +309,19 @@ class DecompositionBlocks:
     permutation: tuple[int, ...]
 
     def reassemble(self) -> BitGraph:
-        """Invert the permutation by interleaving odd and even rows again."""
-        rows = [0] * len(self.permutation)
+        """Invert the permutation by interleaving odd and even rows again.
+
+        Spreading bit k of a block row to bit 2k is squaring it over GF(2);
+        no block row is wider than ceil(n/2) bits, so nothing is truncated.
+        """
+        n = len(self.permutation)
+        rows = [0] * n
         rows[0::2] = [
-            _spread_alternate(x, 0) | _spread_alternate(b, 1)
+            _square_bits(x, n) | _square_bits(b, n) << 1
             for x, b in zip(self.x.row_bits, self.b.row_bits)
         ]
         rows[1::2] = [
-            _spread_alternate(bt, 0) | _spread_alternate(y, 1)
+            _square_bits(bt, n) | _square_bits(y, n) << 1
             for bt, y in zip(self.b.transpose().row_bits, self.y.row_bits)
         ]
         return BitGraph(len(rows), rows)

@@ -2,8 +2,10 @@
 
 A series is stored as a Python int whose bit k is the coefficient of z^k,
 together with a truncation order N: coefficients 0..N-1 are exact and
-everything above is unknown.  All arithmetic is carryless (mod 2).  Series
-with integer coefficients live in `formulas`, not here.
+everything above is unknown.  All arithmetic is carryless (mod 2).  Squares
+use the Frobenius identity a(z)^2 = a(z^2): the bits of `a` are spread
+apart, in linear time, with no general product.  Series with integer
+coefficients live in `formulas`, not here.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ def _mul_bits(a: int, b: int, order: int) -> int:
         acc ^= b << (low.bit_length() - 1)
         a ^= low
     return acc & m
+
+
+def _square_bits(a: int, order: int) -> int:
+    """Square truncated to `order` bits: over GF(2), a(z)^2 = a(z^2), so bit k
+    moves to bit 2k and only the low ceil(order/2) bits of `a` survive."""
+    return int("0".join(format(a & _mask((order + 1) // 2), "b")), 2)
 
 
 class Gf2Series:
@@ -115,7 +123,7 @@ def reciprocal(a: Gf2Series, order: int) -> Gf2Series:
     m = 1
     while m < order:
         m = min(2 * m, order)
-        r = _mul_bits(a.bits, _mul_bits(r, r, m), m)
+        r = _mul_bits(a.bits, _square_bits(r, m), m)
     return Gf2Series(r, order)
 
 
@@ -160,13 +168,18 @@ def shift_down(a: Gf2Series) -> Gf2Series:
 
 def _catalan_step(bits: int, order: int) -> int:
     # g = 1 + z*g^2
-    return 1 ^ (_mul_bits(bits, bits, max(order - 1, 0)) << 1)
+    return 1 ^ (_square_bits(bits, order - 1) << 1)
 
 
 def _motzkin_step(bits: int, order: int) -> int:
-    # m = 1 + z*m + z^2*m^2
-    sq = _mul_bits(bits, bits, max(order - 2, 0))
-    return 1 ^ ((bits & _mask(max(order - 1, 0))) << 1) ^ (sq << 2)
+    # m = 1 + z*m + z^2*m^2, restated as (1+z)*m = 1 + z^2*m^2 so that m on
+    # the right enters only squared; dividing by 1+z is a prefix XOR
+    bits = 1 ^ (_square_bits(bits, order - 2) << 2)
+    s = 1
+    while s < order:
+        bits ^= bits << s
+        s <<= 1
+    return bits & _mask(order)
 
 
 _BUILTIN_STEPS = {"catalan": _catalan_step, "motzkin": _motzkin_step}
@@ -177,8 +190,11 @@ BUILTIN_NAMES = tuple(sorted(_BUILTIN_STEPS))
 def solve_fixed_point(name: str, order: int) -> Gf2Series:
     """Coefficients of a builtin series from its defining equation mod 2.
 
-    Iterates s <- Phi(s) from s = 1; each pass pins down at least one more
-    coefficient, so a well-formed equation converges within order+1 passes.
+    Iterates s <- Phi(s) from s = 1.  Both equations are written so that s
+    enters Phi only squared and shifted: if s is right mod z^k, Phi(s) is
+    right mod z^(2k+1) (Catalan) or z^(2k+2) (Motzkin), so each pass at
+    least doubles the correct prefix and O(log order) passes suffice.  The
+    cap of order+1 passes, one per coefficient, is only a guard.
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -363,7 +379,7 @@ def _eval_bits(expr: SeriesExpr, order: int) -> int:
         while e:
             if e & 1:
                 result = _mul_bits(result, base, order)
-            base = _mul_bits(base, base, order)
+            base = _square_bits(base, order)
             e >>= 1
         return result
     if isinstance(expr, Builtin):

@@ -14,6 +14,11 @@ from riordan_graphs.cli import main, run
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _src_env():
+    """Environment for a child interpreter that imports the package from `src`."""
+    return {**os.environ, "PYTHONPATH": str(SRC)}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -202,9 +207,9 @@ class TestBoundsAndVerify:
 class TestStandardLibraryOnly:
     def test_import_leaves_numpy_out(self):
         code = "import sys, riordan_graphs.cli; print('numpy' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, check=True, env=env, text=True
+            [sys.executable, "-c", code],
+            capture_output=True, check=True, env=_src_env(), text=True,
         )
         assert result.stdout == "False\n"
 
@@ -215,8 +220,8 @@ class TestDeterminism:
             sys.executable, "-m", "riordan_graphs",
             "verify", "sweep", "--family", "pascal:n={n}", "--range", "4..10",
         ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=_src_env())
+        second = subprocess.run(cmd, capture_output=True, check=True, env=_src_env())
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty
 
@@ -225,7 +230,7 @@ class TestDeterminism:
             sys.executable, "-m", "riordan_graphs",
             "count", "--spec", "motzkin:n=10", "--engine", "brute",
         ]
-        result = subprocess.run(cmd, capture_output=True, check=True)
+        result = subprocess.run(cmd, capture_output=True, check=True, env=_src_env())
         payload = json.loads(result.stdout)
         assert payload == {
             "spec": "motzkin:n=10", "what": "is", "engine": "brute", "count": 48,

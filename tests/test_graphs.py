@@ -45,11 +45,13 @@ random_graphs = st.builds(
 )
 
 
-def _graph_from_seed(n, seed):
+def _graph_from_seed(n, seed, density=0.4):
     import random
 
     rng = random.Random(seed)
-    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.4]
+    edges = [
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < density
+    ]
     return BitGraph.from_edges(n, edges)
 
 
@@ -119,6 +121,32 @@ class TestBuildRiordan:
                 m_ij = math.comb(j - 1, i - 2) % 2 if i >= 2 else 0
                 m_ji = math.comb(i - 1, j - 2) % 2 if j >= 2 else 0
                 assert graph.has_edge(i, j) == bool((m_ij + m_ji) % 2)
+
+
+def _edges_by_cell(graph):
+    n = graph.n
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if graph.has_edge(i, j)]
+
+
+class TestEdges:
+    @given(
+        n=st.integers(1, 70),
+        seed=st.integers(0, 10**6),
+        density=st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+    )
+    def test_matches_per_cell_definition(self, n, seed, density):
+        graph = _graph_from_seed(n, seed, density)
+        assert graph.edges() == _edges_by_cell(graph)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+    def test_edgeless_and_complete(self, n):
+        assert BitGraph(n, [0] * n).edges() == []
+        complete = BitGraph(n, [((1 << n) - 1) & ~(1 << i) for i in range(n)])
+        assert complete.edges() == [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+    def test_motzkin_graph(self):
+        graph = build_riordan(motzkin_spec(90))
+        assert graph.edges() == _edges_by_cell(graph)
 
 
 class TestBuildToeplitz:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordan_graphs import series
 from riordan_graphs.series import (
     Add,
     Builtin,
@@ -21,6 +22,7 @@ from riordan_graphs.series import (
     reciprocal,
     solve_fixed_point,
 )
+from riordan_graphs.series import _mul_bits, _square_bits
 
 
 def integer_catalan_mod2(order):
@@ -39,6 +41,24 @@ def integer_motzkin_mod2(order):
         mot.append(val)
     return tuple(m % 2 for m in mot)
 
+
+def catalan_by_p_recurrence(order):
+    """Oracle: C_(n+1) = 2(2n+1) C_n / (n+2) in integers, then mod 2."""
+    cat = [1]
+    for n in range(order - 1):
+        cat.append(2 * (2 * n + 1) * cat[n] // (n + 2))
+    return tuple(c % 2 for c in cat)
+
+
+def motzkin_by_p_recurrence(order):
+    """Oracle: (n+2) M_n = (2n+1) M_(n-1) + 3(n-1) M_(n-2) in integers, mod 2."""
+    mot = [1, 1][:order]
+    for n in range(2, order):
+        mot.append(((2 * n + 1) * mot[n - 1] + 3 * (n - 1) * mot[n - 2]) // (n + 2))
+    return tuple(m % 2 for m in mot)
+
+
+P_RECURRENCE_ORDERS = list(range(1, 301)) + [511, 512, 513, 1024, 2047, 2048]
 
 series_strategy = st.builds(
     Gf2Series, st.integers(min_value=0, max_value=(1 << 40) - 1), st.integers(1, 40)
@@ -183,6 +203,28 @@ class TestFixedPoints:
         with pytest.raises(ValueError):
             solve_fixed_point("fibonacci", 4)
 
+    @pytest.mark.parametrize(
+        "name, oracle",
+        [("catalan", catalan_by_p_recurrence), ("motzkin", motzkin_by_p_recurrence)],
+    )
+    def test_matches_integer_p_recurrence_at_scale(self, name, oracle):
+        expected = oracle(max(P_RECURRENCE_ORDERS))
+        for order in P_RECURRENCE_ORDERS:
+            assert solve_fixed_point(name, order).coeffs == expected[:order], order
+
+    def test_motzkin_passes_are_logarithmic(self, monkeypatch):
+        step = series._BUILTIN_STEPS["motzkin"]
+        calls = []
+
+        def counted(bits, order):
+            calls.append(order)
+            return step(bits, order)
+
+        monkeypatch.setitem(series._BUILTIN_STEPS, "motzkin", counted)
+        assert solve_fixed_point("motzkin", 2048).coeffs == motzkin_by_p_recurrence(2048)
+        # the correct prefix grows k -> 2k+2 per pass: 11 passes reach 2048
+        assert len(calls) <= 12
+
 
 @given(a=series_strategy, order=st.integers(1, 40))
 def test_frobenius_property(a, order):
@@ -191,6 +233,40 @@ def test_frobenius_property(a, order):
     for k in range(order):
         expected = a.coeff(k // 2) if k % 2 == 0 else 0
         assert sq.coeff(k) == expected
+
+
+@given(
+    a=st.integers(min_value=0, max_value=(1 << 320) - 1),
+    order=st.one_of(st.integers(0, 3), st.integers(0, 300)),
+)
+def test_square_bits_is_the_general_product(a, order):
+    # `a` may carry bits at and above `order`; both sides must drop them
+    assert _square_bits(a, order) == _mul_bits(a, a, order)
+
+
+series_texts = st.sampled_from(
+    ["z", "1+z", "1+z+z^3", "1/(1-z)", "catalan", "motzkin", "1+z*motzkin", "catalan+z^2"]
+)
+
+
+@settings(max_examples=40)
+@given(
+    base=series_texts,
+    other=series_texts,
+    exponent=st.integers(0, 70),
+    order=st.integers(1, 300),
+)
+def test_pow_and_div_match_repeated_products(base, other, exponent, order):
+    a = evaluate(parse(base), order)
+    power = evaluate(parse("1"), order)
+    for _ in range(exponent):
+        power = mul_trunc(power, a, order)
+    assert evaluate(parse(f"({base})^{exponent}"), order) == power
+
+    den = evaluate(parse(f"1+z*({other})"), order)
+    quotient = mul_trunc(a, reciprocal(den, order), order)
+    assert evaluate(parse(f"({base})/(1+z*({other}))"), order) == quotient
+    assert mul_trunc(quotient, den, order) == a
 
 
 @given(a=series_strategy)
