@@ -14,6 +14,7 @@ integers.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import NamedTuple
 
@@ -108,7 +109,12 @@ def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
     """Transfer-matrix count for graphs whose edges satisfy |i-j| <= bandwidth.
 
     Sweeps vertices 1..n keeping one counter per membership pattern of the
-    trailing `bandwidth` vertices; O(n * 2^bandwidth).
+    trailing window of vertices; only independent patterns are reachable,
+    so the cost is O(n * states), the states being the independent sets of
+    the window, at most 2^bandwidth.  The window is as wide as the longest
+    edge.  When every edge length is a multiple of g > 1, the g residue
+    classes of the labels mod g share no edge: each class is swept on its
+    own with a window of longest/g vertices, and the counts multiply.
     """
     if not 1 <= bandwidth <= BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be in [1, {BANDWIDTH_LIMIT}], got {bandwidth}")
@@ -117,12 +123,36 @@ def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
         if far:
             j = i + bandwidth + (far & -far).bit_length()
             raise ValueError(f"edge ({i}, {j}) exceeds bandwidth {bandwidth}")
-    # state bit s: membership of the vertex `bandwidth - s` places back
+    # bit s of a window: the vertex `bandwidth - s` places back
     window = (1 << bandwidth) - 1
-    top = 1 << (bandwidth - 1)
+    rels = [((row << bandwidth) >> v) & window for v, row in enumerate(graph.rows)]
+    lengths = 0
+    for rel in rels:
+        lengths |= rel
+    if not lengths:
+        return 1 << graph.n
+    step = math.gcd(*(bandwidth - s for s in range(bandwidth) if (lengths >> s) & 1))
+    width = (bandwidth - (lengths & -lengths).bit_length() + 1) // step
+    if step == 1 and width == bandwidth:
+        return _window_count(rels, width)
+    # class window bit s is the vertex step * (width - s) places back
+    places = [bandwidth - step * (width - s) for s in range(width)]
+    count = 1
+    for r in range(step):
+        gathered = [
+            sum(((rel >> p) & 1) << s for s, p in enumerate(places)) for rel in rels[r::step]
+        ]
+        count *= _window_count(gathered, width)
+    return count
+
+
+def _window_count(rels, width: int) -> BigCount:
+    """Independent sets of a vertex sequence whose earlier neighbours lie
+    within `width` places: rels[v] has bit s set when the vertex
+    width - s places before v is adjacent to v."""
+    top = 1 << (width - 1)
     states: dict[int, int] = {0: 1}
-    for v, row in enumerate(graph.rows):
-        rel = ((row << bandwidth) >> v) & window  # the same window of v's neighbours
+    for rel in rels:
         nxt: dict[int, int] = {}
         for w, c in states.items():
             w0 = w >> 1

@@ -9,7 +9,6 @@ distance set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .series import (
@@ -56,14 +55,14 @@ class BitGraph:
                 raise ValueError(f"row {i + 1} has bits outside 1..{n}")
             if (row >> i) & 1:
                 raise ValueError(f"vertex {i + 1} has a loop")
-        for i, row in enumerate(rows):
-            r = row
-            while r:
-                low = r & -r
-                j = low.bit_length() - 1
-                if not (rows[j] >> i) & 1:
-                    raise ValueError(f"adjacency not symmetric at ({i + 1}, {j + 1})")
-                r ^= low
+        cols = _transpose(rows, n, n)
+        if cols != rows:
+            # the first row with an edge (i, j) whose row j lacks i, at its lowest such j
+            for i, (row, col) in enumerate(zip(rows, cols)):
+                lone = row & ~col
+                if lone:
+                    j = (lone & -lone).bit_length()
+                    raise ValueError(f"adjacency not symmetric at ({i + 1}, {j})")
         self.n = n
         self.rows = rows
 
@@ -145,13 +144,20 @@ class BitMatrix:
         return not any(self.row_bits)
 
     def transpose(self) -> BitMatrix:
-        cols = [0] * self.ncols
-        for r, row in enumerate(self.row_bits):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << r
-                row ^= low
-        return BitMatrix(self.ncols, self.nrows, tuple(cols))
+        """The ncols x nrows matrix whose row c holds column c of this one.
+
+        Two strategies, chosen by the number of set bits.  The per-bit walk
+        costs a few big-int ops per set bit, so it is the cheap one on sparse
+        input such as Toeplitz and ladder graphs.  The block swap pads to
+        size x size, size the next power of two >= max(nrows, ncols), and
+        costs size/2 * log2(size) ops on size-bit rows at every density:
+        pass s swaps the off-diagonal s x s blocks of each row pair
+        (j, j+s), which exchanges bit s of the row and column indices, so
+        the log2(size) passes together transpose the matrix.  The walk is
+        taken below size * log2(size) set bits, about where the two cost the
+        same; dense Riordan graphs take the swap.
+        """
+        return BitMatrix(self.ncols, self.nrows, _transpose(self.row_bits, self.nrows, self.ncols))
 
     def first_difference(self, other: BitMatrix) -> tuple[int, int] | None:
         """1-indexed (row, col) of the first differing cell, or None."""
@@ -160,6 +166,35 @@ class BitMatrix:
             if diff:
                 return (r + 1, (diff & -diff).bit_length())
         return None
+
+
+def _transpose(rows: tuple[int, ...], nrows: int, ncols: int) -> tuple[int, ...]:
+    """Columns of the nrows x ncols bit matrix `rows`, whose bits all lie
+    below ncols; see BitMatrix.transpose for the two strategies."""
+    size = 1 << (max(nrows, ncols, 1) - 1).bit_length()
+    passes = size.bit_length() - 1
+    if sum(row.bit_count() for row in rows) < size * passes:
+        cols = [0] * ncols
+        for r, row in enumerate(rows):
+            bit = 1 << r
+            while row:
+                c = row.bit_length() - 1
+                cols[c] |= bit
+                row ^= 1 << c
+        return tuple(cols)
+    a = list(rows) + [0] * (size - nrows)
+    full = (1 << size) - 1
+    s = size
+    while s > 1:
+        s >>= 1
+        # the low s bits of every 2s-bit group
+        mask = full // ((1 << 2 * s) - 1) * ((1 << s) - 1)
+        for base in range(0, size, 2 * s):
+            for j in range(base, base + s):
+                t = ((a[j] >> s) ^ a[j + s]) & mask
+                a[j] ^= t << s
+                a[j + s] ^= t
+    return tuple(a[:ncols])
 
 
 def graph_to_matrix(graph: BitGraph) -> BitMatrix:
@@ -211,30 +246,31 @@ def motzkin_spec(n: int) -> RiordanSpec:
     return RiordanSpec.bell(Builtin("motzkin"), n)
 
 
-def _riordan_matrix(h: Gf2Series, f: Gf2Series, nrows: int, ncols: int) -> BitMatrix:
-    """Leading nrows x ncols block of the Riordan matrix (h, f): column j
-    has generating function h*f^j, so entry (i, j) = [z^i] h f^j."""
+def _riordan_columns(h: Gf2Series, f: Gf2Series, nrows: int, ncols: int) -> tuple[int, ...]:
+    """Columns of the leading nrows x ncols block of the Riordan matrix
+    (h, f): column j has generating function h*f^j, so bit i of column j is
+    entry (i, j) = [z^i] h f^j.  They are the rows of the block's transpose;
+    callers transpose only where they need the block's rows."""
     col = h.truncate(nrows)
     cols = []
     for j in range(ncols):
         if j:
             col = mul_trunc(col, f, nrows)
         cols.append(col.bits)
-    return BitMatrix(ncols, nrows, tuple(cols)).transpose()
+    return tuple(cols)
 
 
 def riordan_adjacency(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
     """Adjacency rows of G_n(g, f): L + L^T off the diagonal, where
-    L = (zg, f)_n has entry (i, j) = [z^(i-1)] g f^j, 0-indexed."""
+    L = (zg, f)_n has entry (i, j) = [z^(i-1)] g f^j, 0-indexed.  Row j of
+    L^T is column j of (g, f) shifted up one place, so one transpose gives L."""
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
         return (0,)
-    lower = BitMatrix(n, n, (0,) + _riordan_matrix(g, f, n - 1, n).row_bits)
-    upper = lower.transpose()
-    return tuple(
-        (lo ^ up) & ~(1 << i) for i, (lo, up) in enumerate(zip(lower.row_bits, upper.row_bits))
-    )
+    upper = tuple(col << 1 for col in _riordan_columns(g, f, n - 1, n))
+    lower = BitMatrix(n, n, upper).transpose().row_bits
+    return tuple((lo ^ up) & ~(1 << i) for i, (lo, up) in enumerate(zip(lower, upper)))
 
 
 def _series_pair(spec: RiordanSpec, order: int) -> tuple[Gf2Series, Gf2Series]:
@@ -348,10 +384,11 @@ def decompose(graph: BitGraph) -> DecompositionBlocks:
 
 
 def _cross_block(h1: Gf2Series, h2: Gf2Series, f: Gf2Series, p: int, q: int) -> BitMatrix:
-    """B block: the p x q block of (h1, f) plus the q x p block of (h2, f) transposed."""
-    m1 = _riordan_matrix(h1, f, p, q)
-    m2t = _riordan_matrix(h2, f, q, p).transpose()
-    return BitMatrix(p, q, tuple(r1 ^ r2 for r1, r2 in zip(m1.row_bits, m2t.row_bits)))
+    """B block: the p x q block of (h1, f) plus the q x p block of (h2, f)
+    transposed, whose rows are the columns of (h2, f)."""
+    m1 = BitMatrix(q, p, _riordan_columns(h1, f, p, q)).transpose()
+    m2t = _riordan_columns(h2, f, q, p)
+    return BitMatrix(p, q, tuple(r1 ^ r2 for r1, r2 in zip(m1.row_bits, m2t)))
 
 
 def predict_blocks(spec: RiordanSpec) -> DecompositionBlocks:
@@ -497,7 +534,9 @@ def complement(graph: BitGraph) -> BitGraph:
 def export_graph(graph: BitGraph, fmt: str = "json") -> str:
     """Serialize as JSON ({"n", "edges"}) or DOT (undirected, numeric labels)."""
     if fmt == "json":
-        return json.dumps({"n": graph.n, "edges": [list(e) for e in graph.edges()]})
+        # the text json.dumps gives {"n": n, "edges": [[i, j], ...]}, written directly
+        edges = ", ".join(f"[{i}, {j}]" for i, j in graph.edges())
+        return f'{{"n": {graph.n}, "edges": [{edges}]}}'
     if fmt == "dot":
         lines = ["graph G {"]
         lines += [f"  {v};" for v in range(1, graph.n + 1)]

@@ -132,6 +132,35 @@ class TestBandedEngine:
             return
         assert count_is_banded(graph, min(graph.n - 1, 20)) == count_is(graph)
 
+    @given(step=st.sampled_from([2, 3, 4]), n=st.integers(2, 60), data=st.data())
+    def test_residue_classes_on_toeplitz(self, step, n, data):
+        # every distance a multiple of step: the classes mod step share no edge
+        multiples = range(step, min(n - 1, 20) + 1, step)
+        if not multiples:
+            return
+        ds = data.draw(st.lists(st.sampled_from(multiples), min_size=1, unique=True))
+        graph = build_toeplitz(n, sorted(ds))
+        bandwidth = data.draw(st.integers(max(ds), 20))
+        assert count_is_banded(graph, bandwidth) == count_is(graph)
+
+    @given(
+        step=st.sampled_from([2, 3, 4]),
+        n=st.integers(2, 40),
+        seed=st.integers(0, 10**6),
+        slack=st.integers(0, 4),
+    )
+    def test_residue_classes_on_irregular_graphs(self, step, n, seed, slack):
+        rng = random.Random(seed)
+        edges = [
+            (i, i + step * k)
+            for i in range(1, n + 1)
+            for k in range(1, 5)
+            if i + step * k <= n and rng.random() < 0.4
+        ]
+        graph = BitGraph.from_edges(n, edges)
+        longest = max((j - i for i, j in edges), default=1)
+        assert count_is_banded(graph, min(longest + slack, 20)) == count_is(graph)
+
 
 class TestBruteForce:
     def test_pascal_12(self):
@@ -411,6 +440,28 @@ def _branch_vertex_calls(monkeypatch, graph):
     )
     count_is(graph)
     return len(calls)
+
+
+def _window_sweeps(monkeypatch, graph, bandwidth):
+    """Widths of the banded DP sweeps one count_is_banded call makes."""
+    sweep = counting._window_count
+    widths = []
+    monkeypatch.setattr(
+        counting, "_window_count", lambda rels, width: widths.append(width) or sweep(rels, width)
+    )
+    count_is_banded(graph, bandwidth)
+    return widths
+
+
+class TestBandedWork:
+    def test_common_factor_splits_into_classes(self, monkeypatch):
+        # distances 4, 8, 12, 16: four classes, each a Toeplitz graph with
+        # distances 1..4 swept with a 4-vertex window instead of a 16-vertex one
+        graph = build_toeplitz(3000, (4, 8, 12, 16))
+        assert _window_sweeps(monkeypatch, graph, 16) == [4, 4, 4, 4]
+
+    def test_coprime_lengths_sweep_once(self, monkeypatch):
+        assert _window_sweeps(monkeypatch, build_toeplitz(50, (2, 3)), 3) == [3]
 
 
 class TestBranchWork:

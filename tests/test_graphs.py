@@ -2,9 +2,10 @@
 
 import json
 import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from riordan_graphs.counting import count_is
@@ -502,10 +503,69 @@ class TestSpecLanguage:
             parse_graph_spec(bad)
 
 
+# sides around the powers of two the block swap pads to
+transpose_sides = st.one_of(st.integers(1, 130), st.sampled_from([63, 64, 65, 127, 128, 129]))
+
+
+class TestTranspose:
+    @given(
+        nrows=transpose_sides,
+        ncols=transpose_sides,
+        density=st.floats(0, 1),
+        seed=st.integers(0, 2**32),
+    )
+    @example(nrows=128, ncols=128, density=1.0, seed=0)
+    @example(nrows=129, ncols=1, density=1.0, seed=0)
+    @example(nrows=1, ncols=65, density=0.0, seed=0)
+    def test_matches_per_cell_definition(self, nrows, ncols, density, seed):
+        # dense draws take the block swap, sparse ones the per-bit walk
+        rng = random.Random(seed)
+        rows = tuple(
+            sum(1 << c for c in range(ncols) if rng.random() < density) for _ in range(nrows)
+        )
+        matrix = BitMatrix(nrows, ncols, rows)
+        t = matrix.transpose()
+        assert (t.nrows, t.ncols) == (ncols, nrows)
+        assert t.row_bits == tuple(
+            sum(matrix.bit(r, c) << r for r in range(nrows)) for c in range(ncols)
+        )
+        assert t.transpose() == matrix
+
+
+def _first_asymmetry(rows):
+    """1-indexed (i, j) of the first edge, in row-major order, whose reverse is missing."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            if (rows[i] >> j) & 1 and not (rows[j] >> i) & 1:
+                return (i + 1, j + 1)
+    return None
+
+
 class TestBitGraphValidation:
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(ValueError):
             BitGraph(2, (0b10, 0b00))
+
+    def test_names_first_asymmetric_cell_sparse(self):
+        # a path on 100 vertices plus the one-way entries 71 -> 41 and 90 -> 12
+        rows = list(build_toeplitz(100, (1,)).rows)
+        rows[70] |= 1 << 40
+        rows[89] |= 1 << 11
+        assert _first_asymmetry(rows) == (71, 41)
+        with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(71, 41\)$"):
+            BitGraph(100, rows)
+
+    def test_names_first_asymmetric_cell_dense(self):
+        # K_100 with entry (41, 71) and entry (11, 91) removed: rows 71 and 91
+        # still name 41 and 11, and row 71 comes first
+        full = (1 << 100) - 1
+        rows = [full & ~(1 << i) for i in range(100)]
+        rows[40] &= ~(1 << 70)
+        rows[10] &= ~(1 << 90)
+        assert _first_asymmetry(rows) == (71, 41)
+        with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(71, 41\)$"):
+            BitGraph(100, rows)
 
     def test_rejects_loops(self):
         with pytest.raises(ValueError):

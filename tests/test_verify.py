@@ -196,6 +196,20 @@ class TestDecompositionCheck:
                 assert verify_decomposition(spec.riordan).ok, (ds, n)
 
 
+class TestDecompositionWork:
+    def test_bell_check_transposes_at_most_five_times(self, monkeypatch):
+        # three for the predicted X, Y and B blocks, one for the built
+        # adjacency and one for the Bell-form B block; the built graph's
+        # symmetry check is separate and not counted here
+        transpose = graphs.BitMatrix.transpose
+        calls = []
+        monkeypatch.setattr(
+            graphs.BitMatrix, "transpose", lambda self: calls.append(self) or transpose(self)
+        )
+        assert verify_decomposition(graphs.parse_graph_spec("bell:g=motzkin;n=40").riordan)
+        assert len(calls) <= 5
+
+
 class TestReportSerialization:
     def test_json_shape(self):
         reports = sweep_bounds("pascal:n={n}", range(5, 7))
