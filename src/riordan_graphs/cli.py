@@ -92,33 +92,6 @@ def _emit(payload) -> None:
     print(json.dumps(payload))
 
 
-def _pick_engine(args, spec) -> str:
-    engine = args.engine
-    if engine != "auto":
-        return engine
-    if (
-        args.what == "is"
-        and spec.kind == "toeplitz"
-        and max(spec.distances) <= counting.BANDWIDTH_LIMIT
-    ):
-        return "banded"
-    return "branch"
-
-
-def _count_with_engine(engine: str, spec, graph) -> int:
-    if engine == "brute":
-        return counting.brute_force_is(graph)
-    if engine == "banded":
-        if spec.kind == "toeplitz":
-            bandwidth = max(spec.distances)
-        elif spec.kind in ("delta", "deltaTilde") and spec.n >= 3:
-            bandwidth = 2
-        else:
-            bandwidth = max((j - i for i, j in graph.edges()), default=1)
-        return counting.count_is_banded(graph, bandwidth)
-    return counting.count_is(graph)
-
-
 def _run_count(args) -> int:
     spec = parse_graph_spec(args.spec)
     guard = _guard_value(args)
@@ -128,20 +101,8 @@ def _run_count(args) -> int:
         )
     graph = spec.build()
     out = {"spec": args.spec, "what": args.what}
-    if args.what == "is":
-        engine = _pick_engine(args, spec)
-        out["engine"] = engine
-        out["count"] = _count_with_engine(engine, spec, graph)
-    elif args.what == "cliques":
-        engine = _pick_engine(args, spec)
-        if engine == "banded":
-            raise SpecParseError("the banded engine does not apply to clique counting")
-        out["engine"] = engine
-        out["count"] = (
-            counting.brute_force_is(graph.complement())
-            if engine == "brute"
-            else counting.count_cliques(graph)
-        )
+    if args.what in ("is", "cliques"):
+        out["engine"], out["count"] = counting.exact_count(spec, graph, args.what, args.engine)
     elif args.what == "alpha":
         out["count"] = counting.independence_number(graph)
     elif args.what == "max-is":

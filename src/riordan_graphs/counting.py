@@ -10,6 +10,11 @@ combine and how independent parts combine; it splits every subproblem into
 connected components and caches them per call, at every n.  Counts
 include the empty set throughout, and use Python's arbitrary-precision
 integers.
+
+One engine policy, `exact_count`, serves the CLI and the bound reports:
+`auto` picks the banded DP for independent sets of a Toeplitz spec whose
+largest distance is at most BANDWIDTH_LIMIT, and branch-and-reduce for
+everything else.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .graphs import BitGraph
+from .graphs import BitGraph, GraphSpec
 
 BigCount = int
 
@@ -162,6 +167,33 @@ def _window_count(rels, width: int) -> BigCount:
                 nxt[w1] = nxt.get(w1, 0) + c
         states = nxt
     return sum(states.values())
+
+
+def exact_count(
+    spec: GraphSpec, graph: BitGraph, what: str = "is", engine: str = "auto"
+) -> tuple[str, BigCount]:
+    """(engine, count) for the independent sets (what="is") or the cliques
+    (what="cliques") of `graph`, built from `spec`.
+
+    `auto` picks "banded" only for independent sets of a Toeplitz spec whose
+    largest distance is at most BANDWIDTH_LIMIT, and "branch" otherwise.
+    Cliques are counted as the independent sets of the complement, which
+    the banded engine does not cover.  The banded bandwidth is the graph's
+    longest edge, at least 1.
+    """
+    if engine == "auto":
+        narrow = spec.kind == "toeplitz" and max(spec.distances) <= BANDWIDTH_LIMIT
+        engine = "banded" if what == "is" and narrow else "branch"
+    if what == "cliques":
+        if engine == "banded":
+            raise ValueError("the banded engine does not apply to clique counting")
+        graph = graph.complement()
+    if engine == "brute":
+        return engine, brute_force_is(graph)
+    if engine == "banded":
+        longest = [row.bit_length() - 1 - i for i, row in enumerate(graph.rows)]
+        return engine, count_is_banded(graph, max(longest + [1]))
+    return engine, count_is(graph)
 
 
 def brute_force_is(graph: BitGraph) -> BigCount:

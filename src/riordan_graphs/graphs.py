@@ -95,9 +95,6 @@ class BitGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
 
-    def degree(self, i: int) -> int:
-        return self.rows[i - 1].bit_count()
-
     def induced(self, labels) -> BitGraph:
         """Subgraph induced by the given labels, relabeled 1..k in order."""
         labels = sorted(labels)

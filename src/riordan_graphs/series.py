@@ -93,9 +93,6 @@ class Gf2Series:
         return f"Gf2Series({','.join(map(str, self.coeffs))})"
 
 
-ONE = Gf2Series(1, 1)
-
-
 def mul_trunc(a: Gf2Series, b: Gf2Series, order: int) -> Gf2Series:
     """Product truncated to `order` coefficients; operands must know that many."""
     if order < 1:
@@ -183,8 +180,6 @@ def _motzkin_step(bits: int, order: int) -> int:
 
 
 _BUILTIN_STEPS = {"catalan": _catalan_step, "motzkin": _motzkin_step}
-
-BUILTIN_NAMES = tuple(sorted(_BUILTIN_STEPS))
 
 
 def solve_fixed_point(name: str, order: int) -> Gf2Series:
@@ -354,7 +349,10 @@ class _Parser:
 
 def parse(text: str) -> SeriesExpr:
     """Parse a series expression into an AST."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ValueError("series expression nested too deeply") from None
 
 
 def _eval_bits(expr: SeriesExpr, order: int) -> int:
@@ -391,4 +389,7 @@ def evaluate(expr: SeriesExpr, order: int) -> Gf2Series:
     """Exact mod-2 coefficients 0..order-1 of the expression's series."""
     if order < 1:
         raise ValueError("order must be positive")
-    return Gf2Series(_eval_bits(expr, order), order)
+    try:
+        return Gf2Series(_eval_bits(expr, order), order)
+    except RecursionError:
+        raise ValueError("series expression nested too deeply") from None

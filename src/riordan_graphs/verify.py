@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import formulas
-from .counting import BANDWIDTH_LIMIT, count_cliques, count_is, count_is_banded, count_maximum_is
+from .counting import count_cliques, count_is, count_maximum_is, exact_count
 from .graphs import (
     BitGraph,
     ChordalityRangeError,
@@ -146,18 +146,6 @@ def _entry(name: str, value: int, relation: str, exact: int) -> BoundEntry:
     return BoundEntry(name=name, value=value, relation=relation, holds=holds, tight=value == exact)
 
 
-def exact_count(spec: GraphSpec, graph: BitGraph | None = None) -> int:
-    """Exact count via the best applicable engine: the banded transfer
-    matrix for narrow Toeplitz and ladder graphs, branch-and-reduce else."""
-    if graph is None:
-        graph = spec.build()
-    if spec.kind == "toeplitz" and max(spec.distances) <= BANDWIDTH_LIMIT:
-        return count_is_banded(graph, max(spec.distances))
-    if spec.kind in ("delta", "deltaTilde") and spec.n >= 3:
-        return count_is_banded(graph, 2)
-    return count_is(graph)
-
-
 def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundReport:
     """Evaluate every applicable bound for one graph spec.
 
@@ -173,7 +161,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
     if n > max_n:
         raise ValueError(f"n={n} exceeds the counting guard {max_n}")
     graph = spec.build()
-    exact = exact_count(spec, graph)
+    exact = exact_count(spec, graph)[1]
     report = BoundReport(graph_spec=spec.text, n=n, exact=exact)
     rs = spec.riordan
 
@@ -271,7 +259,7 @@ def sweep_bounds(
         raise ValueError("family template must contain an {n} placeholder")
     reports = []
     for n in sorted(set(n_values)):
-        reports.append(bound_report(family_template.format(n=n), max_n=max_n))
+        reports.append(bound_report(family_template.replace("{n}", str(n)), max_n=max_n))
     return reports
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from riordan_graphs import cli, verify
+from riordan_graphs import cli, formulas, verify
 from riordan_graphs.cli import main, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -101,6 +101,67 @@ class TestCount:
         assert code == 2
         assert err.startswith("error:") and "n=" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("kind, variant", [("delta", "plain"), ("deltaTilde", "tilde")])
+    def test_banded_ladders_match_pell_form(self, capsys, kind, variant):
+        for n in range(1, 61):
+            code, out, _ = run_cli(
+                capsys, "count", "--spec", f"{kind}:n={n}", "--engine", "banded", "--force"
+            )
+            assert code == 0
+            assert json.loads(out)["count"] == formulas.delta(n, variant), n
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["count", "--spec", "toeplitz:n=8;d=2", "--what", "cliques", "--engine", "banded"],
+                "the banded engine does not apply to clique counting",
+            ),
+            (
+                ["count", "--spec", "pascal:n=30", "--engine", "banded"],
+                "bandwidth must be in [1, 20], got 29",
+            ),
+            (
+                ["count", "--spec", "toeplitz:n=30;d=25", "--engine", "banded"],
+                "bandwidth must be in [1, 20], got 25",
+            ),
+        ],
+    )
+    def test_banded_refusals_keep_their_text(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+def _assert_one_error_line(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "eval", "--expr", "(" * 3000 + "z" + ")" * 3000, "--order", "4"],
+            ["series", "eval", "--expr", "+".join(["z"] * 5000), "--order", "4"],
+            ["graph", "build", "--spec", "riordan:g=1;f=z" + "*(1+z)" * 3000 + ";n=5"],
+        ],
+    )
+    def test_deep_series_expression(self, capsys, argv):
+        err = _assert_one_error_line(capsys, argv)
+        assert err == "error: series expression nested too deeply\n"
+
+    @pytest.mark.parametrize("extra", ["{x}", "{0}"])
+    def test_sweep_template_with_other_braces(self, capsys, extra):
+        argv = ["verify", "sweep", "--family", f"pascal:n={{n}};{extra}", "--range", "3..4"]
+        err = _assert_one_error_line(capsys, argv)
+        assert extra in err
 
 
 class TestSeriesAndGraph:
@@ -202,6 +263,27 @@ class TestBoundsAndVerify:
         assert run(argv) == 0
         assert capsys.readouterr().out == first
         assert json.loads(first)["n"] == 10
+
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "pascal:n={n}",
+            "catalan:n={n}",
+            "motzkin:n={n}",
+            "bell:g=1/(1-z^2);n={n}",
+            "riordan:g=1+z;f=z/(1-z);n={n}",
+            "toeplitz:n={n};d=1",
+            "delta:n={n}",
+            "deltaTilde:n={n}",
+        ],
+    )
+    def test_report_exact_equals_count(self, capsys, template):
+        for n in range(2, 25):
+            text = template.replace("{n}", str(n))
+            code, out, _ = run_cli(capsys, "count", "--spec", text)
+            assert code == 0
+            assert verify.bound_report(text).exact == json.loads(out)["count"], text
 
 
 class TestStandardLibraryOnly:

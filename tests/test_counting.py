@@ -15,6 +15,7 @@ from riordan_graphs.counting import (
     count_is,
     count_is_banded,
     count_maximum_is,
+    exact_count,
     independence_number,
     list_maximal_is,
 )
@@ -25,6 +26,7 @@ from riordan_graphs.graphs import (
     build_toeplitz,
     catalan_spec,
     pascal_spec,
+    parse_graph_spec,
 )
 
 
@@ -479,3 +481,39 @@ class TestBranchWork:
         first = _branch_vertex_calls(monkeypatch, graph)
         assert first > 0
         assert _branch_vertex_calls(monkeypatch, graph) == first
+
+
+def _exact(text, what="is", engine="auto"):
+    spec = parse_graph_spec(text)
+    return exact_count(spec, spec.build(), what, engine)
+
+
+class TestEnginePolicy:
+    """One policy for the CLI and the bound reports."""
+
+    @pytest.mark.parametrize(
+        "text, what, engine",
+        [
+            ("toeplitz:n=30;d=2", "is", "banded"),
+            ("toeplitz:n=30;d=21", "is", "branch"),
+            ("delta:n=40", "is", "branch"),
+            ("deltaTilde:n=40", "is", "branch"),
+            ("pascal:n=12", "is", "branch"),
+            ("toeplitz:n=8;d=2", "cliques", "branch"),
+        ],
+    )
+    def test_auto_picks(self, text, what, engine):
+        picked, count = _exact(text, what)
+        assert picked == engine
+        graph = parse_graph_spec(text).build()
+        assert count == (count_is(graph) if what == "is" else count_cliques(graph))
+
+    def test_explicit_engine_is_kept(self):
+        assert _exact("toeplitz:n=18;d=1,3", engine="brute") == (
+            "brute",
+            count_is(build_toeplitz(18, (1, 3))),
+        )
+        assert _exact("pascal:n=10", "cliques", "brute") == (
+            "brute",
+            count_cliques(build_riordan(pascal_spec(10))),
+        )

@@ -40,6 +40,7 @@ from riordan_graphs.graphs import (
     build_toeplitz,
     catalan_spec,
     motzkin_spec,
+    multipartition,
     pascal_spec,
 )
 from riordan_graphs.series import parse
@@ -364,6 +365,43 @@ class TestLowerBounds:
     def test_multipartite_range(self):
         with pytest.raises(ValueError):
             multipartite_lower_bound(1)
+
+
+def _independent_sets(graph):
+    """Every independent set of a small graph, as a set of labels."""
+    rows = graph.rows
+    return [
+        {v + 1 for v in range(graph.n) if mask >> v & 1}
+        for mask in range(1 << graph.n)
+        if not any(mask >> v & 1 and rows[v] & mask for v in range(graph.n))
+    ]
+
+
+class TestMultipartiteEvidence:
+    """What the Pascal graph says about the multipartite bound's n = 8 pin.
+
+    The closed form's cross term sum C(a_(j+1), 2) counts pairs inside
+    V_(j+1), which the single-class term already counts; the sets the n = 8
+    pin needs are the two that mix V_1 and V_2.  The bound holds, the
+    tightness claim at n = 8 does not.
+    """
+
+    def test_pascal_8_classes_and_mixed_sets(self):
+        spec = pascal_spec(8)
+        classes = multipartition(spec)
+        assert classes == [(2, 4, 6, 8), (3, 7), (5,), (1,)]
+        sets = _independent_sets(build_riordan(spec))
+        single = [s for s in sets if any(s <= set(c) for c in classes)]
+        mixed = [s for s in sets if not any(s <= set(c) for c in classes)]
+        assert len(single) == 21
+        assert sorted(map(sorted, mixed)) == [[3, 6], [4, 7]]
+        assert multipartite_lower_bound(8) == 22
+        assert len(sets) == count_is(build_riordan(spec)) == 23
+
+    @pytest.mark.parametrize("n, exact, bound", [(9, 24, 23), (12, 98, 77), (16, 345, 283)])
+    def test_gap_grows(self, n, exact, bound):
+        assert count_is(build_riordan(pascal_spec(n))) == exact
+        assert multipartite_lower_bound(n) == bound
 
 
 @settings(max_examples=40)
