@@ -138,9 +138,12 @@ def _parse_range(text: str) -> range:
     if not sep:
         raise SpecParseError(f"range must look like a..b, got {text!r}")
     try:
-        return range(int(lo), int(hi) + 1)
+        a, b = int(lo), int(hi)
     except ValueError:
         raise SpecParseError(f"range endpoints must be integers in {text!r}") from None
+    if b < a:
+        raise SpecParseError(f"range {text!r} is empty: {b} < {a}")
+    return range(a, b + 1)
 
 
 def _run_verify(args) -> int:

@@ -23,7 +23,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .graphs import BitGraph, GraphSpec
+from .graphs import BitGraph, GraphSpec, _component_masks, _mask_labels
 
 BigCount = int
 
@@ -66,23 +66,11 @@ def _branch(graph: BitGraph, leaf, join, times):
     def solve(mask: int):
         isolated = 0
         parts = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            comp = frontier = low
-            while frontier and comp != rest:
-                reach = 0
-                while frontier:
-                    bit = frontier & -frontier
-                    reach |= rows[bit.bit_length() - 1]
-                    frontier ^= bit
-                frontier = reach & rest & ~comp
-                comp |= frontier
-            rest ^= comp
-            if comp == low:
-                isolated += 1
-            else:
+        for comp in _component_masks(rows, mask):
+            if comp & (comp - 1):
                 parts.append(component(comp))
+            else:
+                isolated += 1
         value = leaf(isolated)
         for part in parts:
             value = times(value, part)
@@ -271,17 +259,9 @@ def list_maximal_is(graph: BitGraph) -> list[tuple[int, ...]]:
     comp = graph.complement().rows
     out: list[tuple[int, ...]] = []
 
-    def emit(mask: int) -> None:
-        labels = []
-        while mask:
-            low = mask & -mask
-            labels.append(low.bit_length())
-            mask ^= low
-        out.append(tuple(labels))
-
     def expand(r: int, p: int, x: int) -> None:
         if not p and not x:
-            emit(r)
+            out.append(_mask_labels(r))
             return
         pool = p | x
         pivot = -1

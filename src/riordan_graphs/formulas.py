@@ -113,10 +113,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        size = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial.make(self.coeff(k) + other.coeff(k) for k in range(size))
-
     def __sub__(self, other: IntPolynomial) -> IntPolynomial:
         size = max(len(self.coeffs), len(other.coeffs))
         return IntPolynomial.make(self.coeff(k) - other.coeff(k) for k in range(size))
@@ -332,8 +328,6 @@ def _upper_bound_level(n: int) -> int:
 
 
 def _alpha_product(i: int, k: int) -> BigCount:
-    if i == k - 1:
-        return 1
     out = 1
     for j in range(i + 1, k):
         out *= delta_tilde((1 << j) - 1)
@@ -363,16 +357,9 @@ def io_upper_bound(n: int) -> BigCount:
 def pascal_upper_bound(n: int) -> BigCount:
     """Sharper upper bound for the Pascal graph, n >= 5; uses that vertex 1
     dominates everything and vertex 2 dominates the odd vertices."""
-    if n < 5:
-        raise ValueError("bound applies for n >= 5")
+    value = io_upper_bound(n) + 1 + (1 << (n // 2 - 1))
     k = _upper_bound_level(n)
-    prod = 1
-    for i in range(1, k):
-        prod *= delta_tilde((1 << i) - 1)
-    value = delta(n) + 1 + (1 << (n // 2 - 1))
-    value -= (delta((1 << k) - 2) - 1) * delta_tilde(n - (1 << k) - 3)
-    value -= delta_tilde(n - (1 << k) - 1) * (2 * prod + _correction_sum(k))
-    return value
+    return value - 2 * delta_tilde(n - (1 << k) - 1) * _alpha_product(0, k)
 
 
 def io_independence_claims(n: int) -> tuple[int, int]:

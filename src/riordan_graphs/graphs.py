@@ -472,32 +472,39 @@ def is_chordal_toeplitz(n: int, distances) -> bool:
     return ds == tuple(t * j for j in range(1, len(ds) + 1))
 
 
+def _component_masks(rows, mask: int) -> list[int]:
+    """Bitmasks of the connected components induced by `mask`, in order of
+    least vertex; a walk stops early once its component holds all that is left."""
+    out = []
+    rest = mask
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier and comp != rest:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                reach |= rows[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        rest ^= comp
+        out.append(comp)
+    return out
+
+
+def _mask_labels(mask: int) -> tuple[int, ...]:
+    """The 1-based labels of the set bits of `mask`, in increasing order."""
+    labels = []
+    while mask:
+        low = mask & -mask
+        labels.append(low.bit_length())
+        mask ^= low
+    return tuple(labels)
+
+
 def connected_components(graph: BitGraph) -> list[tuple[int, ...]]:
     """Connected components as sorted label tuples, ordered by least label."""
-    seen = 0
-    out = []
-    full = (1 << graph.n) - 1
-    while seen != full:
-        start = (~seen & full) & -(~seen & full)
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            r = frontier
-            while r:
-                low = r & -r
-                nxt |= graph.rows[low.bit_length() - 1]
-                r ^= low
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        labels = []
-        while comp:
-            low = comp & -comp
-            labels.append(low.bit_length())
-            comp ^= low
-        out.append(tuple(labels))
-    return out
+    return [_mask_labels(c) for c in _component_masks(graph.rows, (1 << graph.n) - 1)]
 
 
 def multipartition(spec: RiordanSpec) -> list[tuple[int, ...]]:
@@ -524,10 +531,6 @@ def has_consecutive_ham_path(graph: BitGraph) -> bool:
     return all(graph.has_edge(i, i + 1) for i in range(1, graph.n))
 
 
-def complement(graph: BitGraph) -> BitGraph:
-    return graph.complement()
-
-
 def export_graph(graph: BitGraph, fmt: str = "json") -> str:
     """Serialize as JSON ({"n", "edges"}) or DOT (undirected, numeric labels)."""
     if fmt == "json":
@@ -545,7 +548,6 @@ def export_graph(graph: BitGraph, fmt: str = "json") -> str:
 
 # --- graph spec mini-language ---
 
-_FAMILY_KINDS = ("pascal", "catalan", "motzkin")
 _SPEC_MAKERS = {"pascal": pascal_spec, "catalan": catalan_spec, "motzkin": motzkin_spec}
 
 
@@ -582,13 +584,24 @@ def _spec_params(body: str, spec: str) -> dict[str, str]:
     return params
 
 
-def _spec_int(params: dict[str, str], key: str, spec: str) -> int:
+def _spec_take(params: dict[str, str], key: str, spec: str) -> str:
     try:
-        return int(params.pop(key))
+        return params.pop(key)
     except KeyError:
         raise SpecParseError(f"spec {spec!r} is missing {key}=") from None
+
+
+def _spec_int(params: dict[str, str], key: str, spec: str) -> int:
+    raw = _spec_take(params, key, spec)
+    try:
+        return int(raw)
     except ValueError:
         raise SpecParseError(f"{key} must be an integer in spec {spec!r}") from None
+
+
+def _spec_done(params: dict[str, str], spec: str) -> None:
+    if params:
+        raise SpecParseError(f"unexpected parameters {sorted(params)} in {spec!r}")
 
 
 def parse_graph_spec(text: str) -> GraphSpec:
@@ -599,38 +612,26 @@ def parse_graph_spec(text: str) -> GraphSpec:
     params = _spec_params(body, text)
 
     if kind in ("riordan", "bell"):
-        try:
-            g_expr = parse(params.pop("g"))
-        except KeyError:
-            raise SpecParseError(f"spec {text!r} is missing g=") from None
+        g_expr = parse(_spec_take(params, "g", text))
         if kind == "riordan":
-            try:
-                f_expr = parse(params.pop("f"))
-            except KeyError:
-                raise SpecParseError(f"spec {text!r} is missing f=") from None
+            f_expr = parse(_spec_take(params, "f", text))
         n = _spec_int(params, "n", text)
-        if params:
-            raise SpecParseError(f"unexpected parameters {sorted(params)} in {text!r}")
+        _spec_done(params, text)
         if kind == "bell":
             rs = RiordanSpec.bell(g_expr, n)
         else:
             rs = RiordanSpec(g_expr, f_expr, n)
         return GraphSpec(text=text, kind=kind, n=n, riordan=rs)
 
-    if kind in _FAMILY_KINDS:
+    if kind in _SPEC_MAKERS:
         n = _spec_int(params, "n", text)
-        if params:
-            raise SpecParseError(f"unexpected parameters {sorted(params)} in {text!r}")
+        _spec_done(params, text)
         return GraphSpec(text=text, kind=kind, n=n, riordan=_SPEC_MAKERS[kind](n))
 
     if kind == "toeplitz":
         n = _spec_int(params, "n", text)
-        try:
-            raw = params.pop("d")
-        except KeyError:
-            raise SpecParseError(f"spec {text!r} is missing d=") from None
-        if params:
-            raise SpecParseError(f"unexpected parameters {sorted(params)} in {text!r}")
+        raw = _spec_take(params, "d", text)
+        _spec_done(params, text)
         try:
             distances = tuple(int(x) for x in raw.split(","))
         except ValueError:
@@ -648,8 +649,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
 
     if kind in ("delta", "deltaTilde"):
         n = _spec_int(params, "n", text)
-        if params:
-            raise SpecParseError(f"unexpected parameters {sorted(params)} in {text!r}")
+        _spec_done(params, text)
         variant = "plain" if kind == "delta" else "tilde"
         return GraphSpec(text=text, kind=kind, n=n, variant=variant)
 

@@ -240,6 +240,15 @@ class TestBoundsAndVerify:
         )
         assert code == 2 and "range" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_verify_sweep_empty_range(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "verify", "sweep", "--family", "pascal:n={n}", "--range", "5..2",
+            "--format", fmt,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: range '5..2' is empty: 2 < 5\n"
+
     def test_verify_decomposition(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "decomposition", "--spec", "catalan:n=12")
         assert code == 0

@@ -321,6 +321,27 @@ class TestUpperBounds:
         with pytest.raises(ValueError):
             pascal_upper_bound(4)
 
+    def test_pascal_upper_matches_direct_expression(self):
+        def direct(n):
+            # the bound written out in full, without the io bound as a term
+            k = (n - 1).bit_length() - 1
+            prod = 1
+            for i in range(1, k):
+                prod *= delta_tilde((1 << i) - 1)
+            corr = 0
+            for i in range(1, k):
+                alpha = 1
+                for j in range(i + 1, k):
+                    alpha *= delta_tilde((1 << j) - 1)
+                corr += (delta((1 << i) - 2) - 1) * delta_tilde((1 << i) - 3) * alpha
+            value = delta(n) + 1 + (1 << (n // 2 - 1))
+            value -= (delta((1 << k) - 2) - 1) * delta_tilde(n - (1 << k) - 3)
+            value -= delta_tilde(n - (1 << k) - 1) * (2 * prod + corr)
+            return value
+
+        for n in range(5, 301):
+            assert pascal_upper_bound(n) == direct(n), n
+
     def test_pascal_never_exceeds_io(self):
         for n in range(5, 33):
             assert pascal_upper_bound(n) <= io_upper_bound(n)

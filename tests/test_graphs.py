@@ -3,9 +3,10 @@
 import json
 import math
 import random
+from collections import deque
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riordan_graphs.counting import count_is
@@ -19,7 +20,6 @@ from riordan_graphs.graphs import (
     build_riordan,
     build_toeplitz,
     catalan_spec,
-    complement,
     connected_components,
     decompose,
     export_graph,
@@ -36,7 +36,7 @@ from riordan_graphs.graphs import (
     predict_blocks,
     riordan_adjacency,
 )
-from riordan_graphs.graphs import _series_pair
+from riordan_graphs.graphs import _component_masks, _mask_labels, _series_pair
 from riordan_graphs.series import Builtin, Mul, Pow, Var, evaluate, parse
 
 random_graphs = st.builds(
@@ -352,6 +352,62 @@ class TestPredicates:
         assert is_chordal_toeplitz(4, (3,))
 
 
+def _bfs_components(graph, mask):
+    """Oracle: breadth-first search over the labels in mask, as bitmasks
+    in order of least vertex."""
+    inside = [v for v in range(graph.n) if mask >> v & 1]
+    seen = set()
+    out = []
+    for start in inside:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        comp = 0
+        while queue:
+            v = queue.popleft()
+            comp |= 1 << v
+            for u in inside:
+                if u not in seen and graph.has_edge(v + 1, u + 1):
+                    seen.add(u)
+                    queue.append(u)
+        out.append(comp)
+    return out
+
+
+class TestComponentMasks:
+    @given(
+        n=st.integers(1, 70),
+        density=st.floats(0, 0.15),
+        seed=st.integers(0, 10**6),
+        full=st.booleans(),
+    )
+    @settings(max_examples=150)
+    def test_matches_bfs_on_sub_masks(self, n, density, seed, full):
+        graph = _graph_from_seed(n, seed, density)
+        mask = (1 << n) - 1 if full else random.Random(seed).getrandbits(n)
+        masks = _component_masks(graph.rows, mask)
+        assert masks == _bfs_components(graph, mask)
+        union = 0
+        for comp in masks:
+            assert comp and not comp & union
+            union |= comp
+            assert _bfs_components(graph, comp) == [comp]  # connected
+            # no edge leaves comp within the mask
+            assert all(not graph.rows[v] & mask & ~comp for v in range(n) if comp >> v & 1)
+        assert union == mask
+        leasts = [(comp & -comp).bit_length() for comp in masks]
+        assert leasts == sorted(leasts)
+
+    def test_empty_mask(self):
+        assert _component_masks(build_toeplitz(4, (1,)).rows, 0) == []
+
+    def test_mask_labels(self):
+        assert _mask_labels(0) == ()
+        assert _mask_labels(0b1011) == (1, 2, 4)
+        assert _mask_labels(1 << 69) == (70,)
+
+
 class TestComponents:
     def test_two_residue_classes(self):
         assert connected_components(build_toeplitz(7, (2, 4))) == [
@@ -423,14 +479,14 @@ class TestHamPathAndComplement:
 
     @given(graph=random_graphs)
     def test_complement_involution(self, graph):
-        assert complement(complement(graph)) == graph
+        assert graph.complement().complement() == graph
 
     def test_complement_of_edgeless_is_complete(self):
-        comp = complement(BitGraph.from_edges(3, []))
+        comp = BitGraph.from_edges(3, []).complement()
         assert comp.edges() == [(1, 2), (1, 3), (2, 3)]
 
     def test_complement_of_complete_is_edgeless(self):
-        assert complement(build_toeplitz(4, (1, 2, 3))).edge_count == 0
+        assert build_toeplitz(4, (1, 2, 3)).complement().edge_count == 0
 
 
 class TestExport:
@@ -501,6 +557,42 @@ class TestSpecLanguage:
     def test_rejects_malformed(self, bad):
         with pytest.raises(SpecParseError):
             parse_graph_spec(bad)
+
+    # one row per raise in the parser, plus rows that pin which check wins
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("pascal", "spec 'pascal' has no ':'"),
+            ("pascal:n", "bad parameter 'n' in spec 'pascal:n'"),
+            ("pascal:=8", "bad parameter '=8' in spec 'pascal:=8'"),
+            ("pascal:n=8;n=9", "duplicate parameter 'n' in spec 'pascal:n=8;n=9'"),
+            ("pascal:", "spec 'pascal:' is missing n="),
+            ("toeplitz:d=1;e=2", "spec 'toeplitz:d=1;e=2' is missing n="),
+            ("bell:n=4", "spec 'bell:n=4' is missing g="),
+            ("riordan:f=z;n=4", "spec 'riordan:f=z;n=4' is missing g="),
+            ("riordan:g=1;n=4;b=2", "spec 'riordan:g=1;n=4;b=2' is missing f="),
+            ("riordan:g=1;f=z", "spec 'riordan:g=1;f=z' is missing n="),
+            ("toeplitz:n=6", "spec 'toeplitz:n=6' is missing d="),
+            ("pascal:n=four", "n must be an integer in spec 'pascal:n=four'"),
+            ("riordan:g=1;f=z;n=x", "n must be an integer in spec 'riordan:g=1;f=z;n=x'"),
+            ("deltaTilde:n=x", "n must be an integer in spec 'deltaTilde:n=x'"),
+            ("toeplitz:n=6;d=1,x", "d must be comma-separated integers in 'toeplitz:n=6;d=1,x'"),
+            ("toeplitz:n=6;d=0,2", "distances must be positive in 'toeplitz:n=6;d=0,2'"),
+            ("riordan:g=1;f=z;n=4;x=1", "unexpected parameters ['x'] in 'riordan:g=1;f=z;n=4;x=1'"),
+            ("bell:g=1;n=4;f=z", "unexpected parameters ['f'] in 'bell:g=1;n=4;f=z'"),
+            ("pascal:n=4;x=1", "unexpected parameters ['x'] in 'pascal:n=4;x=1'"),
+            ("catalan:n=4;d=1", "unexpected parameters ['d'] in 'catalan:n=4;d=1'"),
+            ("motzkin:n=4;b=2;a=1", "unexpected parameters ['a', 'b'] in 'motzkin:n=4;b=2;a=1'"),
+            ("toeplitz:n=6;d=1;e=2", "unexpected parameters ['e'] in 'toeplitz:n=6;d=1;e=2'"),
+            ("delta:n=4;v=1", "unexpected parameters ['v'] in 'delta:n=4;v=1'"),
+            ("deltaTilde:n=4;v=1", "unexpected parameters ['v'] in 'deltaTilde:n=4;v=1'"),
+            ("hexagon:n=4", "unknown spec kind 'hexagon'"),
+        ],
+    )
+    def test_error_messages(self, bad, message):
+        with pytest.raises(SpecParseError) as info:
+            parse_graph_spec(bad)
+        assert str(info.value) == message
 
 
 # sides around the powers of two the block swap pads to
