@@ -93,6 +93,8 @@ def _emit(payload) -> None:
 
 
 def _run_count(args) -> int:
+    if args.what not in ("is", "cliques") and args.engine in ("brute", "banded"):
+        raise SpecParseError(f"the {args.engine} engine does not apply to --what {args.what}")
     spec = parse_graph_spec(args.spec)
     guard = _guard_value(args)
     if spec.n > guard:

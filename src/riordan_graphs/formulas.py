@@ -9,7 +9,6 @@ values; comparing them against exact counts is the verify module's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .counting import BigCount, count_is
 from .graphs import (
@@ -157,43 +156,23 @@ def _validated_distances(distances) -> tuple[int, ...]:
     return ds
 
 
-def _has_uncovered_composition(total: int, blocked) -> bool:
-    """Can `total` be split into two or more positive parts avoiding
-    `blocked` entirely?
-
-    Writing the word 1 0^(total-1) 1 with some zeros flipped to ones, the
-    gaps between consecutive ones form exactly such a split, and the word
-    contains an earlier pattern as a factor exactly when some gap lies in
-    the earlier distance set.
-    """
-    parts = [p for p in range(1, total) if p not in blocked]
-    reach = [False] * (total + 1)  # reach[x]: x is a sum of >= 1 allowed parts
-    for x in range(1, total + 1):
-        for p in parts:
-            if p > x:
-                break
-            if p == x or reach[x - p]:
-                reach[x] = True
-                break
-    return any(reach[total - p] for p in parts if total - p >= 1)
-
-
 def is_well_based(distances) -> bool:
     """Whether the distance set is well-based.
 
     The set must contain 1, and for each larger element a, every way of
     flipping zeros in 1 0^(a-1) 1 must create some smaller element's
     pattern as a factor.  A singleton {1} counts as well-based.
+
+    The gaps between the ones of a flipped word split a into two or more
+    parts, so a fails exactly when it is a sum of non-elements: the set is
+    well-based exactly when its complement in [1, max] is closed under
+    addition.  Pairwise closure suffices, by induction on the sum, and it
+    forces 1 in, since otherwise max = 1 + ... + 1 would be a non-element.
     """
     ds = _validated_distances(distances)
-    if ds[0] != 1:
-        return False
-    blocked: set[int] = set()
-    for a in ds:
-        if blocked and _has_uncovered_composition(a, blocked):
-            return False
-        blocked.add(a)
-    return True
+    members = sum(1 << a for a in ds)
+    rest = ((1 << ds[-1]) - 2) & ~members
+    return not any((rest << x) & members for x in range(1, ds[-1]) if rest >> x & 1)
 
 
 @dataclass(frozen=True)
@@ -211,21 +190,40 @@ def well_based_completion(distances, n: int) -> WellBasedResult:
     Candidates are searched by increasing cardinality and lexicographically
     within a cardinality, so the result is deterministic.  The completion
     is empty exactly when the input is already well-based.
+
+    A least B stays within [1, max]: the elements up to max do not depend
+    on larger ones, so dropping B's elements above max leaves a completion.
+    The search walks x = 1..max with the complement C and its pairwise
+    sums C + C as bitmasks (is_well_based's closure test).  An x in C + C
+    must join C, a dead end for a distance; a free x tries B before C, so
+    candidates come in lexicographic order, and deepening the budget on
+    |B| finds the least.  B = [1, max] minus the distances always works.
     """
     ds = _validated_distances(distances)
-    if ds[-1] > n - 1:
+    top = ds[-1]
+    if top > n - 1:
         raise ValueError(f"distances must lie within [1, {n - 1}], got {ds}")
-    if is_well_based(ds):
-        return WellBasedResult(True, (), ds)
-    pool = [x for x in range(1, n + 1) if x not in set(ds)]
-    need_one = 1 not in ds
-    for size in range(1, len(pool) + 1):
-        for extra in combinations(pool, size):
-            if need_one and extra[0] != 1:
-                continue  # every well-based set contains 1
-            combined = tuple(sorted(ds + extra))
-            if is_well_based(combined):
-                return WellBasedResult(False, extra, combined)
+    members = sum(1 << a for a in ds)
+
+    def extend(x: int, rest: int, sums: int, budget: int) -> tuple[int, ...] | None:
+        if x > top:
+            return ()
+        bit = 1 << x
+        if not sums & bit:
+            if members & bit:
+                return extend(x + 1, rest, sums, budget)
+            if budget:
+                found = extend(x + 1, rest, sums, budget - 1)
+                if found is not None:
+                    return (x,) + found
+        elif members & bit:
+            return None
+        return extend(x + 1, rest | bit, sums | (rest | bit) << x, budget)
+
+    for budget in range(top):
+        extra = extend(1, 0, 0, budget)
+        if extra is not None:
+            return WellBasedResult(not extra, extra, tuple(sorted(ds + extra)))
     raise CompletionNotFoundError(f"no well-based completion of {ds} within [{n}]")
 
 

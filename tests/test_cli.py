@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,23 @@ class TestCount:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("what", ["alpha", "max-is", "maximal"])
+    @pytest.mark.parametrize("engine", ["brute", "banded"])
+    def test_engine_refused_for_set_quantities(self, capsys, what, engine):
+        code, out, err = run_cli(
+            capsys, "count", "--spec", "pascal:n=10", "--what", what, "--engine", engine
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: the {engine} engine does not apply to --what {what}\n"
+
+    @pytest.mark.parametrize("what", ["alpha", "max-is", "maximal"])
+    def test_auto_and_branch_agree_for_set_quantities(self, capsys, what):
+        outputs = [
+            run_cli(capsys, "count", "--spec", "pascal:n=10", "--what", what, "--engine", e)
+            for e in ("auto", "branch")
+        ]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def _assert_one_error_line(capsys, argv):
@@ -293,6 +311,43 @@ class TestBoundsAndVerify:
             code, out, _ = run_cli(capsys, "count", "--spec", text)
             assert code == 0
             assert verify.bound_report(text).exact == json.loads(out)["count"], text
+
+
+class TestWellBasedCap:
+    """The element cap of 30 applies to the input distances only; the
+    completion search never tries an element above the largest one."""
+
+    def test_bounds_past_the_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--spec", "toeplitz:n=36;d=9,13")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["exact"] == 18738040
+        assert payload["entries"][0] == {
+            "bound": "toeplitz-series-lower",
+            "value": 16308,
+            "relation": "lower",
+            "holds": True,
+            "tight": False,
+        }
+
+    def test_seeded_specs_past_the_cap(self, capsys):
+        rng = random.Random(36)
+        for _ in range(40):
+            n = rng.randint(32, 40)
+            ds = sorted(rng.sample(range(1, 31), rng.randint(1, 3)))
+            text = f"toeplitz:n={n};d={','.join(map(str, ds))}"
+            code, out, _ = run_cli(capsys, "bounds", "--spec", text)
+            assert code == 0, text
+            payload = json.loads(out)
+            entry = payload["entries"][0]
+            assert entry["bound"] == "toeplitz-series-lower"
+            assert entry["value"] <= payload["exact"], text
+            assert entry["tight"] == formulas.is_well_based(ds), text
+
+    def test_distances_past_the_cap_still_refused(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--spec", "toeplitz:n=40;d=1,35")
+        assert code == 2 and out == ""
+        assert err == "error: well-based checks are capped at elements <= 30, got 35\n"
 
 
 class TestStandardLibraryOnly:

@@ -329,6 +329,38 @@ class TestMaximalIS:
             if maximal and members:
                 assert tuple(members) in seen
 
+    @pytest.mark.parametrize("family", ["pascal", "catalan", "motzkin"])
+    @pytest.mark.parametrize("n", [25, 40, 64])
+    def test_families_match_networkx_cliques(self, family, n):
+        graph = parse_graph_spec(f"{family}:n={n}").build()
+        assert list_maximal_is(graph) == networkx_maximal_is(graph)
+
+    def test_random_graphs_match_networkx_cliques(self):
+        rng = random.Random(2024)
+        for _ in range(12):
+            n = rng.randint(25, 64)
+            p = rng.choice((0.5, 0.75))
+            edges = [
+                (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p
+            ]
+            graph = BitGraph.from_edges(n, edges)
+            assert list_maximal_is(graph) == networkx_maximal_is(graph), (n, p)
+
+
+def networkx_maximal_is(graph):
+    """Oracle: networkx's maximal cliques of the complement, each sorted,
+    list sorted."""
+    nx = pytest.importorskip("networkx")
+    comp = nx.Graph()
+    comp.add_nodes_from(range(1, graph.n + 1))
+    comp.add_edges_from(
+        (u, v)
+        for u in range(1, graph.n + 1)
+        for v in range(u + 1, graph.n + 1)
+        if not graph.has_edge(u, v)
+    )
+    return sorted(tuple(sorted(clique)) for clique in nx.find_cliques(comp))
+
 
 def independent_sets_by_size(graph):
     """Micro-oracle: the number of independent k-subsets for k = 0..alpha,

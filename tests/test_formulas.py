@@ -1,5 +1,6 @@
 """Closed-form and bound tests, with independent oracles for each family."""
 
+import time
 from itertools import combinations
 
 import pytest
@@ -90,6 +91,57 @@ def word_replacement_well_based(ds):
     return True
 
 
+def uncovered_composition(total, blocked):
+    """Oracle: can `total` be split into two or more positive parts
+    avoiding `blocked` entirely?  A composition DP, independent of the
+    complement-closure test in `formulas`."""
+    parts = [p for p in range(1, total) if p not in blocked]
+    reach = [False] * (total + 1)  # reach[x]: x is a sum of >= 1 allowed parts
+    for x in range(1, total + 1):
+        for p in parts:
+            if p > x:
+                break
+            if p == x or reach[x - p]:
+                reach[x] = True
+                break
+    return any(reach[total - p] for p in parts if total - p >= 1)
+
+
+def composition_well_based(ds):
+    """Oracle: the element-by-element check over the composition DP."""
+    ds = tuple(sorted(set(ds)))
+    if ds[0] != 1:
+        return False
+    blocked = set()
+    for a in ds:
+        if blocked and uncovered_composition(a, blocked):
+            return False
+        blocked.add(a)
+    return True
+
+
+def combinations_completion(ds, n):
+    """Oracle: the exhaustive search over `combinations` of [n] minus ds,
+    by size and lexicographically within a size."""
+    ds = tuple(sorted(set(ds)))
+    if composition_well_based(ds):
+        return WellBasedResult(True, (), ds)
+    pool = [x for x in range(1, n + 1) if x not in set(ds)]
+    for size in range(1, len(pool) + 1):
+        for extra in combinations(pool, size):
+            if 1 not in ds and extra[0] != 1:
+                continue
+            combined = tuple(sorted(ds + extra))
+            if composition_well_based(combined):
+                return WellBasedResult(False, extra, combined)
+    raise AssertionError(f"no completion of {ds} within [{n}]")
+
+
+small_completion_specs = st.integers(2, 22).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n - 1), min_size=1, max_size=4))
+)
+
+
 class TestFibonacci:
     def test_initials(self):
         assert fibonacci(0) == 1 and fibonacci(1) == 1
@@ -170,9 +222,14 @@ class TestWellBased:
         assert is_well_based((1,))
 
     def test_all_subsets_match_word_oracle(self):
-        for size in range(1, 5):
-            for ds in combinations(range(1, 9), size):
+        for size in range(1, 6):
+            for ds in combinations(range(1, 12), size):
                 assert is_well_based(ds) == word_replacement_well_based(ds), ds
+
+    def test_complement_closure_matches_composition_dp(self):
+        for size in range(1, 6):
+            for ds in combinations(range(1, 16), size):
+                assert is_well_based(ds) == composition_well_based(ds), ds
 
     def test_element_cap(self):
         with pytest.raises(ValueError):
@@ -205,6 +262,35 @@ class TestCompletion:
         # {1} leaves the split 5 = 2+3 uncovered, so {1,2} is needed
         assert well_based_completion((5,), 8) == WellBasedResult(False, (1, 2), (1, 2, 5))
 
+    @pytest.mark.parametrize(
+        "ds, n, extra",
+        [
+            ((22,), 28, tuple(range(1, 12))),
+            ((3, 4, 26), 29, (1, 2, *range(5, 14))),
+            ((16, 26), 27, (*range(1, 10), 11, 12, 13)),
+            ((1, 20), 30, tuple(range(2, 11))),
+        ],
+    )
+    def test_large_completions_are_fast(self, ds, n, extra):
+        start = time.perf_counter()
+        result = well_based_completion(ds, n)
+        assert time.perf_counter() - start < 1.0
+        assert result == WellBasedResult(False, extra, tuple(sorted(ds + extra)))
+
+    def test_completion_beyond_the_cap(self):
+        # a least completion stays below max(ds), so n may exceed the cap
+        expected = WellBasedResult(False, (1, 2, 3, 5, 6), (1, 2, 3, 5, 6, 9, 13))
+        assert combinations_completion((9, 13), 14) == expected
+        for n in (14, 31, 36, 100):
+            assert well_based_completion((9, 13), n) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=small_completion_specs)
+    def test_matches_exhaustive_search(self, spec):
+        n, ds = spec
+        assert is_well_based(ds) == composition_well_based(ds)
+        assert well_based_completion(ds, n) == combinations_completion(ds, n)
+
 
 class TestSeriesCount:
     def test_path_counts(self):
@@ -226,6 +312,29 @@ class TestSeriesCount:
         for ds in ((1,), (1, 2), (1, 3), (1, 2, 3)):
             for n in range(max(ds) + 1, 15):
                 assert well_based_series_count(ds, n) == count_is(build_toeplitz(n, ds))
+
+    def test_matches_sympy_expansion(self):
+        """sympy's power-series inversion of (1-x)c(x) - x, times c(x), on
+        every well-based set with max <= 12, coefficients 0..40."""
+        pytest.importorskip("sympy")
+        from sympy import QQ
+        from sympy.polys.rings import ring
+        from sympy.polys.ring_series import rs_mul, rs_series_inversion
+
+        _, x = ring("x", QQ)
+        sets = [
+            ds
+            for top in range(1, 13)
+            for size in range(top)
+            for rest in combinations(range(1, top), size)
+            if is_well_based(ds := (*rest, top))
+        ]
+        assert len(sets) == 170
+        for ds in sets:
+            c = 1 + sum(x**t for t in ds)
+            series = rs_mul(c, rs_series_inversion((1 - x) * c - x, x, 41), x, 41)
+            expected = [series.coeff(x**n) for n in range(41)]
+            assert [well_based_series_count(ds, n) for n in range(41)] == expected, ds
 
 
 class TestToeplitzLowerBound:
