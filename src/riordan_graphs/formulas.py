@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from .counting import BigCount, count_is
 from .graphs import (
     BitGraph,
+    DecompositionBlocks,
     RiordanSpec,
     build_riordan,
-    even_labels,
-    io_half,
+    decompose,
+    has_io_blocks,
     is_proper,
-    odd_labels,
 )
 from .series import evaluate
 
@@ -306,12 +306,6 @@ def chordal_toeplitz_cliques(k: int, t: int, n: int) -> BigCount:
     return ((n - (k - 1) * t) << k) - (t - 1)
 
 
-def chordal_toeplitz_cliques_uncorrected(k: int, t: int, n: int) -> BigCount:
-    """The closed form without the empty-clique correction, for reporting."""
-    _chordal_guard(k, t, n)
-    return (n - (k - 1) * t) << k
-
-
 def fibonacci_upper_bound(n: int) -> BigCount:
     """F(n+1): counts 11-avoiding binary words of length n, an upper bound
     whenever 1 - 2 - ... - n is a path; equality only for the path graph."""
@@ -368,47 +362,43 @@ def io_independence_claims(n: int) -> tuple[int, int]:
     return n // 2, 2 if n % 2 == 0 else 4
 
 
-def odd_even_lower_bound(graph: BitGraph, as_printed: bool = False) -> BigCount:
+def odd_even_lower_bound(graph: BitGraph) -> BigCount:
     """Lower bound from the odd/even split:
-    i(<V_o>) + i(<V_e>) - 1 + sigma0(B), where sigma0(B) counts the
-    non-adjacent odd/even vertex pairs.
+    i(X) + i(Y) - 1 + sigma0(B), where X and Y are the subgraphs induced by
+    the odd and the even labels and sigma0(B) counts the non-adjacent
+    odd/even vertex pairs.
 
     The -1 removes the doubly counted empty set; without it the bound
     fails on small cases (it exceeds the exact count of the order-4
-    Pascal graph).  Pass as_printed=True for the uncorrected value.
+    Pascal graph).
     """
-    n = graph.n
-    if n < 2:
+    if graph.n < 2:
         raise ValueError("bound applies for n >= 2")
-    sub_o = graph.induced(odd_labels(n))
-    sub_e = graph.induced(even_labels(n))
-    sigma0 = ((n + 1) // 2) * (n // 2) - graph.edge_count + sub_o.edge_count + sub_e.edge_count
-    value = count_is(sub_o) + count_is(sub_e) + sigma0
-    return value if as_printed else value - 1
+    return _odd_even_bound(decompose(graph))
+
+
+def _odd_even_bound(blocks: DecompositionBlocks) -> BigCount:
+    """odd_even_lower_bound read off the graph's odd/even blocks."""
+    x, y, b = blocks.x, blocks.y, blocks.b
+    sigma0 = b.nrows * b.ncols - sum(row.bit_count() for row in b.row_bits)
+    value = count_is(BitGraph(x.nrows, x.row_bits)) + count_is(BitGraph(y.nrows, y.row_bits))
+    return value - 1 + sigma0
 
 
 def io_dec_lower_bound(spec: RiordanSpec) -> BigCount:
-    """The odd/even lower bound specialized to io-decomposable specs, with
-    the same empty-set correction:
+    """The odd/even lower bound on an io-decomposable spec, where it reads
     i(G_ceil(n/2)) + 2^floor(n/2) - 1 + ceil(n/2)*floor(n/2)
-    - |E(G_n)| + |E(G_ceil(n/2))|."""
-    n = spec.n
-    if n < 2:
+    - |E(G_n)| + |E(G_ceil(n/2))|: X is G_ceil(n/2), Y is edgeless, and B
+    holds the edges of G_n outside X."""
+    if spec.n < 2:
         raise ValueError("bound applies for n >= 2")
     if not is_proper(spec):
         raise ValueError("io-decomposability is defined for proper specs")
     whole = build_riordan(spec)
-    half = io_half(whole)
-    if half is None:
+    blocks = decompose(whole)
+    if not has_io_blocks(whole, blocks):
         raise BoundPreconditionError("spec is not io-decomposable")
-    return _io_dec_bound(whole, half)
-
-
-def _io_dec_bound(whole: BitGraph, half: BitGraph) -> BigCount:
-    """io_dec_lower_bound on a built io-decomposable G_n and its io_half."""
-    n = whole.n
-    value = count_is(half) + (1 << (n // 2)) - 1
-    return value + ((n + 1) // 2) * (n // 2) - whole.edge_count + half.edge_count
+    return _odd_even_bound(blocks)
 
 
 def multipartite_lower_bound(n: int) -> BigCount:

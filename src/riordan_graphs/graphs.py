@@ -323,14 +323,6 @@ def build_delta(n: int, variant: str = "plain") -> BitGraph:
     return BitGraph.from_edges(n, edges)
 
 
-def odd_labels(n: int) -> list[int]:
-    return list(range(1, n + 1, 2))
-
-
-def even_labels(n: int) -> list[int]:
-    return list(range(2, n + 1, 2))
-
-
 @dataclass(frozen=True)
 class DecompositionBlocks:
     """X (odd-odd), Y (even-even), B (odd-even) blocks under the
@@ -376,8 +368,13 @@ def decompose(graph: BitGraph) -> DecompositionBlocks:
         x=BitMatrix(p, p, columns(odd_rows, "even")),
         y=BitMatrix(q, q, columns(graph.rows[1::2], "odd")),
         b=BitMatrix(p, q, columns(odd_rows, "odd")),
-        permutation=tuple(odd_labels(n) + even_labels(n)),
+        permutation=_odd_even_order(n),
     )
+
+
+def _odd_even_order(n: int) -> tuple[int, ...]:
+    """The labels 1..n, odd ones first."""
+    return tuple(range(1, n + 1, 2)) + tuple(range(2, n + 1, 2))
 
 
 def _cross_block(h1: Gf2Series, h2: Gf2Series, f: Gf2Series, p: int, q: int) -> BitMatrix:
@@ -396,27 +393,30 @@ def predict_blocks(spec: RiordanSpec) -> DecompositionBlocks:
     rectangular blocks (z*oddPart(gf), f) and (evenPart(g), f) transposed.
     Must agree cell-for-cell with decompose(build_riordan(spec)).
     """
+    return _predicted_blocks(*_prediction_pair(spec), spec.n)
+
+
+def _prediction_pair(spec: RiordanSpec) -> tuple[Gf2Series, Gf2Series]:
+    """g and f at order n, once the spec is proper with n >= 2 and f(0) = 0."""
     if not is_proper(spec):
         raise ValueError("block prediction requires a proper spec")
-    n = spec.n
-    if n < 2:
+    if spec.n < 2:
         raise ValueError("block prediction needs n >= 2")
-    p = (n + 1) // 2
-    q = n // 2
-    g, f = _series_pair(spec, n)
+    g, f = _series_pair(spec, spec.n)
     if f.coeff(0):
         raise ValueError("f must have zero constant term")
+    return g, f
+
+
+def _predicted_blocks(g: Gf2Series, f: Gf2Series, n: int) -> DecompositionBlocks:
+    """predict_blocks on g and f already evaluated at order n."""
+    p = (n + 1) // 2
+    q = n // 2
     gf = mul_trunc(g, f, n)
-
-    g_odd = parity_part(g, "odd")
-    g_even = parity_part(g, "even")
-    gf_odd = parity_part(gf, "odd")
-    y_gen = parity_part(shift_down(gf), "odd")
-
-    x = BitMatrix(p, p, riordan_adjacency(g_odd, f, p))
-    y = BitMatrix(q, q, riordan_adjacency(y_gen, f, q))
-    b = _cross_block(shift_up(gf_odd), g_even, f, p, q)
-    return DecompositionBlocks(x=x, y=y, b=b, permutation=tuple(odd_labels(n) + even_labels(n)))
+    x = BitMatrix(p, p, riordan_adjacency(parity_part(g, "odd"), f, p))
+    y = BitMatrix(q, q, riordan_adjacency(parity_part(shift_down(gf), "odd"), f, q))
+    b = _cross_block(shift_up(parity_part(gf, "odd")), parity_part(g, "even"), f, p, q)
+    return DecompositionBlocks(x=x, y=y, b=b, permutation=_odd_even_order(n))
 
 
 def predict_bell_cross_block(spec: RiordanSpec) -> BitMatrix:
@@ -424,8 +424,11 @@ def predict_bell_cross_block(spec: RiordanSpec) -> BitMatrix:
     transposed.  Only valid when f = z*g."""
     if spec.family != "bell":
         raise ValueError("cross-block form requires a Bell-type spec")
-    n = spec.n
-    g, f = _series_pair(spec, n)
+    return _bell_cross_block(*_series_pair(spec, spec.n), spec.n)
+
+
+def _bell_cross_block(g: Gf2Series, f: Gf2Series, n: int) -> BitMatrix:
+    """predict_bell_cross_block on g and f = z*g already evaluated at order n."""
     return _cross_block(f, parity_part(g, "even"), f, (n + 1) // 2, n // 2)
 
 
@@ -435,22 +438,23 @@ def is_proper(spec: RiordanSpec) -> bool:
     return bool(g.coeff(0)) and bool(f.coeff(1))
 
 
-def io_half(graph: BitGraph) -> BitGraph | None:
-    """G_ceil(n/2) if the Riordan graph G_n (n >= 2) is io-decomposable, else None:
-    even labels independent, odd labels inducing G_ceil(n/2) in order.  That is
-    G_n on 1..ceil(n/2), as edge (i, j) depends only on [z^(i-2)] g f^(j-1)."""
-    blocks = decompose(graph)
-    if not blocks.y.is_zero():
-        return None
-    half = graph.induced(range(1, (graph.n + 1) // 2 + 1))
-    return half if blocks.x == graph_to_matrix(half) else None
+def has_io_blocks(graph: BitGraph, blocks: DecompositionBlocks) -> bool:
+    """Whether the Riordan graph G_n (n >= 2) with odd/even blocks `blocks` is
+    io-decomposable: even labels independent (Y = 0), odd labels inducing
+    G_ceil(n/2) in order.  G_ceil(n/2) is G_n on 1..ceil(n/2), as edge (i, j)
+    depends only on [z^(i-2)] g f^(j-1), so X must equal G_n's first
+    ceil(n/2) rows cut to ceil(n/2) bits."""
+    p = blocks.x.nrows
+    full = (1 << p) - 1
+    return blocks.y.is_zero() and blocks.x.row_bits == tuple(r & full for r in graph.rows[:p])
 
 
 def is_io_decomposable(spec: RiordanSpec) -> bool:
-    """Structural io-decomposability check on the built graph (see io_half)."""
+    """Structural io-decomposability check on the built graph (see has_io_blocks)."""
     if not is_proper(spec):
         raise ValueError("io-decomposability is defined for proper specs")
-    return spec.n == 1 or io_half(build_riordan(spec)) is not None
+    graph = build_riordan(spec)
+    return spec.n == 1 or has_io_blocks(graph, decompose(graph))
 
 
 def is_chordal_toeplitz(n: int, distances) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
 from dataclasses import dataclass, field
 
 from . import formulas
@@ -21,15 +20,16 @@ from .graphs import (
     ChordalityRangeError,
     GraphSpec,
     RiordanSpec,
-    build_riordan,
+    _bell_cross_block,
+    _predicted_blocks,
+    _prediction_pair,
     decompose,
     has_consecutive_ham_path,
-    io_half,
+    has_io_blocks,
     is_chordal_toeplitz,
     is_proper,
     parse_graph_spec,
-    predict_bell_cross_block,
-    predict_blocks,
+    riordan_adjacency,
 )
 
 # Independent-set counts for n = 1..12, Pascal / Motzkin / Catalan rows.
@@ -190,7 +190,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
             report.notes.append(
                 f"{mark}: chordal clique formula {clique_value} vs exact {clique_exact}"
             )
-            uncorrected = formulas.chordal_toeplitz_cliques_uncorrected(k, t, n)
+            uncorrected = clique_value + (t - 1)
             if uncorrected != clique_exact:
                 report.notes.append(
                     f"note: uncorrected clique closed form {uncorrected} fails "
@@ -208,13 +208,15 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
             _entry("fibonacci-upper", formulas.fibonacci_upper_bound(n), "upper", exact)
         )
 
-    # every io-dec bound needs n >= 2; graph is G_n(rs) for Toeplitz specs too
-    half = io_half(graph) if proper and n >= 2 else None
-    io_dec = half is not None
+    # one odd/even split serves every bound that needs n >= 2; graph is
+    # G_n(rs) for Toeplitz specs too, and on an io-decomposable G_n the
+    # io-dec bound is the odd/even bound
+    if n >= 2:
+        blocks = decompose(graph)
+        odd_even = formulas._odd_even_bound(blocks)
+    io_dec = proper and n >= 2 and has_io_blocks(graph, blocks)
     if io_dec:
-        report.entries.append(
-            _entry("io-dec-lower", formulas._io_dec_bound(graph, half), "lower", exact)
-        )
+        report.entries.append(_entry("io-dec-lower", odd_even, "lower", exact))
         alpha_claim, max_cap = formulas.io_independence_claims(n)
         maximum = count_maximum_is(graph)
         alpha, max_count = maximum.alpha, maximum.count
@@ -237,11 +239,11 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
         )
 
     if n >= 2:
-        uncorrected = formulas.odd_even_lower_bound(graph, as_printed=True)
-        report.entries.append(_entry("odd-even-lower", uncorrected - 1, "lower", exact))
-        if uncorrected > exact:
+        report.entries.append(_entry("odd-even-lower", odd_even, "lower", exact))
+        if odd_even + 1 > exact:
             report.notes.append(
-                f"note: uncorrected odd/even lower bound {uncorrected} fails (exceeds exact {exact})"
+                f"note: uncorrected odd/even lower bound {odd_even + 1} fails "
+                f"(exceeds exact {exact})"
             )
 
     return report
@@ -280,16 +282,20 @@ def verify_decomposition(spec: RiordanSpec) -> DecompositionCheck:
     """Predicted odd/even blocks must equal the structural decomposition.
 
     Bell-type specs additionally check the cross block in its (zg, zg)
-    form.  Reports the first differing cell on mismatch.
+    form.  Reports the first differing cell on mismatch.  g and f are
+    evaluated once and feed the prediction, the built adjacency and the
+    Bell-form block alike.
     """
-    predicted = predict_blocks(spec)
-    actual = decompose(build_riordan(spec))
+    n = spec.n
+    g, f = _prediction_pair(spec)
+    predicted = _predicted_blocks(g, f, n)
+    actual = decompose(BitGraph(n, riordan_adjacency(g, f, n)))
     for name in ("x", "y", "b"):
         diff = getattr(predicted, name).first_difference(getattr(actual, name))
         if diff is not None:
             return DecompositionCheck(False, f"{name.upper()} block differs at cell {diff}")
     if spec.family == "bell":
-        diff = predict_bell_cross_block(spec).first_difference(actual.b)
+        diff = _bell_cross_block(g, f, n).first_difference(actual.b)
         if diff is not None:
             return DecompositionCheck(False, f"Bell-form B block differs at cell {diff}")
     return DecompositionCheck(True)
@@ -310,44 +316,3 @@ def reports_to_csv(reports) -> str:
                 [r.graph_spec, r.n, r.exact, e.name, e.value, e.relation, e.holds, e.tight]
             )
     return buf.getvalue()
-
-
-# --- seeded corpus generators (used by the test suite) ---
-
-def random_toeplitz_cases(count: int, max_n: int, seed: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(n, distances) pairs with 1 <= k <= 4 distances drawn from [1, n-1]."""
-    rng = random.Random(seed)
-    cases = []
-    for _ in range(count):
-        n = rng.randint(4, max_n)
-        k = rng.randint(1, min(4, n - 1))
-        cases.append((n, tuple(sorted(rng.sample(range(1, n), k)))))
-    return cases
-
-
-def random_proper_pairs(count: int, seed: int) -> list[tuple[str, str]]:
-    """(g, f) expression texts for proper specs: unit constant term in g,
-    unit linear term in f, zero constant term in f."""
-    rng = random.Random(seed)
-    pairs = []
-    for _ in range(count):
-        g_degrees = sorted(rng.sample(range(1, 8), rng.randint(0, 3)))
-        f_degrees = sorted(rng.sample(range(2, 9), rng.randint(0, 3)))
-        g_text = "+".join(["1"] + [f"z^{d}" for d in g_degrees])
-        f_text = "+".join(["z"] + [f"z^{d}" for d in f_degrees])
-        pairs.append((g_text, f_text))
-    return pairs
-
-
-def random_graphs(count: int, max_n: int, seed: int) -> list[BitGraph]:
-    """Erdos-Renyi style graphs at a few densities, n in [2, max_n]."""
-    rng = random.Random(seed)
-    graphs = []
-    for _ in range(count):
-        n = rng.randint(2, max_n)
-        p = rng.choice((0.15, 0.3, 0.5, 0.75))
-        edges = [
-            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p
-        ]
-        graphs.append(BitGraph.from_edges(n, edges))
-    return graphs

@@ -9,6 +9,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 
 import time
 
+from corpus import random_graphs, random_proper_pairs, random_toeplitz_cases
+
 from riordan_graphs.counting import (
     brute_force_is,
     count_cliques,
@@ -49,9 +51,6 @@ from riordan_graphs.series import parse
 from riordan_graphs.verify import (
     TABLE1,
     bound_report,
-    random_graphs,
-    random_proper_pairs,
-    random_toeplitz_cases,
     verify_decomposition,
     verify_table1,
 )

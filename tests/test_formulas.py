@@ -4,6 +4,7 @@ import time
 from itertools import combinations
 
 import pytest
+from corpus import random_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,11 +41,12 @@ from riordan_graphs.graphs import (
     build_riordan,
     build_toeplitz,
     catalan_spec,
+    is_io_decomposable,
     motzkin_spec,
     multipartition,
     pascal_spec,
 )
-from riordan_graphs.series import parse
+from riordan_graphs.series import Builtin, parse
 
 
 def pell_binet_exact(n):
@@ -467,7 +469,7 @@ class TestLowerBounds:
     def test_odd_even_on_pascal_4(self):
         graph = build_riordan(pascal_spec(4))
         assert odd_even_lower_bound(graph) == 6 == count_is(graph)
-        assert odd_even_lower_bound(graph, as_printed=True) == 7  # exceeds the exact count
+        assert odd_even_lower_bound(graph) + 1 == 7  # uncorrected, exceeds the exact count
 
     def test_odd_even_on_single_edge(self):
         graph = BitGraph.from_edges(2, [(1, 2)])
@@ -557,3 +559,71 @@ def test_toeplitz_lower_bound_holds(ds, extra):
     exact = count_is(build_toeplitz(n, ds))
     assert bound <= exact
     assert (bound == exact) == is_well_based(ds)
+
+
+def _poly(bits):
+    return "+".join(f"z^{k}" for k in range(bits.bit_length()) if bits >> k & 1)
+
+
+# g(0) = 1 and f = z + O(z^2), or f = z*g: every draw is proper
+proper_specs = st.builds(
+    lambda g, f_bits, bell, n: (
+        RiordanSpec.bell(g, n) if bell else RiordanSpec(g, parse(_poly(4 * f_bits + 2)), n)
+    ),
+    st.one_of(
+        st.sampled_from([parse("1/(1-z)"), Builtin("catalan"), Builtin("motzkin")]),
+        st.builds(
+            lambda num, den: parse(f"({_poly(2 * num + 1)})/({_poly(2 * den + 1)})"),
+            st.integers(0, 2**7 - 1),
+            st.integers(0, 2**5 - 1),
+        ),
+    ),
+    st.integers(0, 2**7 - 1),
+    st.booleans(),
+    st.integers(2, 40),
+)
+
+
+def _io_dec_oracle(spec):
+    """i(G_ceil(n/2)) + 2^floor(n/2) - 1 + ceil(n/2)*floor(n/2)
+    - |E(G_n)| + |E(G_ceil(n/2))|, with G_ceil(n/2) induced on 1..ceil(n/2)."""
+    n = spec.n
+    whole = build_riordan(spec)
+    half = whole.induced(range(1, (n + 1) // 2 + 1))
+    value = count_is(half) + 2 ** (n // 2) - 1 + ((n + 1) // 2) * (n // 2)
+    return value - whole.edge_count + half.edge_count
+
+
+def _odd_even_oracle(graph):
+    """i(<odd labels>) + i(<even labels>) - 1 + the non-adjacent odd/even pairs."""
+    n = graph.n
+    sub_o = graph.induced(range(1, n + 1, 2))
+    sub_e = graph.induced(range(2, n + 1, 2))
+    sigma0 = ((n + 1) // 2) * (n // 2) - graph.edge_count + sub_o.edge_count + sub_e.edge_count
+    return count_is(sub_o) + count_is(sub_e) - 1 + sigma0
+
+
+class TestSplitBoundOracles:
+    """The io-dec bound is the odd/even bound on an io-decomposable graph;
+    both are checked against their written-out induced-subgraph forms."""
+
+    @settings(max_examples=80)
+    @given(spec=proper_specs)
+    def test_io_dec_matches_written_out_formula(self, spec):
+        if is_io_decomposable(spec):
+            assert io_dec_lower_bound(spec) == _io_dec_oracle(spec)
+            assert io_dec_lower_bound(spec) == odd_even_lower_bound(build_riordan(spec))
+        else:
+            with pytest.raises(BoundPreconditionError):
+                io_dec_lower_bound(spec)
+
+    @pytest.mark.parametrize("maker", [pascal_spec, catalan_spec])
+    def test_io_dec_on_pascal_and_catalan(self, maker):
+        for n in range(2, 41):
+            assert io_dec_lower_bound(maker(n)) == _io_dec_oracle(maker(n)), n
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 10**6))
+    def test_odd_even_matches_induced_subgraph_formula(self, seed):
+        (graph,) = random_graphs(1, 16, seed)
+        assert odd_even_lower_bound(graph) == _odd_even_oracle(graph)

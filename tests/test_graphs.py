@@ -465,7 +465,7 @@ class TestHamPathAndComplement:
             assert has_consecutive_ham_path(build_riordan(spec))
 
     def test_random_proper_builds_have_consecutive_path(self):
-        from riordan_graphs.verify import random_proper_pairs
+        from corpus import random_proper_pairs
 
         for g_text, f_text in random_proper_pairs(12, seed=5):
             for n in (3, 9, 17):

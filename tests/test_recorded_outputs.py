@@ -1,0 +1,63 @@
+"""Replay of recorded CLI outputs: exit codes and stdout digests stay fixed.
+
+bench/references.json holds, for every benchmark request, the exit code
+and the first 32 hex characters of sha256(stdout) the CLI gave when the
+benchmark was defined.  A request's key is its argv joined by spaces.  The
+small bound reports and the smallest large-n decompositions are replayed
+here through cli.run, so the byte-identical output is checked on every
+test run.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+from pathlib import Path
+
+from riordan_graphs.cli import run
+
+REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "references.json").read_text()
+)
+
+
+def _order(key):
+    """The order a request works at: a sweep's range end, else the spec's n."""
+    match = re.search(r"--range \d+\.\.(\d+)", key) or re.search(r"\bn=(\d+)", key)
+    return int(match.group(1)) if match else None
+
+
+def _mismatches(section, keys, monkeypatch):
+    """(key, exit code, digest) of each request whose output differs from
+    the one recorded in REFERENCES[section]."""
+    monkeypatch.delenv("RIORDAN_MAX_N", raising=False)
+    out = []
+    for key in keys:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            rc = run(key.split(" "))
+        digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+        expected_rc, expected_digest = REFERENCES[section][key]
+        if rc != expected_rc or not digest.startswith(expected_digest):
+            out.append((key, rc, digest[:32]))
+    return out
+
+
+def test_small_bound_reports_match_references(monkeypatch):
+    keys = [
+        k for k in REFERENCES["bounds-sweep"] if _order(k) is not None and _order(k) <= 16
+    ]
+    assert len(keys) == 1239
+    assert _mismatches("bounds-sweep", keys, monkeypatch) == []
+
+
+def test_large_n_decompositions_match_references(monkeypatch):
+    keys = [
+        k
+        for k in REFERENCES["large-n"]
+        if k.startswith("verify decomposition ") and 300 <= _order(k) <= 303
+    ]
+    assert len(keys) == 16
+    assert _mismatches("large-n", keys, monkeypatch) == []
+

@@ -5,8 +5,9 @@ import io
 import json
 
 import pytest
+from corpus import random_graphs, random_proper_pairs, random_toeplitz_cases
 
-from riordan_graphs import graphs
+from riordan_graphs import formulas, graphs, series, verify
 from riordan_graphs.counting import count_is
 from riordan_graphs.graphs import (
     build_riordan,
@@ -19,9 +20,6 @@ from riordan_graphs.verify import (
     TABLE1,
     all_reports_ok,
     bound_report,
-    random_graphs,
-    random_proper_pairs,
-    random_toeplitz_cases,
     reports_to_csv,
     reports_to_json,
     sweep_bounds,
@@ -130,6 +128,29 @@ class TestBuildsPerReport:
         assert _adjacency_builds(monkeypatch, "bell:g=1+z^3;n=16") == 1
 
 
+def _decompositions(monkeypatch, spec):
+    calls = []
+    split = graphs.decompose
+    for module in (graphs, formulas, verify):
+        monkeypatch.setattr(module, "decompose", lambda graph: calls.append(graph) or split(graph))
+    bound_report(spec)
+    return len(calls)
+
+
+class TestSplitsPerReport:
+    # one odd/even split serves the io-decomposability check and both
+    # split bounds
+    @pytest.mark.parametrize(
+        "spec",
+        ["pascal:n=16", "catalan:n=9", "bell:g=1+z^3;n=16", "toeplitz:n=9;d=1,3", "delta:n=2"],
+    )
+    def test_one_decompose_per_report(self, monkeypatch, spec):
+        assert _decompositions(monkeypatch, spec) == 1
+
+    def test_no_decompose_below_two_vertices(self, monkeypatch):
+        assert _decompositions(monkeypatch, "pascal:n=1") == 0
+
+
 class TestSweeps:
     def test_pascal_sweep_tightness(self):
         reports = sweep_bounds("pascal:n={n}", range(5, 13))
@@ -208,6 +229,19 @@ class TestDecompositionWork:
         )
         assert verify_decomposition(graphs.parse_graph_spec("bell:g=motzkin;n=40").riordan)
         assert len(calls) <= 5
+
+
+class TestSeriesPerDecompositionCheck:
+    def test_g_is_evaluated_once_at_order_n(self, monkeypatch):
+        solve = series.solve_fixed_point
+        calls = []
+        monkeypatch.setattr(
+            series,
+            "solve_fixed_point",
+            lambda name, order: calls.append((name, order)) or solve(name, order),
+        )
+        assert verify_decomposition(graphs.parse_graph_spec("bell:g=motzkin;n=600").riordan)
+        assert [c for c in calls if c[1] == 600] == [("motzkin", 600)]
 
 
 class TestReportSerialization:
