@@ -7,9 +7,13 @@ one Python int.  One branch-and-reduce core serves the
 independent-set count, the independence number and the maximum-set count,
 each given by what an edgeless remainder is worth, how the two branches
 combine and how independent parts combine; it splits every subproblem into
-connected components and caches them per call, at every n.  Counts
-include the empty set throughout, and use Python's arbitrary-precision
-integers.
+connected components and caches them per call, at every n.  The
+independence number and the maximum-set count also prune: a greedy
+matching bounds what the branch through the branch vertex can reach, and
+that branch is skipped when the other one already reaches the bound (for
+the maximum-set count: exceeds it, so ties still add their counts).
+Counts include the empty set throughout, and use Python's
+arbitrary-precision integers.
 
 One engine policy, `exact_count`, serves the CLI and the bound reports:
 `auto` picks the banded DP for independent sets of a Toeplitz spec whose
@@ -48,17 +52,35 @@ def _branch_vertex(rows, mask: int) -> int:
     return best
 
 
-def _branch(graph: BitGraph, leaf, join, times):
+def _matching_bound(rows, mask: int) -> int:
+    """|mask| minus a greedy matching inside mask: an independent set holds
+    at most one end of each matched edge, so this is at least alpha(mask)."""
+    bound = mask.bit_count()
+    free = mask
+    while free:
+        low = free & -free
+        free ^= low
+        mates = rows[low.bit_length() - 1] & free
+        if mates:
+            free ^= mates & -mates
+            bound -= 1
+    return bound
+
+
+def _branch(graph: BitGraph, leaf, join, times, skip=None):
     """The branch-and-reduce recursion behind every exact quantity here.
 
     A subproblem's isolated vertices, k of them, are worth leaf(k), the
     empty graph included; each remaining connected component is solved on
     its own and the parts are combined with times.  A component branches on
     a maximum-degree vertex v, splitting its independent sets by membership
-    of v: join(value(C - v), value(C - N[v])).  Component values are cached
-    on the component's bitmask for the duration of this call only.  The
-    recursion is at most 2n frames deep; one that exceeds the interpreter's
-    limit is reported as a ValueError.
+    of v: join(value(C - v), value(C - N[v])), with C - v solved first.
+    When skip(value(C - v), _matching_bound(C - N[v])) holds, the C - N[v]
+    branch cannot change the join and is not solved; a skip that depends
+    only on the component keeps every cached value exact.  Component values
+    are cached on the component's bitmask for the duration of this call
+    only.  The recursion is at most 2n frames deep; one that exceeds the
+    interpreter's limit is reported as a ValueError.
     """
     rows = graph.rows
     cache: dict = {}
@@ -81,7 +103,11 @@ def _branch(graph: BitGraph, leaf, join, times):
             return cache[mask]
         v = _branch_vertex(rows, mask)
         bit = 1 << v
-        result = cache[mask] = join(solve(mask & ~bit), solve(mask & ~(rows[v] | bit)))
+        result = solve(mask & ~bit)
+        rest = mask & ~(rows[v] | bit)
+        if skip is None or not skip(result, _matching_bound(rows, rest)):
+            result = join(result, solve(rest))
+        cache[mask] = result
         return result
 
     try:
@@ -211,8 +237,14 @@ def count_cliques(graph: BitGraph) -> BigCount:
 
 
 def independence_number(graph: BitGraph) -> int:
-    """Size of a maximum independent set: max(alpha(G - v), alpha(G - N[v]) + 1)."""
-    return _branch(graph, lambda k: k, lambda a, b: max(a, b + 1), operator.add)
+    """Size of a maximum independent set: max(alpha(G - v), alpha(G - N[v]) + 1).
+
+    The G - N[v] branch is skipped when alpha(G - v) is at least the
+    matching bound of G - N[v] plus one.
+    """
+    return _branch(
+        graph, lambda k: k, lambda a, b: max(a, b + 1), operator.add, lambda a, ub: a > ub
+    )
 
 
 class MaximumISCount(NamedTuple):
@@ -238,10 +270,14 @@ def count_maximum_is(graph: BitGraph) -> MaximumISCount:
 
     The recursion carries (alpha, count) pairs; the two branches partition
     the independent sets by membership of the branch vertex, so counts add
-    exactly on size ties.  Witness sets are enumerated only at oracle
+    exactly on size ties.  The G - N[v] branch is skipped only when
+    alpha(G - v) exceeds the matching bound of G - N[v] plus one, so that
+    tied branches still add their counts.  Witness sets are enumerated only at oracle
     scale (n <= 24), sorted lexicographically.
     """
-    alpha, count = _branch(graph, lambda k: (k, 1), _max_join, _max_times)
+    alpha, count = _branch(
+        graph, lambda k: (k, 1), _max_join, _max_times, lambda ac, ub: ac[0] > ub + 1
+    )
     witnesses = None
     if graph.n <= BRUTE_FORCE_LIMIT:
         witnesses = [s for s in list_maximal_is(graph) if len(s) == alpha]

@@ -194,10 +194,6 @@ def _transpose(rows: tuple[int, ...], nrows: int, ncols: int) -> tuple[int, ...]
     return tuple(a[:ncols])
 
 
-def graph_to_matrix(graph: BitGraph) -> BitMatrix:
-    return BitMatrix(graph.n, graph.n, graph.rows)
-
-
 @dataclass(frozen=True)
 class RiordanSpec:
     """A Riordan graph description: series expressions for g and f, plus n.

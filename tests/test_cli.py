@@ -81,6 +81,15 @@ class TestCount:
         assert code == 0
         assert json.loads(out)["count"] > 0
 
+    def test_alpha_past_the_guard(self, capsys):
+        # past the reach of the unpruned recursion; the matching-bound prune
+        # answers in milliseconds
+        code, out, _ = run_cli(
+            capsys, "count", "--spec", "pascal:n=200", "--what", "alpha", "--force"
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 100
+
     def test_env_overrides_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("RIORDAN_MAX_N", "45")
         code, _, _ = run_cli(capsys, "count", "--spec", "pascal:n=41")

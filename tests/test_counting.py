@@ -1,10 +1,12 @@
 """Counting engine tests: frozen values, engine agreement, and invariants."""
 
+import operator
 import random
 from itertools import combinations
 from math import prod
 
 import pytest
+from corpus import random_graphs, random_proper_pairs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,7 @@ from riordan_graphs.graphs import (
     build_riordan,
     build_toeplitz,
     catalan_spec,
+    motzkin_spec,
     pascal_spec,
     parse_graph_spec,
 )
@@ -265,6 +268,88 @@ class TestMaximumIS:
             assert all(not graph.has_edge(u, v) for u in witness for v in witness if u < v)
 
 
+def unpruned_alpha_and_max_count(graph):
+    """(alpha, alpha, maximum-set count) from `_branch` with no skip hook,
+    which solves both branches at every node: the oracle for the prune."""
+    alpha = counting._branch(graph, lambda k: k, lambda a, b: max(a, b + 1), operator.add)
+    best = counting._branch(graph, lambda k: (k, 1), counting._max_join, counting._max_times)
+    return (alpha, *best)
+
+
+def pruned_alpha_and_max_count(graph):
+    result = count_maximum_is(graph)
+    return independence_number(graph), result.alpha, result.count
+
+
+class TestMatchingBoundPrune:
+    """independence_number and count_maximum_is skip the C - N[v] branch by
+    a matching bound; they must agree with the recursion that never skips."""
+
+    @given(graph=small_graphs, picks=st.integers(0, 2**10 - 1))
+    def test_matching_bound_is_at_least_alpha(self, graph, picks):
+        mask = picks & ((1 << graph.n) - 1)
+        labels = [v + 1 for v in range(graph.n) if mask >> v & 1]
+        alpha = independence_number(graph.induced(labels)) if labels else 0
+        assert counting._matching_bound(graph.rows, mask) >= alpha
+
+    def test_corpus_graphs_match_unpruned(self):
+        for graph in random_graphs(300, 40, seed=14):
+            assert pruned_alpha_and_max_count(graph) == unpruned_alpha_and_max_count(graph)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_seeded_corpus_graphs_match_unpruned(self, seed):
+        for graph in random_graphs(5, 40, seed):
+            assert pruned_alpha_and_max_count(graph) == unpruned_alpha_and_max_count(graph)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(20, 45))
+    @example(seed=0, n=20)
+    @example(seed=0, n=45)
+    def test_random_proper_specs_match_unpruned(self, seed, n):
+        [(g, f)] = random_proper_pairs(1, seed)
+        graph = parse_graph_spec(f"riordan:g={g};f={f};n={n}").build()
+        assert pruned_alpha_and_max_count(graph) == unpruned_alpha_and_max_count(graph)
+
+    def test_tie_at_the_bound_keeps_both_branches(self):
+        # the 4-cycle 1-2-3-4: the branch vertex is 1; C - v is the path
+        # 2-3-4 with alpha 2, and C - N[v] is vertex 3 alone, bound 1.  So
+        # alpha(C - v) = bound + 1 exactly: alpha skips the branch, and the
+        # maximum-set count must not, since {1, 3} ties with {2, 4}
+        cycle = BitGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        whole = 0b1111
+        v = counting._branch_vertex(cycle.rows, whole)
+        rest = whole & ~(cycle.rows[v] | 1 << v)
+        assert (v, rest) == (0, 0b0100)
+        assert independence_number(cycle.induced([2, 3, 4])) == 2
+        assert counting._matching_bound(cycle.rows, rest) == 1
+        assert count_maximum_is(cycle) == (2, 2, [(1, 3), (2, 4)])
+        assert pruned_alpha_and_max_count(cycle) == unpruned_alpha_and_max_count(cycle)
+
+
+class TestIoClaimsAtLargeOrders:
+    """The io-decomposition claims, alpha = floor(n/2) and at most 2 (n even)
+    or 4 (n odd) maximum independent sets, past the orders the unpruned
+    recursion reaches in seconds."""
+
+    @pytest.mark.parametrize("n", [99, 100, 127, 128, 199, 200])
+    @pytest.mark.parametrize("family", [pascal_spec, catalan_spec, motzkin_spec])
+    def test_claims_hold(self, family, n):
+        alpha, cap = formulas.io_independence_claims(n)
+        result = count_maximum_is(build_riordan(family(n)))
+        assert result.alpha == alpha
+        assert 1 <= result.count <= cap
+        assert result.witnesses is None
+
+    @pytest.mark.parametrize(
+        "family, expected",
+        [(pascal_spec, (64, 1)), (catalan_spec, (64, 2)), (motzkin_spec, (64, 1))],
+    )
+    def test_recorded_values_at_128(self, family, expected):
+        result = count_maximum_is(build_riordan(family(128)))
+        assert (result.alpha, result.count) == expected
+
+
 class TestCompleteMultipartite:
     """Closed forms at n from 2 to 120: an independent set lies in one part,
     so i = 1 + sum(2^s - 1), alpha = max s, and the maximum sets are the
@@ -466,13 +551,14 @@ class TestComponentSplit:
         assert count_is(build_delta(n, variant)) == formulas.delta(n, variant)
 
 
-def _branch_vertex_calls(monkeypatch, graph):
+def _branch_vertex_calls(monkeypatch, graph, quantity=count_is):
+    """Branch nodes, the `_branch_vertex` calls, of one quantity(graph)."""
     calls = []
     pick = counting._branch_vertex
     monkeypatch.setattr(
         counting, "_branch_vertex", lambda *args: calls.append(args) or pick(*args)
     )
-    count_is(graph)
+    quantity(graph)
     return len(calls)
 
 
@@ -504,9 +590,23 @@ class TestBranchWork:
     def test_ladder_is_linear(self, monkeypatch):
         assert _branch_vertex_calls(monkeypatch, build_delta(48)) <= 48
 
-    @pytest.mark.parametrize("spec", [pascal_spec(64), catalan_spec(64)])
+    # count_is solves both branches at every node, so these stay exact pins
+    COUNT_IS_NODES_AT_64 = {pascal_spec(64): 1129, catalan_spec(64): 1150, motzkin_spec(64): 871}
+
+    @pytest.mark.parametrize("spec", list(COUNT_IS_NODES_AT_64))
     def test_family_graphs_at_64(self, monkeypatch, spec):
-        assert _branch_vertex_calls(monkeypatch, build_riordan(spec)) <= 2000
+        nodes = _branch_vertex_calls(monkeypatch, build_riordan(spec))
+        assert nodes == self.COUNT_IS_NODES_AT_64[spec]
+
+    # the matching-bound prune takes 175, 85 and 64 nodes; the unpruned
+    # recursion took 78 341, 176 554 and 36 945
+    @pytest.mark.parametrize(
+        "family, ceiling", [(pascal_spec, 200), (catalan_spec, 100), (motzkin_spec, 80)]
+    )
+    @pytest.mark.parametrize("quantity", [independence_number, count_maximum_is])
+    def test_pruned_family_graphs_at_128(self, monkeypatch, family, ceiling, quantity):
+        graph = build_riordan(family(128))
+        assert _branch_vertex_calls(monkeypatch, graph, quantity) <= ceiling
 
     def test_no_cache_survives_a_call(self, monkeypatch):
         graph = build_riordan(catalan_spec(40))

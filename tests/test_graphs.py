@@ -23,7 +23,6 @@ from riordan_graphs.graphs import (
     connected_components,
     decompose,
     export_graph,
-    graph_to_matrix,
     has_consecutive_ham_path,
     is_chordal_toeplitz,
     is_io_decomposable,
@@ -299,7 +298,7 @@ def _io_decomposable_by_rebuild(spec):
     """The definition with G_ceil(n/2) built on its own from g and f."""
     blocks = decompose(build_riordan(spec))
     half = build_riordan(RiordanSpec(spec.g_expr, spec.f_expr, (spec.n + 1) // 2))
-    return blocks.y.is_zero() and blocks.x == graph_to_matrix(half)
+    return blocks.y.is_zero() and blocks.x == BitMatrix(half.n, half.n, half.rows)
 
 
 class TestIoDecomposableOracle:
@@ -680,4 +679,4 @@ class TestBitGraphValidation:
 
     def test_matrix_view_matches(self):
         graph = build_toeplitz(5, (2,))
-        assert graph_to_matrix(graph).row_bits == graph.rows
+        assert BitMatrix(graph.n, graph.n, graph.rows).row_bits == graph.rows

@@ -3,9 +3,10 @@
 bench/references.json holds, for every benchmark request, the exit code
 and the first 32 hex characters of sha256(stdout) the CLI gave when the
 benchmark was defined.  A request's key is its argv joined by spaces.  The
-small bound reports and the smallest large-n decompositions are replayed
-here through cli.run, so the byte-identical output is checked on every
-test run.
+small bound reports, the smallest large-n decompositions and every alpha
+and maximum-set count are replayed here through cli.run, so the
+byte-identical output is checked on every test run.  The file is only
+read, never written.
 """
 
 import contextlib
@@ -61,3 +62,8 @@ def test_large_n_decompositions_match_references(monkeypatch):
     assert len(keys) == 16
     assert _mismatches("large-n", keys, monkeypatch) == []
 
+
+def test_alpha_and_maximum_set_counts_match_references(monkeypatch):
+    keys = [k for k in REFERENCES["exact-count"] if re.search(r"--what (alpha|max-is)\b", k)]
+    assert len(keys) == 198
+    assert _mismatches("exact-count", keys, monkeypatch) == []
