@@ -96,11 +96,7 @@ def _run_count(args) -> int:
     if args.what not in ("is", "cliques") and args.engine in ("brute", "banded"):
         raise SpecParseError(f"the {args.engine} engine does not apply to --what {args.what}")
     spec = parse_graph_spec(args.spec)
-    guard = _guard_value(args)
-    if spec.n > guard:
-        raise SpecParseError(
-            f"n={spec.n} exceeds the guard {guard}; raise --max-n or pass --force"
-        )
+    verify.check_guard(spec.n, _guard_value(args))
     graph = spec.build()
     out = {"spec": args.spec, "what": args.what}
     if args.what in ("is", "cliques"):

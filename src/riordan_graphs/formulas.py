@@ -15,12 +15,12 @@ from .graphs import (
     BitGraph,
     DecompositionBlocks,
     RiordanSpec,
+    _prefix_defect,
     build_riordan,
     decompose,
     has_io_blocks,
     is_proper,
 )
-from .series import evaluate
 
 WELL_BASED_LIMIT = 30
 
@@ -111,20 +111,6 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        size = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial.make(self.coeff(k) - other.coeff(k) for k in range(size))
-
-    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial.make(out)
 
 
 def rational_coeff(numer: IntPolynomial, denom: IntPolynomial, n: int) -> BigCount:
@@ -240,11 +226,9 @@ def well_based_series_count(distances, n: int) -> BigCount:
     coeffs[0] = 1
     for t in ds:
         coeffs[t] = 1
-    c = IntPolynomial.make(coeffs)
-    one_minus_x = IntPolynomial.make([1, -1])
-    x = IntPolynomial.make([0, 1])
-    denom = one_minus_x * c - x
-    return rational_coeff(c, denom, n)
+    denom = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    denom[1] -= 1  # (1-x)c(x) - x
+    return rational_coeff(IntPolynomial.make(coeffs), IntPolynomial.make(denom), n)
 
 
 def toeplitz_lower_bound(distances, n: int) -> BigCount:
@@ -260,16 +244,9 @@ def k_type_upper_bound(spec: RiordanSpec, k: int) -> BigCount:
     T_n<1..k-1>."""
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
-    g = evaluate(spec.g_expr, k - 1)
-    f = evaluate(spec.f_expr, k)
-    for i in range(k - 1):
-        if not g.coeff(i):
-            raise BoundPreconditionError(f"[z^{i}]g = 0, expected 1 (mod 2)")
-    if not f.coeff(1):
-        raise BoundPreconditionError("[z^1]f = 0, expected 1 (mod 2)")
-    for j in range(2, k):
-        if f.coeff(j):
-            raise BoundPreconditionError(f"[z^{j}]f = 1, expected 0 (mod 2)")
+    defect = _prefix_defect(spec, k)
+    if defect is not None:
+        raise BoundPreconditionError(defect)
     return k_fibonacci(k, spec.n + k)
 
 

@@ -259,8 +259,6 @@ def riordan_adjacency(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
     L^T is column j of (g, f) shifted up one place, so one transpose gives L."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return (0,)
     upper = tuple(col << 1 for col in _riordan_columns(g, f, n - 1, n))
     lower = BitMatrix(n, n, upper).transpose().row_bits
     return tuple((lo ^ up) & ~(1 << i) for i, (lo, up) in enumerate(zip(lower, upper)))
@@ -280,8 +278,7 @@ def build_riordan(spec: RiordanSpec) -> BitGraph:
     A graph on n vertices needs coefficients up to z^(n-2), so both series
     are evaluated at truncation order n.
     """
-    order = max(spec.n, 1)
-    g, f = _series_pair(spec, order)
+    g, f = _series_pair(spec, spec.n)
     return BitGraph(spec.n, riordan_adjacency(g, f, spec.n))
 
 
@@ -393,15 +390,12 @@ def predict_blocks(spec: RiordanSpec) -> DecompositionBlocks:
 
 
 def _prediction_pair(spec: RiordanSpec) -> tuple[Gf2Series, Gf2Series]:
-    """g and f at order n, once the spec is proper with n >= 2 and f(0) = 0."""
+    """g and f at order n, once the spec is proper with n >= 2."""
     if not is_proper(spec):
         raise ValueError("block prediction requires a proper spec")
     if spec.n < 2:
         raise ValueError("block prediction needs n >= 2")
-    g, f = _series_pair(spec, spec.n)
-    if f.coeff(0):
-        raise ValueError("f must have zero constant term")
-    return g, f
+    return _series_pair(spec, spec.n)
 
 
 def _predicted_blocks(g: Gf2Series, f: Gf2Series, n: int) -> DecompositionBlocks:
@@ -415,23 +409,29 @@ def _predicted_blocks(g: Gf2Series, f: Gf2Series, n: int) -> DecompositionBlocks
     return DecompositionBlocks(x=x, y=y, b=b, permutation=_odd_even_order(n))
 
 
-def predict_bell_cross_block(spec: RiordanSpec) -> BitMatrix:
-    """The B block in its Bell-type form: (zg, zg) plus (evenPart(g), zg)
-    transposed.  Only valid when f = z*g."""
-    if spec.family != "bell":
-        raise ValueError("cross-block form requires a Bell-type spec")
-    return _bell_cross_block(*_series_pair(spec, spec.n), spec.n)
-
-
 def _bell_cross_block(g: Gf2Series, f: Gf2Series, n: int) -> BitMatrix:
-    """predict_bell_cross_block on g and f = z*g already evaluated at order n."""
+    """The B block in its Bell-type form, (zg, zg) plus (evenPart(g), zg)
+    transposed, from g and f = z*g evaluated at order n."""
     return _cross_block(f, parity_part(g, "even"), f, (n + 1) // 2, n // 2)
 
 
+def _prefix_defect(spec: RiordanSpec, k: int) -> str | None:
+    """The lowest coefficient where g differs from 1 + ... + z^(k-2) below
+    z^(k-1), or else f from z below z^k, mod 2, as "[z^i]f = 1, expected 0
+    (mod 2)"; None when both agree.  k = 2 is the properness test."""
+    g, f = _series_pair(spec, k)
+    for name, series, want in (("g", g.truncate(k - 1), (1 << (k - 1)) - 1), ("f", f, 2)):
+        off = series.bits ^ want
+        if off:
+            i = (off & -off).bit_length() - 1
+            return f"[z^{i}]{name} = {series.coeff(i)}, expected {want >> i & 1} (mod 2)"
+    return None
+
+
 def is_proper(spec: RiordanSpec) -> bool:
-    """True when the constant term of g and the linear term of f are both odd."""
-    g, f = _series_pair(spec, 2)
-    return bool(g.coeff(0)) and bool(f.coeff(1))
+    """True when g(0) = 1, f(0) = 0 and f'(0) = 1 (mod 2): the pairs the
+    paper's bounds and the block prediction are stated for."""
+    return _prefix_defect(spec, 2) is None
 
 
 def has_io_blocks(graph: BitGraph, blocks: DecompositionBlocks) -> bool:

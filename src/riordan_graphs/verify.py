@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import formulas
 from .counting import count_cliques, count_is, count_maximum_is, exact_count
@@ -42,6 +42,12 @@ TABLE1 = {
 DEFAULT_MAX_N = 40
 
 
+def check_guard(n: int, max_n: int) -> None:
+    """The size guard shared by `riordan count` and the bound reports."""
+    if n > max_n:
+        raise ValueError(f"n={n} exceeds the guard {max_n}; raise --max-n or pass --force")
+
+
 @dataclass(frozen=True)
 class Table1Cell:
     family: str
@@ -65,16 +71,7 @@ class Table1Report:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "cells": [
-                {
-                    "family": c.family,
-                    "n": c.n,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "ok": c.ok,
-                }
-                for c in self.cells
-            ],
+            "cells": [{**asdict(c), "ok": c.ok} for c in self.cells],
         }
 
 
@@ -158,8 +155,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
     if isinstance(spec, str):
         spec = parse_graph_spec(spec)
     n = spec.n
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the counting guard {max_n}")
+    check_guard(n, max_n)
     graph = spec.build()
     exact = exact_count(spec, graph)[1]
     report = BoundReport(graph_spec=spec.text, n=n, exact=exact)

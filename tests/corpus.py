@@ -1,11 +1,16 @@
 """Seeded corpus generators shared by the test modules.
 
-Each takes a seed and returns the same cases on every run.
+Each generator takes a seed and returns the same cases on every run.
 """
 
 import random
 
 from riordan_graphs.graphs import BitGraph
+
+
+def poly_text(bits: int) -> str:
+    """The GF(2) polynomial whose coefficient of z^k is bit k, as an expression."""
+    return "+".join(f"z^{k}" for k in range(bits.bit_length()) if bits >> k & 1) or "0"
 
 
 def random_toeplitz_cases(count: int, max_n: int, seed: int) -> list[tuple[int, tuple[int, ...]]]:

@@ -90,6 +90,15 @@ class TestCount:
         assert code == 0
         assert json.loads(out)["count"] == 100
 
+    def test_count_and_bounds_share_one_guard(self, capsys, monkeypatch):
+        monkeypatch.delenv("RIORDAN_MAX_N", raising=False)
+        errors = [
+            run_cli(capsys, command, "--spec", "pascal:n=41")[::2]
+            for command in ("count", "bounds")
+        ]
+        message = "error: n=41 exceeds the guard 40; raise --max-n or pass --force\n"
+        assert errors == [(2, message), (2, message)]
+
     def test_env_overrides_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("RIORDAN_MAX_N", "45")
         code, _, _ = run_cli(capsys, "count", "--spec", "pascal:n=41")
@@ -190,6 +199,58 @@ class TestNoTraceback:
         err = _assert_one_error_line(capsys, argv)
         assert extra in err
 
+    def test_seeded_generated_commands(self, capsys, monkeypatch):
+        monkeypatch.delenv("RIORDAN_MAX_N", raising=False)
+        for argv in _generated_commands(500, seed=20261018):
+            code = run(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err, argv
+
+
+_SERIES_TEXTS = ("1", "z", "1+z", "1+z^4", "1/(1-z)", "z/(1-z-z^2)", "catalan", "motzkin")
+_BAD_SERIES_TEXTS = ("1/z", "1/(z+z^2)", "0", "(1+z", "z^", "1//z", "z^-1", "foo", "2*z", "")
+_DISTANCE_TEXTS = ("1", "1,2", "2,4", "1,3,4", "3")
+_BAD_DISTANCE_TEXTS = ("2,1", "0", "a", "1,,2", "40")
+_WHATS = ("is", "cliques", "alpha", "max-is", "maximal")
+_ENGINES = ("auto", "brute", "branch", "banded")
+
+
+def _generated_commands(count, seed):
+    """Seeded CLI argv lists over series, graph, count, bounds and verify
+    decomposition, with every --what and --engine; about one part in five
+    of each spec, series and order is malformed or out of range."""
+    rng = random.Random(seed)
+
+    def pick(good, bad):
+        return rng.choice(bad if rng.random() < 0.2 else good)
+
+    def series():
+        return pick(_SERIES_TEXTS, _BAD_SERIES_TEXTS)
+
+    def spec():
+        n = pick([str(rng.randint(1, 14))], ("-2", "-1", "0", "x", ""))
+        good = (
+            f"pascal:n={n}", f"catalan:n={n}", f"motzkin:n={n}", f"bell:g={series()};n={n}",
+            f"riordan:g={series()};f={series()};n={n}",
+            f"toeplitz:n={n};d={pick(_DISTANCE_TEXTS, _BAD_DISTANCE_TEXTS)}",
+            f"delta:n={n}", f"deltaTilde:n={n}",
+        )
+        bad = ("pascal", "pascal:", f"pascal:n={n};n=4", f"unknown:n={n}", f"riordan:g=1;n={n}")
+        return pick(good, bad)
+
+    makers = (
+        lambda: ["series", "eval", "--expr", series(), "--order", pick(["8", "20"], ["-1", "x"])],
+        lambda: ["graph", "build", "--spec", spec(), "--format", rng.choice(("json", "dot"))],
+        lambda: [
+            "count", "--spec", spec(),
+            "--what", rng.choice(_WHATS), "--engine", rng.choice(_ENGINES),
+        ],
+        lambda: ["bounds", "--spec", spec(), "--format", rng.choice(("json", "table"))],
+        lambda: ["verify", "decomposition", "--spec", spec()],
+    )
+    return [rng.choice(makers)() for _ in range(count)]
+
 
 class TestSeriesAndGraph:
     def test_series_eval(self, capsys):
@@ -230,6 +291,12 @@ class TestBoundsAndVerify:
         code, out, _ = run_cli(capsys, "bounds", "--spec", "pascal:n=6", "--format", "table")
         assert code == 0
         assert "pascal-upper" in out and "tight" in out
+
+    def test_unit_constant_in_f_gets_no_fibonacci_bound(self, capsys):
+        # f(0) = 1 makes the pair improper, and 1 - 2 - 3 - 4 is no path here
+        code, out, _ = run_cli(capsys, "bounds", "--spec", "riordan:g=1+z^4;f=1+z;n=4")
+        assert code == 0
+        assert "fibonacci-upper" not in [e["bound"] for e in json.loads(out)["entries"]]
 
     def test_verify_table1(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "table1")

@@ -4,7 +4,7 @@ import time
 from itertools import combinations
 
 import pytest
-from corpus import random_graphs
+from corpus import poly_text, random_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -368,6 +368,34 @@ class TestKTypeUpperBound:
     def test_k_must_be_at_least_three(self):
         with pytest.raises(ValueError):
             k_type_upper_bound(pascal_spec(6), 2)
+
+    def test_unit_constant_in_f_is_rejected(self):
+        spec = RiordanSpec(parse("1+z"), parse("1+z"), 4)
+        with pytest.raises(BoundPreconditionError, match=r"\[z\^0\]f"):
+            k_type_upper_bound(spec, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(3, 5),
+        g_bits=st.integers(0, 2**8 - 1),
+        f_bits=st.integers(0, 2**8 - 1),
+        meet=st.booleans(),
+        n=st.integers(1, 16),
+    )
+    def test_bound_holds_whenever_the_precondition_does(self, k, g_bits, f_bits, meet, n):
+        # meet forces the precondition half the time; the other draws are
+        # mostly rejected, and the oracle reads the coefficients directly
+        if meet:
+            g_bits |= (1 << (k - 1)) - 1
+            f_bits = f_bits << k | 2
+        spec = RiordanSpec(parse(poly_text(g_bits)), parse(poly_text(f_bits)), n)
+        holds = g_bits & ((1 << (k - 1)) - 1) == (1 << (k - 1)) - 1
+        holds = holds and f_bits & ((1 << k) - 1) == 2
+        if holds:
+            assert k_type_upper_bound(spec, k) >= brute_force_is(build_riordan(spec))
+        else:
+            with pytest.raises(BoundPreconditionError):
+                k_type_upper_bound(spec, k)
 
 
 class TestChordalFormulas:

@@ -6,6 +6,7 @@ import random
 from collections import deque
 
 import pytest
+from corpus import poly_text
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,12 +32,12 @@ from riordan_graphs.graphs import (
     multipartition,
     parse_graph_spec,
     pascal_spec,
-    predict_bell_cross_block,
     predict_blocks,
     riordan_adjacency,
 )
 from riordan_graphs.graphs import _component_masks, _mask_labels, _series_pair
 from riordan_graphs.series import Builtin, Mul, Pow, Var, evaluate, parse
+from riordan_graphs.verify import verify_decomposition
 
 random_graphs = st.builds(
     lambda n, seed: _graph_from_seed(n, seed),
@@ -59,28 +60,24 @@ def spec_from(g_text, f_text, n):
     return RiordanSpec(parse(g_text), parse(f_text), n)
 
 
-def _poly_text(bits):
-    return "+".join(f"z^{k}" for k in range(bits.bit_length()) if bits >> k & 1) or "0"
-
-
 # g = numerator/denominator with an odd denominator, f a polynomial: proper
 # exactly when g(0) = 1, f(0) = 0 and f'(0) = 1, so most draws are not
 g_exprs = st.builds(
-    lambda num, den: parse(f"({_poly_text(num)})/({_poly_text(den)})"),
+    lambda num, den: parse(f"({poly_text(num)})/({poly_text(den)})"),
     st.integers(0, 2**8 - 1),
     st.integers(0, 2**5 - 1).map(lambda d: 2 * d + 1),
 )
-f_exprs = st.integers(0, 2**8 - 1).map(lambda bits: parse(_poly_text(bits)))
+f_exprs = st.integers(0, 2**8 - 1).map(lambda bits: parse(poly_text(bits)))
 bell_g_exprs = st.one_of(
     st.sampled_from([parse("1/(1-z)"), Builtin("catalan"), Builtin("motzkin")]),
     st.builds(
-        lambda num, den: parse(f"({_poly_text(2 * num + 1)})/({_poly_text(2 * den + 1)})"),
+        lambda num, den: parse(f"({poly_text(2 * num + 1)})/({poly_text(2 * den + 1)})"),
         st.integers(0, 2**7 - 1),
         st.integers(0, 2**5 - 1),
     ),
 )
 # f = z + higher terms: with any bell_g_exprs draw (g(0) = 1) the pair is proper
-proper_f_exprs = st.integers(0, 2**7 - 1).map(lambda bits: parse(_poly_text(4 * bits + 2)))
+proper_f_exprs = st.integers(0, 2**7 - 1).map(lambda bits: parse(poly_text(4 * bits + 2)))
 proper_pairs = st.one_of(
     st.tuples(bell_g_exprs, proper_f_exprs),
     bell_g_exprs.map(lambda g: (g, Mul(Var(), g))),
@@ -245,12 +242,10 @@ class TestPredictBlocks:
 
     @given(g_expr=bell_g_exprs, n=st.integers(2, 40))
     def test_bell_cross_block_agrees_with_both_routes(self, g_expr, n):
+        # verify_decomposition also checks the Bell-form B block against the built one
         spec = RiordanSpec.bell(g_expr, n)
-        assert (
-            predict_bell_cross_block(spec)
-            == predict_blocks(spec).b
-            == decompose(build_riordan(spec)).b
-        )
+        assert predict_blocks(spec).b == decompose(build_riordan(spec)).b
+        assert verify_decomposition(spec).ok
 
 
 class TestAdjacencyKernel:
@@ -323,6 +318,15 @@ class TestPredicates:
 
     def test_identity_appell_proper(self):
         assert is_proper(spec_from("1", "z", 4))
+
+    def test_unit_constant_in_f_not_proper(self):
+        assert not is_proper(parse_graph_spec("riordan:g=1;f=1+z;n=4").riordan)
+
+    @given(g_expr=g_exprs, f_expr=f_exprs)
+    def test_proper_exactly_when_g0_f0_and_f1_say_so(self, g_expr, f_expr):
+        g, f = evaluate(g_expr, 2), evaluate(f_expr, 2)
+        expected = g.coeff(0) == 1 and f.coeff(0) == 0 and f.coeff(1) == 1
+        assert is_proper(RiordanSpec(g_expr, f_expr, 4)) == expected
 
     def test_pascal_io_decomposable(self):
         assert is_io_decomposable(pascal_spec(12))

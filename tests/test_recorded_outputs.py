@@ -3,10 +3,10 @@
 bench/references.json holds, for every benchmark request, the exit code
 and the first 32 hex characters of sha256(stdout) the CLI gave when the
 benchmark was defined.  A request's key is its argv joined by spaces.  The
-small bound reports, the smallest large-n decompositions and every alpha
-and maximum-set count are replayed here through cli.run, so the
-byte-identical output is checked on every test run.  The file is only
-read, never written.
+small bound reports, the Table 1 reports, the smallest large-n
+decompositions and every alpha and maximum-set count are replayed here
+through cli.run, so the byte-identical output is checked on every test
+run.  The file is only read, never written.
 """
 
 import contextlib
@@ -50,6 +50,12 @@ def test_small_bound_reports_match_references(monkeypatch):
         k for k in REFERENCES["bounds-sweep"] if _order(k) is not None and _order(k) <= 16
     ]
     assert len(keys) == 1239
+    assert _mismatches("bounds-sweep", keys, monkeypatch) == []
+
+
+def test_table1_reports_match_references(monkeypatch):
+    keys = [k for k in REFERENCES["bounds-sweep"] if k.startswith("verify table1 ")]
+    assert len(keys) == 12
     assert _mismatches("bounds-sweep", keys, monkeypatch) == []
 
 
