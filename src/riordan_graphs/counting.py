@@ -1,8 +1,8 @@
 """Exact counting of independent sets, cliques, and maximum independent sets.
 
 Three engines cross-check each other: branch-and-reduce (the workhorse),
-a transfer-matrix dynamic program for banded graphs, and subset
-enumeration as the oracle, a table of all 2^n subsets held as the bits of
+a blocked-future sweep for banded graphs, and subset enumeration as the
+oracle, a table of all 2^n subsets held as the bits of
 one Python int.  One branch-and-reduce core serves the
 independent-set count, the independence number and the maximum-set count,
 each given by what an edgeless remainder is worth, how the two branches
@@ -12,18 +12,19 @@ independence number and the maximum-set count also prune: a greedy
 matching bounds what the branch through the branch vertex can reach, and
 that branch is skipped when the other one already reaches the bound (for
 the maximum-set count: exceeds it, so ties still add their counts).
+The banded sweep takes each connected component in label order and
+keeps, per state, the set of later vertices that the chosen ones block.
 Counts include the empty set throughout, and use Python's
 arbitrary-precision integers.
 
 One engine policy, `exact_count`, serves the CLI and the bound reports:
-`auto` picks the banded DP for independent sets of a Toeplitz spec whose
+`auto` picks the banded sweep for independent sets of a Toeplitz spec whose
 largest distance is at most BANDWIDTH_LIMIT, and branch-and-reduce for
 everything else.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import NamedTuple
 
@@ -67,8 +68,9 @@ def _matching_bound(rows, mask: int) -> int:
     return bound
 
 
-def _branch(graph: BitGraph, leaf, join, times, skip=None):
-    """The branch-and-reduce recursion behind every exact quantity here.
+def _branch(rows, leaf, join, times, skip=None):
+    """The branch-and-reduce recursion behind every exact quantity here,
+    on the adjacency rows of a simple graph.
 
     A subproblem's isolated vertices, k of them, are worth leaf(k), the
     empty graph included; each remaining connected component is solved on
@@ -82,7 +84,6 @@ def _branch(graph: BitGraph, leaf, join, times, skip=None):
     only.  The recursion is at most 2n frames deep; one that exceeds the
     interpreter's limit is reported as a ValueError.
     """
-    rows = graph.rows
     cache: dict = {}
 
     def solve(mask: int):
@@ -111,29 +112,33 @@ def _branch(graph: BitGraph, leaf, join, times, skip=None):
         return result
 
     try:
-        return solve((1 << graph.n) - 1)
+        return solve((1 << len(rows)) - 1)
     except RecursionError:
         raise ValueError(
-            f"branch-and-reduce recursion too deep at n={graph.n}; use a smaller graph"
+            f"branch-and-reduce recursion too deep at n={len(rows)}; use a smaller graph"
         ) from None
 
 
 def count_is(graph: BitGraph) -> BigCount:
     """Number of independent sets, the empty set included:
     i(G) = i(G - v) + i(G - N[v]), and 2^k for k isolated vertices."""
-    return _branch(graph, lambda k: 1 << k, operator.add, operator.mul)
+    return _count_is_rows(graph.rows)
+
+
+def _count_is_rows(rows) -> BigCount:
+    """count_is on the adjacency rows of a graph already known to be simple."""
+    return _branch(rows, lambda k: 1 << k, operator.add, operator.mul)
 
 
 def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
-    """Transfer-matrix count for graphs whose edges satisfy |i-j| <= bandwidth.
+    """Blocked-future sweep for graphs whose edges satisfy |i-j| <= bandwidth.
 
-    Sweeps vertices 1..n keeping one counter per membership pattern of the
-    trailing window of vertices; only independent patterns are reachable,
-    so the cost is O(n * states), the states being the independent sets of
-    the window, at most 2^bandwidth.  The window is as wide as the longest
-    edge.  When every edge length is a multiple of g > 1, the g residue
-    classes of the labels mod g share no edge: each class is swept on its
-    own with a window of longest/g vertices, and the counts multiply.
+    Each connected component is swept in label order, keeping one counter per
+    state: the set of the component's later vertices that the chosen ones
+    block, all within `bandwidth` labels.  Partial sets with the same state
+    have the same extensions, so no label-order sweep keeps fewer states; on
+    a Toeplitz graph it is the minimal automaton of the binary words with no
+    x_i = x_(i+d) = 1.  The component counts multiply.
     """
     if not 1 <= bandwidth <= BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be in [1, {BANDWIDTH_LIMIT}], got {bandwidth}")
@@ -142,45 +147,33 @@ def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
         if far:
             j = i + bandwidth + (far & -far).bit_length()
             raise ValueError(f"edge ({i}, {j}) exceeds bandwidth {bandwidth}")
-    # bit s of a window: the vertex `bandwidth - s` places back
-    window = (1 << bandwidth) - 1
-    rels = [((row << bandwidth) >> v) & window for v, row in enumerate(graph.rows)]
-    lengths = 0
-    for rel in rels:
-        lengths |= rel
-    if not lengths:
-        return 1 << graph.n
-    step = math.gcd(*(bandwidth - s for s in range(bandwidth) if (lengths >> s) & 1))
-    width = (bandwidth - (lengths & -lengths).bit_length() + 1) // step
-    if step == 1 and width == bandwidth:
-        return _window_count(rels, width)
-    # class window bit s is the vertex step * (width - s) places back
-    places = [bandwidth - step * (width - s) for s in range(width)]
     count = 1
-    for r in range(step):
-        gathered = [
-            sum(((rel >> p) & 1) << s for s, p in enumerate(places)) for rel in rels[r::step]
-        ]
-        count *= _window_count(gathered, width)
+    for comp in _component_masks(graph.rows, (1 << graph.n) - 1):
+        count *= _sweep(graph.rows, comp)
     return count
 
 
-def _window_count(rels, width: int) -> BigCount:
-    """Independent sets of a vertex sequence whose earlier neighbours lie
-    within `width` places: rels[v] has bit s set when the vertex
-    width - s places before v is adjacent to v."""
-    top = 1 << (width - 1)
-    states: dict[int, int] = {0: 1}
-    for rel in rels:
-        nxt: dict[int, int] = {}
-        for w, c in states.items():
-            w0 = w >> 1
-            nxt[w0] = nxt.get(w0, 0) + c
-            if not w & rel:
-                w1 = w0 | top
-                nxt[w1] = nxt.get(w1, 0) + c
-        states = nxt
+def _sweep(rows, comp: int) -> BigCount:
+    """Independent sets of the component `comp`, swept in label order."""
+    states = {0: 1}
+    labels = _mask_labels(comp)
+    for v, w in zip(labels, labels[1:] + (labels[-1] + 1,)):
+        states = _advance(states, rows[v - 1] >> (v - 1), w - v)
     return sum(states.values())
+
+
+def _advance(states: dict[int, int], later: int, gap: int) -> dict[int, int]:
+    """The states after vertex v, whose later neighbours are `later` (bit t:
+    t labels past v) and whose next component vertex is `gap` labels on:
+    taking v needs bit 0 clear and adds `later`; both choices shift by gap."""
+    nxt: dict[int, int] = {}
+    for b, c in states.items():
+        out = b >> gap
+        nxt[out] = nxt.get(out, 0) + c
+        if not b & 1:
+            out = (b | later) >> gap
+            nxt[out] = nxt.get(out, 0) + c
+    return nxt
 
 
 def exact_count(
@@ -243,7 +236,7 @@ def independence_number(graph: BitGraph) -> int:
     matching bound of G - N[v] plus one.
     """
     return _branch(
-        graph, lambda k: k, lambda a, b: max(a, b + 1), operator.add, lambda a, ub: a > ub
+        graph.rows, lambda k: k, lambda a, b: max(a, b + 1), operator.add, lambda a, ub: a > ub
     )
 
 
@@ -276,7 +269,7 @@ def count_maximum_is(graph: BitGraph) -> MaximumISCount:
     scale (n <= 24), sorted lexicographically.
     """
     alpha, count = _branch(
-        graph, lambda k: (k, 1), _max_join, _max_times, lambda ac, ub: ac[0] > ub + 1
+        graph.rows, lambda k: (k, 1), _max_join, _max_times, lambda ac, ub: ac[0] > ub + 1
     )
     witnesses = None
     if graph.n <= BRUTE_FORCE_LIMIT:

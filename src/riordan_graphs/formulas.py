@@ -10,16 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import BigCount, count_is
+from .counting import BigCount, _count_is_rows, count_is
 from .graphs import (
     BitGraph,
     DecompositionBlocks,
     RiordanSpec,
+    _io_blocks,
     _prefix_defect,
-    build_riordan,
     decompose,
-    has_io_blocks,
-    is_proper,
 )
 
 WELL_BASED_LIMIT = 30
@@ -358,7 +356,8 @@ def _odd_even_bound(blocks: DecompositionBlocks) -> BigCount:
     """odd_even_lower_bound read off the graph's odd/even blocks."""
     x, y, b = blocks.x, blocks.y, blocks.b
     sigma0 = b.nrows * b.ncols - sum(row.bit_count() for row in b.row_bits)
-    value = count_is(BitGraph(x.nrows, x.row_bits)) + count_is(BitGraph(y.nrows, y.row_bits))
+    # the blocks are cut from a graph already checked symmetric and loop-free
+    value = _count_is_rows(x.row_bits) + _count_is_rows(y.row_bits)
     return value - 1 + sigma0
 
 
@@ -369,11 +368,8 @@ def io_dec_lower_bound(spec: RiordanSpec) -> BigCount:
     holds the edges of G_n outside X."""
     if spec.n < 2:
         raise ValueError("bound applies for n >= 2")
-    if not is_proper(spec):
-        raise ValueError("io-decomposability is defined for proper specs")
-    whole = build_riordan(spec)
-    blocks = decompose(whole)
-    if not has_io_blocks(whole, blocks):
+    blocks = _io_blocks(spec)
+    if blocks is None:
         raise BoundPreconditionError("spec is not io-decomposable")
     return _odd_even_bound(blocks)
 

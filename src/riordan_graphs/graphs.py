@@ -445,12 +445,22 @@ def has_io_blocks(graph: BitGraph, blocks: DecompositionBlocks) -> bool:
     return blocks.y.is_zero() and blocks.x.row_bits == tuple(r & full for r in graph.rows[:p])
 
 
-def is_io_decomposable(spec: RiordanSpec) -> bool:
-    """Structural io-decomposability check on the built graph (see has_io_blocks)."""
+def _io_blocks(spec: RiordanSpec) -> DecompositionBlocks | None:
+    """The odd/even blocks of G_n when n >= 2 and G_n is io-decomposable (see
+    has_io_blocks), else None; an improper spec is refused first."""
     if not is_proper(spec):
         raise ValueError("io-decomposability is defined for proper specs")
+    if spec.n < 2:
+        return None
     graph = build_riordan(spec)
-    return spec.n == 1 or has_io_blocks(graph, decompose(graph))
+    blocks = decompose(graph)
+    return blocks if has_io_blocks(graph, blocks) else None
+
+
+def is_io_decomposable(spec: RiordanSpec) -> bool:
+    """Structural io-decomposability check on the built graph (see
+    has_io_blocks); G_1 is io-decomposable."""
+    return _io_blocks(spec) is not None or spec.n == 1
 
 
 def is_chordal_toeplitz(n: int, distances) -> bool:

@@ -166,6 +166,30 @@ class TestBandedEngine:
         longest = max((j - i for i, j in edges), default=1)
         assert count_is_banded(graph, min(longest + slack, 20)) == count_is(graph)
 
+    @given(
+        parts=st.integers(1, 4),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10**6),
+        bandwidth=st.integers(1, 20),
+    )
+    def test_interleaved_components_with_irregular_gaps(self, parts, n, seed, bandwidth):
+        # each label joins one of `parts` interleaved parts, or none and stays
+        # isolated; edges lie inside a part and within the bandwidth, so the
+        # gaps between a component's consecutive labels vary
+        rng = random.Random(seed)
+        part = [rng.randrange(parts + 1) for _ in range(n)]
+        edges = [
+            (i + 1, j + 1)
+            for i in range(n)
+            for j in range(i + 1, min(i + bandwidth, n - 1) + 1)
+            if part[i] == part[j] != parts and rng.random() < 0.5
+        ]
+        graph = BitGraph.from_edges(n, edges)
+        count = count_is_banded(graph, bandwidth)
+        assert count == count_is(graph)
+        if n <= 24:
+            assert count == brute_force_is(graph)
+
 
 class TestBruteForce:
     def test_pascal_12(self):
@@ -271,8 +295,8 @@ class TestMaximumIS:
 def unpruned_alpha_and_max_count(graph):
     """(alpha, alpha, maximum-set count) from `_branch` with no skip hook,
     which solves both branches at every node: the oracle for the prune."""
-    alpha = counting._branch(graph, lambda k: k, lambda a, b: max(a, b + 1), operator.add)
-    best = counting._branch(graph, lambda k: (k, 1), counting._max_join, counting._max_times)
+    alpha = counting._branch(graph.rows, lambda k: k, lambda a, b: max(a, b + 1), operator.add)
+    best = counting._branch(graph.rows, lambda k: (k, 1), counting._max_join, counting._max_times)
     return (alpha, *best)
 
 
@@ -562,26 +586,44 @@ def _branch_vertex_calls(monkeypatch, graph, quantity=count_is):
     return len(calls)
 
 
-def _window_sweeps(monkeypatch, graph, bandwidth):
-    """Widths of the banded DP sweeps one count_is_banded call makes."""
-    sweep = counting._window_count
-    widths = []
-    monkeypatch.setattr(
-        counting, "_window_count", lambda rels, width: widths.append(width) or sweep(rels, width)
-    )
+def _sweep_peaks(monkeypatch, graph, bandwidth):
+    """The peak state count of each component sweep one count_is_banded
+    call makes, in sweep order."""
+    sweep, advance = counting._sweep, counting._advance
+    peaks = []
+
+    def counted_sweep(rows, comp):
+        peaks.append(0)
+        return sweep(rows, comp)
+
+    def counted_advance(states, later, gap):
+        nxt = advance(states, later, gap)
+        peaks[-1] = max(peaks[-1], len(nxt))
+        return nxt
+
+    monkeypatch.setattr(counting, "_sweep", counted_sweep)
+    monkeypatch.setattr(counting, "_advance", counted_advance)
     count_is_banded(graph, bandwidth)
-    return widths
+    return peaks
 
 
 class TestBandedWork:
+    """Sweeps and peak states, work counts that do not depend on the machine."""
+
     def test_common_factor_splits_into_classes(self, monkeypatch):
-        # distances 4, 8, 12, 16: four classes, each a Toeplitz graph with
-        # distances 1..4 swept with a 4-vertex window instead of a 16-vertex one
+        # distances 4, 8, 12, 16: four components, the residue classes mod 4,
+        # each a Toeplitz graph with distances 1..4; one sweep of the whole
+        # graph would keep 5^4 states
         graph = build_toeplitz(3000, (4, 8, 12, 16))
-        assert _window_sweeps(monkeypatch, graph, 16) == [4, 4, 4, 4]
+        assert _sweep_peaks(monkeypatch, graph, 16) == [5, 5, 5, 5]
 
     def test_coprime_lengths_sweep_once(self, monkeypatch):
-        assert _window_sweeps(monkeypatch, build_toeplitz(50, (2, 3)), 3) == [3]
+        assert _sweep_peaks(monkeypatch, build_toeplitz(50, (2, 3)), 3) == [5]
+
+    def test_blocked_sets_beat_the_window(self, monkeypatch):
+        # a window of the last 16 memberships reaches 860 states here
+        graph = build_toeplitz(3000, (1, 6, 11, 16))
+        assert _sweep_peaks(monkeypatch, graph, 16) == [173]
 
 
 class TestBranchWork:

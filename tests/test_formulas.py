@@ -512,8 +512,15 @@ class TestLowerBounds:
         assert io_dec_lower_bound(catalan_spec(6)) == 13 <= 14
 
     def test_io_dec_requires_io_decomposable(self):
-        with pytest.raises(BoundPreconditionError):
+        with pytest.raises(BoundPreconditionError, match="^spec is not io-decomposable$"):
             io_dec_lower_bound(motzkin_spec(8))
+
+    def test_io_dec_checks_the_order_then_properness(self):
+        improper = RiordanSpec(parse("z"), parse("z"), 1)
+        with pytest.raises(ValueError, match=r"^bound applies for n >= 2$"):
+            io_dec_lower_bound(improper)
+        with pytest.raises(ValueError, match="^io-decomposability is defined for proper specs$"):
+            io_dec_lower_bound(RiordanSpec(parse("z"), parse("z"), 6))
 
     def test_multipartite_values(self):
         assert multipartite_lower_bound(4) == 6

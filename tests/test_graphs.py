@@ -341,6 +341,11 @@ class TestPredicates:
         with pytest.raises(ValueError):
             is_io_decomposable(spec_from("z", "z", 6))
 
+    def test_io_refuses_improper_before_the_order(self):
+        assert is_io_decomposable(pascal_spec(1))
+        with pytest.raises(ValueError, match="^io-decomposability is defined for proper specs$"):
+            is_io_decomposable(spec_from("z", "z", 1))
+
     def test_chordal_progression(self):
         assert is_chordal_toeplitz(10, (2, 4))
 

@@ -4,7 +4,8 @@ bench/references.json holds, for every benchmark request, the exit code
 and the first 32 hex characters of sha256(stdout) the CLI gave when the
 benchmark was defined.  A request's key is its argv joined by spaces.  The
 small bound reports, the Table 1 reports, the smallest large-n
-decompositions and every alpha and maximum-set count are replayed here
+decompositions and banded counts, and every alpha and maximum-set count
+are replayed here
 through cli.run, so the byte-identical output is checked on every test
 run.  The file is only read, never written.
 """
@@ -73,3 +74,11 @@ def test_alpha_and_maximum_set_counts_match_references(monkeypatch):
     keys = [k for k in REFERENCES["exact-count"] if re.search(r"--what (alpha|max-is)\b", k)]
     assert len(keys) == 198
     assert _mismatches("exact-count", keys, monkeypatch) == []
+
+
+def test_large_n_banded_counts_match_references(monkeypatch):
+    keys = [
+        k for k in REFERENCES["large-n"] if k.startswith("count ") and 1000 <= _order(k) <= 1003
+    ]
+    assert len(keys) == 52
+    assert _mismatches("large-n", keys, monkeypatch) == []

@@ -151,6 +151,24 @@ class TestSplitsPerReport:
         assert _decompositions(monkeypatch, "pascal:n=1") == 0
 
 
+def _transposes(monkeypatch, spec):
+    calls = []
+    transpose = graphs._transpose
+    monkeypatch.setattr(graphs, "_transpose", lambda *args: calls.append(args) or transpose(*args))
+    bound_report(spec)
+    return len(calls)
+
+
+class TestTransposesPerReport:
+    # the X and Y blocks are counted on their rows, with no second symmetry
+    # check of blocks cut from a graph already checked
+    def test_toeplitz_report_checks_symmetry_once(self, monkeypatch):
+        assert _transposes(monkeypatch, "toeplitz:n=12;d=1,3") == 1
+
+    def test_pascal_report(self, monkeypatch):
+        assert _transposes(monkeypatch, "pascal:n=16") == 3
+
+
 class TestSweeps:
     def test_pascal_sweep_tightness(self):
         reports = sweep_bounds("pascal:n={n}", range(5, 13))
