@@ -458,8 +458,7 @@ def _io_blocks(spec: RiordanSpec) -> DecompositionBlocks | None:
 
 
 def is_io_decomposable(spec: RiordanSpec) -> bool:
-    """Structural io-decomposability check on the built graph (see
-    has_io_blocks); G_1 is io-decomposable."""
+    """Structural io-decomposability of the built G_n (see has_io_blocks); G_1 is."""
     return _io_blocks(spec) is not None or spec.n == 1
 
 
