@@ -156,10 +156,9 @@ def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
 def _sweep(rows, comp: int) -> BigCount:
     """Independent sets of the component `comp`, swept in label order."""
     states = {0: 1}
-    # 0-based labels, read off the binary string once rather than bit by bit
-    labels = [v for v, bit in enumerate(bin(comp)[:1:-1]) if bit == "1"]
-    for v, w in zip(labels, labels[1:] + [labels[-1] + 1]):
-        states = _advance(states, rows[v] >> v, w - v)
+    labels = _mask_labels(comp)
+    for v, w in zip(labels, labels[1:] + (labels[-1] + 1,)):
+        states = _advance(states, rows[v - 1] >> (v - 1), w - v)
     return sum(states.values())
 
 

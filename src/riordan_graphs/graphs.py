@@ -503,12 +503,8 @@ def _component_masks(rows, mask: int) -> list[int]:
 
 def _mask_labels(mask: int) -> tuple[int, ...]:
     """The 1-based labels of the set bits of `mask`, in increasing order."""
-    labels = []
-    while mask:
-        low = mask & -mask
-        labels.append(low.bit_length())
-        mask ^= low
-    return tuple(labels)
+    # read off the binary string once rather than bit by bit
+    return tuple([v for v, bit in enumerate(bin(mask)[:1:-1], 1) if bit == "1"])
 
 
 def connected_components(graph: BitGraph) -> list[tuple[int, ...]]:
