@@ -17,6 +17,7 @@ from .series import (
     Mul,
     SeriesExpr,
     Var,
+    _mul_bits,
     _square_bits,
     evaluate,
     mul_trunc,
@@ -243,14 +244,33 @@ def _riordan_columns(h: Gf2Series, f: Gf2Series, nrows: int, ncols: int) -> tupl
     """Columns of the leading nrows x ncols block of the Riordan matrix
     (h, f): column j has generating function h*f^j, so bit i of column j is
     entry (i, j) = [z^i] h f^j.  They are the rows of the block's transpose;
-    callers transpose only where they need the block's rows."""
-    col = h.truncate(nrows)
-    cols = []
-    for j in range(ncols):
-        if j:
-            col = mul_trunc(col, f, nrows)
-        cols.append(col.bits)
-    return tuple(cols)
+    callers transpose only where they need the block's rows.
+
+    Every column is the one before times the same f, so the product is
+    taken a byte at a time (the fixed-factor comb method): byte w at byte
+    position k of a column adds w*f shifted up 8k places.  The products w*f
+    are kept, to nrows coefficients, in a table local to the call and
+    filled on first use, so the call makes at most 255 of them and one
+    shift-xor per nonzero byte of a column instead of one per set bit.
+    """
+    col = h.truncate(nrows).bits
+    if ncols > 1 and f.order < nrows:
+        raise ValueError(f"order {nrows} exceeds the multiplier's order {f.order}")
+    nbytes = (nrows + 7) // 8
+    mask = (1 << nrows) - 1
+    products = {}
+    cols = [col]
+    for _ in range(ncols - 1):
+        acc = 0
+        for k, w in enumerate(col.to_bytes(nbytes, "little")):
+            if w:
+                p = products.get(w)
+                if p is None:
+                    p = products[w] = _mul_bits(w, f.bits, nrows)
+                acc ^= p << 8 * k
+        col = acc & mask
+        cols.append(col)
+    return tuple(cols[:ncols])
 
 
 def riordan_adjacency(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
@@ -291,12 +311,13 @@ def build_toeplitz(n: int, distances) -> BitGraph:
         raise ValueError(f"distances must be strictly increasing, got {ds}")
     if ds[0] < 1 or ds[-1] > n - 1:
         raise ValueError(f"distances must lie in [1, {n - 1}], got {ds}")
-    rows = [0] * n
-    for d in ds:
-        for i in range(n - d):
-            rows[i] |= 1 << (i + d)
-            rows[i + d] |= 1 << i
-    return BitGraph(n, rows)
+    # row i holds bit i + d below n and bit i - d from 0, for every d:
+    # `up` shifted up i places, and `down` shifted up i then down `top`
+    top = ds[-1]
+    up = sum(1 << d for d in ds)
+    down = sum(1 << (top - d) for d in ds)
+    full = (1 << n) - 1
+    return BitGraph(n, [((up << i) & full) | ((down << i) >> top) for i in range(n)])
 
 
 def build_delta(n: int, variant: str = "plain") -> BitGraph:

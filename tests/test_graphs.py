@@ -10,6 +10,7 @@ from corpus import poly_text
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from riordan_graphs import graphs
 from riordan_graphs.counting import count_is
 from riordan_graphs.graphs import (
     BitGraph,
@@ -35,8 +36,13 @@ from riordan_graphs.graphs import (
     predict_blocks,
     riordan_adjacency,
 )
-from riordan_graphs.graphs import _component_masks, _mask_labels, _series_pair
-from riordan_graphs.series import Builtin, Mul, Pow, Var, evaluate, parse
+from riordan_graphs.graphs import (
+    _component_masks,
+    _mask_labels,
+    _riordan_columns,
+    _series_pair,
+)
+from riordan_graphs.series import Builtin, Gf2Series, Mul, Pow, Var, evaluate, mul_trunc, parse
 from riordan_graphs.verify import verify_decomposition
 
 random_graphs = st.builds(
@@ -169,6 +175,24 @@ class TestBuildToeplitz:
         with pytest.raises(ValueError):
             build_toeplitz(5, (5,))
 
+    @given(
+        distances=st.sets(st.integers(1, 12), min_size=1, max_size=5),
+        scale=st.integers(1, 3),
+        extra=st.integers(0, 30),
+    )
+    @example(distances={1}, scale=1, extra=0)
+    @example(distances={3}, scale=1, extra=0)
+    @example(distances={1, 2, 3}, scale=2, extra=0)
+    @example(distances={2, 4, 6}, scale=3, extra=5)
+    @example(distances={12}, scale=3, extra=30)
+    def test_matches_edge_list(self, distances, scale, extra):
+        # scale > 1 gives distance sets with gcd > 1; extra = 0 gives the
+        # smallest order that admits the largest distance
+        ds = tuple(sorted(scale * d for d in distances))
+        n = ds[-1] + 1 + extra
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if j - i in ds]
+        assert build_toeplitz(n, ds) == BitGraph.from_edges(n, edges)
+
 
 class TestBuildDelta:
     def test_delta_5(self):
@@ -274,6 +298,148 @@ class TestAdjacencyKernel:
             g, f = _series_pair(spec, order)
             assert g == evaluate(spec.g_expr, order)
             assert f == evaluate(spec.f_expr, order)
+
+
+def _columns_by_mul_trunc(h, f, nrows, ncols):
+    """Columns of (h, f) as one truncated product per column."""
+    col = h.truncate(nrows)
+    cols = []
+    for j in range(ncols):
+        if j:
+            col = mul_trunc(col, f, nrows)
+        cols.append(col.bits)
+    return tuple(cols)
+
+
+def _columns_by_sympy(h, f, nrows, ncols):
+    """Columns of (h, f) from sympy's products of polynomials mod 2."""
+    from sympy import Poly, symbols
+
+    z = symbols("z")
+
+    def poly(bits):
+        # coefficients from the highest power down
+        return Poly([int(c) for c in format(bits, "b")], z, modulus=2)
+
+    mask = (1 << nrows) - 1
+    col, fz = poly(h.bits & mask), poly(f.bits)
+    cols = []
+    for j in range(ncols):
+        if j:
+            col = col * fz
+        bits = sum(1 << k for (k,), c in col.terms() if c % 2) & mask
+        col = poly(bits)
+        cols.append(bits)
+    return tuple(cols)
+
+
+# a series known to `extra` coefficients past nrows, so it has bits above nrows
+column_cases = st.tuples(
+    st.one_of(st.sampled_from([1, 7, 8, 9, 16, 17]), st.integers(1, 40)),
+    st.integers(0, 40),
+    st.integers(0, 10),
+    st.integers(0, 10),
+    st.integers(0, 10**9),
+)
+
+
+def _column_operands(nrows, h_extra, f_extra, seed):
+    rng = random.Random(seed)
+    h_order, f_order = nrows + h_extra, nrows + f_extra
+    return (
+        Gf2Series(rng.getrandbits(h_order), h_order),
+        Gf2Series(rng.getrandbits(f_order), f_order),
+    )
+
+
+class TestColumnKernel:
+    """_riordan_columns against two routes that take one product per column."""
+
+    @given(case=column_cases)
+    @example(case=(1, 0, 0, 0, 1))
+    @example(case=(8, 1, 0, 0, 2))
+    @example(case=(7, 9, 3, 8, 3))
+    @example(case=(9, 12, 10, 10, 4))
+    def test_matches_repeated_mul_trunc(self, case):
+        nrows, ncols, h_extra, f_extra, seed = case
+        h, f = _column_operands(nrows, h_extra, f_extra, seed)
+        assert _riordan_columns(h, f, nrows, ncols) == _columns_by_mul_trunc(h, f, nrows, ncols)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=column_cases)
+    @example(case=(1, 3, 2, 5, 5))
+    @example(case=(9, 20, 10, 10, 6))
+    def test_matches_sympy_products(self, case):
+        pytest.importorskip("sympy")
+        nrows, ncols, h_extra, f_extra, seed = case
+        h, f = _column_operands(nrows, h_extra, f_extra, seed)
+        assert _riordan_columns(h, f, nrows, ncols) == _columns_by_sympy(h, f, nrows, ncols)
+
+    def test_dense_series_fill_every_byte(self):
+        h, f = _column_operands(600, 0, 0, 7)
+        assert _riordan_columns(h, f, 600, 600) == _columns_by_mul_trunc(h, f, 600, 600)
+
+    def test_short_operand_is_refused(self):
+        h, f = _column_operands(9, 0, 0, 8)
+        with pytest.raises(ValueError):
+            _riordan_columns(h, f.truncate(8), 9, 2)
+        with pytest.raises(ValueError):
+            _riordan_columns(h.truncate(8), f, 9, 1)
+        # one column needs no product, so f may be short
+        assert _riordan_columns(h, f.truncate(8), 9, 1) == (h.bits,)
+
+
+def _column_table_fills(monkeypatch, build):
+    """The products w*f each _riordan_columns call puts in its table while
+    `build` runs, one count per call, and the nonzero column bytes each
+    call multiplies out: its shift-xors."""
+    mul_bits, columns = graphs._mul_bits, graphs._riordan_columns
+    fills, shifts = [], []
+
+    def counted_mul_bits(a, b, order):
+        fills[-1] += 1
+        return mul_bits(a, b, order)
+
+    def counted_columns(h, f, nrows, ncols):
+        fills.append(0)
+        cols = columns(h, f, nrows, ncols)
+        nbytes = (nrows + 7) // 8
+        shifts.append(sum(len(c.to_bytes(nbytes, "little").replace(b"\0", b"")) for c in cols[:-1]))
+        return cols
+
+    monkeypatch.setattr(graphs, "_mul_bits", counted_mul_bits)
+    monkeypatch.setattr(graphs, "_riordan_columns", counted_columns)
+    build()
+    return fills, shifts
+
+
+class TestColumnTableWork:
+    """Table fills and shift-xors, work counts that do not depend on the machine."""
+
+    def test_motzkin_build_at_1500(self, monkeypatch):
+        # one product per set bit of a column took 142 870 shift-xors here
+        spec = parse_graph_spec("bell:g=motzkin;n=1500").riordan
+        fills, shifts = _column_table_fills(monkeypatch, lambda: build_riordan(spec))
+        assert fills == [14]
+        assert shifts == [46252]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_riordan(pascal_spec(1500)),
+            lambda: build_riordan(catalan_spec(1000)),
+            lambda: predict_blocks(motzkin_spec(1000)),
+            lambda: build_riordan(spec_from("1/(1-z+z^3)", "z+z^2+z^5", 700)),
+        ],
+    )
+    def test_no_call_fills_more_than_255(self, monkeypatch, build):
+        fills, _ = _column_table_fills(monkeypatch, build)
+        assert fills and max(fills) <= 255
+
+    def test_dense_columns_fill_all_255(self, monkeypatch):
+        h, f = _column_operands(600, 0, 0, 7)
+        fills, _ = _column_table_fills(monkeypatch, lambda: graphs._riordan_columns(h, f, 600, 600))
+        assert fills == [255]
 
 
 class TestLeadingBlocks:

@@ -226,6 +226,36 @@ class TestFixedPoints:
         assert len(calls) <= 12
 
 
+class TestSympyOracle:
+    def test_matches_integer_series_mod_2(self):
+        """sympy's integer series of closed forms, reduced mod 2, against
+        evaluate: reduction mod 2 is a ring map from Z[[z]] onto GF(2)[[z]]."""
+        pytest.importorskip("sympy")
+        from sympy import QQ
+        from sympy.polys.ring_series import rs_mul, rs_nth_root, rs_series_inversion
+        from sympy.polys.rings import ring
+
+        _, x = ring("x", QQ)
+        order = 200
+        p = order + 2
+        # each series as r / x^s: r to precision p, and the shift s
+        closed_forms = {
+            # (1 - sqrt(1 - 4z)) / 2z
+            "catalan": ((1 - rs_nth_root(1 - 4 * x, 2, x, p)) / 2, 1),
+            # (1 - z - sqrt(1 - 2z - 3z^2)) / 2z^2
+            "motzkin": ((1 - x - rs_nth_root(1 - 2 * x - 3 * x**2, 2, x, p)) / 2, 2),
+            "1/(1-z-z^2)": (rs_series_inversion(1 - x - x**2, x, p), 0),
+            "(1+3*z-z^4)/(1-2*z-z^3)^2": (
+                rs_mul(1 + 3 * x - x**4, rs_series_inversion((1 - 2 * x - x**3) ** 2, x, p), x, p),
+                0,
+            ),
+        }
+        for text, (r, shift) in closed_forms.items():
+            coeffs = [r.coeff(x ** (k + shift)) for k in range(order)]
+            assert all(c == int(c) for c in coeffs), text
+            assert evaluate(parse(text), order).coeffs == tuple(int(c) % 2 for c in coeffs), text
+
+
 @given(a=series_strategy, order=st.integers(1, 40))
 def test_frobenius_property(a, order):
     order = min(order, a.order)
