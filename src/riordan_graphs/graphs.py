@@ -259,7 +259,7 @@ def _riordan_columns(h: Gf2Series, f: Gf2Series, nrows: int, ncols: int) -> tupl
     nbytes = (nrows + 7) // 8
     mask = (1 << nrows) - 1
     products = {}
-    cols = [col]
+    cols = [col] if ncols else []
     for _ in range(ncols - 1):
         acc = 0
         for k, w in enumerate(col.to_bytes(nbytes, "little")):
@@ -270,7 +270,7 @@ def _riordan_columns(h: Gf2Series, f: Gf2Series, nrows: int, ncols: int) -> tupl
                 acc ^= p << 8 * k
         col = acc & mask
         cols.append(col)
-    return tuple(cols[:ncols])
+    return tuple(cols)
 
 
 def riordan_adjacency(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
