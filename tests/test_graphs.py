@@ -375,10 +375,6 @@ class TestColumnKernel:
         h, f = _column_operands(nrows, h_extra, f_extra, seed)
         assert _riordan_columns(h, f, nrows, ncols) == _columns_by_sympy(h, f, nrows, ncols)
 
-    def test_dense_series_fill_every_byte(self):
-        h, f = _column_operands(600, 0, 0, 7)
-        assert _riordan_columns(h, f, 600, 600) == _columns_by_mul_trunc(h, f, 600, 600)
-
     def test_short_operand_is_refused(self):
         h, f = _column_operands(9, 0, 0, 8)
         with pytest.raises(ValueError):
