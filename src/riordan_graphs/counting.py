@@ -12,10 +12,10 @@ independence number and the maximum-set count also prune: a greedy
 matching bounds what the branch through the branch vertex can reach, and
 that branch is skipped when the other one already reaches the bound (for
 the maximum-set count: exceeds it, so ties still add their counts).
-The banded sweep takes each connected component in label order and
-keeps, per state, the set of later vertices that the chosen ones block.
-Counts include the empty set throughout, and use Python's
-arbitrary-precision integers.
+The banded sweep takes each connected component in label order, keeps
+per state the set of later vertices that the chosen ones block, and
+reads its transitions from one table per kind of vertex.  Counts include
+the empty set throughout, and use Python's arbitrary-precision integers.
 
 One engine policy, `exact_count`, serves the CLI and the bound reports:
 `auto` picks the banded sweep for independent sets of a Toeplitz spec whose
@@ -26,6 +26,8 @@ everything else.
 from __future__ import annotations
 
 import operator
+from itertools import islice
+from math import prod
 from typing import NamedTuple
 
 from .graphs import BitGraph, GraphSpec, _component_masks, _mask_labels
@@ -138,8 +140,9 @@ def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
     block, all within `bandwidth` labels.  Partial sets with the same state
     have the same extensions, so no label-order sweep keeps fewer states; on
     a Toeplitz graph it is the minimal automaton of the binary words with no
-    x_i = x_(i+d) = 1.  The component counts multiply.
-    """
+    x_i = x_(i+d) = 1.  Numbered states are counted in a list, and vertices
+    with the same later neighbours and gap share one table of successor
+    numbers, built once per sweep.  The component counts multiply."""
     if not 1 <= bandwidth <= BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be in [1, {BANDWIDTH_LIMIT}], got {bandwidth}")
     for i, row in enumerate(graph.rows, start=1):
@@ -147,32 +150,42 @@ def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
         if far:
             j = i + bandwidth + (far & -far).bit_length()
             raise ValueError(f"edge ({i}, {j}) exceeds bandwidth {bandwidth}")
-    count = 1
-    for comp in _component_masks(graph.rows, (1 << graph.n) - 1):
-        count *= _sweep(graph.rows, comp)
-    return count
+    return prod(_sweep(graph.rows, c) for c in _component_masks(graph.rows, (1 << graph.n) - 1))
 
 
 def _sweep(rows, comp: int) -> BigCount:
-    """Independent sets of the component `comp`, swept in label order."""
-    states = {0: 1}
+    """Independent sets of `comp`; `ids` numbers blocked sets, `blocked` maps back."""
+    tables, ids, blocked, counts = {}, {0: 0}, [0], [1]
     labels = _mask_labels(comp)
     for v, w in zip(labels, labels[1:] + (labels[-1] + 1,)):
-        states = _advance(states, rows[v - 1] >> (v - 1), w - v)
-    return sum(states.values())
+        later, gap = rows[v - 1] >> (v - 1), w - v
+        counts = _step(counts, tables.setdefault((later, gap), []), later, gap, ids, blocked)
+    return sum(counts)
 
 
-def _advance(states: dict[int, int], later: int, gap: int) -> dict[int, int]:
-    """The states after vertex v, whose later neighbours are `later` (bit t:
-    t labels past v) and whose next component vertex is `gap` labels on:
-    taking v needs bit 0 clear and adds `later`; both choices shift by gap."""
-    nxt: dict[int, int] = {}
-    for b, c in states.items():
-        out = b >> gap
-        nxt[out] = nxt.get(out, 0) + c
-        if not b & 1:
-            out = (b | later) >> gap
-            nxt[out] = nxt.get(out, 0) + c
+def _step(counts: list, table: list, later: int, gap: int, ids: dict, blocked: list) -> list:
+    """The counts after vertex v, whose later neighbours are `later` (bit t:
+    t labels on) and next component vertex `gap` labels on.  table[i], filled
+    when state i is first live here, numbers b >> gap and, unless bit 0 of b
+    blocks v, (b | later) >> gap (else -1), for b = blocked[i]."""
+    if len(table) < len(counts):
+        table += [None] * (len(counts) - len(table))
+    nxt = [0] * len(ids)
+    for i, c in enumerate(counts):
+        if c:
+            pair = table[i]
+            if pair is None:
+                if i >= len(blocked):
+                    blocked += islice(ids, len(blocked), None)
+                b = blocked[i]
+                took = -1 if b & 1 else ids.setdefault((b | later) >> gap, len(ids))
+                pair = table[i] = (ids.setdefault(b >> gap, len(ids)), took)
+                nxt += [0] * (len(ids) - len(nxt))
+            out, took = pair
+            # a first count is stored, not added to 0, which would copy it
+            nxt[out] = nxt[out] + c if nxt[out] else c
+            if took >= 0:
+                nxt[took] = nxt[took] + c if nxt[took] else c
     return nxt
 
 

@@ -10,6 +10,7 @@ distance set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .series import (
     Builtin,
@@ -82,15 +83,8 @@ class BitGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, sorted lexicographically."""
-        out = []
-        for i, row in enumerate(self.rows):
-            # character j of the reversed binary string is bit j of the row
-            bits = format(row, "b")[::-1]
-            j = bits.find("1", i + 1)
-            while j != -1:
-                out.append((i + 1, j + 1))
-                j = bits.find("1", j + 1)
-        return out
+        above = _upper_neighbours(self.rows, range(1, self.n + 1))
+        return [(i, j) for i, js in enumerate(above, start=1) for j in js]
 
     @property
     def edge_count(self) -> int:
@@ -557,19 +551,31 @@ def has_consecutive_ham_path(graph: BitGraph) -> bool:
     return all(graph.has_edge(i, i + 1) for i in range(1, graph.n))
 
 
+def _upper_neighbours(rows, labels):
+    """For each row i, an iterator over the `labels` at its set bits above i."""
+    bit = bytes.maketrans(b"01", b"\0\1")
+    for i, row in enumerate(rows):
+        # byte k of the reversed binary string is bit k of row >> (i + 1)
+        above = format(row >> (i + 1), "b")[::-1].encode().translate(bit)
+        yield compress(labels[i + 1 : row.bit_length()], above)
+
+
 def export_graph(graph: BitGraph, fmt: str = "json") -> str:
-    """Serialize as JSON ({"n", "edges"}) or DOT (undirected, numeric labels)."""
+    """Serialize as JSON ({"n", "edges"}) or DOT (undirected, numeric labels).
+    Edge (i, j) is written head + i + mid + j + tail, one str.join per row;
+    the JSON is the text json.dumps gives for {"n": n, "edges": [[i, j], ...]}."""
+    if fmt not in ("json", "dot"):
+        raise ValueError(f"format must be 'json' or 'dot', got {fmt!r}")
+    head, mid, tail, sep = ("[", ", ", "]", ", ") if fmt == "json" else ("  ", " -- ", ";", "\n")
+    labels = list(map(str, range(1, graph.n + 1)))
+    rows = [
+        head + i + mid + text + tail
+        for i, js in zip(labels, _upper_neighbours(graph.rows, labels))
+        if (text := (tail + sep + head + i + mid).join(js))
+    ]
     if fmt == "json":
-        # the text json.dumps gives {"n": n, "edges": [[i, j], ...]}, written directly
-        edges = ", ".join(f"[{i}, {j}]" for i, j in graph.edges())
-        return f'{{"n": {graph.n}, "edges": [{edges}]}}'
-    if fmt == "dot":
-        lines = ["graph G {"]
-        lines += [f"  {v};" for v in range(1, graph.n + 1)]
-        lines += [f"  {i} -- {j};" for i, j in graph.edges()]
-        lines.append("}")
-        return "\n".join(lines)
-    raise ValueError(f"format must be 'json' or 'dot', got {fmt!r}")
+        return f'{{"n": {graph.n}, "edges": [{sep.join(rows)}]}}'
+    return "\n".join(["graph G {", *(f"  {v};" for v in labels), *rows, "}"])
 
 
 # --- graph spec mini-language ---

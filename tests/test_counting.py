@@ -190,6 +190,41 @@ class TestBandedEngine:
         if n <= 24:
             assert count == brute_force_is(graph)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        bandwidth=st.integers(1, 20),
+        seed=st.integers(0, 10**6),
+        density=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+        isolated=st.sampled_from([0.0, 0.2, 0.5]),
+    )
+    def test_table_sweep_on_random_banded_graphs(self, n, bandwidth, seed, density, isolated):
+        # every row drawn on its own, so vertices rarely share a table; the
+        # isolated labels split components and open gaps > 1 inside them
+        rng = random.Random(seed)
+        alone = {v for v in range(1, n + 1) if rng.random() < isolated}
+        edges = [
+            (i, j)
+            for i in range(1, n + 1)
+            for j in range(i + 1, min(i + bandwidth, n) + 1)
+            if i not in alone and j not in alone and rng.random() < density
+        ]
+        graph = BitGraph.from_edges(n, edges)
+        count = count_is_banded(graph, bandwidth)
+        assert count == count_is(graph)
+        if n <= 20:
+            assert count == brute_force_is(graph)
+
+    @pytest.mark.parametrize(
+        "ds", [(2,), (2, 4), (3, 6, 9), (2, 6, 10), (4, 8, 12, 16), (6, 12, 18), (10, 20)]
+    )
+    def test_common_factor_at_the_smallest_order(self, ds):
+        # n = max(D) + 1: every class mod gcd(D) is a short component that is
+        # all tail, and the longest distance has a single edge
+        graph = build_toeplitz(max(ds) + 1, ds)
+        count = count_is_banded(graph, max(ds))
+        assert count == count_is(graph) == brute_force_is(graph)
+
 
 class TestBruteForce:
     def test_pascal_12(self):
@@ -586,44 +621,64 @@ def _branch_vertex_calls(monkeypatch, graph, quantity=count_is):
     return len(calls)
 
 
-def _sweep_peaks(monkeypatch, graph, bandwidth):
-    """The peak state count of each component sweep one count_is_banded
-    call makes, in sweep order."""
-    sweep, advance = counting._sweep, counting._advance
+def _sweep_work(monkeypatch, graph, bandwidth):
+    """The peak live-state count of each component sweep one count_is_banded
+    call makes, in sweep order, and the successor-table entries it fills."""
+    sweep, step = counting._sweep, counting._step
     peaks = []
+    fills = 0
 
     def counted_sweep(rows, comp):
         peaks.append(0)
         return sweep(rows, comp)
 
-    def counted_advance(states, later, gap):
-        nxt = advance(states, later, gap)
-        peaks[-1] = max(peaks[-1], len(nxt))
+    def counted_step(counts, table, *rest):
+        nonlocal fills
+        filled = len(table) - table.count(None)
+        nxt = step(counts, table, *rest)
+        fills += len(table) - table.count(None) - filled
+        peaks[-1] = max(peaks[-1], len(nxt) - nxt.count(0))
         return nxt
 
     monkeypatch.setattr(counting, "_sweep", counted_sweep)
-    monkeypatch.setattr(counting, "_advance", counted_advance)
+    monkeypatch.setattr(counting, "_step", counted_step)
     count_is_banded(graph, bandwidth)
-    return peaks
+    return peaks, fills
 
 
 class TestBandedWork:
-    """Sweeps and peak states, work counts that do not depend on the machine."""
+    """Sweeps, peak states and table fills, work counts that do not depend
+    on the machine."""
 
     def test_common_factor_splits_into_classes(self, monkeypatch):
         # distances 4, 8, 12, 16: four components, the residue classes mod 4,
         # each a Toeplitz graph with distances 1..4; one sweep of the whole
         # graph would keep 5^4 states
         graph = build_toeplitz(3000, (4, 8, 12, 16))
-        assert _sweep_peaks(monkeypatch, graph, 16) == [5, 5, 5, 5]
+        assert _sweep_work(monkeypatch, graph, 16)[0] == [5, 5, 5, 5]
 
     def test_coprime_lengths_sweep_once(self, monkeypatch):
-        assert _sweep_peaks(monkeypatch, build_toeplitz(50, (2, 3)), 3) == [5]
+        assert _sweep_work(monkeypatch, build_toeplitz(50, (2, 3)), 3)[0] == [5]
 
     def test_blocked_sets_beat_the_window(self, monkeypatch):
         # a window of the last 16 memberships reaches 860 states here
         graph = build_toeplitz(3000, (1, 6, 11, 16))
-        assert _sweep_peaks(monkeypatch, graph, 16) == [173]
+        assert _sweep_work(monkeypatch, graph, 16)[0] == [173]
+
+    def test_interior_vertices_share_one_table(self, monkeypatch):
+        # 515 288 live states over the 3000 steps, at most 173 at a time; the
+        # interior vertices share one table, so a state is numbered and its
+        # successors found once per table, not once per step
+        graph = build_toeplitz(3000, (1, 6, 11, 16))
+        assert _sweep_work(monkeypatch, graph, 16)[1] == 541
+
+    def test_tables_last_one_call(self, monkeypatch):
+        # nothing carries over: a second count fills its tables again
+        graph = build_toeplitz(200, (1, 6, 11, 16))
+        first = _sweep_work(monkeypatch, graph, 16)
+        monkeypatch.undo()
+        assert _sweep_work(monkeypatch, graph, 16) == first
+        assert first[1] > 0
 
 
 class TestBranchWork:

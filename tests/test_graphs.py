@@ -7,6 +7,7 @@ from collections import deque
 
 import pytest
 from corpus import poly_text
+from corpus import random_graphs as corpus_graphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -675,6 +676,43 @@ class TestExport:
     def test_bad_format(self):
         with pytest.raises(ValueError):
             export_graph(BitGraph.from_edges(1, []), "graphml")
+
+
+def _per_edge_export(graph, fmt):
+    """The export as it was written before, one f-string per edge, over the
+    edges read cell by cell."""
+    edges = _edges_by_cell(graph)
+    if fmt == "json":
+        text = ", ".join(f"[{i}, {j}]" for i, j in edges)
+        return f'{{"n": {graph.n}, "edges": [{text}]}}'
+    lines = ["graph G {"] + [f"  {v};" for v in range(1, graph.n + 1)]
+    lines += [f"  {i} -- {j};" for i, j in edges]
+    return "\n".join(lines + ["}"])
+
+
+_EXPORT_GRAPHS = (
+    corpus_graphs(40, 30, seed=18)
+    + [
+        build_riordan(make(n))
+        for make in (pascal_spec, catalan_spec, motzkin_spec)
+        for n in (2, 5, 33, 64)
+    ]
+    + [BitGraph(1, [0]), BitGraph(6, [0] * 6), BitGraph(6, [63 & ~(1 << i) for i in range(6)])]
+)
+
+
+class TestExportRows:
+    """export_graph writes a row at a time; the text is the per-edge one."""
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_matches_the_per_edge_formatter(self, fmt):
+        for graph in _EXPORT_GRAPHS:
+            assert export_graph(graph, fmt) == _per_edge_export(graph, fmt)
+
+    def test_json_is_what_json_dumps_gives(self):
+        for graph in _EXPORT_GRAPHS:
+            payload = {"n": graph.n, "edges": [list(e) for e in _edges_by_cell(graph)]}
+            assert export_graph(graph, "json") == json.dumps(payload)
 
 
 class TestSpecLanguage:
