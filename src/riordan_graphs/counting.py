@@ -26,7 +26,7 @@ everything else.
 from __future__ import annotations
 
 import operator
-from itertools import islice
+from itertools import islice, pairwise
 from math import prod
 from typing import NamedTuple
 
@@ -140,9 +140,8 @@ def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
     block, all within `bandwidth` labels.  Partial sets with the same state
     have the same extensions, so no label-order sweep keeps fewer states; on
     a Toeplitz graph it is the minimal automaton of the binary words with no
-    x_i = x_(i+d) = 1.  Numbered states are counted in a list, and vertices
-    with the same later neighbours and gap share one table of successor
-    numbers, built once per sweep.  The component counts multiply."""
+    x_i = x_(i+d) = 1.  Vertices with the same later neighbours and gap share
+    one table of successor numbers.  The component counts multiply."""
     if not 1 <= bandwidth <= BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be in [1, {BANDWIDTH_LIMIT}], got {bandwidth}")
     for i, row in enumerate(graph.rows, start=1):
@@ -155,19 +154,22 @@ def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
 
 def _sweep(rows, comp: int) -> BigCount:
     """Independent sets of `comp`; `ids` numbers blocked sets, `blocked` maps back."""
-    tables, ids, blocked, counts = {}, {0: 0}, [0], [1]
-    labels = _mask_labels(comp)
-    for v, w in zip(labels, labels[1:] + (labels[-1] + 1,)):
-        later, gap = rows[v - 1] >> (v - 1), w - v
-        counts = _step(counts, tables.setdefault((later, gap), []), later, gap, ids, blocked)
+    counts, ids, blocked, tables = [1], {0: 0}, [0], {}
+    for v, w in pairwise(_mask_labels(comp) + (comp.bit_length() + 1,)):
+        later, gap = key = (rows[v - 1] >> (v - 1), w - v)
+        if key not in tables and 2 * counts.count(0) > len(counts):
+            # a new kind of vertex, and most numbers dead: renumber the live states
+            blocked = [b for b, c in zip(ids, counts) if c]
+            counts = [c for c in counts if c]
+            ids, tables = dict(zip(blocked, range(len(blocked)))), {}
+        counts = _step(counts, tables.setdefault(key, []), later, gap, ids, blocked)
     return sum(counts)
 
 
 def _step(counts: list, table: list, later: int, gap: int, ids: dict, blocked: list) -> list:
-    """The counts after vertex v, whose later neighbours are `later` (bit t:
-    t labels on) and next component vertex `gap` labels on.  table[i], filled
-    when state i is first live here, numbers b >> gap and, unless bit 0 of b
-    blocks v, (b | later) >> gap (else -1), for b = blocked[i]."""
+    """The counts after vertex v, with later neighbours `later` (bit t: t labels
+    on) and the next component vertex `gap` on.  table[i], filled when i is first
+    live here, numbers b >> gap and (b | later) >> gap (-1 if b & 1), b = blocked[i]."""
     if len(table) < len(counts):
         table += [None] * (len(counts) - len(table))
     nxt = [0] * len(ids)

@@ -561,9 +561,8 @@ def _upper_neighbours(rows, labels):
 
 
 def export_graph(graph: BitGraph, fmt: str = "json") -> str:
-    """Serialize as JSON ({"n", "edges"}) or DOT (undirected, numeric labels).
-    Edge (i, j) is written head + i + mid + j + tail, one str.join per row;
-    the JSON is the text json.dumps gives for {"n": n, "edges": [[i, j], ...]}."""
+    """Serialize as JSON (the text json.dumps gives for {"n", "edges"}) or DOT
+    (undirected, numeric labels); edge (i, j) is head + i + mid + j + tail."""
     if fmt not in ("json", "dot"):
         raise ValueError(f"format must be 'json' or 'dot', got {fmt!r}")
     head, mid, tail, sep = ("[", ", ", "]", ", ") if fmt == "json" else ("  ", " -- ", ";", "\n")

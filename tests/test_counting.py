@@ -672,6 +672,31 @@ class TestBandedWork:
         graph = build_toeplitz(3000, (1, 6, 11, 16))
         assert _sweep_work(monkeypatch, graph, 16)[1] == 541
 
+    def test_irregular_sweep_walks_few_dead_numbers(self, monkeypatch):
+        # rows drawn at random make nearly every vertex a new kind; renumbering
+        # the live states there keeps the counts lists short (without it they
+        # run to about 50 times the live states here)
+        rng = random.Random(5)
+        n, bandwidth = 600, 12
+        edges = [
+            (i, j)
+            for i in range(1, n + 1)
+            for j in range(i + 1, min(i + bandwidth, n) + 1)
+            if rng.random() < 0.2
+        ]
+        step = counting._step
+        walked = live = 0
+
+        def counted_step(counts, *rest):
+            nonlocal walked, live
+            walked += len(counts)
+            live += len(counts) - counts.count(0)
+            return step(counts, *rest)
+
+        monkeypatch.setattr(counting, "_step", counted_step)
+        count_is_banded(BitGraph.from_edges(n, edges), bandwidth)
+        assert walked < 2 * live
+
     def test_tables_last_one_call(self, monkeypatch):
         # nothing carries over: a second count fills its tables again
         graph = build_toeplitz(200, (1, 6, 11, 16))
