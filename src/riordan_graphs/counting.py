@@ -167,9 +167,9 @@ def _sweep(rows, comp: int) -> BigCount:
 
 
 def _step(counts: list, table: list, later: int, gap: int, ids: dict, blocked: list) -> list:
-    """The counts after vertex v, with later neighbours `later` (bit t: t labels
-    on) and the next component vertex `gap` on.  table[i], filled when i is first
-    live here, numbers b >> gap and (b | later) >> gap (-1 if b & 1), b = blocked[i]."""
+    """The counts after vertex v, whose later neighbours are `later` (bit t: t
+    labels on) and next component vertex `gap` labels on.  For b = blocked[i],
+    table[i] numbers b >> gap and (b | later) >> gap, or -1 when bit 0 of b blocks v."""
     if len(table) < len(counts):
         table += [None] * (len(counts) - len(table))
     nxt = [0] * len(ids)
