@@ -157,12 +157,12 @@ def _sweep(rows, comp: int) -> BigCount:
     counts, ids, blocked, tables = [1], {0: 0}, [0], {}
     for v, w in pairwise(_mask_labels(comp) + (comp.bit_length() + 1,)):
         later, gap = key = (rows[v - 1] >> (v - 1), w - v)
-        if key not in tables and 2 * counts.count(0) > len(counts):
-            # a new kind of vertex, and most numbers dead: renumber the live states
+        table = tables.get(key)
+        if table is None and 2 * counts.count(0) > len(counts):  # renumber the live states
             blocked = [b for b, c in zip(ids, counts) if c]
             counts = [c for c in counts if c]
             ids, tables = dict(zip(blocked, range(len(blocked)))), {}
-        counts = _step(counts, tables.setdefault(key, []), later, gap, ids, blocked)
+        counts = _step(counts, table or tables.setdefault(key, []), later, gap, ids, blocked)
     return sum(counts)
 
 
