@@ -679,8 +679,8 @@ class TestExport:
 
 
 def _per_edge_export(graph, fmt):
-    """The export as it was written before, one f-string per edge, over the
-    edges read cell by cell."""
+    """Reference export: one f-string per edge, over the edges read cell by
+    cell."""
     edges = _edges_by_cell(graph)
     if fmt == "json":
         text = ", ".join(f"[{i}, {j}]" for i, j in edges)
