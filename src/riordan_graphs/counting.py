@@ -145,8 +145,8 @@ def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
     if not 1 <= bandwidth <= BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be in [1, {BANDWIDTH_LIMIT}], got {bandwidth}")
     for i, row in enumerate(graph.rows, start=1):
-        far = row >> (i + bandwidth)
-        if far:
+        if row.bit_length() > i + bandwidth:
+            far = row >> (i + bandwidth)
             j = i + bandwidth + (far & -far).bit_length()
             raise ValueError(f"edge ({i}, {j}) exceeds bandwidth {bandwidth}")
     return prod(_sweep(graph.rows, c) for c in _component_masks(graph.rows, (1 << graph.n) - 1))

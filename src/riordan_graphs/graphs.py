@@ -10,7 +10,8 @@ distance set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, repeat
+from operator import lshift, rshift, sub
 
 from .series import (
     Builtin,
@@ -41,6 +42,8 @@ class BitGraph:
     """Immutable simple graph on vertices 1..n with bitmask adjacency rows.
 
     Row i-1 (0-indexed) has bit j-1 set exactly when (i, j) is an edge.
+    Symmetry is checked on the diagonals first, which settles narrow banded
+    rows; others are checked row by row and against their transpose.
     """
 
     __slots__ = ("n", "rows")
@@ -51,20 +54,21 @@ class BitGraph:
         rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
-        full = (1 << n) - 1
-        for i, row in enumerate(rows):
-            if row & ~full:
-                raise ValueError(f"row {i + 1} has bits outside 1..{n}")
-            if (row >> i) & 1:
-                raise ValueError(f"vertex {i + 1} has a loop")
-        cols = _transpose(rows, n, n)
-        if cols != rows:
-            # the first row with an edge (i, j) whose row j lacks i, at its lowest such j
-            for i, (row, col) in enumerate(zip(rows, cols)):
-                lone = row & ~col
-                if lone:
-                    j = (lone & -lone).bit_length()
-                    raise ValueError(f"adjacency not symmetric at ({i + 1}, {j})")
+        if not _banded_valid(rows, n):
+            full = (1 << n) - 1
+            for i, row in enumerate(rows):
+                if row & ~full:
+                    raise ValueError(f"row {i + 1} has bits outside 1..{n}")
+                if (row >> i) & 1:
+                    raise ValueError(f"vertex {i + 1} has a loop")
+            cols = _transpose(rows, n, n)
+            if cols != rows:
+                # the first row with an edge (i, j) whose row j lacks i, at its lowest such j
+                for i, (row, col) in enumerate(zip(rows, cols)):
+                    lone = row & ~col
+                    if lone:
+                        j = (lone & -lone).bit_length()
+                        raise ValueError(f"adjacency not symmetric at ({i + 1}, {j})")
         self.n = n
         self.rows = rows
 
@@ -158,6 +162,26 @@ class BitMatrix:
             if diff:
                 return (r + 1, (diff & -diff).bit_length())
         return None
+
+
+def _banded_valid(rows: tuple[int, ...], n: int) -> bool:
+    """True only for the rows of a simple graph of bandwidth w (read off the
+    highest bits) with w * w <= n; False decides nothing.  Row i's bits
+    i-w..i+w sit in one int z at a byte-aligned stride s > 2w: entry (i, i+d)
+    is bit i*s+w+d, its mirror bit (i+d)*s+w-d, so with e = sum of 2^(i*s),
+    (z >> w) & e holds the loops and diagonal d is symmetric when the two
+    shifts agree on e.  A bit at n or above has no mirror, and a bit below its
+    row's window is missing from z's population count."""
+    w = max(0, max(map(sub, map(int.bit_length, rows), range(1, n + 1))))
+    if w * w > n or min(rows) < 0:
+        return False
+    k = w // 4 + 1  # bytes per row: 8k >= 2w + 1
+    windows = chain(map(lshift, rows[:w], range(w, 0, -1)), map(rshift, rows[w:], range(n - w)))
+    z = int.from_bytes(b"".join(map(int.to_bytes, windows, repeat(k), repeat("little"))), "little")
+    e = int.from_bytes(b"\1".ljust(k, b"\0") * n, "little")
+    if z.bit_count() != sum(map(int.bit_count, rows)) or (z >> w) & e:
+        return False
+    return not any(((z >> (w + d)) ^ (z >> (8 * k * d + w - d))) & e for d in range(1, w + 1))
 
 
 def _transpose(rows: tuple[int, ...], nrows: int, ncols: int) -> tuple[int, ...]:
@@ -321,14 +345,12 @@ def build_delta(n: int, variant: str = "plain") -> BitGraph:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    edges = [(i, i + 1) for i in range(1, n)]
-    if variant == "plain":
-        edges += [(2 * i - 1, 2 * i + 1) for i in range(1, (n - 1) // 2 + 1)]
-    elif variant == "tilde":
-        edges += [(2 * i, 2 * i + 2) for i in range(1, (n - 2) // 2 + 1)]
-    else:
+    if variant not in ("plain", "tilde"):
         raise ValueError(f"variant must be 'plain' or 'tilde', got {variant!r}")
-    return BitGraph.from_edges(n, edges)
+    # 0-indexed row i holds bits i-1 and i+1, and i-2 and i+2 on even i (plain) or odd i
+    rung = variant == "tilde"
+    rows = [0b101 << i >> 1 | (0b10001 << i >> 2 if i % 2 == rung else 0) for i in range(n)]
+    return BitGraph(n, [row & ((1 << n) - 1) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -498,17 +520,19 @@ def is_chordal_toeplitz(n: int, distances) -> bool:
 
 def _component_masks(rows, mask: int) -> list[int]:
     """Bitmasks of the connected components induced by `mask`, in order of
-    least vertex; a walk stops early once its component holds all that is left."""
+    least vertex; a walk stops early once its component holds all that is
+    left, and a one-bit frontier, as on a path, reads just its row."""
     out = []
     rest = mask
     while rest:
         comp = frontier = rest & -rest
         while frontier and comp != rest:
-            reach = 0
-            while frontier:
+            bit = frontier & -frontier
+            reach = rows[bit.bit_length() - 1]
+            while frontier != bit:
+                frontier ^= bit
                 bit = frontier & -frontier
                 reach |= rows[bit.bit_length() - 1]
-                frontier ^= bit
             frontier = reach & rest & ~comp
             comp |= frontier
         rest ^= comp

@@ -217,6 +217,14 @@ class TestBuildDelta:
         with pytest.raises(ValueError):
             build_delta(3, "wavy")
 
+    def test_rows_match_edge_list(self):
+        for n in range(1, 201):
+            path = [(i, i + 1) for i in range(1, n)]
+            plain = [(2 * i - 1, 2 * i + 1) for i in range(1, (n - 1) // 2 + 1)]
+            tilde = [(2 * i, 2 * i + 2) for i in range(1, (n - 2) // 2 + 1)]
+            assert build_delta(n, "plain") == BitGraph.from_edges(n, path + plain), n
+            assert build_delta(n, "tilde") == BitGraph.from_edges(n, path + tilde), n
+
 
 class TestDecompose:
     def test_pascal_4_blocks(self):
@@ -840,6 +848,82 @@ def _first_asymmetry(rows):
             if (rows[i] >> j) & 1 and not (rows[j] >> i) & 1:
                 return (i + 1, j + 1)
     return None
+
+
+def _bandwidth(rows):
+    """Largest j - i over the set bits j of rows i, at least 0."""
+    return max([0] + [row.bit_length() - 1 - i for i, row in enumerate(rows)])
+
+
+@st.composite
+def _banded_rows(draw):
+    """Rows of a symmetric graph of bandwidth at most isqrt(n): edge
+    (i, i + d) is bit i*w + d - 1 of one drawn integer."""
+    n = draw(st.integers(1, 60))
+    w = draw(st.integers(0, math.isqrt(n)))
+    bits = draw(st.integers(0, (1 << n * w) - 1))
+    rows = [0] * n
+    for i in range(n):
+        for d in range(1, w + 1):
+            if i + d < n and bits >> (i * w + d - 1) & 1:
+                rows[i] |= 1 << (i + d)
+                rows[i + d] |= 1 << i
+    return rows
+
+
+class TestBandedCheck:
+    """graphs._banded_valid, the diagonal symmetry check BitGraph tries first."""
+
+    @given(
+        rows=_banded_rows(),
+        defect=st.sampled_from(["none", "flip", "loop", "bit n", "below window"]),
+        a=st.integers(0, 10**6),
+        b=st.integers(0, 10**6),
+    )
+    @example(rows=[0b10, 0b01], defect="below window", a=1, b=0)
+    @example(rows=[0b10, 0b01], defect="bit n", a=1, b=0)
+    @settings(max_examples=400, deadline=None)
+    def test_accepts_exactly_the_valid_narrow_rows(self, rows, defect, a, b):
+        n = len(rows)
+        i, j = a % n, b % n
+        if defect == "flip":
+            rows[i] ^= 1 << j
+        elif defect == "loop":
+            rows[i] |= 1 << i
+        elif defect == "bit n":
+            rows[i] |= 1 << n
+        elif defect == "below window":
+            # a one-way bit just below row i's window i-w..i+w, which leaves w as it is
+            w = _bandwidth(rows)
+            i = max(i, w + 1)
+            if i < n:
+                rows[i] |= 1 << (i - w - 1)
+        valid = all(row >> n == 0 and not row >> i & 1 for i, row in enumerate(rows))
+        valid = valid and _first_asymmetry(rows) is None
+        accepted = graphs._banded_valid(tuple(rows), n)
+        assert valid or not accepted
+        assert accepted == (valid and _bandwidth(rows) ** 2 <= n)
+        if not valid:
+            with pytest.raises(ValueError):
+                BitGraph(n, rows)
+
+    def test_wide_and_negative_rows_fall_through(self):
+        assert not graphs._banded_valid(build_toeplitz(8, (3,)).rows, 8)  # 3 * 3 > 8
+        assert graphs._banded_valid(build_toeplitz(9, (3,)).rows, 9)
+        with pytest.raises(ValueError, match=r"^row 1 has bits outside 1\.\.2$"):
+            BitGraph(2, (-2, 1))
+
+
+class TestSymmetryCheckWork:
+    @pytest.mark.parametrize(
+        "spec", ["toeplitz:n=3000;d=1,6,11,16", "delta:n=3000", "deltaTilde:n=3000"]
+    )
+    def test_narrow_builds_make_no_transpose(self, monkeypatch, spec):
+        calls = []
+        transpose = graphs._transpose
+        monkeypatch.setattr(graphs, "_transpose", lambda *a: calls.append(a) or transpose(*a))
+        graph = parse_graph_spec(spec).build()
+        assert graph.n == 3000 and calls == []
 
 
 class TestBitGraphValidation:

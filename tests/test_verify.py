@@ -159,11 +159,28 @@ def _transposes(monkeypatch, spec):
     return len(calls)
 
 
+def _symmetry_checks(monkeypatch, spec):
+    """Symmetry checks in one report, by either route: rows accepted on
+    their diagonals, and transposes."""
+    checks = []
+    banded, transpose = graphs._banded_valid, graphs._transpose
+
+    def counted_banded(rows, n):
+        accepted = banded(rows, n)
+        checks.extend(["diagonals"] * accepted)
+        return accepted
+
+    monkeypatch.setattr(graphs, "_banded_valid", counted_banded)
+    monkeypatch.setattr(graphs, "_transpose", lambda *a: checks.append("transpose") or transpose(*a))
+    bound_report(spec)
+    return checks
+
+
 class TestTransposesPerReport:
     # the X and Y blocks are counted on their rows, with no second symmetry
     # check of blocks cut from a graph already checked
     def test_toeplitz_report_checks_symmetry_once(self, monkeypatch):
-        assert _transposes(monkeypatch, "toeplitz:n=12;d=1,3") == 1
+        assert len(_symmetry_checks(monkeypatch, "toeplitz:n=12;d=1,3")) == 1
 
     def test_pascal_report(self, monkeypatch):
         assert _transposes(monkeypatch, "pascal:n=16") == 3
