@@ -347,10 +347,11 @@ def build_delta(n: int, variant: str = "plain") -> BitGraph:
         raise ValueError("n must be positive")
     if variant not in ("plain", "tilde"):
         raise ValueError(f"variant must be 'plain' or 'tilde', got {variant!r}")
-    # 0-indexed row i holds bits i-1 and i+1, and i-2 and i+2 on even i (plain) or odd i
+    # 0-indexed row i holds bits i-1 and i+1, plus i-2 and i+2 on even i (plain) or odd i (tilde)
     rung = variant == "tilde"
-    rows = [0b101 << i >> 1 | (0b10001 << i >> 2 if i % 2 == rung else 0) for i in range(n)]
-    return BitGraph(n, [row & ((1 << n) - 1) for row in rows])
+    full = (1 << n) - 1
+    rows = (0b101 << i >> 1 | (0b10001 << i >> 2 if i % 2 == rung else 0) for i in range(n))
+    return BitGraph(n, [row & full for row in rows])
 
 
 @dataclass(frozen=True)

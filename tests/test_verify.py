@@ -170,8 +170,12 @@ def _symmetry_checks(monkeypatch, spec):
         checks.extend(["diagonals"] * accepted)
         return accepted
 
+    def counted_transpose(*args):
+        checks.append("transpose")
+        return transpose(*args)
+
     monkeypatch.setattr(graphs, "_banded_valid", counted_banded)
-    monkeypatch.setattr(graphs, "_transpose", lambda *a: checks.append("transpose") or transpose(*a))
+    monkeypatch.setattr(graphs, "_transpose", counted_transpose)
     bound_report(spec)
     return checks
 
