@@ -169,9 +169,9 @@ def _banded_valid(rows: tuple[int, ...], n: int) -> bool:
     highest bits) with w * w <= n; False decides nothing.  Row i's bits
     i-w..i+w sit in one int z at a byte-aligned stride s > 2w: entry (i, i+d)
     is bit i*s+w+d, its mirror bit (i+d)*s+w-d, so with e = sum of 2^(i*s),
-    (z >> w) & e holds the loops and diagonal d is symmetric when the two
-    shifts agree on e.  A bit at n or above has no mirror, and a bit below its
-    row's window is missing from z's population count."""
+    (z >> w) & e holds the loops and diagonal d is symmetric exactly when
+    z >> (w+d) and z >> (d*s+w-d) agree on e.  A bit at n or above has no
+    mirror, and a bit below its row's window is missing from z's popcount."""
     w = max(0, max(map(sub, map(int.bit_length, rows), range(1, n + 1))))
     if w * w > n or min(rows) < 0:
         return False
