@@ -7,13 +7,17 @@ one Python int.  One branch-and-reduce core serves the
 independent-set count, the independence number and the maximum-set count,
 each given by what an edgeless remainder is worth, how the two branches
 combine and how independent parts combine; it splits every subproblem into
-connected components and caches them per call, at every n.  The
-independence number and the maximum-set count also prune: a greedy
-matching bounds what the branch through the branch vertex can reach, and
-that branch is skipped when the other one already reaches the bound (for
-the maximum-set count: exceeds it, so ties still add their counts).
-The banded sweep takes each connected component in label order, keeps
-per state the set of later vertices that the chosen ones block, and
+connected components, caches them per call, at every n, and takes one frame
+per branch level.  The independent-set count (so also the clique count)
+relabels the graph once by descending degree and branches on a component's
+lowest label, or on its one neighbour when that is a pendant: an O(1)
+pivot, under which the cache acts as a memoized sweep.  The independence
+number and the maximum-set count branch on a maximum-degree vertex and
+prune: a greedy matching bounds what the branch through the branch vertex
+can reach, and that branch is skipped when the other one already reaches
+the bound (for the maximum-set count: exceeds it, so ties still add their
+counts).  The banded sweep takes each connected component in label order,
+keeps per state the set of later vertices that the chosen ones block, and
 reads its transitions from one table per kind of vertex.  Counts include
 the empty set throughout, and use Python's arbitrary-precision integers.
 
@@ -30,7 +34,7 @@ from itertools import islice, pairwise
 from math import prod
 from typing import NamedTuple
 
-from .graphs import BitGraph, GraphSpec, _component_masks, _mask_labels
+from .graphs import BitGraph, GraphSpec, _component_masks, _mask_labels, _transpose
 
 BigCount = int
 
@@ -70,21 +74,21 @@ def _matching_bound(rows, mask: int) -> int:
     return bound
 
 
-def _branch(rows, leaf, join, times, skip=None):
+def _branch(rows, leaf, join, times, skip=None, pick=_branch_vertex):
     """The branch-and-reduce recursion behind every exact quantity here,
     on the adjacency rows of a simple graph.
 
     A subproblem's isolated vertices, k of them, are worth leaf(k), the
     empty graph included; each remaining connected component is solved on
-    its own and the parts are combined with times.  A component branches on
-    a maximum-degree vertex v, splitting its independent sets by membership
-    of v: join(value(C - v), value(C - N[v])), with C - v solved first.
-    When skip(value(C - v), _matching_bound(C - N[v])) holds, the C - N[v]
-    branch cannot change the join and is not solved; a skip that depends
-    only on the component keeps every cached value exact.  Component values
-    are cached on the component's bitmask for the duration of this call
-    only.  The recursion is at most 2n frames deep; one that exceeds the
-    interpreter's limit is reported as a ValueError.
+    its own and the parts are combined with times.  A component C branches
+    on the vertex v = pick(rows, C), splitting its independent sets by
+    membership of v: join(value(C - v), value(C - N[v])), with C - v solved
+    first.  When skip(value(C - v), _matching_bound(C - N[v])) holds, the
+    C - N[v] branch cannot change the join and is not solved; a skip that
+    depends only on the component keeps every cached value exact.  Component
+    values are cached on the component's bitmask for this call only, and
+    read before it branches.  Each of the at most n levels is one frame; a
+    recursion past the interpreter's limit is reported as a ValueError.
     """
     cache: dict = {}
 
@@ -92,26 +96,23 @@ def _branch(rows, leaf, join, times, skip=None):
         isolated = 0
         parts = []
         for comp in _component_masks(rows, mask):
-            if comp & (comp - 1):
-                parts.append(component(comp))
-            else:
+            if not comp & (comp - 1):
                 isolated += 1
+                continue
+            part = cache.get(comp)
+            if part is None:
+                v = pick(rows, comp)
+                bit = 1 << v
+                part = solve(comp & ~bit)
+                rest = comp & ~(rows[v] | bit)
+                if skip is None or not skip(part, _matching_bound(rows, rest)):
+                    part = join(part, solve(rest))
+                cache[comp] = part
+            parts.append(part)
         value = leaf(isolated)
         for part in parts:
             value = times(value, part)
         return value
-
-    def component(mask: int):
-        if mask in cache:
-            return cache[mask]
-        v = _branch_vertex(rows, mask)
-        bit = 1 << v
-        result = solve(mask & ~bit)
-        rest = mask & ~(rows[v] | bit)
-        if skip is None or not skip(result, _matching_bound(rows, rest)):
-            result = join(result, solve(rest))
-        cache[mask] = result
-        return result
 
     try:
         return solve((1 << len(rows)) - 1)
@@ -128,8 +129,27 @@ def count_is(graph: BitGraph) -> BigCount:
 
 
 def _count_is_rows(rows) -> BigCount:
-    """count_is on the adjacency rows of a graph already known to be simple."""
-    return _branch(rows, lambda k: 1 << k, operator.add, operator.mul)
+    """count_is on the adjacency rows of a graph already known to be simple,
+    relabelled by descending degree and branching on `_low_pivot`."""
+    return _branch(_by_degree(rows), lambda k: 1 << k, operator.add, operator.mul, pick=_low_pivot)
+
+
+def _by_degree(rows) -> tuple[int, ...]:
+    """P·A·Pᵀ for the stable descending-degree order (the rows themselves when
+    that order is the identity): as A is symmetric, the reordered rows of the
+    transpose of the reordered rows."""
+    order = sorted(range(len(rows)), key=[*map(int.bit_count, rows)].__getitem__, reverse=True)
+    if order == [*range(len(rows))]:
+        return rows
+    cols = _transpose(tuple(rows[v] for v in order), len(rows), len(rows))
+    return tuple(cols[v] for v in order)
+
+
+def _low_pivot(rows, mask: int) -> int:
+    """The connected mask's lowest vertex, or its only neighbour if it is a pendant."""
+    v = (mask & -mask).bit_length() - 1
+    mates = rows[v] & mask
+    return v if mates & (mates - 1) else mates.bit_length() - 1
 
 
 def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:

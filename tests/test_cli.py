@@ -121,6 +121,25 @@ class TestCount:
         assert err.startswith("error:") and "n=" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_long_sparse_inputs_are_answered(self, capsys):
+        def count(*argv):
+            code, out, _ = run_cli(capsys, "count", "--force", "--spec", *argv)
+            assert code == 0
+            return json.loads(out)["count"]
+
+        assert count("delta:n=1500") == formulas.delta(1500, "plain")
+        fib = [0, 1]
+        while len(fib) < 1003:
+            fib.append(fib[-1] + fib[-2])
+        # a path on n vertices has F(n+2) independent sets; n = 1000 stays
+        # within the recursion limit only with one frame per branch level
+        # and two path vertices per level
+        for n in (800, 1000):
+            assert count(f"toeplitz:n={n};d=1", "--engine", "branch") == fib[n + 2]
+        assert count("toeplitz:n=300;d=2,3", "--engine", "branch") == count(
+            "toeplitz:n=300;d=2,3", "--engine", "banded"
+        )
+
 
     @pytest.mark.parametrize("kind, variant", [("delta", "plain"), ("deltaTilde", "tilde")])
     def test_banded_ladders_match_pell_form(self, capsys, kind, variant):

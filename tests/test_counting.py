@@ -1,5 +1,6 @@
 """Counting engine tests: frozen values, engine agreement, and invariants."""
 
+import inspect
 import operator
 import random
 from itertools import combinations
@@ -23,6 +24,7 @@ from riordan_graphs.counting import (
 )
 from riordan_graphs.graphs import (
     BitGraph,
+    _component_masks,
     build_delta,
     build_riordan,
     build_toeplitz,
@@ -610,13 +612,17 @@ class TestComponentSplit:
         assert count_is(build_delta(n, variant)) == formulas.delta(n, variant)
 
 
-def _branch_vertex_calls(monkeypatch, graph, quantity=count_is):
-    """Branch nodes, the `_branch_vertex` calls, of one quantity(graph)."""
+def _branch_nodes(monkeypatch, graph, quantity=count_is):
+    """Branch nodes of one quantity(graph): the calls of the pivot that the
+    quantity hands `_branch`, or of `_branch`'s default pivot."""
     calls = []
-    pick = counting._branch_vertex
-    monkeypatch.setattr(
-        counting, "_branch_vertex", lambda *args: calls.append(args) or pick(*args)
-    )
+    branch = counting._branch
+    default = inspect.signature(branch).parameters["pick"].default
+
+    def counted(*args, pick=default, **kwargs):
+        return branch(*args, pick=lambda *a: calls.append(a) or pick(*a), **kwargs)
+
+    monkeypatch.setattr(counting, "_branch", counted)
     quantity(graph)
     return len(calls)
 
@@ -710,15 +716,22 @@ class TestBranchWork:
     """Branch nodes, a work count that does not depend on the machine."""
 
     def test_ladder_is_linear(self, monkeypatch):
-        assert _branch_vertex_calls(monkeypatch, build_delta(48)) <= 48
+        # one node per two vertices
+        assert _branch_nodes(monkeypatch, build_delta(48)) == 24
 
     # count_is solves both branches at every node, so these stay exact pins
-    COUNT_IS_NODES_AT_64 = {pascal_spec(64): 1129, catalan_spec(64): 1150, motzkin_spec(64): 871}
+    COUNT_IS_NODES_AT_64 = {pascal_spec(64): 1237, catalan_spec(64): 541, motzkin_spec(64): 884}
+    COUNT_IS_NODES_AT_80 = {pascal_spec(80): 1832, catalan_spec(80): 3180, motzkin_spec(80): 2432}
 
     @pytest.mark.parametrize("spec", list(COUNT_IS_NODES_AT_64))
     def test_family_graphs_at_64(self, monkeypatch, spec):
-        nodes = _branch_vertex_calls(monkeypatch, build_riordan(spec))
+        nodes = _branch_nodes(monkeypatch, build_riordan(spec))
         assert nodes == self.COUNT_IS_NODES_AT_64[spec]
+
+    @pytest.mark.parametrize("spec", list(COUNT_IS_NODES_AT_80))
+    def test_family_graphs_at_80(self, monkeypatch, spec):
+        nodes = _branch_nodes(monkeypatch, build_riordan(spec))
+        assert nodes == self.COUNT_IS_NODES_AT_80[spec]
 
     # the matching-bound prune takes 175, 85 and 64 nodes; the unpruned
     # recursion took 78 341, 176 554 and 36 945
@@ -728,13 +741,74 @@ class TestBranchWork:
     @pytest.mark.parametrize("quantity", [independence_number, count_maximum_is])
     def test_pruned_family_graphs_at_128(self, monkeypatch, family, ceiling, quantity):
         graph = build_riordan(family(128))
-        assert _branch_vertex_calls(monkeypatch, graph, quantity) <= ceiling
+        assert _branch_nodes(monkeypatch, graph, quantity) <= ceiling
 
     def test_no_cache_survives_a_call(self, monkeypatch):
         graph = build_riordan(catalan_spec(40))
-        first = _branch_vertex_calls(monkeypatch, graph)
+        first = _branch_nodes(monkeypatch, graph)
         assert first > 0
-        assert _branch_vertex_calls(monkeypatch, graph) == first
+        assert _branch_nodes(monkeypatch, graph) == first
+
+
+def sweep_count(rows):
+    """Independent sets by one label-order blocked-future sweep per
+    component of the rows as given: a second route, sharing no pivot,
+    relabelling or cache with branch-and-reduce."""
+    return prod(counting._sweep(rows, c) for c in _component_masks(rows, (1 << len(rows)) - 1))
+
+
+def assert_sweep_agrees(graph):
+    assert count_is(graph) == sweep_count(graph.rows)
+    assert count_cliques(graph) == sweep_count(graph.complement().rows)
+
+
+class TestSweepRoute:
+    """Family counts past the subset oracle's n <= 24, checked by the sweep."""
+
+    @pytest.mark.parametrize("n", [48, 64, 80])
+    @pytest.mark.parametrize("family", [pascal_spec, catalan_spec, motzkin_spec])
+    def test_family_graphs(self, family, n):
+        assert_sweep_agrees(build_riordan(family(n)))
+
+    def test_corpus_graphs(self):
+        for graph in random_graphs(60, 40, seed=20):
+            assert_sweep_agrees(graph)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(20, 45))
+    @example(seed=0, n=45)
+    def test_random_proper_specs(self, seed, n):
+        [(g, f)] = random_proper_pairs(1, seed)
+        assert_sweep_agrees(parse_graph_spec(f"riordan:g={g};f={f};n={n}").build())
+
+
+class TestDegreeOrder:
+    """count_is relabels by descending degree: the rows are P·A·Pᵀ."""
+
+    @settings(deadline=None)
+    @given(
+        graph=st.builds(random_graph, st.integers(1, 40), st.integers(0, 10**6), st.floats(0, 1))
+    )
+    def test_relabelled_rows_are_the_permuted_graph(self, graph):
+        degree = [row.bit_count() for row in graph.rows]
+        # stable descending order: higher degrees first, ties by label
+        pos = [
+            sum(d > degree[v] or d == degree[v] and u < v for u, d in enumerate(degree))
+            for v in range(graph.n)
+        ]
+        relabelled = BitGraph(graph.n, counting._by_degree(graph.rows))
+        assert sorted(relabelled.edges()) == sorted(
+            tuple(sorted((pos[u - 1] + 1, pos[v - 1] + 1))) for u, v in graph.edges()
+        )
+        degrees = [row.bit_count() for row in relabelled.rows]
+        assert degrees == sorted(degrees, reverse=True)
+
+    @pytest.mark.parametrize(
+        "graph", [BitGraph.from_edges(6, []), BitGraph.from_edges(5, [(1, 2), (1, 3), (2, 4)])]
+    )
+    def test_rows_in_degree_order_are_kept(self, graph):
+        # edgeless blocks are most of the odd/even bound's count calls
+        assert counting._by_degree(graph.rows) is graph.rows
 
 
 def _exact(text, what="is", engine="auto"):
