@@ -17,7 +17,7 @@ from functools import cache
 
 from . import counting, verify
 from .graphs import SpecParseError, export_graph, parse_graph_spec
-from .series import SeriesSyntaxError, evaluate, parse
+from .series import evaluate, parse
 
 
 @cache
@@ -187,7 +187,7 @@ def run(argv) -> int:
         if args.command == "bounds":
             return _run_bounds(args)
         return _run_verify(args)
-    except (SeriesSyntaxError, SpecParseError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

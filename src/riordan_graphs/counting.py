@@ -34,7 +34,7 @@ from itertools import islice, pairwise
 from math import prod
 from typing import NamedTuple
 
-from .graphs import BitGraph, GraphSpec, _component_masks, _mask_labels, _transpose
+from .graphs import BitGraph, GraphSpec, _component_masks, _mask_labels, _relabel
 
 BigCount = int
 
@@ -135,14 +135,11 @@ def _count_is_rows(rows) -> BigCount:
 
 
 def _by_degree(rows) -> tuple[int, ...]:
-    """P·A·Pᵀ for the stable descending-degree order (the rows themselves when
-    that order is the identity): as A is symmetric, the reordered rows of the
-    transpose of the reordered rows."""
+    """_relabel by stable descending degree; the rows themselves if already in it."""
     order = sorted(range(len(rows)), key=[*map(int.bit_count, rows)].__getitem__, reverse=True)
     if order == [*range(len(rows))]:
         return rows
-    cols = _transpose(tuple(rows[v] for v in order), len(rows), len(rows))
-    return tuple(cols[v] for v in order)
+    return _relabel(rows, order)
 
 
 def _low_pivot(rows, mask: int) -> int:

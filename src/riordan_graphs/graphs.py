@@ -10,7 +10,7 @@ distance set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress, pairwise, repeat
 from operator import lshift, rshift, sub
 
 from .series import (
@@ -83,7 +83,14 @@ class BitGraph:
         return cls(n, rows)
 
     def has_edge(self, i: int, j: int) -> bool:
+        self._check_labels((i, j))
         return bool((self.rows[i - 1] >> (j - 1)) & 1)
+
+    def _check_labels(self, labels) -> None:
+        """Raise a ValueError naming the first label outside 1..n."""
+        for v in labels:
+            if not 1 <= v <= self.n:
+                raise ValueError(f"label {v} is outside 1..{self.n}")
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, sorted lexicographically."""
@@ -97,7 +104,10 @@ class BitGraph:
     def induced(self, labels) -> BitGraph:
         """Subgraph induced by the given labels, relabeled 1..k in order."""
         labels = sorted(labels)
+        self._check_labels(labels[:1] + labels[-1:])
         index = {v: k for k, v in enumerate(labels)}
+        if len(index) < len(labels):
+            raise ValueError(f"label {next(v for v, w in pairwise(labels) if v == w)} is repeated")
         rows = [0] * len(labels)
         for k, v in enumerate(labels):
             r = self.rows[v - 1]
@@ -140,19 +150,7 @@ class BitMatrix:
         return not any(self.row_bits)
 
     def transpose(self) -> BitMatrix:
-        """The ncols x nrows matrix whose row c holds column c of this one.
-
-        Two strategies, chosen by the number of set bits.  The per-bit walk
-        costs a few big-int ops per set bit, so it is the cheap one on sparse
-        input such as Toeplitz and ladder graphs.  The block swap pads to
-        size x size, size the next power of two >= max(nrows, ncols), and
-        costs size/2 * log2(size) ops on size-bit rows at every density:
-        pass s swaps the off-diagonal s x s blocks of each row pair
-        (j, j+s), which exchanges bit s of the row and column indices, so
-        the log2(size) passes together transpose the matrix.  The walk is
-        taken below size * log2(size) set bits, about where the two cost the
-        same; dense Riordan graphs take the swap.
-        """
+        """The ncols x nrows matrix whose row c is column c; see _transpose."""
         return BitMatrix(self.ncols, self.nrows, _transpose(self.row_bits, self.nrows, self.ncols))
 
     def first_difference(self, other: BitMatrix) -> tuple[int, int] | None:
@@ -186,7 +184,17 @@ def _banded_valid(rows: tuple[int, ...], n: int) -> bool:
 
 def _transpose(rows: tuple[int, ...], nrows: int, ncols: int) -> tuple[int, ...]:
     """Columns of the nrows x ncols bit matrix `rows`, whose bits all lie
-    below ncols; see BitMatrix.transpose for the two strategies."""
+    below ncols, by one of two strategies chosen by the number of set bits.
+
+    The per-bit walk costs a few big-int ops per set bit, so it is the
+    cheap one on sparse input such as Toeplitz and ladder graphs.  The block
+    swap pads to size x size, size the next power of two >= max(nrows,
+    ncols), and costs size/2 * log2(size) ops on size-bit rows at every
+    density: pass s swaps the off-diagonal s x s blocks of each row pair
+    (j, j+s), which exchanges bit s of the row and column indices, so the
+    log2(size) passes together transpose the matrix.  The walk is taken
+    below size * log2(size) set bits, about where the two cost the same;
+    dense Riordan graphs take the swap."""
     size = 1 << (max(nrows, ncols, 1) - 1).bit_length()
     passes = size.bit_length() - 1
     if sum(row.bit_count() for row in rows) < size * passes:
@@ -211,6 +219,14 @@ def _transpose(rows: tuple[int, ...], nrows: int, ncols: int) -> tuple[int, ...]
                 a[j] ^= t << s
                 a[j + s] ^= t
     return tuple(a[:ncols])
+
+
+def _relabel(rows: tuple[int, ...], order) -> tuple[int, ...]:
+    """P·A·Pᵀ for the symmetric bit matrix A = `rows` and the 0-based labels
+    `order`, which may leave some out: bit k of row j is A[order[j]][order[k]],
+    so the reordered rows of the transpose of the reordered rows."""
+    cols = _transpose(tuple(rows[v] for v in order), len(order), len(rows))
+    return tuple(cols[v] for v in order)
 
 
 @dataclass(frozen=True)
@@ -384,22 +400,19 @@ class DecompositionBlocks:
 
 
 def decompose(graph: BitGraph) -> DecompositionBlocks:
-    """Split the adjacency into odd/even blocks by structural relabeling."""
+    """Odd/even blocks by one _relabel to the odd-then-even order: its first
+    p = ceil(n/2) rows are X (the low p bits) and B (the rest), the others Y."""
     if graph.n < 2:
         raise ValueError("decomposition needs n >= 2")
-    n = graph.n
-    p, q = (n + 1) // 2, n // 2
-
-    def columns(rows, parity: str) -> tuple[int, ...]:
-        # label 2k+1 is bit 2k of a row, label 2k+2 is bit 2k+1
-        return tuple(parity_part(Gf2Series(row, n), parity).bits for row in rows)
-
-    odd_rows = graph.rows[0::2]
+    p, q = (graph.n + 1) // 2, graph.n // 2
+    permutation = _odd_even_order(graph.n)
+    rows = _relabel(graph.rows, [v - 1 for v in permutation])
+    full = (1 << p) - 1
     return DecompositionBlocks(
-        x=BitMatrix(p, p, columns(odd_rows, "even")),
-        y=BitMatrix(q, q, columns(graph.rows[1::2], "odd")),
-        b=BitMatrix(p, q, columns(odd_rows, "odd")),
-        permutation=_odd_even_order(n),
+        x=BitMatrix(p, p, tuple(row & full for row in rows[:p])),
+        y=BitMatrix(q, q, tuple(row >> p for row in rows[p:])),
+        b=BitMatrix(p, q, tuple(row >> p for row in rows[:p])),
+        permutation=permutation,
     )
 
 

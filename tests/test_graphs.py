@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from collections import deque
 
 import pytest
@@ -244,6 +245,23 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(build_riordan(pascal_spec(1)))
 
+    def test_blocks_match_per_cell_definition(self):
+        # X, Y and B hold the odd-odd, even-even and odd-even cells, in label order
+        cases = corpus_graphs(120, 40, seed=23)
+        assert {graph.n for graph in cases} == set(range(2, 41))
+        for graph in cases:
+            odd, even = range(1, graph.n + 1, 2), range(2, graph.n + 1, 2)
+            blocks = decompose(graph)
+            for block, labels, others in (
+                (blocks.x, odd, odd),
+                (blocks.y, even, even),
+                (blocks.b, odd, even),
+            ):
+                cells = tuple(
+                    sum(graph.has_edge(u, v) << k for k, v in enumerate(others)) for u in labels
+                )
+                assert block == BitMatrix(len(labels), len(others), cells), graph
+
     @given(graph=random_graphs)
     def test_reassemble_roundtrip(self, graph):
         assert decompose(graph).reassemble() == graph
@@ -252,6 +270,23 @@ class TestDecompose:
     def test_reassemble_roundtrip_on_odd_order_riordan_graphs(self, g_expr, f_expr, k):
         graph = build_riordan(RiordanSpec(g_expr, f_expr, 2 * k + 1))
         assert decompose(graph).reassemble() == graph
+
+
+class TestRelabel:
+    @settings(deadline=None)
+    @given(
+        n=st.integers(1, 40), seed=st.integers(0, 10**6), density=st.floats(0, 1), data=st.data()
+    )
+    def test_matches_per_cell_definition(self, n, seed, density, data):
+        # bit k of row j is A[order[j]][order[k]], for a full order, a subset, and one label
+        rows = _graph_from_seed(n, seed, density).rows
+        order = data.draw(st.permutations(range(n)))
+        k = data.draw(st.integers(1, n))
+        for labels in (order, order[:k], order[:1]):
+            cells = tuple(
+                sum((rows[u] >> v & 1) << c for c, v in enumerate(labels)) for u in labels
+            )
+            assert graphs._relabel(rows, labels) == cells
 
 
 class TestPredictBlocks:
@@ -969,6 +1004,22 @@ class TestBitGraphValidation:
         assert sub.edge_count == 0
         sub2 = graph.induced([1, 2, 4])
         assert sub2.edges() == [(1, 2), (1, 3)]  # 1-2 (d=1) and 1-4 (d=3)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda g: g.induced([0, 1]), "label 0 is outside 1..5"),
+            (lambda g: g.induced([1, 9]), "label 9 is outside 1..5"),
+            (lambda g: g.induced([1, 1, 2]), "label 1 is repeated"),
+            (lambda g: g.has_edge(0, 1), "label 0 is outside 1..5"),
+            (lambda g: g.has_edge(1, 0), "label 0 is outside 1..5"),
+            (lambda g: g.has_edge(6, 1), "label 6 is outside 1..5"),
+        ],
+    )
+    def test_labels_outside_or_repeated_are_named(self, call, message):
+        # label 0 once read vertex n's row through a negative index
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(build_toeplitz(5, (1,)))
 
     def test_matrix_view_matches(self):
         graph = build_toeplitz(5, (2,))

@@ -4,8 +4,8 @@ bench/references.json holds, for every benchmark request, the exit code
 and the first 32 hex characters of sha256(stdout) the CLI gave when the
 benchmark was defined.  A request's key is its argv joined by spaces.  The
 small bound reports, the Table 1 reports, the smallest large-n
-decompositions and banded counts, and every alpha and maximum-set count
-are replayed here
+decompositions and banded counts, every alpha and maximum-set count, and
+the independent-set, clique and ladder counts at n <= 64 are replayed here
 through cli.run, so the byte-identical output is checked on every test
 run.  The file is only read, never written.
 """
@@ -82,3 +82,14 @@ def test_large_n_banded_counts_match_references(monkeypatch):
     ]
     assert len(keys) == 52
     assert _mismatches("large-n", keys, monkeypatch) == []
+
+
+def test_workhorse_counts_match_references(monkeypatch):
+    # the branch-and-reduce counts of --what is and cliques, and the ladders
+    keys = [
+        k
+        for k in REFERENCES["exact-count"]
+        if re.search(r"--what (is|cliques)\b|--spec delta(Tilde)?:", k) and _order(k) <= 64
+    ]
+    assert len(keys) == 188
+    assert _mismatches("exact-count", keys, monkeypatch) == []

@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import pytest
 from corpus import random_graphs, random_proper_pairs, random_toeplitz_cases
 
-from riordan_graphs import formulas, graphs, series, verify
+from riordan_graphs import counting, formulas, graphs, series, verify
 from riordan_graphs.counting import count_is
 from riordan_graphs.graphs import (
     build_riordan,
@@ -151,43 +152,53 @@ class TestSplitsPerReport:
         assert _decompositions(monkeypatch, "pascal:n=1") == 0
 
 
-def _transposes(monkeypatch, spec):
-    calls = []
-    transpose = graphs._transpose
-    monkeypatch.setattr(graphs, "_transpose", lambda *args: calls.append(args) or transpose(*args))
-    bound_report(spec)
-    return len(calls)
-
-
-def _symmetry_checks(monkeypatch, spec):
-    """Symmetry checks in one report, by either route: rows accepted on
-    their diagonals, and transposes."""
-    checks = []
-    banded, transpose = graphs._banded_valid, graphs._transpose
+def _work(monkeypatch, run):
+    """What run() does: "diagonals" counts rows accepted on their diagonals,
+    "relabel" the graphs._relabel calls through either binding (graphs' own
+    for the odd/even split, counting's for the degree order), and
+    "transpose" the transposes made outside a relabel."""
+    work = Counter()
+    banded, transpose, relabel = graphs._banded_valid, graphs._transpose, graphs._relabel
+    relabelling = []
 
     def counted_banded(rows, n):
         accepted = banded(rows, n)
-        checks.extend(["diagonals"] * accepted)
+        work["diagonals"] += accepted
         return accepted
 
     def counted_transpose(*args):
-        checks.append("transpose")
+        work["transpose"] += not relabelling
         return transpose(*args)
+
+    def counted_relabel(*args):
+        work["relabel"] += 1
+        relabelling.append(args)
+        try:
+            return relabel(*args)
+        finally:
+            relabelling.pop()
 
     monkeypatch.setattr(graphs, "_banded_valid", counted_banded)
     monkeypatch.setattr(graphs, "_transpose", counted_transpose)
-    bound_report(spec)
-    return checks
+    for module in (graphs, counting):
+        monkeypatch.setattr(module, "_relabel", counted_relabel)
+    run()
+    return work
 
 
 class TestTransposesPerReport:
     # the X and Y blocks are counted on their rows, with no second symmetry
-    # check of blocks cut from a graph already checked
+    # check of blocks cut from a graph already checked; the odd/even split
+    # and each degree order not already in place are one relabel each
     def test_toeplitz_report_checks_symmetry_once(self, monkeypatch):
-        assert len(_symmetry_checks(monkeypatch, "toeplitz:n=12;d=1,3")) == 1
+        work = _work(monkeypatch, lambda: bound_report("toeplitz:n=12;d=1,3"))
+        assert work["diagonals"] + work["transpose"] == 1
+        assert work["relabel"] == 1
 
     def test_pascal_report(self, monkeypatch):
-        assert _transposes(monkeypatch, "pascal:n=16") == 3
+        work = _work(monkeypatch, lambda: bound_report("pascal:n=16"))
+        assert work["transpose"] == 3
+        assert work["relabel"] == 3
 
 
 class TestSweeps:
@@ -268,6 +279,11 @@ class TestDecompositionWork:
         )
         assert verify_decomposition(graphs.parse_graph_spec("bell:g=motzkin;n=40").riordan)
         assert len(calls) <= 5
+
+    def test_bell_check_relabels_once(self, monkeypatch):
+        # the built graph's odd/even split; the predicted blocks need none
+        spec = graphs.parse_graph_spec("bell:g=motzkin;n=40").riordan
+        assert _work(monkeypatch, lambda: verify_decomposition(spec))["relabel"] == 1
 
 
 class TestSeriesPerDecompositionCheck:
