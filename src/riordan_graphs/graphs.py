@@ -10,8 +10,7 @@ distance set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, pairwise, repeat
-from operator import lshift, rshift, sub
+from itertools import compress, pairwise
 
 from .series import (
     Builtin,
@@ -42,8 +41,10 @@ class BitGraph:
     """Immutable simple graph on vertices 1..n with bitmask adjacency rows.
 
     Row i-1 (0-indexed) has bit j-1 set exactly when (i, j) is an edge.
-    Symmetry is checked on the diagonals first, which settles narrow banded
-    rows; others are checked row by row and against their transpose.
+    Rows from outside the module are checked row by row and against their
+    transpose; the builders and complement() below make rows that are
+    symmetric and loop-free by construction and store them through
+    _unchecked.
     """
 
     __slots__ = ("n", "rows")
@@ -54,23 +55,31 @@ class BitGraph:
         rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
-        if not _banded_valid(rows, n):
-            full = (1 << n) - 1
-            for i, row in enumerate(rows):
-                if row & ~full:
-                    raise ValueError(f"row {i + 1} has bits outside 1..{n}")
-                if (row >> i) & 1:
-                    raise ValueError(f"vertex {i + 1} has a loop")
-            cols = _transpose(rows, n, n)
-            if cols != rows:
-                # the first row with an edge (i, j) whose row j lacks i, at its lowest such j
-                for i, (row, col) in enumerate(zip(rows, cols)):
-                    lone = row & ~col
-                    if lone:
-                        j = (lone & -lone).bit_length()
-                        raise ValueError(f"adjacency not symmetric at ({i + 1}, {j})")
+        full = (1 << n) - 1
+        for i, row in enumerate(rows):
+            if row & ~full:
+                raise ValueError(f"row {i + 1} has bits outside 1..{n}")
+            if (row >> i) & 1:
+                raise ValueError(f"vertex {i + 1} has a loop")
+        cols = _transpose(rows, n, n)
+        if cols != rows:
+            # the first row with an edge (i, j) whose row j lacks i, at its lowest such j
+            for i, (row, col) in enumerate(zip(rows, cols)):
+                lone = row & ~col
+                if lone:
+                    j = (lone & -lone).bit_length()
+                    raise ValueError(f"adjacency not symmetric at ({i + 1}, {j})")
         self.n = n
         self.rows = rows
+
+    @classmethod
+    def _unchecked(cls, n: int, rows) -> BitGraph:
+        """The graph on rows this module built symmetric and loop-free, stored
+        without the checks of __init__; no other module calls it."""
+        graph = object.__new__(cls)
+        graph.n = n
+        graph.rows = tuple(rows)
+        return graph
 
     @classmethod
     def from_edges(cls, n: int, edges) -> BitGraph:
@@ -121,8 +130,8 @@ class BitGraph:
 
     def complement(self) -> BitGraph:
         full = (1 << self.n) - 1
-        return BitGraph(
-            self.n, tuple((~row & full & ~(1 << i)) for i, row in enumerate(self.rows))
+        return BitGraph._unchecked(
+            self.n, (~row & full & ~(1 << i) for i, row in enumerate(self.rows))
         )
 
     def __eq__(self, other) -> bool:
@@ -160,26 +169,6 @@ class BitMatrix:
             if diff:
                 return (r + 1, (diff & -diff).bit_length())
         return None
-
-
-def _banded_valid(rows: tuple[int, ...], n: int) -> bool:
-    """True only for the rows of a simple graph of bandwidth w (read off the
-    highest bits) with w * w <= n; False decides nothing.  Row i's bits
-    i-w..i+w sit in one int z at a byte-aligned stride s > 2w: entry (i, i+d)
-    is bit i*s+w+d, its mirror bit (i+d)*s+w-d, so with e = sum of 2^(i*s),
-    (z >> w) & e holds the loops and diagonal d is symmetric exactly when
-    z >> (w+d) and z >> (d*s+w-d) agree on e.  A bit at n or above has no
-    mirror, and a bit below its row's window is missing from z's popcount."""
-    w = max(0, max(map(sub, map(int.bit_length, rows), range(1, n + 1))))
-    if w * w > n or min(rows) < 0:
-        return False
-    k = w // 4 + 1  # bytes per row: 8k >= 2w + 1
-    windows = chain(map(lshift, rows[:w], range(w, 0, -1)), map(rshift, rows[w:], range(n - w)))
-    z = int.from_bytes(b"".join(map(int.to_bytes, windows, repeat(k), repeat("little"))), "little")
-    e = int.from_bytes(b"\1".ljust(k, b"\0") * n, "little")
-    if z.bit_count() != sum(map(int.bit_count, rows)) or (z >> w) & e:
-        return False
-    return not any(((z >> (w + d)) ^ (z >> (8 * k * d + w - d))) & e for d in range(1, w + 1))
 
 
 def _transpose(rows: tuple[int, ...], nrows: int, ncols: int) -> tuple[int, ...]:
@@ -332,26 +321,37 @@ def build_riordan(spec: RiordanSpec) -> BitGraph:
     A graph on n vertices needs coefficients up to z^(n-2), so both series
     are evaluated at truncation order n.
     """
-    g, f = _series_pair(spec, spec.n)
-    return BitGraph(spec.n, riordan_adjacency(g, f, spec.n))
+    return _riordan_graph(*_series_pair(spec, spec.n), spec.n)
+
+
+def _riordan_graph(g: Gf2Series, f: Gf2Series, n: int) -> BitGraph:
+    """G_n(g, f) from g and f evaluated at order n; its rows are L + L^T with
+    the diagonal cleared, so symmetric and loop-free for every g and f."""
+    return BitGraph._unchecked(n, riordan_adjacency(g, f, n))
 
 
 def build_toeplitz(n: int, distances) -> BitGraph:
     """Graph on [n] with an edge (i, j) exactly when |i-j| is a listed distance."""
     ds = tuple(distances)
-    if not ds:
-        raise ValueError("distance set must be nonempty")
-    if list(ds) != sorted(set(ds)):
-        raise ValueError(f"distances must be strictly increasing, got {ds}")
-    if ds[0] < 1 or ds[-1] > n - 1:
-        raise ValueError(f"distances must lie in [1, {n - 1}], got {ds}")
+    _check_distances(ds, n)
     # row i holds bit i + d below n and bit i - d from 0, for every d:
     # `up` shifted up i places, and `down` shifted up i then down `top`
     top = ds[-1]
     up = sum(1 << d for d in ds)
     down = sum(1 << (top - d) for d in ds)
     full = (1 << n) - 1
-    return BitGraph(n, [((up << i) & full) | ((down << i) >> top) for i in range(n)])
+    return BitGraph._unchecked(n, (((up << i) & full) | ((down << i) >> top) for i in range(n)))
+
+
+def _check_distances(ds: tuple[int, ...], n: int) -> None:
+    """Raise a ValueError unless ds is nonempty and strictly increasing within
+    [1, n-1]: the distance sets of Toeplitz graphs on n vertices."""
+    if not ds:
+        raise ValueError("distance set must be nonempty")
+    if list(ds) != sorted(set(ds)):
+        raise ValueError(f"distances must be strictly increasing, got {ds}")
+    if ds[0] < 1 or ds[-1] > n - 1:
+        raise ValueError(f"distances must lie in [1, {n - 1}], got {ds}")
 
 
 def build_delta(n: int, variant: str = "plain") -> BitGraph:
@@ -367,7 +367,7 @@ def build_delta(n: int, variant: str = "plain") -> BitGraph:
     rung = variant == "tilde"
     full = (1 << n) - 1
     rows = (0b101 << i >> 1 | (0b10001 << i >> 2 if i % 2 == rung else 0) for i in range(n))
-    return BitGraph(n, [row & full for row in rows])
+    return BitGraph._unchecked(n, (row & full for row in rows))
 
 
 @dataclass(frozen=True)
@@ -586,7 +586,7 @@ def multipartition(spec: RiordanSpec) -> list[tuple[int, ...]]:
 
 def has_consecutive_ham_path(graph: BitGraph) -> bool:
     """True when 1 - 2 - ... - n is a path in the graph."""
-    return all(graph.has_edge(i, i + 1) for i in range(1, graph.n))
+    return all(row >> (i + 1) & 1 for i, row in enumerate(graph.rows[:-1]))
 
 
 def _upper_neighbours(rows, labels):
@@ -707,14 +707,13 @@ def parse_graph_spec(text: str) -> GraphSpec:
             raise SpecParseError(f"d must be comma-separated integers in {text!r}") from None
         if any(d < 1 for d in distances):
             raise SpecParseError(f"distances must be positive in {text!r}")
-        g_expr = parse("+".join(f"z^{d - 1}" for d in distances))
-        return GraphSpec(
-            text=text,
-            kind="toeplitz",
-            n=n,
-            riordan=RiordanSpec.appell(g_expr, n),
-            distances=distances,
-        )
+        # RiordanSpec refuses n < 1 before the range check can name [1, n-1]
+        riordan = RiordanSpec.appell(parse("+".join(f"z^{d - 1}" for d in distances)), n)
+        try:
+            _check_distances(distances, n)
+        except ValueError as exc:
+            raise SpecParseError(str(exc)) from None
+        return GraphSpec(text=text, kind="toeplitz", n=n, riordan=riordan, distances=distances)
 
     if kind in ("delta", "deltaTilde"):
         n = _spec_int(params, "n", text)

@@ -16,20 +16,19 @@ from dataclasses import asdict, dataclass, field
 from . import formulas
 from .counting import count_cliques, count_is, count_maximum_is, exact_count
 from .graphs import (
-    BitGraph,
     ChordalityRangeError,
     GraphSpec,
     RiordanSpec,
     _bell_cross_block,
     _predicted_blocks,
     _prediction_pair,
+    _riordan_graph,
     decompose,
     has_consecutive_ham_path,
     has_io_blocks,
     is_chordal_toeplitz,
     is_proper,
     parse_graph_spec,
-    riordan_adjacency,
 )
 
 # Independent-set counts for n = 1..12, Pascal / Motzkin / Catalan rows.
@@ -285,7 +284,7 @@ def verify_decomposition(spec: RiordanSpec) -> DecompositionCheck:
     n = spec.n
     g, f = _prediction_pair(spec)
     predicted = _predicted_blocks(g, f, n)
-    actual = decompose(BitGraph(n, riordan_adjacency(g, f, n)))
+    actual = decompose(_riordan_graph(g, f, n))
     for name in ("x", "y", "b"):
         diff = getattr(predicted, name).first_difference(getattr(actual, name))
         if diff is not None:

@@ -1,4 +1,7 @@
-"""The package's public names: a deletion has to show up here."""
+"""The package's public names, where a deletion has to show up, and the
+one module that may store graph rows unchecked."""
+
+from pathlib import Path
 
 import riordan_graphs
 
@@ -51,3 +54,10 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in PUBLIC_NAMES:
         assert callable(getattr(riordan_graphs, name)), name
+
+
+def test_only_graphs_names_the_unchecked_constructor():
+    # which graphs skip BitGraph's symmetry check is decided in one module
+    package = Path(riordan_graphs.__file__).parent
+    naming = sorted(p.name for p in package.glob("*.py") if "_unchecked" in p.read_text())
+    assert naming == ["graphs.py"]

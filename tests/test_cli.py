@@ -371,6 +371,20 @@ class TestBoundsAndVerify:
         code, _, err = run_cli(capsys, "verify", "decomposition", "--spec", "delta:n=6")
         assert code == 2 and "Riordan" in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("toeplitz:n=10;d=3,1", "distances must be strictly increasing, got (3, 1)"),
+            ("toeplitz:n=10;d=1,1", "distances must be strictly increasing, got (1, 1)"),
+            ("toeplitz:n=5;d=1,9", "distances must lie in [1, 4], got (1, 9)"),
+        ],
+    )
+    def test_bad_distances_are_refused_by_every_command(self, capsys, spec, message):
+        # verify decomposition once printed "ok": true for the first and last
+        for command in (["graph", "build"], ["count"], ["bounds"], ["verify", "decomposition"]):
+            code, out, err = run_cli(capsys, *command, "--spec", spec)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), command
+
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["count"]) == 2
         capsys.readouterr()

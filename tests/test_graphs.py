@@ -829,6 +829,9 @@ class TestSpecLanguage:
             ("deltaTilde:n=x", "n must be an integer in spec 'deltaTilde:n=x'"),
             ("toeplitz:n=6;d=1,x", "d must be comma-separated integers in 'toeplitz:n=6;d=1,x'"),
             ("toeplitz:n=6;d=0,2", "distances must be positive in 'toeplitz:n=6;d=0,2'"),
+            ("toeplitz:n=10;d=3,1", "distances must be strictly increasing, got (3, 1)"),
+            ("toeplitz:n=10;d=1,1", "distances must be strictly increasing, got (1, 1)"),
+            ("toeplitz:n=5;d=1,9", "distances must lie in [1, 4], got (1, 9)"),
             ("riordan:g=1;f=z;n=4;x=1", "unexpected parameters ['x'] in 'riordan:g=1;f=z;n=4;x=1'"),
             ("bell:g=1;n=4;f=z", "unexpected parameters ['f'] in 'bell:g=1;n=4;f=z'"),
             ("pascal:n=4;x=1", "unexpected parameters ['x'] in 'pascal:n=4;x=1'"),
@@ -907,7 +910,7 @@ def _banded_rows(draw):
 
 
 class TestBandedCheck:
-    """graphs._banded_valid, the diagonal symmetry check BitGraph tries first."""
+    """BitGraph's checks on narrow banded rows from outside the package."""
 
     @given(
         rows=_banded_rows(),
@@ -935,16 +938,13 @@ class TestBandedCheck:
                 rows[i] |= 1 << (i - w - 1)
         valid = all(row >> n == 0 and not row >> i & 1 for i, row in enumerate(rows))
         valid = valid and _first_asymmetry(rows) is None
-        accepted = graphs._banded_valid(tuple(rows), n)
-        assert valid or not accepted
-        assert accepted == (valid and _bandwidth(rows) ** 2 <= n)
         if not valid:
             with pytest.raises(ValueError):
                 BitGraph(n, rows)
+        else:
+            assert BitGraph(n, rows).rows == tuple(rows)
 
-    def test_wide_and_negative_rows_fall_through(self):
-        assert not graphs._banded_valid(build_toeplitz(8, (3,)).rows, 8)  # 3 * 3 > 8
-        assert graphs._banded_valid(build_toeplitz(9, (3,)).rows, 9)
+    def test_negative_rows_are_refused(self):
         with pytest.raises(ValueError, match=r"^row 1 has bits outside 1\.\.2$"):
             BitGraph(2, (-2, 1))
 
@@ -959,6 +959,46 @@ class TestSymmetryCheckWork:
         monkeypatch.setattr(graphs, "_transpose", lambda *a: calls.append(a) or transpose(*a))
         graph = parse_graph_spec(spec).build()
         assert graph.n == 3000 and calls == []
+
+
+def _assert_checked_route_agrees(graph):
+    """The builders and complement() store their rows unchecked; BitGraph's
+    checked constructor must accept those rows and give the same graph."""
+    for g in (graph, graph.complement()):
+        assert BitGraph(g.n, g.rows) == g
+
+
+@st.composite
+def _toeplitz_cases(draw):
+    """(n, distances), half of them narrow: largest distance w with w * w <= n."""
+    n = draw(st.integers(2, 80))
+    top = math.isqrt(n) if draw(st.booleans()) else n - 1
+    return n, sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=5)))
+
+
+class TestUncheckedBuilds:
+    @given(pair=st.one_of(st.tuples(g_exprs, f_exprs), proper_pairs), n=st.integers(1, 60))
+    @example(pair=(parse("1"), parse("1+z")), n=8)  # f(0) = 1
+    @example(pair=(parse("z"), parse("z")), n=8)  # g(0) = 0
+    @settings(max_examples=150, deadline=None)
+    def test_riordan(self, pair, n):
+        _assert_checked_route_agrees(build_riordan(RiordanSpec(*pair, n)))
+
+    @given(case=_toeplitz_cases())
+    @example(case=(9, [1, 3]))  # w * w = n
+    @example(case=(10, [2, 4]))  # w * w > n
+    @settings(max_examples=150, deadline=None)
+    def test_toeplitz(self, case):
+        _assert_checked_route_agrees(build_toeplitz(*case))
+
+    @pytest.mark.parametrize("variant", ["plain", "tilde"])
+    def test_delta(self, variant):
+        for n in range(1, 201):
+            _assert_checked_route_agrees(build_delta(n, variant))
+
+    @pytest.mark.parametrize("spec", ["toeplitz:n=3000;d=1,6,11,16", "delta:n=3000"])
+    def test_large_narrow_builds(self, spec):
+        _assert_checked_route_agrees(parse_graph_spec(spec).build())
 
 
 class TestBitGraphValidation:

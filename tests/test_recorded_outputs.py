@@ -4,10 +4,10 @@ bench/references.json holds, for every benchmark request, the exit code
 and the first 32 hex characters of sha256(stdout) the CLI gave when the
 benchmark was defined.  A request's key is its argv joined by spaces.  The
 small bound reports, the Table 1 reports, the smallest large-n
-decompositions and banded counts, every alpha and maximum-set count, and
-the independent-set, clique and ladder counts at n <= 64 are replayed here
-through cli.run, so the byte-identical output is checked on every test
-run.  The file is only read, never written.
+decompositions, graph builds and banded counts, every alpha and
+maximum-set count, and the independent-set, clique and ladder counts at
+n <= 64 are replayed here through cli.run, so the byte-identical output is
+checked on every test run.  The file is only read, never written.
 """
 
 import contextlib
@@ -65,6 +65,17 @@ def test_large_n_decompositions_match_references(monkeypatch):
         k
         for k in REFERENCES["large-n"]
         if k.startswith("verify decomposition ") and 300 <= _order(k) <= 303
+    ]
+    assert len(keys) == 16
+    assert _mismatches("large-n", keys, monkeypatch) == []
+
+
+def test_large_n_graph_builds_match_references(monkeypatch):
+    # dense Riordan builds, whose rows are stored without a symmetry check
+    keys = [
+        k
+        for k in REFERENCES["large-n"]
+        if k.startswith("graph build ") and 300 <= _order(k) <= 303
     ]
     assert len(keys) == 16
     assert _mismatches("large-n", keys, monkeypatch) == []

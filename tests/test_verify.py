@@ -153,18 +153,12 @@ class TestSplitsPerReport:
 
 
 def _work(monkeypatch, run):
-    """What run() does: "diagonals" counts rows accepted on their diagonals,
-    "relabel" the graphs._relabel calls through either binding (graphs' own
-    for the odd/even split, counting's for the degree order), and
-    "transpose" the transposes made outside a relabel."""
+    """What run() does: "relabel" counts the graphs._relabel calls through
+    either binding (graphs' own for the odd/even split, counting's for the
+    degree order), and "transpose" the transposes made outside a relabel."""
     work = Counter()
-    banded, transpose, relabel = graphs._banded_valid, graphs._transpose, graphs._relabel
+    transpose, relabel = graphs._transpose, graphs._relabel
     relabelling = []
-
-    def counted_banded(rows, n):
-        accepted = banded(rows, n)
-        work["diagonals"] += accepted
-        return accepted
 
     def counted_transpose(*args):
         work["transpose"] += not relabelling
@@ -178,7 +172,6 @@ def _work(monkeypatch, run):
         finally:
             relabelling.pop()
 
-    monkeypatch.setattr(graphs, "_banded_valid", counted_banded)
     monkeypatch.setattr(graphs, "_transpose", counted_transpose)
     for module in (graphs, counting):
         monkeypatch.setattr(module, "_relabel", counted_relabel)
@@ -187,17 +180,18 @@ def _work(monkeypatch, run):
 
 
 class TestTransposesPerReport:
-    # the X and Y blocks are counted on their rows, with no second symmetry
-    # check of blocks cut from a graph already checked; the odd/even split
-    # and each degree order not already in place are one relabel each
-    def test_toeplitz_report_checks_symmetry_once(self, monkeypatch):
+    # built graphs and the X and Y blocks cut from them are not checked for
+    # symmetry; a Riordan build transposes once to form L + L^T, and the
+    # odd/even split and each degree order not already in place are one
+    # relabel each
+    def test_toeplitz_report_checks_no_symmetry(self, monkeypatch):
         work = _work(monkeypatch, lambda: bound_report("toeplitz:n=12;d=1,3"))
-        assert work["diagonals"] + work["transpose"] == 1
+        assert work["transpose"] == 0
         assert work["relabel"] == 1
 
     def test_pascal_report(self, monkeypatch):
         work = _work(monkeypatch, lambda: bound_report("pascal:n=16"))
-        assert work["transpose"] == 3
+        assert work["transpose"] == 1
         assert work["relabel"] == 3
 
 
