@@ -2,23 +2,23 @@
 
 Three engines cross-check each other: branch-and-reduce (the workhorse),
 a blocked-future sweep for banded graphs, and subset enumeration as the
-oracle, a table of all 2^n subsets held as the bits of
-one Python int.  One branch-and-reduce core serves the
-independent-set count, the independence number and the maximum-set count,
-each given by what an edgeless remainder is worth, how the two branches
-combine and how independent parts combine; it splits every subproblem into
-connected components, caches them per call, at every n, and takes one frame
-per branch level.  The independent-set count (so also the clique count)
+oracle, a table of all 2^n subsets held as the bits of one Python int.
+One branch-and-reduce core serves the independent-set count and the
+maximum-set count, which carries the independence number, each given by
+what an edgeless remainder is worth, how the two branches combine and how
+independent parts combine; it splits every subproblem into connected
+components, caches them per call, at every n, and takes one frame per
+branch level.  The independent-set count (so also the clique count)
 relabels the graph once by descending degree and branches on a component's
 lowest label, or on its one neighbour when that is a pendant: an O(1)
-pivot, under which the cache acts as a memoized sweep.  The independence
-number and the maximum-set count branch on a maximum-degree vertex and
-prune: a greedy matching bounds what the branch through the branch vertex
-can reach, and that branch is skipped when the other one already reaches
-the bound (for the maximum-set count: exceeds it, so ties still add their
-counts).  The banded sweep takes each connected component in label order,
-keeps per state the set of later vertices that the chosen ones block, and
-reads its transitions from one table per kind of vertex.  Counts include
+pivot, under which the cache acts as a memoized sweep.  The maximum-set
+count branches on a maximum-degree vertex and prunes: a greedy matching bounds
+what the branch through the branch vertex can reach, and that branch is
+skipped when the other one already exceeds the bound, so ties still add
+their counts.  The banded sweep takes each connected component in label
+order, keeps per state the set of later vertices that the chosen ones
+block, and reads its transitions from one table per kind of vertex; its
+bandwidth, the graph's longest edge, is read off the rows.  Counts include
 the empty set throughout, and use Python's arbitrary-precision integers.
 
 One engine policy, `exact_count`, serves the CLI and the bound reports:
@@ -149,23 +149,20 @@ def _low_pivot(rows, mask: int) -> int:
     return v if mates & (mates - 1) else mates.bit_length() - 1
 
 
-def count_is_banded(graph: BitGraph, bandwidth: int) -> BigCount:
-    """Blocked-future sweep for graphs whose edges satisfy |i-j| <= bandwidth.
+def count_is_banded(graph: BitGraph) -> BigCount:
+    """Blocked-future sweep for graphs whose longest edge, their bandwidth,
+    is at most BANDWIDTH_LIMIT; a wider graph is refused.
 
     Each connected component is swept in label order, keeping one counter per
     state: the set of the component's later vertices that the chosen ones
-    block, all within `bandwidth` labels.  Partial sets with the same state
+    block, all within the bandwidth.  Partial sets with the same state
     have the same extensions, so no label-order sweep keeps fewer states; on
     a Toeplitz graph it is the minimal automaton of the binary words with no
     x_i = x_(i+d) = 1.  Vertices with the same later neighbours and gap share
     one table of successor numbers.  The component counts multiply."""
-    if not 1 <= bandwidth <= BANDWIDTH_LIMIT:
+    bandwidth = max(row.bit_length() - 1 - i for i, row in enumerate(graph.rows))
+    if bandwidth > BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be in [1, {BANDWIDTH_LIMIT}], got {bandwidth}")
-    for i, row in enumerate(graph.rows, start=1):
-        if row.bit_length() > i + bandwidth:
-            far = row >> (i + bandwidth)
-            j = i + bandwidth + (far & -far).bit_length()
-            raise ValueError(f"edge ({i}, {j}) exceeds bandwidth {bandwidth}")
     return prod(_sweep(graph.rows, c) for c in _component_masks(graph.rows, (1 << graph.n) - 1))
 
 
@@ -217,8 +214,8 @@ def exact_count(
     `auto` picks "banded" only for independent sets of a Toeplitz spec whose
     largest distance is at most BANDWIDTH_LIMIT, and "branch" otherwise.
     Cliques are counted as the independent sets of the complement, which
-    the banded engine does not cover.  The banded bandwidth is the graph's
-    longest edge, at least 1.
+    the banded engine does not cover.  The banded engine reads the bandwidth
+    off the graph and refuses one above BANDWIDTH_LIMIT.
     """
     if engine == "auto":
         narrow = spec.kind == "toeplitz" and max(spec.distances) <= BANDWIDTH_LIMIT
@@ -230,8 +227,7 @@ def exact_count(
     if engine == "brute":
         return engine, brute_force_is(graph)
     if engine == "banded":
-        longest = [row.bit_length() - 1 - i for i, row in enumerate(graph.rows)]
-        return engine, count_is_banded(graph, max(longest + [1]))
+        return engine, count_is_banded(graph)
     return engine, count_is(graph)
 
 
@@ -262,14 +258,8 @@ def count_cliques(graph: BitGraph) -> BigCount:
 
 
 def independence_number(graph: BitGraph) -> int:
-    """Size of a maximum independent set: max(alpha(G - v), alpha(G - N[v]) + 1).
-
-    The G - N[v] branch is skipped when alpha(G - v) is at least the
-    matching bound of G - N[v] plus one.
-    """
-    return _branch(
-        graph.rows, lambda k: k, lambda a, b: max(a, b + 1), operator.add, lambda a, ub: a > ub
-    )
+    """Size of a maximum independent set: the alpha of `_maximum`."""
+    return _maximum(graph.rows)[0]
 
 
 class MaximumISCount(NamedTuple):
@@ -290,19 +280,23 @@ def _max_times(part: tuple[int, int], other: tuple[int, int]) -> tuple[int, int]
     return (part[0] + other[0], part[1] * other[1])
 
 
-def count_maximum_is(graph: BitGraph) -> MaximumISCount:
-    """The independence number and how many independent sets reach it.
+def _maximum(rows) -> tuple[int, BigCount]:
+    """(alpha, number of maximum independent sets) of a simple graph's rows.
 
     The recursion carries (alpha, count) pairs; the two branches partition
     the independent sets by membership of the branch vertex, so counts add
     exactly on size ties.  The G - N[v] branch is skipped only when
     alpha(G - v) exceeds the matching bound of G - N[v] plus one, so that
-    tied branches still add their counts.  Witness sets are enumerated only at oracle
-    scale (n <= 24), sorted lexicographically.
+    tied branches still add their counts."""
+    return _branch(rows, lambda k: (k, 1), _max_join, _max_times, lambda ac, ub: ac[0] > ub + 1)
+
+
+def count_maximum_is(graph: BitGraph) -> MaximumISCount:
+    """The independence number and how many independent sets reach it, by
+    `_maximum`.  Witness sets are enumerated only at oracle scale (n <= 24),
+    sorted lexicographically.
     """
-    alpha, count = _branch(
-        graph.rows, lambda k: (k, 1), _max_join, _max_times, lambda ac, ub: ac[0] > ub + 1
-    )
+    alpha, count = _maximum(graph.rows)
     witnesses = None
     if graph.n <= BRUTE_FORCE_LIMIT:
         witnesses = [s for s in list_maximal_is(graph) if len(s) == alpha]

@@ -297,14 +297,15 @@ def _riordan_columns(h: Gf2Series, f: Gf2Series, nrows: int, ncols: int) -> tupl
 
 
 def riordan_adjacency(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
-    """Adjacency rows of G_n(g, f): L + L^T off the diagonal, where
-    L = (zg, f)_n has entry (i, j) = [z^(i-1)] g f^j, 0-indexed.  Row j of
-    L^T is column j of (g, f) shifted up one place, so one transpose gives L."""
+    """Adjacency rows of G_n(g, f): L + L^T, where L = (zg, f)_n has entry
+    (i, j) = [z^(i-1)] g f^j, 0-indexed.  Row j of L^T is column j of (g, f)
+    shifted up one place, so one transpose gives L.  Cell (i, i) of L and of
+    L^T is the same bit, so their sum has a zero diagonal for every g and f."""
     if n < 1:
         raise ValueError("n must be positive")
     upper = tuple(col << 1 for col in _riordan_columns(g, f, n - 1, n))
     lower = BitMatrix(n, n, upper).transpose().row_bits
-    return tuple((lo ^ up) & ~(1 << i) for i, (lo, up) in enumerate(zip(lower, upper)))
+    return tuple(lo ^ up for lo, up in zip(lower, upper))
 
 
 def _series_pair(spec: RiordanSpec, order: int) -> tuple[Gf2Series, Gf2Series]:
@@ -325,8 +326,8 @@ def build_riordan(spec: RiordanSpec) -> BitGraph:
 
 
 def _riordan_graph(g: Gf2Series, f: Gf2Series, n: int) -> BitGraph:
-    """G_n(g, f) from g and f evaluated at order n; its rows are L + L^T with
-    the diagonal cleared, so symmetric and loop-free for every g and f."""
+    """G_n(g, f) from g and f evaluated at order n; its rows are L + L^T,
+    so symmetric and loop-free for every g and f."""
     return BitGraph._unchecked(n, riordan_adjacency(g, f, n))
 
 
@@ -516,12 +517,12 @@ def is_io_decomposable(spec: RiordanSpec) -> bool:
 def is_chordal_toeplitz(n: int, distances) -> bool:
     """Whether the distance set is an arithmetic progression t, 2t, ..., kt.
 
-    The characterization only applies to orders n >= t_k + t_(k-1) + 1;
-    below that a ChordalityRangeError is raised instead of answering.
+    The distances are checked as build_toeplitz checks them.  The
+    characterization only applies to orders n >= t_k + t_(k-1) + 1; below
+    that a ChordalityRangeError is raised instead of answering.
     """
     ds = tuple(distances)
-    if not ds or list(ds) != sorted(set(ds)) or ds[0] < 1:
-        raise ValueError(f"bad distance set {ds}")
+    _check_distances(ds, n)
     t_prev = ds[-2] if len(ds) > 1 else 0
     threshold = ds[-1] + t_prev + 1
     if n < threshold:

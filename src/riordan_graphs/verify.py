@@ -197,8 +197,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
             _entry("delta-exact", formulas.delta(n, spec.variant), "exact", exact)
         )
 
-    proper = rs is not None and is_proper(rs)
-    if proper or has_consecutive_ham_path(graph):
+    if has_consecutive_ham_path(graph):
         report.entries.append(
             _entry("fibonacci-upper", formulas.fibonacci_upper_bound(n), "upper", exact)
         )
@@ -209,7 +208,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
     if n >= 2:
         blocks = decompose(graph)
         odd_even = formulas._odd_even_bound(blocks)
-    io_dec = proper and n >= 2 and has_io_blocks(graph, blocks)
+    io_dec = rs is not None and is_proper(rs) and n >= 2 and has_io_blocks(graph, blocks)
     if io_dec:
         report.entries.append(_entry("io-dec-lower", odd_even, "lower", exact))
         alpha_claim, max_cap = formulas.io_independence_claims(n)

@@ -328,7 +328,7 @@ def test_criterion_12_engine_cross_validation():
     for label, graph, bandwidth in corpus:
         counts = {"brute": brute_force_is(graph), "branch": count_is(graph)}
         if bandwidth is not None:
-            counts["banded"] = count_is_banded(graph, bandwidth)
+            counts["banded"] = count_is_banded(graph)
         checked += 1
         if len(set(counts.values())) != 1:
             failures.append((label, counts))

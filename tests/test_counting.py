@@ -105,39 +105,34 @@ class TestCountIS:
 
 class TestBandedEngine:
     def test_path_5(self):
-        assert count_is_banded(build_toeplitz(5, (1,)), 1) == 13
+        assert count_is_banded(build_toeplitz(5, (1,))) == 13
 
     def test_toeplitz_6(self):
-        assert count_is_banded(build_toeplitz(6, (1, 2, 4)), 4) == 11
+        assert count_is_banded(build_toeplitz(6, (1, 2, 4))) == 11
 
     def test_matches_branch_on_wide_toeplitz(self):
         graph = build_toeplitz(20, (1, 2))
-        assert count_is_banded(graph, 2) == count_is(graph)
-
-    def test_rejects_edge_outside_band(self):
-        with pytest.raises(ValueError):
-            count_is_banded(build_toeplitz(6, (1, 4)), 2)
-
-    def test_names_first_edge_outside_band(self):
-        # distance-4 edges are (1, 5) and (2, 6); the lexicographically first is named
-        with pytest.raises(ValueError, match=r"^edge \(1, 5\) exceeds bandwidth 2$"):
-            count_is_banded(build_toeplitz(6, (1, 4)), 2)
-        with pytest.raises(ValueError, match=r"^edge \(3, 7\) exceeds bandwidth 3$"):
-            count_is_banded(BitGraph.from_edges(7, [(1, 4), (3, 7), (2, 5)]), 3)
+        assert count_is_banded(graph) == count_is(graph)
 
     def test_rejects_huge_bandwidth(self):
-        with pytest.raises(ValueError):
-            count_is_banded(build_toeplitz(4, (1,)), 21)
+        # the bandwidth is the longest edge, here (4, 25): one past BANDWIDTH_LIMIT
+        graph = BitGraph.from_edges(30, [(1, 2), (4, 25), (5, 10)])
+        with pytest.raises(ValueError, match=r"^bandwidth must be in \[1, 20\], got 21$"):
+            count_is_banded(graph)
+        # one edge (1, 21) and 19 isolated vertices: the limit itself is swept
+        assert count_is_banded(build_toeplitz(21, (20,))) == 3 * 2**19
+
+    def test_edgeless_graph_counts_every_subset(self):
+        for n in (1, 2, 7, 100):
+            assert count_is_banded(BitGraph.from_edges(n, [])) == 2**n
 
     def test_bandwidth_wider_than_graph(self):
-        assert count_is_banded(build_toeplitz(2, (1,)), 5) == 3
-        assert count_is_banded(build_toeplitz(4, (1, 2)), 9) == 6
+        assert count_is_banded(build_toeplitz(2, (1,))) == 3
+        assert count_is_banded(build_toeplitz(4, (1, 2))) == 6
 
     @given(graph=small_graphs)
     def test_matches_branch_at_full_bandwidth(self, graph):
-        if graph.n < 2:
-            return
-        assert count_is_banded(graph, min(graph.n - 1, 20)) == count_is(graph)
+        assert count_is_banded(graph) == count_is(graph)
 
     @given(step=st.sampled_from([2, 3, 4]), n=st.integers(2, 60), data=st.data())
     def test_residue_classes_on_toeplitz(self, step, n, data):
@@ -147,16 +142,10 @@ class TestBandedEngine:
             return
         ds = data.draw(st.lists(st.sampled_from(multiples), min_size=1, unique=True))
         graph = build_toeplitz(n, sorted(ds))
-        bandwidth = data.draw(st.integers(max(ds), 20))
-        assert count_is_banded(graph, bandwidth) == count_is(graph)
+        assert count_is_banded(graph) == count_is(graph)
 
-    @given(
-        step=st.sampled_from([2, 3, 4]),
-        n=st.integers(2, 40),
-        seed=st.integers(0, 10**6),
-        slack=st.integers(0, 4),
-    )
-    def test_residue_classes_on_irregular_graphs(self, step, n, seed, slack):
+    @given(step=st.sampled_from([2, 3, 4]), n=st.integers(2, 40), seed=st.integers(0, 10**6))
+    def test_residue_classes_on_irregular_graphs(self, step, n, seed):
         rng = random.Random(seed)
         edges = [
             (i, i + step * k)
@@ -165,8 +154,7 @@ class TestBandedEngine:
             if i + step * k <= n and rng.random() < 0.4
         ]
         graph = BitGraph.from_edges(n, edges)
-        longest = max((j - i for i, j in edges), default=1)
-        assert count_is_banded(graph, min(longest + slack, 20)) == count_is(graph)
+        assert count_is_banded(graph) == count_is(graph)
 
     @given(
         parts=st.integers(1, 4),
@@ -187,7 +175,7 @@ class TestBandedEngine:
             if part[i] == part[j] != parts and rng.random() < 0.5
         ]
         graph = BitGraph.from_edges(n, edges)
-        count = count_is_banded(graph, bandwidth)
+        count = count_is_banded(graph)
         assert count == count_is(graph)
         if n <= 24:
             assert count == brute_force_is(graph)
@@ -212,7 +200,7 @@ class TestBandedEngine:
             if i not in alone and j not in alone and rng.random() < density
         ]
         graph = BitGraph.from_edges(n, edges)
-        count = count_is_banded(graph, bandwidth)
+        count = count_is_banded(graph)
         assert count == count_is(graph)
         if n <= 20:
             assert count == brute_force_is(graph)
@@ -224,7 +212,7 @@ class TestBandedEngine:
         # n = max(D) + 1: every class mod gcd(D) is a short component that is
         # all tail, and the longest distance has a single edge
         graph = build_toeplitz(max(ds) + 1, ds)
-        count = count_is_banded(graph, max(ds))
+        count = count_is_banded(graph)
         assert count == count_is(graph) == brute_force_is(graph)
 
 
@@ -343,8 +331,9 @@ def pruned_alpha_and_max_count(graph):
 
 
 class TestMatchingBoundPrune:
-    """independence_number and count_maximum_is skip the C - N[v] branch by
-    a matching bound; they must agree with the recursion that never skips."""
+    """independence_number and count_maximum_is share one recursion, which
+    skips the C - N[v] branch when alpha(C - v) exceeds a matching bound of
+    C - N[v] plus one; both must agree with the recursions that never skip."""
 
     @given(graph=small_graphs, picks=st.integers(0, 2**10 - 1))
     def test_matching_bound_is_at_least_alpha(self, graph, picks):
@@ -375,8 +364,8 @@ class TestMatchingBoundPrune:
     def test_tie_at_the_bound_keeps_both_branches(self):
         # the 4-cycle 1-2-3-4: the branch vertex is 1; C - v is the path
         # 2-3-4 with alpha 2, and C - N[v] is vertex 3 alone, bound 1.  So
-        # alpha(C - v) = bound + 1 exactly: alpha skips the branch, and the
-        # maximum-set count must not, since {1, 3} ties with {2, 4}
+        # alpha(C - v) = bound + 1 exactly: the branch could not raise alpha,
+        # but it is solved, since {1, 3} ties with {2, 4} in the count
         cycle = BitGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         whole = 0b1111
         v = counting._branch_vertex(cycle.rows, whole)
@@ -627,7 +616,7 @@ def _branch_nodes(monkeypatch, graph, quantity=count_is):
     return len(calls)
 
 
-def _sweep_work(monkeypatch, graph, bandwidth):
+def _sweep_work(monkeypatch, graph):
     """The peak live-state count of each component sweep one count_is_banded
     call makes, in sweep order, and the successor-table entries it fills."""
     sweep, step = counting._sweep, counting._step
@@ -648,7 +637,7 @@ def _sweep_work(monkeypatch, graph, bandwidth):
 
     monkeypatch.setattr(counting, "_sweep", counted_sweep)
     monkeypatch.setattr(counting, "_step", counted_step)
-    count_is_banded(graph, bandwidth)
+    count_is_banded(graph)
     return peaks, fills
 
 
@@ -661,22 +650,22 @@ class TestBandedWork:
         # each a Toeplitz graph with distances 1..4; one sweep of the whole
         # graph would keep 5^4 states
         graph = build_toeplitz(3000, (4, 8, 12, 16))
-        assert _sweep_work(monkeypatch, graph, 16)[0] == [5, 5, 5, 5]
+        assert _sweep_work(monkeypatch, graph)[0] == [5, 5, 5, 5]
 
     def test_coprime_lengths_sweep_once(self, monkeypatch):
-        assert _sweep_work(monkeypatch, build_toeplitz(50, (2, 3)), 3)[0] == [5]
+        assert _sweep_work(monkeypatch, build_toeplitz(50, (2, 3)))[0] == [5]
 
     def test_blocked_sets_beat_the_window(self, monkeypatch):
         # a window of the last 16 memberships reaches 860 states here
         graph = build_toeplitz(3000, (1, 6, 11, 16))
-        assert _sweep_work(monkeypatch, graph, 16)[0] == [173]
+        assert _sweep_work(monkeypatch, graph)[0] == [173]
 
     def test_interior_vertices_share_one_table(self, monkeypatch):
         # 515 288 live states over the 3000 steps, at most 173 at a time; the
         # interior vertices share one table, so a state is numbered and its
         # successors found once per table, not once per step
         graph = build_toeplitz(3000, (1, 6, 11, 16))
-        assert _sweep_work(monkeypatch, graph, 16)[1] == 541
+        assert _sweep_work(monkeypatch, graph)[1] == 541
 
     def test_irregular_sweep_walks_few_dead_numbers(self, monkeypatch):
         # rows drawn at random make nearly every vertex a new kind; renumbering
@@ -700,15 +689,15 @@ class TestBandedWork:
             return step(counts, *rest)
 
         monkeypatch.setattr(counting, "_step", counted_step)
-        count_is_banded(BitGraph.from_edges(n, edges), bandwidth)
+        count_is_banded(BitGraph.from_edges(n, edges))
         assert walked < 2 * live
 
     def test_tables_last_one_call(self, monkeypatch):
         # nothing carries over: a second count fills its tables again
         graph = build_toeplitz(200, (1, 6, 11, 16))
-        first = _sweep_work(monkeypatch, graph, 16)
+        first = _sweep_work(monkeypatch, graph)
         monkeypatch.undo()
-        assert _sweep_work(monkeypatch, graph, 16) == first
+        assert _sweep_work(monkeypatch, graph) == first
         assert first[1] > 0
 
 
@@ -733,15 +722,16 @@ class TestBranchWork:
         nodes = _branch_nodes(monkeypatch, build_riordan(spec))
         assert nodes == self.COUNT_IS_NODES_AT_80[spec]
 
-    # the matching-bound prune takes 175, 85 and 64 nodes; the unpruned
-    # recursion took 78 341, 176 554 and 36 945
+    # alpha and the maximum-set count share one pruned recursion, so they
+    # take the same nodes; the unpruned recursion took 78 341, 176 554 and
+    # 36 945
     @pytest.mark.parametrize(
-        "family, ceiling", [(pascal_spec, 200), (catalan_spec, 100), (motzkin_spec, 80)]
+        "family, nodes", [(pascal_spec, 175), (catalan_spec, 85), (motzkin_spec, 64)]
     )
     @pytest.mark.parametrize("quantity", [independence_number, count_maximum_is])
-    def test_pruned_family_graphs_at_128(self, monkeypatch, family, ceiling, quantity):
+    def test_pruned_family_graphs_at_128(self, monkeypatch, family, nodes, quantity):
         graph = build_riordan(family(128))
-        assert _branch_nodes(monkeypatch, graph, quantity) <= ceiling
+        assert _branch_nodes(monkeypatch, graph, quantity) == nodes
 
     def test_no_cache_survives_a_call(self, monkeypatch):
         graph = build_riordan(catalan_spec(40))

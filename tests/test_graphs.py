@@ -565,6 +565,18 @@ class TestPredicates:
     def test_chordal_single_distance(self):
         assert is_chordal_toeplitz(4, (3,))
 
+    @pytest.mark.parametrize(
+        "ds, message",
+        [
+            ((3, 1), r"^distances must be strictly increasing, got \(3, 1\)$"),
+            ((1, 10), r"^distances must lie in \[1, 9\], got \(1, 10\)$"),
+        ],
+    )
+    def test_chordal_refuses_bad_distances_as_build_toeplitz(self, ds, message):
+        for check in (is_chordal_toeplitz, build_toeplitz):
+            with pytest.raises(ValueError, match=message):
+                check(10, ds)
+
 
 def _bfs_components(graph, mask):
     """Oracle: breadth-first search over the labels in mask, as bitmasks
@@ -684,6 +696,16 @@ class TestHamPathAndComplement:
         for g_text, f_text in random_proper_pairs(12, seed=5):
             for n in (3, 9, 17):
                 assert has_consecutive_ham_path(build_riordan(spec_from(g_text, f_text, n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 60))
+    def test_every_proper_build_has_consecutive_path(self, seed, n):
+        # [z^(i-2)] g f^(i-2) = 1 for proper (g, f), so (i, i - 1) is an edge;
+        # bound_report offers fibonacci-upper on this path alone
+        from corpus import random_proper_pairs
+
+        [(g_text, f_text)] = random_proper_pairs(1, seed)
+        assert has_consecutive_ham_path(build_riordan(spec_from(g_text, f_text, n)))
 
     def test_distance_two_toeplitz_has_none(self):
         assert not has_consecutive_ham_path(build_toeplitz(5, (2,)))
@@ -980,6 +1002,7 @@ class TestUncheckedBuilds:
     @given(pair=st.one_of(st.tuples(g_exprs, f_exprs), proper_pairs), n=st.integers(1, 60))
     @example(pair=(parse("1"), parse("1+z")), n=8)  # f(0) = 1
     @example(pair=(parse("z"), parse("z")), n=8)  # g(0) = 0
+    @example(pair=(parse("1+z"), parse("1+z")), n=9)  # L has diagonal bits, L + L^T none
     @settings(max_examples=150, deadline=None)
     def test_riordan(self, pair, n):
         _assert_checked_route_agrees(build_riordan(RiordanSpec(*pair, n)))
