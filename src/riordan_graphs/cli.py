@@ -75,9 +75,9 @@ def _add_guard_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _guard_value(args) -> int:
-    if getattr(args, "force", False):
+    if args.force:
         return 1 << 30
-    if getattr(args, "max_n", None) is not None:
+    if args.max_n is not None:
         return args.max_n
     env = os.environ.get("RIORDAN_MAX_N")
     if env is not None:

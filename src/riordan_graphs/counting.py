@@ -162,7 +162,7 @@ def count_is_banded(graph: BitGraph) -> BigCount:
     one table of successor numbers.  The component counts multiply."""
     bandwidth = max(row.bit_length() - 1 - i for i, row in enumerate(graph.rows))
     if bandwidth > BANDWIDTH_LIMIT:
-        raise ValueError(f"bandwidth must be in [1, {BANDWIDTH_LIMIT}], got {bandwidth}")
+        raise ValueError(f"bandwidth must be at most {BANDWIDTH_LIMIT}, got {bandwidth}")
     return prod(_sweep(graph.rows, c) for c in _component_masks(graph.rows, (1 << graph.n) - 1))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import asdict, dataclass, field
 
 from . import formulas
@@ -39,6 +40,8 @@ TABLE1 = {
 }
 
 DEFAULT_MAX_N = 40
+
+_HOLDS = {"lower": operator.le, "upper": operator.ge, "exact": operator.eq}
 
 
 def check_guard(n: int, max_n: int) -> None:
@@ -132,16 +135,6 @@ class BoundReport:
         }
 
 
-def _entry(name: str, value: int, relation: str, exact: int) -> BoundEntry:
-    if relation == "lower":
-        holds = value <= exact
-    elif relation == "upper":
-        holds = value >= exact
-    else:
-        holds = value == exact
-    return BoundEntry(name=name, value=value, relation=relation, holds=holds, tight=value == exact)
-
-
 def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundReport:
     """Evaluate every applicable bound for one graph spec.
 
@@ -160,86 +153,63 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
     report = BoundReport(graph_spec=spec.text, n=n, exact=exact)
     rs = spec.riordan
 
+    def add(name: str, value: int, relation: str) -> None:
+        holds = _HOLDS[relation](value, exact)
+        report.entries.append(BoundEntry(name, value, relation, holds, tight=value == exact))
+
+    def claim(ok: bool, text: str) -> None:
+        report.notes.append(f"{'ok' if ok else 'FAIL'}: {text}")
+
     if spec.kind == "toeplitz":
-        report.entries.append(
-            _entry(
-                "toeplitz-series-lower",
-                formulas.toeplitz_lower_bound(spec.distances, n),
-                "lower",
-                exact,
-            )
-        )
+        add("toeplitz-series-lower", formulas.toeplitz_lower_bound(spec.distances, n), "lower")
         try:
             chordal = is_chordal_toeplitz(n, spec.distances)
         except ChordalityRangeError:
             chordal = False
         if chordal:
-            k = len(spec.distances)
-            t = spec.distances[0]
-            report.entries.append(
-                _entry("chordal-exact", formulas.chordal_toeplitz_is(k, t, n), "exact", exact)
-            )
-            clique_value = formulas.chordal_toeplitz_cliques(k, t, n)
-            clique_exact = count_cliques(graph)
-            mark = "ok" if clique_value == clique_exact else "FAIL"
-            report.notes.append(
-                f"{mark}: chordal clique formula {clique_value} vs exact {clique_exact}"
-            )
-            uncorrected = clique_value + (t - 1)
-            if uncorrected != clique_exact:
+            k, t = len(spec.distances), spec.distances[0]
+            add("chordal-exact", formulas.chordal_toeplitz_is(k, t, n), "exact")
+            value, cliques = formulas.chordal_toeplitz_cliques(k, t, n), count_cliques(graph)
+            claim(value == cliques, f"chordal clique formula {value} vs exact {cliques}")
+            uncorrected = value + (t - 1)
+            if uncorrected != cliques:
                 report.notes.append(
-                    f"note: uncorrected clique closed form {uncorrected} fails "
-                    f"(exact {clique_exact})"
+                    f"note: uncorrected clique closed form {uncorrected} fails (exact {cliques})"
                 )
 
     if spec.kind in ("delta", "deltaTilde"):
-        report.entries.append(
-            _entry("delta-exact", formulas.delta(n, spec.variant), "exact", exact)
-        )
+        add("delta-exact", formulas.delta(n, spec.variant), "exact")
 
     if has_consecutive_ham_path(graph):
-        report.entries.append(
-            _entry("fibonacci-upper", formulas.fibonacci_upper_bound(n), "upper", exact)
-        )
+        add("fibonacci-upper", formulas.fibonacci_upper_bound(n), "upper")
 
-    # one odd/even split serves every bound that needs n >= 2; graph is
-    # G_n(rs) for Toeplitz specs too, and on an io-decomposable G_n the
-    # io-dec bound is the odd/even bound
-    if n >= 2:
-        blocks = decompose(graph)
-        odd_even = formulas._odd_even_bound(blocks)
-    io_dec = rs is not None and is_proper(rs) and n >= 2 and has_io_blocks(graph, blocks)
-    if io_dec:
-        report.entries.append(_entry("io-dec-lower", odd_even, "lower", exact))
+    if n < 2:
+        return report
+
+    # one odd/even split serves every bound below; graph is G_n(rs) for
+    # Toeplitz specs too, and on an io-decomposable G_n the io-dec bound is
+    # the odd/even bound
+    blocks = decompose(graph)
+    odd_even = formulas._odd_even_bound(blocks)
+    if rs is not None and is_proper(rs) and has_io_blocks(graph, blocks):
+        add("io-dec-lower", odd_even, "lower")
         alpha_claim, max_cap = formulas.io_independence_claims(n)
-        maximum = count_maximum_is(graph)
-        alpha, max_count = maximum.alpha, maximum.count
-        mark = "ok" if alpha == alpha_claim else "FAIL"
-        report.notes.append(f"{mark}: independence number {alpha} vs claimed {alpha_claim}")
-        mark = "ok" if max_count <= max_cap else "FAIL"
-        report.notes.append(f"{mark}: {max_count} maximum independent sets vs cap {max_cap}")
-    if io_dec and rs.family == "bell":
-        if n >= 5:
-            report.entries.append(
-                _entry("io-upper", formulas.io_upper_bound(n), "upper", exact)
-            )
-        report.entries.append(
-            _entry("multipartite-lower", formulas.multipartite_lower_bound(n), "lower", exact)
-        )
+        alpha, max_count, _ = count_maximum_is(graph)
+        claim(alpha == alpha_claim, f"independence number {alpha} vs claimed {alpha_claim}")
+        claim(max_count <= max_cap, f"{max_count} maximum independent sets vs cap {max_cap}")
+        if rs.family == "bell":
+            if n >= 5:
+                add("io-upper", formulas.io_upper_bound(n), "upper")
+            add("multipartite-lower", formulas.multipartite_lower_bound(n), "lower")
 
     if spec.kind == "pascal" and n >= 5:
-        report.entries.append(
-            _entry("pascal-upper", formulas.pascal_upper_bound(n), "upper", exact)
+        add("pascal-upper", formulas.pascal_upper_bound(n), "upper")
+
+    add("odd-even-lower", odd_even, "lower")
+    if odd_even + 1 > exact:
+        report.notes.append(
+            f"note: uncorrected odd/even lower bound {odd_even + 1} fails (exceeds exact {exact})"
         )
-
-    if n >= 2:
-        report.entries.append(_entry("odd-even-lower", odd_even, "lower", exact))
-        if odd_even + 1 > exact:
-            report.notes.append(
-                f"note: uncorrected odd/even lower bound {odd_even + 1} fails "
-                f"(exceeds exact {exact})"
-            )
-
     return report
 
 

@@ -159,11 +159,11 @@ class TestCount:
             ),
             (
                 ["count", "--spec", "pascal:n=30", "--engine", "banded"],
-                "bandwidth must be in [1, 20], got 29",
+                "bandwidth must be at most 20, got 29",
             ),
             (
                 ["count", "--spec", "toeplitz:n=30;d=25", "--engine", "banded"],
-                "bandwidth must be in [1, 20], got 25",
+                "bandwidth must be at most 20, got 25",
             ),
         ],
     )

@@ -2,12 +2,11 @@
 
 bench/references.json holds, for every benchmark request, the exit code
 and the first 32 hex characters of sha256(stdout) the CLI gave when the
-benchmark was defined.  A request's key is its argv joined by spaces.  The
-small bound reports, the Table 1 reports, the smallest large-n
-decompositions, graph builds and banded counts, every alpha and
-maximum-set count, and the independent-set, clique and ladder counts at
-n <= 64 are replayed here through cli.run, so the byte-identical output is
-checked on every test run.  The file is only read, never written.
+benchmark was defined.  A request's key is its argv joined by spaces.
+Every `bounds-sweep` and `exact-count` request, and the smallest `large-n`
+decompositions, graph builds and banded counts, are replayed here through
+cli.run, so the byte-identical output is checked on every test run.  The
+file is only read, never written.
 """
 
 import contextlib
@@ -46,18 +45,16 @@ def _mismatches(section, keys, monkeypatch):
     return out
 
 
-def test_small_bound_reports_match_references(monkeypatch):
-    keys = [
-        k for k in REFERENCES["bounds-sweep"] if _order(k) is not None and _order(k) <= 16
-    ]
-    assert len(keys) == 1239
+def test_bounds_sweep_pool_matches_references(monkeypatch):
+    keys = list(REFERENCES["bounds-sweep"])
+    assert len(keys) == 2885
     assert _mismatches("bounds-sweep", keys, monkeypatch) == []
 
 
-def test_table1_reports_match_references(monkeypatch):
-    keys = [k for k in REFERENCES["bounds-sweep"] if k.startswith("verify table1 ")]
-    assert len(keys) == 12
-    assert _mismatches("bounds-sweep", keys, monkeypatch) == []
+def test_exact_count_pool_matches_references(monkeypatch):
+    keys = list(REFERENCES["exact-count"])
+    assert len(keys) == 458
+    assert _mismatches("exact-count", keys, monkeypatch) == []
 
 
 def test_large_n_decompositions_match_references(monkeypatch):
@@ -81,26 +78,9 @@ def test_large_n_graph_builds_match_references(monkeypatch):
     assert _mismatches("large-n", keys, monkeypatch) == []
 
 
-def test_alpha_and_maximum_set_counts_match_references(monkeypatch):
-    keys = [k for k in REFERENCES["exact-count"] if re.search(r"--what (alpha|max-is)\b", k)]
-    assert len(keys) == 198
-    assert _mismatches("exact-count", keys, monkeypatch) == []
-
-
 def test_large_n_banded_counts_match_references(monkeypatch):
     keys = [
         k for k in REFERENCES["large-n"] if k.startswith("count ") and 1000 <= _order(k) <= 1003
     ]
     assert len(keys) == 52
     assert _mismatches("large-n", keys, monkeypatch) == []
-
-
-def test_workhorse_counts_match_references(monkeypatch):
-    # the branch-and-reduce counts of --what is and cliques, and the ladders
-    keys = [
-        k
-        for k in REFERENCES["exact-count"]
-        if re.search(r"--what (is|cliques)\b|--spec delta(Tilde)?:", k) and _order(k) <= 64
-    ]
-    assert len(keys) == 188
-    assert _mismatches("exact-count", keys, monkeypatch) == []

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from corpus import random_graphs, random_proper_pairs, random_toeplitz_cases
 
-from riordan_graphs import counting, formulas, graphs, series, verify
+from riordan_graphs import cli, counting, formulas, graphs, series, verify
 from riordan_graphs.counting import count_is
 from riordan_graphs.graphs import (
     build_riordan,
@@ -105,6 +105,40 @@ class TestBoundReport:
         report = bound_report("catalan:n=9")
         assert any("independence number 4 vs claimed 4" in n for n in report.notes)
         assert any("maximum independent sets vs cap 4" in n for n in report.notes)
+
+
+class TestFailingReports:
+    # wrong formulas, patched in, reach the FAIL notes and the violated entry
+    def test_wrong_io_claims_fail_both_notes(self, monkeypatch):
+        monkeypatch.setattr(formulas, "io_independence_claims", lambda n: (5, 0))
+        report = bound_report("pascal:n=8")
+        assert not report.ok
+        assert all(e.holds for e in report.entries)
+        assert report.notes == [
+            "FAIL: independence number 4 vs claimed 5",
+            "FAIL: 1 maximum independent sets vs cap 0",
+            "note: uncorrected odd/even lower bound 24 fails (exceeds exact 23)",
+        ]
+
+    def test_wrong_clique_formula_fails_its_note(self, monkeypatch):
+        monkeypatch.setattr(formulas, "chordal_toeplitz_cliques", lambda k, t, n: 18)
+        report = bound_report("toeplitz:n=7;d=2,4")
+        assert not report.ok
+        assert all(e.holds for e in report.entries)
+        assert report.notes == ["FAIL: chordal clique formula 18 vs exact 19"]
+
+    def test_violated_upper_bound(self, monkeypatch, capsys):
+        monkeypatch.setattr(formulas, "fibonacci_upper_bound", lambda n: 0)
+        report = bound_report("pascal:n=8")
+        assert not report.ok
+        assert report.entries[0] == verify.BoundEntry(
+            name="fibonacci-upper", value=0, relation="upper", holds=False, tight=False
+        )
+        assert all(e.holds for e in report.entries[1:])
+        assert cli.run(["bounds", "--spec", "pascal:n=8", "--format", "table"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  fibonacci-upper        upper 0            VIOLATED"
+        assert sum("VIOLATED" in line for line in lines) == 1
 
 
 def _adjacency_builds(monkeypatch, spec):
