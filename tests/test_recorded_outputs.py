@@ -6,7 +6,10 @@ benchmark was defined.  A request's key is its argv joined by spaces.
 Every `bounds-sweep` and `exact-count` request, and the smallest `large-n`
 decompositions, graph builds and banded counts, are replayed here through
 cli.run, so the byte-identical output is checked on every test run.  The
-file is only read, never written.
+two full pools are split into disjoint parts: the small bound reports, the
+Table 1 reports, the alpha and maximum-set counts and the workhorse counts
+each have a test, and one test per pool replays the rest.  The file is
+only read, never written.
 """
 
 import contextlib
@@ -45,15 +48,66 @@ def _mismatches(section, keys, monkeypatch):
     return out
 
 
-def test_bounds_sweep_pool_matches_references(monkeypatch):
-    keys = list(REFERENCES["bounds-sweep"])
-    assert len(keys) == 2885
+def _small_bound_report_keys():
+    return [k for k in REFERENCES["bounds-sweep"] if _order(k) is not None and _order(k) <= 16]
+
+
+def _table1_report_keys():
+    return [k for k in REFERENCES["bounds-sweep"] if k.startswith("verify table1 ")]
+
+
+def _alpha_and_maximum_set_keys():
+    return [k for k in REFERENCES["exact-count"] if re.search(r"--what (alpha|max-is)\b", k)]
+
+
+def _workhorse_count_keys():
+    # the branch-and-reduce counts of --what is and cliques, and the ladders
+    return [
+        k
+        for k in REFERENCES["exact-count"]
+        if re.search(r"--what (is|cliques)\b|--spec delta(Tilde)?:", k) and _order(k) <= 64
+    ]
+
+
+def test_small_bound_reports_match_references(monkeypatch):
+    keys = _small_bound_report_keys()
+    assert len(keys) == 1239
     assert _mismatches("bounds-sweep", keys, monkeypatch) == []
 
 
+def test_table1_reports_match_references(monkeypatch):
+    keys = _table1_report_keys()
+    assert len(keys) == 12
+    assert _mismatches("bounds-sweep", keys, monkeypatch) == []
+
+
+def test_bounds_sweep_pool_matches_references(monkeypatch):
+    # the requests that the two tests above leave out
+    assert len(REFERENCES["bounds-sweep"]) == 2885
+    done = set(_small_bound_report_keys()) | set(_table1_report_keys())
+    keys = [k for k in REFERENCES["bounds-sweep"] if k not in done]
+    assert len(keys) == 2885 - 1239 - 12
+    assert _mismatches("bounds-sweep", keys, monkeypatch) == []
+
+
+def test_alpha_and_maximum_set_counts_match_references(monkeypatch):
+    keys = _alpha_and_maximum_set_keys()
+    assert len(keys) == 198
+    assert _mismatches("exact-count", keys, monkeypatch) == []
+
+
+def test_workhorse_counts_match_references(monkeypatch):
+    keys = _workhorse_count_keys()
+    assert len(keys) == 188
+    assert _mismatches("exact-count", keys, monkeypatch) == []
+
+
 def test_exact_count_pool_matches_references(monkeypatch):
-    keys = list(REFERENCES["exact-count"])
-    assert len(keys) == 458
+    # the requests that the two tests above leave out
+    assert len(REFERENCES["exact-count"]) == 458
+    done = set(_alpha_and_maximum_set_keys()) | set(_workhorse_count_keys())
+    keys = [k for k in REFERENCES["exact-count"] if k not in done]
+    assert len(keys) == 458 - 198 - 188
     assert _mismatches("exact-count", keys, monkeypatch) == []
 
 
