@@ -18,7 +18,6 @@ from .series import (
     Mul,
     SeriesExpr,
     Var,
-    _mul_bits,
     _square_bits,
     evaluate,
     mul_trunc,
@@ -269,30 +268,27 @@ def _riordan_columns(h: Gf2Series, f: Gf2Series, nrows: int, ncols: int) -> tupl
     entry (i, j) = [z^i] h f^j.  They are the rows of the block's transpose;
     callers transpose only where they need the block's rows.
 
-    Every column is the one before times the same f, so the product is
-    taken a byte at a time (the fixed-factor comb method): byte w at byte
-    position k of a column adds w*f shifted up 8k places.  The products w*f
-    are kept, to nrows coefficients, in a table local to the call and
-    filled on first use, so the call makes at most 255 of them and one
-    shift-xor per nonzero byte of a column instead of one per set bit.
+    Over GF(2), f^(2^k) = f(z^(2^k)) (the Frobenius map), so with 2^k the
+    top bit of j, column j is column j - 2^k times f(z^(2^k)).  Cut to nrows
+    bits, that factor has one set bit e*2^k for each set bit e of f below
+    ceil(nrows/2^k), and column j costs one shift-xor per such bit: at most
+    sum over k of 2^k*ceil(nrows/2^k) shift-xors per call.
     """
     col = h.truncate(nrows).bits
     if ncols > 1 and f.order < nrows:
         raise ValueError(f"order {nrows} exceeds the multiplier's order {f.order}")
-    nbytes = (nrows + 7) // 8
     mask = (1 << nrows) - 1
-    products = {}
+    exponents = [e - 1 for e in _mask_labels(f.bits & mask)]
     cols = [col] if ncols else []
-    for _ in range(ncols - 1):
-        acc = 0
-        for k, w in enumerate(col.to_bytes(nbytes, "little")):
-            if w:
-                p = products.get(w)
-                if p is None:
-                    p = products[w] = _mul_bits(w, f.bits, nrows)
-                acc ^= p << 8 * k
-        col = acc & mask
-        cols.append(col)
+    step = 1
+    while step < ncols:
+        shifts = [e * step for e in exponents if e * step < nrows]
+        for base in cols[: ncols - step]:
+            acc = 0
+            for s in shifts:
+                acc ^= base << s
+            cols.append(acc & mask)
+        step *= 2
     return tuple(cols)
 
 

@@ -44,7 +44,18 @@ from riordan_graphs.graphs import (
     _riordan_columns,
     _series_pair,
 )
-from riordan_graphs.series import Builtin, Gf2Series, Mul, Pow, Var, evaluate, mul_trunc, parse
+from riordan_graphs.series import (
+    Builtin,
+    Gf2Series,
+    Mul,
+    Pow,
+    Var,
+    evaluate,
+    mul_trunc,
+    parity_part,
+    parse,
+    shift_up,
+)
 from riordan_graphs.verify import verify_decomposition
 
 random_graphs = st.builds(
@@ -387,26 +398,35 @@ column_cases = st.tuples(
 )
 
 
-def _column_operands(nrows, h_extra, f_extra, seed):
+def _column_operands(nrows, h_extra, f_extra, seed, f_form="drawn"):
+    """h and f drawn from `seed`; f_form "unit" sets f(0) = 1 (f is not
+    proper, and the Frobenius step must still hold) and "zero" makes f = 0."""
     rng = random.Random(seed)
     h_order, f_order = nrows + h_extra, nrows + f_extra
-    return (
-        Gf2Series(rng.getrandbits(h_order), h_order),
-        Gf2Series(rng.getrandbits(f_order), f_order),
-    )
+    h = Gf2Series(rng.getrandbits(h_order), h_order)
+    f_bits = rng.getrandbits(f_order)
+    f_bits = {"drawn": f_bits, "unit": f_bits | 1, "zero": 0}[f_form]
+    return h, Gf2Series(f_bits, f_order)
 
 
 class TestColumnKernel:
     """_riordan_columns against two routes that take one product per column."""
 
-    @given(case=column_cases)
-    @example(case=(1, 0, 0, 0, 1))
-    @example(case=(8, 1, 0, 0, 2))
-    @example(case=(7, 9, 3, 8, 3))
-    @example(case=(9, 12, 10, 10, 4))
-    def test_matches_repeated_mul_trunc(self, case):
+    @given(case=column_cases, f_form=st.sampled_from(["drawn", "unit", "zero"]))
+    @example(case=(1, 0, 0, 0, 1), f_form="drawn")
+    @example(case=(8, 1, 0, 0, 2), f_form="drawn")
+    @example(case=(7, 9, 3, 8, 3), f_form="drawn")
+    @example(case=(9, 12, 10, 10, 4), f_form="drawn")
+    @example(case=(9, 12, 0, 3, 5), f_form="unit")
+    @example(case=(9, 12, 0, 3, 5), f_form="zero")
+    @example(case=(6, 40, 2, 0, 6), f_form="drawn")  # ncols > nrows
+    @example(case=(20, 16, 0, 0, 7), f_form="drawn")  # ncols = 2^k
+    @example(case=(20, 17, 0, 0, 7), f_form="drawn")  # the top bit of j moves to 16
+    @example(case=(20, 0, 0, 0, 8), f_form="drawn")
+    @example(case=(20, 1, 0, 0, 8), f_form="drawn")
+    def test_matches_repeated_mul_trunc(self, case, f_form):
         nrows, ncols, h_extra, f_extra, seed = case
-        h, f = _column_operands(nrows, h_extra, f_extra, seed)
+        h, f = _column_operands(nrows, h_extra, f_extra, seed, f_form)
         assert _riordan_columns(h, f, nrows, ncols) == _columns_by_mul_trunc(h, f, nrows, ncols)
 
     @settings(max_examples=40, deadline=None)
@@ -429,39 +449,74 @@ class TestColumnKernel:
         assert _riordan_columns(h, f.truncate(8), 9, 1) == (h.bits,)
 
 
-def _column_table_fills(monkeypatch, build):
-    """The products w*f each _riordan_columns call puts in its table while
-    `build` runs, one count per call, and the nonzero column bytes each
-    call multiplies out: its shift-xors."""
-    mul_bits, columns = graphs._mul_bits, graphs._riordan_columns
-    fills, shifts = [], []
+@pytest.mark.parametrize("text", ["bell:g=motzkin;n=1500", "pascal:n=1500", "bell:g=1/(1-z^2);n=1000"])
+def test_columns_at_large_n_shapes(text):
+    """The build shape (n-1) x n, and the cross-block shapes p x q and q x p
+    of _cross_block at n and at the odd n - 1, against one product per column."""
+    spec = parse_graph_spec(text).riordan
+    g, f = _series_pair(spec, spec.n)
+    shapes = [(g, spec.n - 1, spec.n)]
+    for n in (spec.n, spec.n - 1):
+        p, q = (n + 1) // 2, n // 2
+        gf = mul_trunc(g, f, n)
+        shapes += [(shift_up(parity_part(gf, "odd")), p, q), (parity_part(g, "even"), q, p)]
+    for h, nrows, ncols in shapes:
+        assert _riordan_columns(h, f, nrows, ncols) == _columns_by_mul_trunc(h, f, nrows, ncols)
 
-    def counted_mul_bits(a, b, order):
-        fills[-1] += 1
-        return mul_bits(a, b, order)
+
+def _frobenius_bound(nrows, ncols):
+    """sum over k of 2^k*ceil(nrows/2^k): 2^k columns at most have top bit
+    2^k, and f(z^(2^k)) cut to nrows bits has at most ceil(nrows/2^k) bits."""
+    return sum(-(-nrows // (1 << k)) << k for k in range(max(ncols - 1, 0).bit_length()))
+
+
+def _column_work(monkeypatch, build):
+    """(shift-xors, bound) for each _riordan_columns call `build` makes,
+    counted from the call's inputs: for each column j >= 1, with 2^k the top
+    bit of j, one per set bit of f(z^(2^k)) below nrows, that is one per set
+    bit e of f below ceil(nrows/2^k).  Each column is also checked to be
+    column j - 2^k times exactly those bits, so the count is the work that
+    gives it."""
+    columns = graphs._riordan_columns
+    work = []
 
     def counted_columns(h, f, nrows, ncols):
-        fills.append(0)
         cols = columns(h, f, nrows, ncols)
-        nbytes = (nrows + 7) // 8
-        shifts.append(sum(len(c.to_bytes(nbytes, "little").replace(b"\0", b"")) for c in cols[:-1]))
+        shifts = 0
+        for j in range(1, ncols):
+            step = 1 << (j.bit_length() - 1)
+            factor = f.bits & ((1 << -(-nrows // step)) - 1)
+            expected = 0
+            while factor:
+                low = factor & -factor
+                expected ^= cols[j - step] << (low.bit_length() - 1) * step
+                factor ^= low
+                shifts += 1
+            assert cols[j] == expected & ((1 << nrows) - 1)
+        work.append((shifts, _frobenius_bound(nrows, ncols)))
         return cols
 
-    monkeypatch.setattr(graphs, "_mul_bits", counted_mul_bits)
     monkeypatch.setattr(graphs, "_riordan_columns", counted_columns)
     build()
-    return fills, shifts
+    return work
 
 
-class TestColumnTableWork:
-    """Table fills and shift-xors, work counts that do not depend on the machine."""
+class TestColumnWork:
+    """Shift-xors of the Frobenius step, a work count that does not depend
+    on the machine."""
 
-    def test_motzkin_build_at_1500(self, monkeypatch):
-        # one product per set bit of a column took 142 870 shift-xors here
-        spec = parse_graph_spec("bell:g=motzkin;n=1500").riordan
-        fills, shifts = _column_table_fills(monkeypatch, lambda: build_riordan(spec))
-        assert fills == [14]
-        assert shifts == [46252]
+    @pytest.mark.parametrize(
+        "text, shifts",
+        [
+            ("bell:g=motzkin;n=1500", 10252),
+            ("pascal:n=1500", 14608),
+            ("catalan:n=1000", 2012),
+        ],
+    )
+    def test_pinned_builds(self, monkeypatch, text, shifts):
+        spec = parse_graph_spec(text).riordan
+        work = _column_work(monkeypatch, lambda: build_riordan(spec))
+        assert [w for w, _ in work] == [shifts]
 
     @pytest.mark.parametrize(
         "build",
@@ -472,14 +527,16 @@ class TestColumnTableWork:
             lambda: build_riordan(spec_from("1/(1-z+z^3)", "z+z^2+z^5", 700)),
         ],
     )
-    def test_no_call_fills_more_than_255(self, monkeypatch, build):
-        fills, _ = _column_table_fills(monkeypatch, build)
-        assert fills and max(fills) <= 255
+    def test_no_call_exceeds_the_bound(self, monkeypatch, build):
+        work = _column_work(monkeypatch, build)
+        assert work and all(w <= bound for w, bound in work)
 
-    def test_dense_columns_fill_all_255(self, monkeypatch):
-        h, f = _column_operands(600, 0, 0, 7)
-        fills, _ = _column_table_fills(monkeypatch, lambda: graphs._riordan_columns(h, f, 600, 600))
-        assert fills == [255]
+    def test_dense_factor_meets_the_bound(self, monkeypatch):
+        # every bit of f set and ncols a power of two: each term of the bound is met
+        h, _ = _column_operands(600, 0, 0, 7)
+        f = Gf2Series((1 << 600) - 1, 600)
+        work = _column_work(monkeypatch, lambda: graphs._riordan_columns(h, f, 600, 512))
+        assert work == [(5664, 5664)]
 
 
 class TestLeadingBlocks:

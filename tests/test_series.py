@@ -274,6 +274,22 @@ def test_square_bits_is_the_general_product(a, order):
     assert _square_bits(a, order) == _mul_bits(a, a, order)
 
 
+@given(
+    a=st.integers(min_value=0, max_value=(1 << 200) - 1),
+    order=st.integers(0, 200),
+    k=st.integers(0, 6),
+)
+def test_iterated_square_is_the_power_of_two(a, order, k):
+    # the Frobenius step of graphs._riordan_columns: f^(2^k) = f(z^(2^k))
+    squared = a & ((1 << order) - 1)
+    for _ in range(k):
+        squared = _square_bits(squared, order)
+    power = _mul_bits(1, 1, order)
+    for _ in range(1 << k):
+        power = _mul_bits(power, a, order)
+    assert squared == power
+
+
 series_texts = st.sampled_from(
     ["z", "1+z", "1+z+z^3", "1/(1-z)", "catalan", "motzkin", "1+z*motzkin", "catalan+z^2"]
 )
