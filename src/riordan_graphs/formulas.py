@@ -8,7 +8,7 @@ values; comparing them against exact counts is the verify module's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import BigCount, _count_is_rows, count_is
 from .graphs import (
@@ -90,39 +90,20 @@ def delta_tilde(n: int) -> BigCount:
     return delta(n, "tilde")
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Integer-coefficient polynomial; coeffs[k] multiplies x^k."""
-
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def make(cls, coeffs) -> IntPolynomial:
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def rational_coeff(numer: IntPolynomial, denom: IntPolynomial, n: int) -> BigCount:
-    """[x^n] of numer/denom via the linear recurrence the denominator
+def rational_coeff(numer, denom, n: int) -> BigCount:
+    """[x^n] of numer/denom, both given as integer coefficient sequences
+    (entry k multiplies x^k), via the linear recurrence the denominator
     induces; requires a unit constant term."""
-    if denom.coeff(0) != 1:
+    numer, denom = list(numer), list(denom)
+    if denom[:1] != [1]:
         raise ValueError("denominator must have constant term 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
     seq: list[int] = []
     for m in range(n + 1):
-        val = numer.coeff(m)
-        for j in range(1, min(m, denom.degree) + 1):
-            val -= denom.coeff(j) * seq[m - j]
+        val = numer[m] if m < len(numer) else 0
+        for j in range(1, min(m, len(denom) - 1) + 1):
+            val -= denom[j] * seq[m - j]
         seq.append(val)
     return seq[n]
 
@@ -159,8 +140,7 @@ def is_well_based(distances) -> bool:
     return not any((rest << x) & members for x in range(1, ds[-1]) if rest >> x & 1)
 
 
-@dataclass(frozen=True)
-class WellBasedResult:
+class WellBasedResult(NamedTuple):
     """Outcome of completing a distance set to a well-based one."""
 
     is_well_based: bool
@@ -226,7 +206,7 @@ def well_based_series_count(distances, n: int) -> BigCount:
         coeffs[t] = 1
     denom = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
     denom[1] -= 1  # (1-x)c(x) - x
-    return rational_coeff(IntPolynomial.make(coeffs), IntPolynomial.make(denom), n)
+    return rational_coeff(coeffs, denom, n)
 
 
 def toeplitz_lower_bound(distances, n: int) -> BigCount:
@@ -355,10 +335,9 @@ def odd_even_lower_bound(graph: BitGraph) -> BigCount:
 def _odd_even_bound(blocks: DecompositionBlocks) -> BigCount:
     """odd_even_lower_bound read off the graph's odd/even blocks."""
     x, y, b = blocks.x, blocks.y, blocks.b
-    sigma0 = b.nrows * b.ncols - sum(row.bit_count() for row in b.row_bits)
+    sigma0 = len(x) * len(y) - sum(row.bit_count() for row in b)
     # the blocks are cut from a graph already checked symmetric and loop-free
-    value = _count_is_rows(x.row_bits) + _count_is_rows(y.row_bits)
-    return value - 1 + sigma0
+    return _count_is_rows(x) + _count_is_rows(y) - 1 + sigma0
 
 
 def io_dec_lower_bound(spec: RiordanSpec) -> BigCount:

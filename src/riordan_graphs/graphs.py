@@ -9,8 +9,8 @@ distance set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, pairwise
+from typing import NamedTuple
 
 from .series import (
     Builtin,
@@ -143,33 +143,6 @@ class BitGraph:
         return f"BitGraph(n={self.n}, edges={self.edges()})"
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """Immutable 0/1 matrix; row r is an int whose bit c is entry (r, c)."""
-
-    nrows: int
-    ncols: int
-    row_bits: tuple[int, ...]
-
-    def bit(self, r: int, c: int) -> int:
-        return (self.row_bits[r] >> c) & 1
-
-    def is_zero(self) -> bool:
-        return not any(self.row_bits)
-
-    def transpose(self) -> BitMatrix:
-        """The ncols x nrows matrix whose row c is column c; see _transpose."""
-        return BitMatrix(self.ncols, self.nrows, _transpose(self.row_bits, self.nrows, self.ncols))
-
-    def first_difference(self, other: BitMatrix) -> tuple[int, int] | None:
-        """1-indexed (row, col) of the first differing cell, or None."""
-        for r in range(self.nrows):
-            diff = self.row_bits[r] ^ other.row_bits[r]
-            if diff:
-                return (r + 1, (diff & -diff).bit_length())
-        return None
-
-
 def _transpose(rows: tuple[int, ...], nrows: int, ncols: int) -> tuple[int, ...]:
     """Columns of the nrows x ncols bit matrix `rows`, whose bits all lie
     below ncols, by one of two strategies chosen by the number of set bits.
@@ -217,29 +190,34 @@ def _relabel(rows: tuple[int, ...], order) -> tuple[int, ...]:
     return tuple(cols[v] for v in order)
 
 
-@dataclass(frozen=True)
-class RiordanSpec:
+class RiordanSpec(
+    NamedTuple(
+        "RiordanSpec", [("g_expr", SeriesExpr), ("f_expr", SeriesExpr), ("n", int), ("family", str)]
+    )
+):
     """A Riordan graph description: series expressions for g and f, plus n.
 
-    The family tag is derived syntactically: appell when f is the bare
-    variable, bell when f is z*g (either factor order), generic otherwise.
+    RiordanSpec(g_expr, f_expr, n) derives the family tag syntactically:
+    appell when f is the bare variable, bell when f is z*g (either factor
+    order), generic otherwise.
     """
 
-    g_expr: SeriesExpr
-    f_expr: SeriesExpr
-    n: int
-    family: str = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, g_expr: SeriesExpr, f_expr: SeriesExpr, n: int):
+        if n < 1:
             raise ValueError("n must be positive")
-        if self.f_expr == Var():
-            fam = "appell"
-        elif self.f_expr in (Mul(Var(), self.g_expr), Mul(self.g_expr, Var())):
-            fam = "bell"
+        if f_expr == Var():
+            family = "appell"
+        elif f_expr in (Mul(Var(), g_expr), Mul(g_expr, Var())):
+            family = "bell"
         else:
-            fam = "generic"
-        object.__setattr__(self, "family", fam)
+            family = "generic"
+        return super().__new__(cls, g_expr, f_expr, n, family)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which derives family again
+        return self[:3]
 
     @classmethod
     def bell(cls, g_expr: SeriesExpr, n: int) -> RiordanSpec:
@@ -300,7 +278,7 @@ def riordan_adjacency(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be positive")
     upper = tuple(col << 1 for col in _riordan_columns(g, f, n - 1, n))
-    lower = BitMatrix(n, n, upper).transpose().row_bits
+    lower = _transpose(upper, n, n)
     return tuple(lo ^ up for lo, up in zip(lower, upper))
 
 
@@ -367,14 +345,18 @@ def build_delta(n: int, variant: str = "plain") -> BitGraph:
     return BitGraph._unchecked(n, (row & full for row in rows))
 
 
-@dataclass(frozen=True)
-class DecompositionBlocks:
+class DecompositionBlocks(NamedTuple):
     """X (odd-odd), Y (even-even), B (odd-even) blocks under the
-    odd-then-even relabeling, with the permutation that produced them."""
+    odd-then-even relabeling, with the permutation that produced them.
 
-    x: BitMatrix
-    y: BitMatrix
-    b: BitMatrix
+    Each block is a tuple of bit rows: with p = ceil(n/2) odd and q =
+    floor(n/2) even labels, X is p x p, Y is q x q and B is p x q, and bit c
+    of row r is the cell for the r-th and c-th labels of its two classes.
+    """
+
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+    b: tuple[int, ...]
     permutation: tuple[int, ...]
 
     def reassemble(self) -> BitGraph:
@@ -387,11 +369,11 @@ class DecompositionBlocks:
         rows = [0] * n
         rows[0::2] = [
             _square_bits(x, n) | _square_bits(b, n) << 1
-            for x, b in zip(self.x.row_bits, self.b.row_bits)
+            for x, b in zip(self.x, self.b)
         ]
         rows[1::2] = [
             _square_bits(bt, n) | _square_bits(y, n) << 1
-            for bt, y in zip(self.b.transpose().row_bits, self.y.row_bits)
+            for bt, y in zip(_transpose(self.b, (n + 1) // 2, n // 2), self.y)
         ]
         return BitGraph(len(rows), rows)
 
@@ -406,9 +388,9 @@ def decompose(graph: BitGraph) -> DecompositionBlocks:
     rows = _relabel(graph.rows, [v - 1 for v in permutation])
     full = (1 << p) - 1
     return DecompositionBlocks(
-        x=BitMatrix(p, p, tuple(row & full for row in rows[:p])),
-        y=BitMatrix(q, q, tuple(row >> p for row in rows[p:])),
-        b=BitMatrix(p, q, tuple(row >> p for row in rows[:p])),
+        x=tuple(row & full for row in rows[:p]),
+        y=tuple(row >> p for row in rows[p:]),
+        b=tuple(row >> p for row in rows[:p]),
         permutation=permutation,
     )
 
@@ -418,12 +400,12 @@ def _odd_even_order(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1, 2)) + tuple(range(2, n + 1, 2))
 
 
-def _cross_block(h1: Gf2Series, h2: Gf2Series, f: Gf2Series, p: int, q: int) -> BitMatrix:
+def _cross_block(h1: Gf2Series, h2: Gf2Series, f: Gf2Series, p: int, q: int) -> tuple[int, ...]:
     """B block: the p x q block of (h1, f) plus the q x p block of (h2, f)
     transposed, whose rows are the columns of (h2, f)."""
-    m1 = BitMatrix(q, p, _riordan_columns(h1, f, p, q)).transpose()
+    m1 = _transpose(_riordan_columns(h1, f, p, q), q, p)
     m2t = _riordan_columns(h2, f, q, p)
-    return BitMatrix(p, q, tuple(r1 ^ r2 for r1, r2 in zip(m1.row_bits, m2t)))
+    return tuple(r1 ^ r2 for r1, r2 in zip(m1, m2t))
 
 
 def predict_blocks(spec: RiordanSpec) -> DecompositionBlocks:
@@ -451,13 +433,13 @@ def _predicted_blocks(g: Gf2Series, f: Gf2Series, n: int) -> DecompositionBlocks
     p = (n + 1) // 2
     q = n // 2
     gf = mul_trunc(g, f, n)
-    x = BitMatrix(p, p, riordan_adjacency(parity_part(g, "odd"), f, p))
-    y = BitMatrix(q, q, riordan_adjacency(parity_part(shift_down(gf), "odd"), f, q))
+    x = riordan_adjacency(parity_part(g, "odd"), f, p)
+    y = riordan_adjacency(parity_part(shift_down(gf), "odd"), f, q)
     b = _cross_block(shift_up(parity_part(gf, "odd")), parity_part(g, "even"), f, p, q)
     return DecompositionBlocks(x=x, y=y, b=b, permutation=_odd_even_order(n))
 
 
-def _bell_cross_block(g: Gf2Series, f: Gf2Series, n: int) -> BitMatrix:
+def _bell_cross_block(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
     """The B block in its Bell-type form, (zg, zg) plus (evenPart(g), zg)
     transposed, from g and f = z*g evaluated at order n."""
     return _cross_block(f, parity_part(g, "even"), f, (n + 1) // 2, n // 2)
@@ -488,9 +470,9 @@ def has_io_blocks(graph: BitGraph, blocks: DecompositionBlocks) -> bool:
     G_ceil(n/2) in order.  G_ceil(n/2) is G_n on 1..ceil(n/2), as edge (i, j)
     depends only on [z^(i-2)] g f^(j-1), so X must equal G_n's first
     ceil(n/2) rows cut to ceil(n/2) bits."""
-    p = blocks.x.nrows
+    p = len(blocks.x)
     full = (1 << p) - 1
-    return blocks.y.is_zero() and blocks.x.row_bits == tuple(r & full for r in graph.rows[:p])
+    return not any(blocks.y) and blocks.x == tuple(r & full for r in graph.rows[:p])
 
 
 def _io_blocks(spec: RiordanSpec) -> DecompositionBlocks | None:
@@ -617,8 +599,7 @@ def export_graph(graph: BitGraph, fmt: str = "json") -> str:
 _SPEC_MAKERS = {"pascal": pascal_spec, "catalan": catalan_spec, "motzkin": motzkin_spec}
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(NamedTuple):
     """A parsed graph spec string: what to build and how."""
 
     text: str

@@ -10,8 +10,6 @@ coefficients live in `formulas`, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class SeriesSyntaxError(ValueError):
     """Malformed series expression; `position` is the 0-based offset."""
@@ -212,48 +210,58 @@ def solve_fixed_point(name: str, order: int) -> Gf2Series:
 # --- expression AST ---
 
 class SeriesExpr:
-    """Base class for parsed series expressions."""
+    """Base class for parsed series expressions.  A node is its type and the
+    values of its slots, given by position: two nodes are equal when both
+    match, so Add(a, b) != Mul(a, b), and neither equals the tuple (a, b)."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+    def _key(self) -> tuple:
+        return (type(self), *map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SeriesExpr) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class Lit(SeriesExpr):
+    __slots__ = ("value",)  # int
+
+
+class Var(SeriesExpr):
+    """The formal variable z."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lit(SeriesExpr):
-    value: int
-
-
-@dataclass(frozen=True)
-class Var(SeriesExpr):
-    """The formal variable z."""
-
-
-@dataclass(frozen=True)
 class Add(SeriesExpr):
-    left: SeriesExpr
-    right: SeriesExpr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(SeriesExpr):
-    left: SeriesExpr
-    right: SeriesExpr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Div(SeriesExpr):
-    num: SeriesExpr
-    den: SeriesExpr
+    __slots__ = ("num", "den")
 
 
-@dataclass(frozen=True)
 class Pow(SeriesExpr):
-    base: SeriesExpr
-    exponent: int
+    __slots__ = ("base", "exponent")  # SeriesExpr, int
 
 
-@dataclass(frozen=True)
 class Builtin(SeriesExpr):
-    name: str
+    __slots__ = ("name",)  # a key of _BUILTIN_STEPS
 
 
 class _Parser:

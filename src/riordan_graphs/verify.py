@@ -8,11 +8,9 @@ any mismatch there is a hard failure.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import operator
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import formulas
 from .counting import count_cliques, count_is, count_maximum_is, exact_count
@@ -50,8 +48,7 @@ def check_guard(n: int, max_n: int) -> None:
         raise ValueError(f"n={n} exceeds the guard {max_n}; raise --max-n or pass --force")
 
 
-@dataclass(frozen=True)
-class Table1Cell:
+class Table1Cell(NamedTuple):
     family: str
     n: int
     expected: int
@@ -62,8 +59,7 @@ class Table1Cell:
         return self.expected == self.actual
 
 
-@dataclass
-class Table1Report:
+class Table1Report(NamedTuple):
     cells: list[Table1Cell]
 
     @property
@@ -73,7 +69,7 @@ class Table1Report:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "cells": [{**asdict(c), "ok": c.ok} for c in self.cells],
+            "cells": [{**c._asdict(), "ok": c.ok} for c in self.cells],
         }
 
 
@@ -92,8 +88,7 @@ def verify_table1(max_n: int = 12) -> Table1Report:
     return Table1Report(cells)
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     name: str
     value: int
     relation: str  # lower | upper | exact
@@ -101,13 +96,12 @@ class BoundEntry:
     tight: bool
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     graph_spec: str
     n: int
     exact: int
-    entries: list[BoundEntry] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    entries: list[BoundEntry]
+    notes: list[str]
 
     @property
     def ok(self) -> bool:
@@ -150,7 +144,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
     check_guard(n, max_n)
     graph = spec.build()
     exact = exact_count(spec, graph)[1]
-    report = BoundReport(graph_spec=spec.text, n=n, exact=exact)
+    report = BoundReport(spec.text, n, exact, [], [])
     rs = spec.riordan
 
     def add(name: str, value: int, relation: str) -> None:
@@ -233,8 +227,7 @@ def all_reports_ok(reports) -> bool:
     return all(r.ok for r in reports)
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
+class DecompositionCheck(NamedTuple):
     ok: bool
     mismatch: str | None = None
 
@@ -254,15 +247,24 @@ def verify_decomposition(spec: RiordanSpec) -> DecompositionCheck:
     g, f = _prediction_pair(spec)
     predicted = _predicted_blocks(g, f, n)
     actual = decompose(_riordan_graph(g, f, n))
-    for name in ("x", "y", "b"):
-        diff = getattr(predicted, name).first_difference(getattr(actual, name))
+    for name, rows, other in zip("XYB", predicted, actual):
+        diff = _first_difference(rows, other)
         if diff is not None:
-            return DecompositionCheck(False, f"{name.upper()} block differs at cell {diff}")
+            return DecompositionCheck(False, f"{name} block differs at cell {diff}")
     if spec.family == "bell":
-        diff = _bell_cross_block(g, f, n).first_difference(actual.b)
+        diff = _first_difference(_bell_cross_block(g, f, n), actual.b)
         if diff is not None:
             return DecompositionCheck(False, f"Bell-form B block differs at cell {diff}")
     return DecompositionCheck(True)
+
+
+def _first_difference(rows, other) -> tuple[int, int] | None:
+    """1-indexed (row, col) of the first cell where two bit-row blocks of the
+    same shape differ, or None."""
+    for r, diff in enumerate(map(operator.xor, rows, other), start=1):
+        if diff:
+            return (r, (diff & -diff).bit_length())
+    return None
 
 
 def reports_to_json(reports) -> str:
@@ -271,6 +273,9 @@ def reports_to_json(reports) -> str:
 
 def reports_to_csv(reports) -> str:
     """One row per bound entry: spec,n,exact,bound,value,relation,holds,tight."""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["spec", "n", "exact", "bound", "value", "relation", "holds", "tight"])

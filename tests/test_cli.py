@@ -11,6 +11,8 @@ import pytest
 
 from riordan_graphs import cli, formulas, verify
 from riordan_graphs.cli import main, run
+from riordan_graphs.counting import brute_force_is
+from riordan_graphs.graphs import parse_graph_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -31,6 +33,17 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "--spec", "pascal:n=12", "--what", "is")
         assert code == 0
         assert json.loads(out)["count"] == 98
+
+    def test_f_is_z_plus_g_is_not_the_bell_graph(self, capsys):
+        # f = z + g has the operands of z*g; tagging it bell would build Pascal
+        text = "riordan:g=1/(1-z);f=z+1/(1-z);n=6"
+        spec = parse_graph_spec(text)
+        assert spec.riordan.family == "generic"
+        code, out, _ = run_cli(capsys, "count", "--spec", text)
+        assert code == 0
+        assert json.loads(out)["count"] == 15 == brute_force_is(spec.build())
+        _, out, _ = run_cli(capsys, "count", "--spec", "pascal:n=6")
+        assert json.loads(out)["count"] == 12
 
     def test_alpha_on_toeplitz(self, capsys):
         code, out, _ = run_cli(
@@ -467,6 +480,21 @@ class TestStandardLibraryOnly:
             capture_output=True, check=True, env=_src_env(), text=True,
         )
         assert result.stdout == "False\n"
+
+    def test_cold_import_leaves_dataclasses_and_csv_out(self):
+        # the standard-library modules the CLI needs load neither, so a
+        # one-shot request pays for neither
+        code = (
+            "import sys, argparse, json, typing, functools, os\n"
+            "before = {m for m in ('dataclasses', 'csv') if m in sys.modules}\n"
+            "import riordan_graphs.cli\n"
+            "print(sorted(before), sorted(m for m in ('dataclasses', 'csv') if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, check=True, env=_src_env(), text=True,
+        )
+        assert result.stdout == "[] []\n"
 
 
 class TestDeterminism:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from riordan_graphs.counting import brute_force_is, count_cliques, count_is
 from riordan_graphs.formulas import (
     BoundPreconditionError,
-    IntPolynomial,
     WellBasedResult,
     chordal_toeplitz_cliques,
     chordal_toeplitz_is,
@@ -178,10 +177,29 @@ class TestPell:
             assert pell(n) == pell_binet_exact(n)
 
     def test_matches_generating_function(self):
-        numer = IntPolynomial.make([0, 1])
-        denom = IntPolynomial.make([1, -2, -1])
+        numer = [0, 1]
+        denom = [1, -2, -1]
         for n in range(61):
             assert pell(n) == rational_coeff(numer, denom, n)
+
+
+class TestRationalCoeff:
+    @pytest.mark.parametrize("denom", [[], [0], [2, 1], [-1, 1], [0, 1]])
+    def test_denominator_needs_constant_term_one(self, denom):
+        with pytest.raises(ValueError, match="^denominator must have constant term 1$"):
+            rational_coeff([1], denom, 3)
+
+    def test_negative_index_is_refused(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            rational_coeff([0, 1], [1, -2, -1], -1)
+
+    def test_trailing_zeros_change_nothing(self):
+        for numer, denom in (([0, 1], [1, -2, -1]), ([1, 2, 1, 1], [1, 0, -2, 0, -1])):
+            for n in range(20):
+                want = rational_coeff(numer, denom, n)
+                assert rational_coeff(numer + [0, 0], denom, n) == want
+                assert rational_coeff(numer, denom + [0], n) == want
+                assert rational_coeff(numer + [0], denom + [0, 0, 0], n) == want
 
 
 class TestDelta:
@@ -201,8 +219,8 @@ class TestDelta:
             assert delta(n) == delta_recurrence(n)
 
     def test_tilde_matches_generating_function(self):
-        numer = IntPolynomial.make([1, 2, 1, 1])
-        denom = IntPolynomial.make([1, 0, -2, 0, -1])
+        numer = [1, 2, 1, 1]
+        denom = [1, 0, -2, 0, -1]
         for n in range(31):
             assert delta_tilde(n) == rational_coeff(numer, denom, n)
 

@@ -1,7 +1,9 @@
 """Graph construction, decomposition, and structural predicate tests."""
 
+import copy
 import json
 import math
+import pickle
 import random
 import re
 from collections import deque
@@ -16,7 +18,6 @@ from riordan_graphs import graphs
 from riordan_graphs.counting import count_is
 from riordan_graphs.graphs import (
     BitGraph,
-    BitMatrix,
     ChordalityRangeError,
     RiordanSpec,
     SpecParseError,
@@ -241,16 +242,16 @@ class TestBuildDelta:
 class TestDecompose:
     def test_pascal_4_blocks(self):
         blocks = decompose(build_riordan(pascal_spec(4)))
-        assert blocks.x == BitMatrix(2, 2, (0b10, 0b01))  # single edge 1-3
-        assert blocks.y.is_zero()
-        assert blocks.b == BitMatrix(2, 2, (0b11, 0b11))  # all four odd/even pairs
+        assert blocks.x == (0b10, 0b01)  # single edge 1-3
+        assert blocks.y == (0, 0)
+        assert blocks.b == (0b11, 0b11)  # all four odd/even pairs
         assert blocks.permutation == (1, 3, 2, 4)
 
     def test_path_4_blocks(self):
         blocks = decompose(build_toeplitz(4, (1,)))
-        assert blocks.x.is_zero() and blocks.y.is_zero()
+        assert blocks.x == blocks.y == (0, 0)
         # cross edges of the path: 1-2, 3-2, 3-4
-        assert blocks.b == BitMatrix(2, 2, (0b01, 0b11))
+        assert blocks.b == (0b01, 0b11)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -271,7 +272,7 @@ class TestDecompose:
                 cells = tuple(
                     sum(graph.has_edge(u, v) << k for k, v in enumerate(others)) for u in labels
                 )
-                assert block == BitMatrix(len(labels), len(others), cells), graph
+                assert block == cells, graph
 
     @given(graph=random_graphs)
     def test_reassemble_roundtrip(self, graph):
@@ -306,14 +307,16 @@ class TestPredictBlocks:
         assert predict_blocks(spec) == decompose(build_riordan(spec))
 
     def test_bell_catalan_even_block_is_zero(self):
-        assert predict_blocks(catalan_spec(8)).y.is_zero()
+        assert predict_blocks(catalan_spec(8)).y == (0,) * 4
 
     def test_path_cross_pattern(self):
         blocks = predict_blocks(spec_from("1", "z", 6))
-        assert blocks.x.is_zero() and blocks.y.is_zero()
+        assert blocks.x == blocks.y == (0, 0, 0)
+        assert len(blocks.b) == 3
         for i in range(3):
             for j in range(3):
-                assert blocks.b.bit(i, j) == (1 if j in (i - 1, i) else 0)
+                assert blocks.b[i] >> j & 1 == (1 if j in (i - 1, i) else 0)
+            assert blocks.b[i] >> 3 == 0
 
     def test_improper_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -556,7 +559,7 @@ def _io_decomposable_by_rebuild(spec):
     """The definition with G_ceil(n/2) built on its own from g and f."""
     blocks = decompose(build_riordan(spec))
     half = build_riordan(RiordanSpec(spec.g_expr, spec.f_expr, (spec.n + 1) // 2))
-    return blocks.y.is_zero() and blocks.x == BitMatrix(half.n, half.n, half.rows)
+    return not any(blocks.y) and blocks.x == half.rows
 
 
 class TestIoDecomposableOracle:
@@ -856,6 +859,16 @@ class TestSpecLanguage:
         spec = parse_graph_spec("riordan:g=1+z;f=z*(1+z);n=5")
         assert spec.riordan.family == "bell"
 
+    def test_specs_survive_copy_and_pickle(self):
+        # both rebuild a RiordanSpec from (g, f, n), deriving its family again
+        for text in ("bell:g=motzkin;n=9", "riordan:g=1+z;f=z+z^2;n=5", "toeplitz:n=6;d=1,3"):
+            spec = parse_graph_spec(text)
+            for clone in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+                assert clone == spec and clone.riordan.family == spec.riordan.family
+                assert clone.build() == spec.build()
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            RiordanSpec(Var(), Var(), 0)
+
     def test_toeplitz_kind(self):
         spec = parse_graph_spec("toeplitz:n=6;d=1,2,4")
         assert spec.distances == (1, 2, 4)
@@ -948,13 +961,9 @@ class TestTranspose:
         rows = tuple(
             sum(1 << c for c in range(ncols) if rng.random() < density) for _ in range(nrows)
         )
-        matrix = BitMatrix(nrows, ncols, rows)
-        t = matrix.transpose()
-        assert (t.nrows, t.ncols) == (ncols, nrows)
-        assert t.row_bits == tuple(
-            sum(matrix.bit(r, c) << r for r in range(nrows)) for c in range(ncols)
-        )
-        assert t.transpose() == matrix
+        t = graphs._transpose(rows, nrows, ncols)
+        assert t == tuple(sum((rows[r] >> c & 1) << r for r in range(nrows)) for c in range(ncols))
+        assert graphs._transpose(t, ncols, nrows) == rows
 
 
 def _first_asymmetry(rows):
@@ -1140,7 +1149,3 @@ class TestBitGraphValidation:
         # label 0 once read vertex n's row through a negative index
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(build_toeplitz(5, (1,)))
-
-    def test_matrix_view_matches(self):
-        graph = build_toeplitz(5, (2,))
-        assert BitMatrix(graph.n, graph.n, graph.rows).row_bits == graph.rows

@@ -95,6 +95,15 @@ class TestParse:
         with pytest.raises(SeriesSyntaxError):
             parse("z^")
 
+    def test_equality_depends_on_the_node_type(self):
+        # nodes with the same children but different operators differ, and
+        # none is equal to the bare tuple of its children
+        add, mul = Add(Var(), Lit(1)), Mul(Var(), Lit(1))
+        assert add != mul and mul != add
+        assert add != (Var(), Lit(1)) and mul != (Var(), Lit(1))
+        assert add == Add(Var(), Lit(1)) and hash(add) == hash(Add(Var(), Lit(1)))
+        assert repr(add) == "Add(left=Var(), right=Lit(value=1))"
+
 
 class TestEvaluate:
     def test_geometric_all_ones(self):

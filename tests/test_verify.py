@@ -281,7 +281,7 @@ class TestDecompositionCheck:
 
     def test_catalan_16_even_block_zero(self):
         assert verify_decomposition(catalan_spec(16))
-        assert decompose(build_riordan(catalan_spec(16))).y.is_zero()
+        assert decompose(build_riordan(catalan_spec(16))).y == (0,) * 8
 
     def test_motzkin_8_holds_despite_not_io_decomposable(self):
         assert verify_decomposition(motzkin_spec(8)).ok
@@ -295,18 +295,47 @@ class TestDecompositionCheck:
                 assert verify_decomposition(spec.riordan).ok, (ds, n)
 
 
+def _flip(rows, cells):
+    rows = list(rows)
+    for r, c in cells:
+        rows[r] ^= 1 << c
+    return tuple(rows)
+
+
+class TestDecompositionMismatch:
+    @pytest.mark.parametrize(
+        "block, cells, where",
+        [("x", [(0, 0)], "(1, 1)"), ("y", [(2, 3)], "(3, 4)"), ("b", [(4, 1), (2, 5)], "(3, 6)")],
+    )
+    def test_first_differing_cell_is_named(self, monkeypatch, block, cells, where):
+        predict = verify._predicted_blocks
+
+        def wrong(g, f, n):
+            blocks = predict(g, f, n)
+            return blocks._replace(**{block: _flip(getattr(blocks, block), cells)})
+
+        monkeypatch.setattr(verify, "_predicted_blocks", wrong)
+        check = verify_decomposition(pascal_spec(12))
+        assert not check
+        assert check.mismatch == f"{block.upper()} block differs at cell {where}"
+
+    def test_bell_form_block_mismatch_is_named(self, monkeypatch):
+        cross = verify._bell_cross_block
+        monkeypatch.setattr(
+            verify, "_bell_cross_block", lambda g, f, n: _flip(cross(g, f, n), [(5, 0), (1, 2)])
+        )
+        check = verify_decomposition(catalan_spec(12))
+        assert check == (False, "Bell-form B block differs at cell (2, 3)")
+
+
 class TestDecompositionWork:
     def test_bell_check_transposes_at_most_five_times(self, monkeypatch):
         # three for the predicted X, Y and B blocks, one for the built
-        # adjacency and one for the Bell-form B block; the built graph's
-        # symmetry check is separate and not counted here
-        transpose = graphs.BitMatrix.transpose
-        calls = []
-        monkeypatch.setattr(
-            graphs.BitMatrix, "transpose", lambda self: calls.append(self) or transpose(self)
-        )
-        assert verify_decomposition(graphs.parse_graph_spec("bell:g=motzkin;n=40").riordan)
-        assert len(calls) <= 5
+        # adjacency and one for the Bell-form B block; the one relabel of
+        # the built graph's odd/even split is separate and not counted here
+        spec = graphs.parse_graph_spec("bell:g=motzkin;n=40").riordan
+        work = _work(monkeypatch, lambda: verify_decomposition(spec))
+        assert work["transpose"] <= 5
 
     def test_bell_check_relabels_once(self, monkeypatch):
         # the built graph's odd/even split; the predicted blocks need none
