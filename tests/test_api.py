@@ -1,6 +1,8 @@
-"""The package's public names, where a deletion has to show up, and the
-one module that may store graph rows unchecked."""
+"""The package's public names, where a deletion has to show up, the one
+module that may store graph rows unchecked, and the byte conversions that
+must run on the oldest supported Python."""
 
+import ast
 from pathlib import Path
 
 import riordan_graphs
@@ -61,3 +63,29 @@ def test_only_graphs_names_the_unchecked_constructor():
     package = Path(riordan_graphs.__file__).parent
     naming = sorted(p.name for p in package.glob("*.py") if "_unchecked" in p.read_text())
     assert naming == ["graphs.py"]
+
+
+def test_byte_conversions_pass_their_byteorder():
+    # byteorder of int.to_bytes and int.from_bytes is optional only from
+    # Python 3.11, and pyproject.toml declares requires-python >= 3.10
+    package = Path(riordan_graphs.__file__).parent
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        called = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                # row.to_bytes(length, order) and int.from_bytes(data, order)
+                # take it second, the unbound int.to_bytes(row, length, order) third
+                owner = getattr(node.func.value, "id", None)
+                unbound = node.func.attr == "to_bytes" and owner == "int"
+                named = any(k.arg == "byteorder" for k in node.keywords)
+                called[id(node.func)] = named or len(node.args) >= 2 + unbound
+        # an alias or a map() over the method would hide its calls from this check
+        uses += [
+            (path.name, node.lineno, called.get(id(node), False))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes")
+        ]
+    assert uses
+    assert [use for use in uses if not use[2]] == []

@@ -283,6 +283,24 @@ class TestDecompose:
         graph = build_riordan(RiordanSpec(g_expr, f_expr, 2 * k + 1))
         assert decompose(graph).reassemble() == graph
 
+    @pytest.mark.parametrize(
+        "block, change, message",
+        [
+            ("x", lambda r: (r[0], r[1] | 8, r[2]), "X block row 2 has bits outside 1..3"),
+            ("y", lambda r: (r[0] | 32, *r[1:]), "Y block row 1 has bits outside 1..3"),
+            ("b", lambda r: (*r[:2], r[2] | 8), "B block row 3 has bits outside 1..3"),
+            ("x", lambda r: (*r, 0), "X block has 4 rows, expected 3"),
+            ("b", lambda r: r[:2], "B block has 2 rows, expected 3"),
+            ("y", lambda r: r[:2], "Y block has 2 rows, expected 3"),
+        ],
+        ids=["x-wide-row", "y-wide-row", "b-wide-row", "x-extra-row", "b-short", "y-short"],
+    )
+    def test_reassemble_refuses_malformed_blocks(self, block, change, message):
+        blocks = decompose(build_riordan(pascal_spec(6)))
+        bad = blocks._replace(**{block: change(getattr(blocks, block))})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bad.reassemble()
+
 
 class TestRelabel:
     @settings(deadline=None)
@@ -941,8 +959,10 @@ class TestSpecLanguage:
         assert str(info.value) == message
 
 
-# sides around the powers of two the block swap pads to
-transpose_sides = st.one_of(st.integers(1, 130), st.sampled_from([63, 64, 65, 127, 128, 129]))
+# sides around the byte and 64-bit word boundaries the kernel pads to, and larger powers of two
+transpose_sides = st.one_of(
+    st.integers(1, 130), st.sampled_from([1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129])
+)
 
 
 class TestTranspose:
@@ -955,8 +975,14 @@ class TestTranspose:
     @example(nrows=128, ncols=128, density=1.0, seed=0)
     @example(nrows=129, ncols=1, density=1.0, seed=0)
     @example(nrows=1, ncols=65, density=0.0, seed=0)
+    # uneven dense shapes: 13 x 21, 9 x 130 and 130 x 9 take the byte kernel;
+    # 1 x 1 is below the cut at every density, so it takes the walk
+    @example(nrows=1, ncols=1, density=1.0, seed=0)
+    @example(nrows=13, ncols=21, density=1.0, seed=0)
+    @example(nrows=9, ncols=130, density=1.0, seed=0)
+    @example(nrows=130, ncols=9, density=1.0, seed=0)
     def test_matches_per_cell_definition(self, nrows, ncols, density, seed):
-        # dense draws take the block swap, sparse ones the per-bit walk
+        # dense draws take the byte kernel, sparse ones the per-bit walk
         rng = random.Random(seed)
         rows = tuple(
             sum(1 << c for c in range(ncols) if rng.random() < density) for _ in range(nrows)
