@@ -187,7 +187,7 @@ def run(argv) -> int:
         if args.command == "bounds":
             return _run_bounds(args)
         return _run_verify(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -217,6 +217,10 @@ def exact_count(
     the banded engine does not cover.  The banded engine reads the bandwidth
     off the graph and refuses one above BANDWIDTH_LIMIT.
     """
+    if what not in ("is", "cliques"):
+        raise ValueError(f"what must be 'is' or 'cliques', got {what!r}")
+    if engine not in ("auto", "brute", "branch", "banded"):
+        raise ValueError(f"engine must be 'auto', 'brute', 'branch' or 'banded', got {engine!r}")
     if engine == "auto":
         narrow = spec.kind == "toeplitz" and max(spec.distances) <= BANDWIDTH_LIMIT
         engine = "banded" if what == "is" and narrow else "branch"

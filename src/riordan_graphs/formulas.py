@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+# count_is is unused here; bench/tests/test_bench.py calls formulas.count_is
 from .counting import BigCount, _count_is_rows, count_is
 from .graphs import (
     BitGraph,

@@ -460,12 +460,6 @@ def _predicted_blocks(g: Gf2Series, f: Gf2Series, n: int) -> DecompositionBlocks
     return DecompositionBlocks(x=x, y=y, b=b, permutation=_odd_even_order(n))
 
 
-def _bell_cross_block(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
-    """The B block in its Bell-type form, (zg, zg) plus (evenPart(g), zg)
-    transposed, from g and f = z*g evaluated at order n."""
-    return _cross_block(f, parity_part(g, "even"), f, (n + 1) // 2, n // 2)
-
-
 def _prefix_defect(spec: RiordanSpec, k: int) -> str | None:
     """The lowest coefficient where g differs from 1 + ... + z^(k-2) below
     z^(k-1), or else f from z below z^k, mod 2, as "[z^i]f = 1, expected 0
@@ -617,6 +611,7 @@ def export_graph(graph: BitGraph, fmt: str = "json") -> str:
 
 # --- graph spec mini-language ---
 
+# bench/tests/test_bench.py calls _SPEC_MAKERS["pascal"] through this binding
 _SPEC_MAKERS = {"pascal": pascal_spec, "catalan": catalan_spec, "motzkin": motzkin_spec}
 
 
@@ -681,15 +676,10 @@ def parse_graph_spec(text: str) -> GraphSpec:
 
     if kind in ("riordan", "bell"):
         g_expr = parse(_spec_take(params, "g", text))
-        if kind == "riordan":
-            f_expr = parse(_spec_take(params, "f", text))
+        f_expr = parse(_spec_take(params, "f", text)) if kind == "riordan" else Mul(Var(), g_expr)
         n = _spec_int(params, "n", text)
         _spec_done(params, text)
-        if kind == "bell":
-            rs = RiordanSpec.bell(g_expr, n)
-        else:
-            rs = RiordanSpec(g_expr, f_expr, n)
-        return GraphSpec(text=text, kind=kind, n=n, riordan=rs)
+        return GraphSpec(text=text, kind=kind, n=n, riordan=RiordanSpec(g_expr, f_expr, n))
 
     if kind in _SPEC_MAKERS:
         n = _spec_int(params, "n", text)

@@ -18,7 +18,6 @@ from .graphs import (
     ChordalityRangeError,
     GraphSpec,
     RiordanSpec,
-    _bell_cross_block,
     _predicted_blocks,
     _prediction_pair,
     _riordan_graph,
@@ -29,6 +28,7 @@ from .graphs import (
     is_proper,
     parse_graph_spec,
 )
+from .series import mul_trunc, parity_part, shift_up
 
 # Independent-set counts for n = 1..12, Pascal / Motzkin / Catalan rows.
 TABLE1 = {
@@ -238,10 +238,9 @@ class DecompositionCheck(NamedTuple):
 def verify_decomposition(spec: RiordanSpec) -> DecompositionCheck:
     """Predicted odd/even blocks must equal the structural decomposition.
 
-    Bell-type specs additionally check the cross block in its (zg, zg)
-    form.  Reports the first differing cell on mismatch.  g and f are
-    evaluated once and feed the prediction, the built adjacency and the
-    Bell-form block alike.
+    Bell-type specs also check B in its form (zg, zg) + (evenPart(g), zg)^T
+    by the one series where it differs from the predicted B.  Reports the
+    first differing cell on mismatch.  g and f are evaluated once.
     """
     n = spec.n
     g, f = _prediction_pair(spec)
@@ -252,9 +251,14 @@ def verify_decomposition(spec: RiordanSpec) -> DecompositionCheck:
         if diff is not None:
             return DecompositionCheck(False, f"{name} block differs at cell {diff}")
     if spec.family == "bell":
-        diff = _first_difference(_bell_cross_block(g, f, n), actual.b)
-        if diff is not None:
-            return DecompositionCheck(False, f"Bell-form B block differs at cell {diff}")
+        # the Bell form's first series is f = zg where B's is z*oddPart(g*f),
+        # both read below z^ceil(n/2); as f = z + O(z^2), column j's difference
+        # starts at row i + j, so a first difference at z^i is cell (i + 1, 1)
+        first = shift_up(parity_part(mul_trunc(g, f, n), "odd"))
+        diff = (first.bits ^ f.bits) & ((1 << (n + 1) // 2) - 1)
+        if diff:
+            row = (diff & -diff).bit_length()
+            return DecompositionCheck(False, f"Bell-form B block differs at cell ({row}, 1)")
     return DecompositionCheck(True)
 
 

@@ -225,6 +225,17 @@ class TestNoTraceback:
         err = _assert_one_error_line(capsys, argv)
         assert err == "error: series expression nested too deeply\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "eval", "--expr", "z", "--order", "100000000000000000000"],
+            ["graph", "build", "--spec", "delta:n=100000000000000000000"],
+        ],
+    )
+    def test_arithmetic_overflow(self, capsys, argv):
+        # an OverflowError, like a ZeroDivisionError, is an ArithmeticError
+        _assert_one_error_line(capsys, argv)
+
     @pytest.mark.parametrize("extra", ["{x}", "{0}"])
     def test_sweep_template_with_other_braces(self, capsys, extra):
         argv = ["verify", "sweep", "--family", f"pascal:n={{n}};{extra}", "--range", "3..4"]

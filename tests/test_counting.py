@@ -826,6 +826,19 @@ class TestEnginePolicy:
         graph = parse_graph_spec(text).build()
         assert count == (count_is(graph) if what == "is" else count_cliques(graph))
 
+    @pytest.mark.parametrize(
+        "what, engine, message",
+        [
+            ("alpha", "auto", "what must be 'is' or 'cliques', got 'alpha'"),
+            ("is", "bandd", "engine must be 'auto', 'brute', 'branch' or 'banded', got 'bandd'"),
+        ],
+    )
+    def test_refuses_other_quantities_and_engines(self, what, engine, message):
+        # a count of i(G) must not come back under another quantity's name
+        with pytest.raises(ValueError) as info:
+            _exact("pascal:n=12", what, engine)
+        assert str(info.value) == message
+
     def test_explicit_engine_is_kept(self):
         assert _exact("toeplitz:n=18;d=1,3", engine="brute") == (
             "brute",

@@ -41,6 +41,7 @@ from riordan_graphs.graphs import (
 )
 from riordan_graphs.graphs import (
     _component_masks,
+    _cross_block,
     _mask_labels,
     _riordan_columns,
     _series_pair,
@@ -50,6 +51,7 @@ from riordan_graphs.series import (
     Gf2Series,
     Mul,
     Pow,
+    SeriesSyntaxError,
     Var,
     evaluate,
     mul_trunc,
@@ -57,7 +59,7 @@ from riordan_graphs.series import (
     parse,
     shift_up,
 )
-from riordan_graphs.verify import verify_decomposition
+from riordan_graphs.verify import _first_difference, verify_decomposition
 
 random_graphs = st.builds(
     lambda n, seed: _graph_from_seed(n, seed),
@@ -342,10 +344,24 @@ class TestPredictBlocks:
 
     @given(g_expr=bell_g_exprs, n=st.integers(2, 40))
     def test_bell_cross_block_agrees_with_both_routes(self, g_expr, n):
-        # verify_decomposition also checks the Bell-form B block against the built one
+        # the Bell form (zg, zg) + (evenPart(g), zg)^T, built as a block here,
+        # is the predicted B; verify_decomposition checks it by its first series
         spec = RiordanSpec.bell(g_expr, n)
-        assert predict_blocks(spec).b == decompose(build_riordan(spec)).b
+        g, f = _series_pair(spec, n)
+        bell_form = _cross_block(f, parity_part(g, "even"), f, (n + 1) // 2, n // 2)
+        assert bell_form == predict_blocks(spec).b == decompose(build_riordan(spec)).b
         assert verify_decomposition(spec).ok
+
+    @given(g_expr=bell_g_exprs, n=st.integers(2, 60), data=st.data())
+    def test_first_series_difference_names_its_cell(self, g_expr, n, data):
+        # the block route as oracle for verify_decomposition's cell rule: a
+        # first series that differs from f first at z^i moves cell (i + 1, 1)
+        p, q = (n + 1) // 2, n // 2
+        g, f = _series_pair(RiordanSpec.bell(g_expr, n), n)
+        e = data.draw(st.integers(1, 2**p - 1), label="e")
+        h2 = parity_part(g, "even")
+        moved = _cross_block(Gf2Series(f.bits ^ e, f.order), h2, f, p, q)
+        assert _first_difference(moved, _cross_block(f, h2, f, p, q)) == ((e & -e).bit_length(), 1)
 
 
 class TestAdjacencyKernel:
@@ -858,6 +874,9 @@ class TestExportRows:
             assert export_graph(graph, "json") == json.dumps(payload)
 
 
+_NO_ATOM = "expected a number, 'z', a name, or '(' at offset"
+
+
 class TestSpecLanguage:
     def test_named_families(self):
         for kind in ("pascal", "catalan", "motzkin"):
@@ -872,6 +891,8 @@ class TestSpecLanguage:
 
     def test_bell_kind_equals_named_family(self):
         assert parse_graph_spec("bell:g=1/(1-z);n=7").build() == build_riordan(pascal_spec(7))
+        spec = parse_graph_spec("bell:g=motzkin;n=9").riordan
+        assert spec == RiordanSpec.bell(Builtin("motzkin"), 9) and spec.family == "bell"
 
     def test_bell_family_detected_syntactically(self):
         spec = parse_graph_spec("riordan:g=1+z;f=z*(1+z);n=5")
@@ -933,9 +954,11 @@ class TestSpecLanguage:
             ("riordan:f=z;n=4", "spec 'riordan:f=z;n=4' is missing g="),
             ("riordan:g=1;n=4;b=2", "spec 'riordan:g=1;n=4;b=2' is missing f="),
             ("riordan:g=1;f=z", "spec 'riordan:g=1;f=z' is missing n="),
+            ("bell:g=1", "spec 'bell:g=1' is missing n="),
             ("toeplitz:n=6", "spec 'toeplitz:n=6' is missing d="),
             ("pascal:n=four", "n must be an integer in spec 'pascal:n=four'"),
             ("riordan:g=1;f=z;n=x", "n must be an integer in spec 'riordan:g=1;f=z;n=x'"),
+            ("bell:g=1;n=5.0", "n must be an integer in spec 'bell:g=1;n=5.0'"),
             ("deltaTilde:n=x", "n must be an integer in spec 'deltaTilde:n=x'"),
             ("toeplitz:n=6;d=1,x", "d must be comma-separated integers in 'toeplitz:n=6;d=1,x'"),
             ("toeplitz:n=6;d=0,2", "distances must be positive in 'toeplitz:n=6;d=0,2'"),
@@ -957,6 +980,26 @@ class TestSpecLanguage:
         with pytest.raises(SpecParseError) as info:
             parse_graph_spec(bad)
         assert str(info.value) == message
+
+    # riordan: and bell: share one branch, and test_error_messages holds its
+    # SpecParseError texts; a malformed series wins over a missing f or bad n
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ("riordan:g=1+;f=z;n=5", SeriesSyntaxError, f"{_NO_ATOM} 2"),
+            ("riordan:g=1;f=z*(;n=5", SeriesSyntaxError, f"{_NO_ATOM} 3"),
+            ("bell:g=(1-z;n=5", SeriesSyntaxError, "expected ')' at offset 4"),
+            ("riordan:g=1+;n=5", SeriesSyntaxError, f"{_NO_ATOM} 2"),
+            ("riordan:g=1;f=(;n=x", SeriesSyntaxError, f"{_NO_ATOM} 1"),
+            ("bell:g=1+;n=x", SeriesSyntaxError, f"{_NO_ATOM} 2"),
+            ("riordan:g=1;f=z;n=0", ValueError, "n must be positive"),
+            ("bell:g=1;n=0", ValueError, "n must be positive"),
+        ],
+    )
+    def test_riordan_and_bell_error_messages(self, bad, error, message):
+        with pytest.raises(ValueError) as info:
+            parse_graph_spec(bad)
+        assert type(info.value) is error and str(info.value) == message
 
 
 # sides around the byte and 64-bit word boundaries the kernel pads to, and larger powers of two

@@ -320,22 +320,31 @@ class TestDecompositionMismatch:
         assert check.mismatch == f"{block.upper()} block differs at cell {where}"
 
     def test_bell_form_block_mismatch_is_named(self, monkeypatch):
-        cross = verify._bell_cross_block
-        monkeypatch.setattr(
-            verify, "_bell_cross_block", lambda g, f, n: _flip(cross(g, f, n), [(5, 0), (1, 2)])
-        )
-        check = verify_decomposition(catalan_spec(12))
-        assert check == (False, "Bell-form B block differs at cell (2, 3)")
+        # flipping [z^(2i+1)] of g*f flips [z^(i+1)] of z*oddPart(g*f), B's
+        # first series, which the block reads below z^6 at n = 12: the flip
+        # names cell (i + 2, 1) for i < 5 and is not seen at i = 5.  graphs
+        # keeps its own mul_trunc binding, so the predicted blocks stay right
+        mul = verify.mul_trunc
+        for i in range(6):
+            bit = 1 << 2 * i + 1
+            monkeypatch.setattr(
+                verify, "mul_trunc", lambda a, b, k: series.Gf2Series(mul(a, b, k).bits ^ bit, k)
+            )
+            check = verify_decomposition(catalan_spec(12))
+            if i < 5:
+                assert check == (False, f"Bell-form B block differs at cell ({i + 2}, 1)")
+            else:
+                assert check == (True, None)
 
 
 class TestDecompositionWork:
-    def test_bell_check_transposes_at_most_five_times(self, monkeypatch):
-        # three for the predicted X, Y and B blocks, one for the built
-        # adjacency and one for the Bell-form B block; the one relabel of
-        # the built graph's odd/even split is separate and not counted here
+    def test_bell_check_transposes_four_times(self, monkeypatch):
+        # one each for the predicted X, Y and B blocks and one for the built
+        # adjacency; the Bell form is checked on a series, and the one relabel
+        # of the built graph's odd/even split is counted apart
         spec = graphs.parse_graph_spec("bell:g=motzkin;n=40").riordan
         work = _work(monkeypatch, lambda: verify_decomposition(spec))
-        assert work["transpose"] <= 5
+        assert work["transpose"] == 4
 
     def test_bell_check_relabels_once(self, monkeypatch):
         # the built graph's odd/even split; the predicted blocks need none
