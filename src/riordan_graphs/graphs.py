@@ -194,9 +194,11 @@ def _transpose(rows: tuple[int, ...], nrows: int, ncols: int) -> tuple[int, ...]
 
 
 def _relabel(rows: tuple[int, ...], order) -> tuple[int, ...]:
-    """P·A·Pᵀ for the symmetric bit matrix A = `rows` and the 0-based labels
-    `order`, which may leave some out: bit k of row j is A[order[j]][order[k]],
-    so the reordered rows of the transpose of the reordered rows."""
+    """P·Aᵀ·Pᵀ for the square bit matrix A = `rows` and the 0-based labels
+    `order`, which may leave some out: bit k of row j is A[order[k]][order[j]],
+    so the reordered rows of the transpose of the reordered rows.  For a
+    symmetric A that is P·A·Pᵀ; for any A, _symmetric of it is the
+    relabeled A + Aᵀ, so the orientation does not matter there."""
     cols = _transpose(tuple(rows[v] for v in order), len(order), len(rows))
     return tuple(cols[v] for v in order)
 
@@ -254,8 +256,9 @@ def motzkin_spec(n: int) -> RiordanSpec:
 def _riordan_columns(h: Gf2Series, f: Gf2Series, nrows: int, ncols: int) -> tuple[int, ...]:
     """Columns of the leading nrows x ncols block of the Riordan matrix
     (h, f): column j has generating function h*f^j, so bit i of column j is
-    entry (i, j) = [z^i] h f^j.  They are the rows of the block's transpose;
-    callers transpose only where they need the block's rows.
+    entry (i, j) = [z^i] h f^j.  They are the rows of the block's transpose,
+    and the rows of the upper halves V and U that the build and the block
+    prediction symmetrize, so neither transposes a block of its own.
 
     Over GF(2), f^(2^k) = f(z^(2^k)) (the Frobenius map), so with 2^k the
     top bit of j, column j is column j - 2^k times f(z^(2^k)).  Cut to nrows
@@ -283,14 +286,20 @@ def _riordan_columns(h: Gf2Series, f: Gf2Series, nrows: int, ncols: int) -> tupl
 
 def riordan_adjacency(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
     """Adjacency rows of G_n(g, f): L + L^T, where L = (zg, f)_n has entry
-    (i, j) = [z^(i-1)] g f^j, 0-indexed.  Row j of L^T is column j of (g, f)
-    shifted up one place, so one transpose gives L.  Cell (i, i) of L and of
-    L^T is the same bit, so their sum has a zero diagonal for every g and f."""
+    (i, j) = [z^(i-1)] g f^j, 0-indexed, and _riordan_upper gives L^T."""
     if n < 1:
         raise ValueError("n must be positive")
-    upper = tuple(col << 1 for col in _riordan_columns(g, f, n - 1, n))
-    lower = _transpose(upper, n, n)
-    return tuple(lo ^ up for lo, up in zip(lower, upper))
+    return _symmetric(_riordan_upper(g, f, n))
+
+
+def _riordan_upper(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
+    """Rows of L^T: row j is column j of (g, f) shifted up one place."""
+    return tuple(col << 1 for col in _riordan_columns(g, f, n - 1, n))
+
+
+def _symmetric(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """A + Aᵀ for the square bit matrix A = `rows`, zero on the diagonal for every A."""
+    return tuple(map(int.__xor__, rows, _transpose(rows, len(rows), len(rows))))
 
 
 def _series_pair(spec: RiordanSpec, order: int) -> tuple[Gf2Series, Gf2Series]:
@@ -302,18 +311,9 @@ def _series_pair(spec: RiordanSpec, order: int) -> tuple[Gf2Series, Gf2Series]:
 
 
 def build_riordan(spec: RiordanSpec) -> BitGraph:
-    """Build the labeled Riordan graph for the spec.
-
-    A graph on n vertices needs coefficients up to z^(n-2), so both series
-    are evaluated at truncation order n.
-    """
-    return _riordan_graph(*_series_pair(spec, spec.n), spec.n)
-
-
-def _riordan_graph(g: Gf2Series, f: Gf2Series, n: int) -> BitGraph:
-    """G_n(g, f) from g and f evaluated at order n; its rows are L + L^T,
-    so symmetric and loop-free for every g and f."""
-    return BitGraph._unchecked(n, riordan_adjacency(g, f, n))
+    """The labeled Riordan graph of the spec, from g and f at order n (its
+    edges need z^(n-2)); L + L^T is symmetric and loop-free for every g and f."""
+    return BitGraph._unchecked(spec.n, riordan_adjacency(*_series_pair(spec, spec.n), spec.n))
 
 
 def build_toeplitz(n: int, distances) -> BitGraph:
@@ -400,20 +400,10 @@ class DecompositionBlocks(NamedTuple):
 
 
 def decompose(graph: BitGraph) -> DecompositionBlocks:
-    """Odd/even blocks by one _relabel to the odd-then-even order: its first
-    p = ceil(n/2) rows are X (the low p bits) and B (the rest), the others Y."""
+    """Odd/even blocks by one _relabel to the odd-then-even order."""
     if graph.n < 2:
         raise ValueError("decomposition needs n >= 2")
-    p, q = (graph.n + 1) // 2, graph.n // 2
-    permutation = _odd_even_order(graph.n)
-    rows = _relabel(graph.rows, [v - 1 for v in permutation])
-    full = (1 << p) - 1
-    return DecompositionBlocks(
-        x=tuple(row & full for row in rows[:p]),
-        y=tuple(row >> p for row in rows[p:]),
-        b=tuple(row >> p for row in rows[:p]),
-        permutation=permutation,
-    )
+    return _split(_relabel(graph.rows, [v - 1 for v in _odd_even_order(graph.n)]))
 
 
 def _odd_even_order(n: int) -> tuple[int, ...]:
@@ -421,23 +411,23 @@ def _odd_even_order(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1, 2)) + tuple(range(2, n + 1, 2))
 
 
-def _cross_block(h1: Gf2Series, h2: Gf2Series, f: Gf2Series, p: int, q: int) -> tuple[int, ...]:
-    """B block: the p x q block of (h1, f) plus the q x p block of (h2, f)
-    transposed, whose rows are the columns of (h2, f)."""
-    m1 = _transpose(_riordan_columns(h1, f, p, q), q, p)
-    m2t = _riordan_columns(h2, f, q, p)
-    return tuple(r1 ^ r2 for r1, r2 in zip(m1, m2t))
+def _split(rows: tuple[int, ...]) -> DecompositionBlocks:
+    """X, Y, B of a symmetric matrix in the odd-then-even order: its first
+    p = ceil(n/2) rows are X (the low p bits) and B (the rest), the others Y."""
+    p = (len(rows) + 1) // 2
+    full = (1 << p) - 1
+    return DecompositionBlocks(
+        x=tuple(row & full for row in rows[:p]),
+        y=tuple(row >> p for row in rows[p:]),
+        b=tuple(row >> p for row in rows[:p]),
+        permutation=_odd_even_order(len(rows)),
+    )
 
 
 def predict_blocks(spec: RiordanSpec) -> DecompositionBlocks:
-    """Blocks of the odd/even decomposition computed from g and f alone.
-
-    X comes from (oddPart(g), f) at order ceil(n/2), Y from
-    (oddPart(gf/z), f) at order floor(n/2), and B is the mod-2 sum of the
-    rectangular blocks (z*oddPart(gf), f) and (evenPart(g), f) transposed.
-    Must agree cell-for-cell with decompose(build_riordan(spec)).
-    """
-    return _predicted_blocks(*_prediction_pair(spec), spec.n)
+    """Blocks of the odd/even decomposition computed from g and f alone, as
+    U + Uᵀ (see _predicted_upper); equal to decompose(build_riordan(spec))."""
+    return _split(_symmetric(_predicted_upper(*_prediction_pair(spec), spec.n)))
 
 
 def _prediction_pair(spec: RiordanSpec) -> tuple[Gf2Series, Gf2Series]:
@@ -449,15 +439,37 @@ def _prediction_pair(spec: RiordanSpec) -> tuple[Gf2Series, Gf2Series]:
     return _series_pair(spec, spec.n)
 
 
-def _predicted_blocks(g: Gf2Series, f: Gf2Series, n: int) -> DecompositionBlocks:
-    """predict_blocks on g and f already evaluated at order n."""
-    p = (n + 1) // 2
-    q = n // 2
+def _predicted_upper(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
+    """U, whose U + Uᵀ is the predicted decomposition in the odd-then-even
+    order, from g and f at order n >= 2, with p = ceil(n/2), q = floor(n/2).
+
+    X is (oddPart(g), f) at order p, Y (oddPart(gf/z), f) at order q, and B
+    the p x q block of (z*oddPart(gf), f) plus the q x p block of
+    (evenPart(g), f) transposed.  Every row of U is a Riordan column: row
+    r < p is column r of (oddPart(g), f) shifted up one place (X's upper
+    half), with column r of (evenPart(g), f) from bit p; row p + c is column
+    c of (z*oddPart(gf), f), a row of Bᵀ, with column c of (oddPart(gf/z), f)
+    shifted up one place from bit p + 1 (Y's upper half)."""
+    p, q = (n + 1) // 2, n // 2
     gf = mul_trunc(g, f, n)
-    x = riordan_adjacency(parity_part(g, "odd"), f, p)
-    y = riordan_adjacency(parity_part(shift_down(gf), "odd"), f, q)
-    b = _cross_block(shift_up(parity_part(gf, "odd")), parity_part(g, "even"), f, p, q)
-    return DecompositionBlocks(x=x, y=y, b=b, permutation=_odd_even_order(n))
+    x = _riordan_columns(parity_part(g, "odd"), f, p - 1, p)
+    b_even = _riordan_columns(parity_part(g, "even"), f, q, p)
+    b_odd = _riordan_columns(shift_up(parity_part(gf, "odd")), f, p, q)
+    y = _riordan_columns(parity_part(shift_down(gf), "odd"), f, q - 1, q)
+    return tuple(
+        [col << 1 | row << p for col, row in zip(x, b_even)]
+        + [row | col << p + 1 for row, col in zip(b_odd, y)]
+    )
+
+
+def _prediction_errors(g: Gf2Series, f: Gf2Series, n: int) -> tuple[DecompositionBlocks, int]:
+    """Blocks of the built G_n(g, f) = V + Vᵀ plus the predicted U + Uᵀ, as
+    the symmetric part of _relabel(V) + U (one relabel, one transpose), and
+    B's first series z*oddPart(gf) below z^p, the low p bits of U's row p."""
+    upper = _predicted_upper(g, f, n)
+    built = _relabel(_riordan_upper(g, f, n), [v - 1 for v in _odd_even_order(n)])
+    p = (n + 1) // 2
+    return _split(_symmetric(tuple(map(int.__xor__, built, upper)))), upper[p] & ((1 << p) - 1)
 
 
 def _prefix_defect(spec: RiordanSpec, k: int) -> str | None:

@@ -18,9 +18,8 @@ from .graphs import (
     ChordalityRangeError,
     GraphSpec,
     RiordanSpec,
-    _predicted_blocks,
+    _prediction_errors,
     _prediction_pair,
-    _riordan_graph,
     decompose,
     has_consecutive_ham_path,
     has_io_blocks,
@@ -28,7 +27,6 @@ from .graphs import (
     is_proper,
     parse_graph_spec,
 )
-from .series import mul_trunc, parity_part, shift_up
 
 # Independent-set counts for n = 1..12, Pascal / Motzkin / Catalan rows.
 TABLE1 = {
@@ -236,39 +234,27 @@ class DecompositionCheck(NamedTuple):
 
 
 def verify_decomposition(spec: RiordanSpec) -> DecompositionCheck:
-    """Predicted odd/even blocks must equal the structural decomposition.
-
+    """Predicted odd/even blocks must equal the structural decomposition: the
+    first set cell of X, then Y, then B of their mod-2 sum is reported.
     Bell-type specs also check B in its form (zg, zg) + (evenPart(g), zg)^T
-    by the one series where it differs from the predicted B.  Reports the
-    first differing cell on mismatch.  g and f are evaluated once.
-    """
-    n = spec.n
+    by the one series where it differs from the predicted B.  g, f and g*f
+    are evaluated once."""
     g, f = _prediction_pair(spec)
-    predicted = _predicted_blocks(g, f, n)
-    actual = decompose(_riordan_graph(g, f, n))
-    for name, rows, other in zip("XYB", predicted, actual):
-        diff = _first_difference(rows, other)
-        if diff is not None:
-            return DecompositionCheck(False, f"{name} block differs at cell {diff}")
+    errors, first = _prediction_errors(g, f, spec.n)
+    for name, rows in zip("XYB", errors):
+        for r, row in enumerate(rows, start=1):
+            if row:
+                cell = (r, (row & -row).bit_length())
+                return DecompositionCheck(False, f"{name} block differs at cell {cell}")
     if spec.family == "bell":
         # the Bell form's first series is f = zg where B's is z*oddPart(g*f),
         # both read below z^ceil(n/2); as f = z + O(z^2), column j's difference
         # starts at row i + j, so a first difference at z^i is cell (i + 1, 1)
-        first = shift_up(parity_part(mul_trunc(g, f, n), "odd"))
-        diff = (first.bits ^ f.bits) & ((1 << (n + 1) // 2) - 1)
+        diff = first ^ (f.bits & ((1 << (spec.n + 1) // 2) - 1))
         if diff:
             row = (diff & -diff).bit_length()
             return DecompositionCheck(False, f"Bell-form B block differs at cell ({row}, 1)")
     return DecompositionCheck(True)
-
-
-def _first_difference(rows, other) -> tuple[int, int] | None:
-    """1-indexed (row, col) of the first cell where two bit-row blocks of the
-    same shape differ, or None."""
-    for r, diff in enumerate(map(operator.xor, rows, other), start=1):
-        if diff:
-            return (r, (diff & -diff).bit_length())
-    return None
 
 
 def reports_to_json(reports) -> str:

@@ -1,8 +1,9 @@
 """The package's public names, where a deletion has to show up, the one
-module that may store graph rows unchecked, and the byte conversions that
-must run on the oldest supported Python."""
+module that may store graph rows unchecked or name the bit-matrix helpers,
+and the byte conversions that must run on the oldest supported Python."""
 
 import ast
+import re
 from pathlib import Path
 
 import riordan_graphs
@@ -63,6 +64,16 @@ def test_only_graphs_names_the_unchecked_constructor():
     package = Path(riordan_graphs.__file__).parent
     naming = sorted(p.name for p in package.glob("*.py") if "_unchecked" in p.read_text())
     assert naming == ["graphs.py"]
+
+
+def test_only_graphs_names_the_bit_matrix_helpers():
+    # the odd/even layout and the bit-matrix path stay in one module: verify
+    # reads blocks and series through graphs' functions
+    package = Path(riordan_graphs.__file__).parent
+    for name in ("_transpose", "_riordan_columns", "_symmetric", "_split"):
+        word = re.compile(rf"\b{name}\b")
+        naming = sorted(p.name for p in package.glob("*.py") if word.search(p.read_text()))
+        assert naming == ["graphs.py"], name
 
 
 def test_byte_conversions_pass_their_byteorder():

@@ -7,6 +7,7 @@ import pickle
 import random
 import re
 from collections import deque
+from operator import xor
 
 import pytest
 from corpus import poly_text
@@ -41,7 +42,6 @@ from riordan_graphs.graphs import (
 )
 from riordan_graphs.graphs import (
     _component_masks,
-    _cross_block,
     _mask_labels,
     _riordan_columns,
     _series_pair,
@@ -59,7 +59,7 @@ from riordan_graphs.series import (
     parse,
     shift_up,
 )
-from riordan_graphs.verify import _first_difference, verify_decomposition
+from riordan_graphs.verify import verify_decomposition
 
 random_graphs = st.builds(
     lambda n, seed: _graph_from_seed(n, seed),
@@ -321,6 +321,22 @@ class TestRelabel:
             assert graphs._relabel(rows, labels) == cells
 
 
+def _cross_block(h1, h2, f, p, q):
+    """The block route to B, the reference for the Bell form: the p x q block
+    of (h1, f) plus the q x p block of (h2, f) transposed, whose rows are the
+    columns of (h2, f)."""
+    m1 = graphs._transpose(_riordan_columns(h1, f, p, q), q, p)
+    return tuple(map(xor, m1, _riordan_columns(h2, f, q, p)))
+
+
+def _first_cell(rows):
+    """1-indexed (row, col) of the first set cell of a bit-row block, or None."""
+    for r, row in enumerate(rows, start=1):
+        if row:
+            return (r, (row & -row).bit_length())
+    return None
+
+
 class TestPredictBlocks:
     def test_pascal_8_matches_structural(self):
         spec = pascal_spec(8)
@@ -342,6 +358,15 @@ class TestPredictBlocks:
         with pytest.raises(ValueError):
             predict_blocks(spec_from("z", "z", 6))
 
+    @given(pair=proper_pairs, n=st.integers(2, 40))
+    @example(pair=(parse("1/(1-z)"), parse("z+z^2")), n=2)
+    @example(pair=(parse("1/(1-z)"), parse("z+z^2")), n=3)
+    def test_matches_structural_decomposition(self, pair, n):
+        # verify_decomposition reads only the sum of the two routes, so they
+        # are compared here; n = 2 and 3 leave X's and Y's columns empty
+        spec = RiordanSpec(*pair, n)
+        assert predict_blocks(spec) == decompose(build_riordan(spec))
+
     @given(g_expr=bell_g_exprs, n=st.integers(2, 40))
     def test_bell_cross_block_agrees_with_both_routes(self, g_expr, n):
         # the Bell form (zg, zg) + (evenPart(g), zg)^T, built as a block here,
@@ -361,7 +386,8 @@ class TestPredictBlocks:
         e = data.draw(st.integers(1, 2**p - 1), label="e")
         h2 = parity_part(g, "even")
         moved = _cross_block(Gf2Series(f.bits ^ e, f.order), h2, f, p, q)
-        assert _first_difference(moved, _cross_block(f, h2, f, p, q)) == ((e & -e).bit_length(), 1)
+        diff = map(xor, moved, _cross_block(f, h2, f, p, q))
+        assert _first_cell(diff) == ((e & -e).bit_length(), 1)
 
 
 class TestAdjacencyKernel:
@@ -488,8 +514,9 @@ class TestColumnKernel:
 
 @pytest.mark.parametrize("text", ["bell:g=motzkin;n=1500", "pascal:n=1500", "bell:g=1/(1-z^2);n=1000"])
 def test_columns_at_large_n_shapes(text):
-    """The build shape (n-1) x n, and the cross-block shapes p x q and q x p
-    of _cross_block at n and at the odd n - 1, against one product per column."""
+    """The build shape (n-1) x n, and the shapes p x q and q x p of the two B
+    terms of _predicted_upper at n and at the odd n - 1, against one product
+    per column."""
     spec = parse_graph_spec(text).riordan
     g, f = _series_pair(spec, spec.n)
     shapes = [(g, spec.n - 1, spec.n)]

@@ -4,9 +4,11 @@ import csv
 import io
 import json
 from collections import Counter
+from operator import xor
 
 import pytest
 from corpus import random_graphs, random_proper_pairs, random_toeplitz_cases
+from test_graphs import _cross_block, _first_cell
 
 from riordan_graphs import cli, counting, formulas, graphs, series, verify
 from riordan_graphs.counting import count_is
@@ -305,51 +307,66 @@ def _flip(rows, cells):
 class TestDecompositionMismatch:
     @pytest.mark.parametrize(
         "block, cells, where",
-        [("x", [(0, 0)], "(1, 1)"), ("y", [(2, 3)], "(3, 4)"), ("b", [(4, 1), (2, 5)], "(3, 6)")],
+        [("x", [(0, 1)], "(1, 2)"), ("y", [(2, 3)], "(3, 4)"), ("b", [(4, 1), (2, 5)], "(3, 6)")],
     )
     def test_first_differing_cell_is_named(self, monkeypatch, block, cells, where):
-        predict = verify._predicted_blocks
-
-        def wrong(g, f, n):
-            blocks = predict(g, f, n)
-            return blocks._replace(**{block: _flip(getattr(blocks, block), cells)})
-
-        monkeypatch.setattr(verify, "_predicted_blocks", wrong)
+        # block cell (r, c) is cell (r, c) of U for X, (p + r, p + c) for Y
+        # and (r, p + c) for B, with p = 6 at n = 12; U + U^T has a zero
+        # diagonal for every U, so X's cell lies off it
+        top, left = {"x": (0, 0), "y": (6, 6), "b": (0, 6)}[block]
+        moved = [(top + r, left + c) for r, c in cells]
+        predict = graphs._predicted_upper
+        monkeypatch.setattr(graphs, "_predicted_upper", lambda *a: _flip(predict(*a), moved))
         check = verify_decomposition(pascal_spec(12))
-        assert not check
-        assert check.mismatch == f"{block.upper()} block differs at cell {where}"
+        assert check == (False, f"{block.upper()} block differs at cell {where}")
 
     def test_bell_form_block_mismatch_is_named(self, monkeypatch):
-        # flipping [z^(2i+1)] of g*f flips [z^(i+1)] of z*oddPart(g*f), B's
-        # first series, which the block reads below z^6 at n = 12: the flip
-        # names cell (i + 2, 1) for i < 5 and is not seen at i = 5.  graphs
-        # keeps its own mul_trunc binding, so the predicted blocks stay right
-        mul = verify.mul_trunc
-        for i in range(6):
-            bit = 1 << 2 * i + 1
-            monkeypatch.setattr(
-                verify, "mul_trunc", lambda a, b, k: series.Gf2Series(mul(a, b, k).bits ^ bit, k)
-            )
-            check = verify_decomposition(catalan_spec(12))
-            if i < 5:
-                assert check == (False, f"Bell-form B block differs at cell ({i + 2}, 1)")
-            else:
-                assert check == (True, None)
+        # f + z^k is proper for k >= 2, so the built and predicted blocks of
+        # (g, f + z^k) agree, while the Bell form's first series f + z^k moves
+        # off B's z*oddPart(g*(f + z^k)); the block route of the Bell form
+        # names the expected cell, and B reads no change from k = 10 at n = 12
+        spec = catalan_spec(12)
+        g, f = graphs._prediction_pair(spec)
+        h2 = series.parity_part(g, "even")
+        cells = []
+        for k in range(2, 12):
+            moved = series.Gf2Series(f.bits ^ 1 << k, f.order)
+            monkeypatch.setattr(verify, "_prediction_pair", lambda spec: (g, moved))
+            gf = series.mul_trunc(g, moved, 12)
+            first = series.shift_up(series.parity_part(gf, "odd"))
+            bell_form = _cross_block(moved, h2, moved, 6, 6)
+            cell = _first_cell(map(xor, bell_form, _cross_block(first, h2, moved, 6, 6)))
+            expected = f"Bell-form B block differs at cell {cell}" if cell else None
+            assert verify_decomposition(spec) == (cell is None, expected)
+            cells.append(cell)
+        assert cells == [(4, 1), (3, 1), (4, 1), (4, 1), (5, 1), (5, 1), (6, 1), (6, 1), None, None]
 
 
 class TestDecompositionWork:
-    def test_bell_check_transposes_four_times(self, monkeypatch):
-        # one each for the predicted X, Y and B blocks and one for the built
-        # adjacency; the Bell form is checked on a series, and the one relabel
-        # of the built graph's odd/even split is counted apart
+    def test_bell_check_transposes_once(self, monkeypatch):
+        # to symmetrize the built upper half, relabeled, plus the predicted U;
+        # the Bell form is checked on a series, and the one relabel is counted apart
         spec = graphs.parse_graph_spec("bell:g=motzkin;n=40").riordan
         work = _work(monkeypatch, lambda: verify_decomposition(spec))
-        assert work["transpose"] == 4
+        assert work["transpose"] == 1
 
     def test_bell_check_relabels_once(self, monkeypatch):
-        # the built graph's odd/even split; the predicted blocks need none
+        # the built upper half's odd/even order; the prediction needs none
         spec = graphs.parse_graph_spec("bell:g=motzkin;n=40").riordan
         assert _work(monkeypatch, lambda: verify_decomposition(spec))["relabel"] == 1
+
+    def test_bell_check_multiplies_once(self, monkeypatch):
+        # g*f serves Y, B and the Bell-form series
+        spec = graphs.parse_graph_spec("bell:g=motzkin;n=40").riordan
+        mul, calls = graphs.mul_trunc, []
+        monkeypatch.setattr(graphs, "mul_trunc", lambda *a: calls.append(a) or mul(*a))
+        assert verify_decomposition(spec)
+        assert len(calls) == 1
+
+    def test_prediction_transposes_once(self, monkeypatch):
+        # U + U^T, with U's rows already Riordan columns
+        work = _work(monkeypatch, lambda: graphs.predict_blocks(motzkin_spec(40)))
+        assert (work["transpose"], work["relabel"]) == (1, 0)
 
 
 class TestSeriesPerDecompositionCheck:
