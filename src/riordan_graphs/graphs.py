@@ -545,18 +545,19 @@ def _component_masks(rows, mask: int) -> list[int]:
     out = []
     rest = mask
     while rest:
-        comp = frontier = rest & -rest
-        while frontier and comp != rest:
+        frontier = rest & -rest
+        left = rest ^ frontier  # the vertices the walk has not reached
+        while frontier and left:
             bit = frontier & -frontier
             reach = rows[bit.bit_length() - 1]
             while frontier != bit:
                 frontier ^= bit
                 bit = frontier & -frontier
                 reach |= rows[bit.bit_length() - 1]
-            frontier = reach & rest & ~comp
-            comp |= frontier
-        rest ^= comp
-        out.append(comp)
+            frontier = reach & left
+            left ^= frontier
+        out.append(rest ^ left)
+        rest = left
     return out
 
 

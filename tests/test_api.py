@@ -1,6 +1,7 @@
 """The package's public names, where a deletion has to show up, the one
 module that may store graph rows unchecked or name the bit-matrix helpers,
-and the byte conversions that must run on the oldest supported Python."""
+the byte conversions that must run on the oldest supported Python, and the
+one place that runs generated source."""
 
 import ast
 import re
@@ -100,3 +101,17 @@ def test_byte_conversions_pass_their_byteorder():
         ]
     assert uses
     assert [use for use in uses if not use[2]] == []
+
+
+def test_only_the_sweep_kernel_names_exec():
+    # counting._kernel runs source built from state numbers alone; no other
+    # name that runs text appears in the package, as a name or an attribute
+    package = Path(riordan_graphs.__file__).parent
+    runners = ("exec", "eval", "__import__")
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in runners:
+                uses.append((path.name, name))
+    assert uses == [("counting.py", "exec")]

@@ -3,6 +3,7 @@
 import inspect
 import operator
 import random
+import re
 from itertools import combinations
 from math import prod
 
@@ -699,6 +700,161 @@ class TestBandedWork:
         monkeypatch.undo()
         assert _sweep_work(monkeypatch, graph) == first
         assert first[1] > 0
+
+
+def _kernel_work(monkeypatch, graph):
+    """The `_step` calls one count_is_banded(graph) makes, and the steps each
+    of its kernels takes, in sweep order."""
+    step, kernel = counting._step, counting._kernel
+    calls, runs = [0], []
+
+    def counted_step(*args):
+        calls[0] += 1
+        return step(*args)
+
+    def counted_kernel(tables, live):
+        run = kernel(tables, live)
+        if run is None:
+            return None
+
+        def counted_run(k, *counts):
+            runs.append(k * len(tables))
+            return run(k, *counts)
+
+        return counted_run
+
+    monkeypatch.setattr(counting, "_step", counted_step)
+    monkeypatch.setattr(counting, "_kernel", counted_kernel)
+    count_is_banded(graph)
+    return calls[0], runs
+
+
+def _without_edge(graph, u, v):
+    """graph minus the edge {u, v}, 1-based labels."""
+    rows = list(graph.rows)
+    rows[u - 1] ^= 1 << (v - 1)
+    rows[v - 1] ^= 1 << (u - 1)
+    return BitGraph(graph.n, rows)
+
+
+class TestSweepKernel:
+    """The generated kernel against routes that do not use it."""
+
+    def step_sweep(self, monkeypatch, graph):
+        """count_is_banded with the cut above n, so `_step` takes every step."""
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "KERNEL_CUT", graph.n + 1)
+            return count_is_banded(graph)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_the_step_sweep_on_random_distance_sets(self, monkeypatch, seed):
+        # n = 200..700 puts runs on both sides of the cut; single distances
+        # split into residue classes shorter than it
+        rng = random.Random(seed)
+        n = rng.randint(200, 700)
+        ds = sorted(rng.sample(range(1, 21), rng.randint(1, 4)))
+        graph = build_toeplitz(n, ds)
+        assert count_is_banded(graph) == self.step_sweep(monkeypatch, graph)
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 258, 259, 260, 1000, 3000])
+    @pytest.mark.parametrize("variant", ["plain", "tilde"])
+    def test_ladders_match_pell_form(self, n, variant):
+        assert count_is_banded(build_delta(n, variant)) == formulas.delta(n, variant)
+
+    WELL_BASED = [(1,), (1, 2), (1, 3), (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 5)]
+    WELL_BASED += [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 3, 7), (1, 2, 4, 5)]
+    WELL_BASED += [(1, 2, 4, 7), (1, 3, 5, 7)]
+
+    @pytest.mark.parametrize("n", [1000, 1777, 3000])
+    @pytest.mark.parametrize("ds", WELL_BASED)
+    def test_well_based_sets_match_the_series(self, ds, n):
+        # every well-based set of at most four distances up to 20
+        assert formulas.is_well_based(ds)
+        expected = formulas.well_based_series_count(ds, n)
+        assert count_is_banded(build_toeplitz(n, ds)) == expected
+
+    @pytest.mark.parametrize("ds", [(1, 2), (1, 3), (1, 6, 11, 16)])
+    @pytest.mark.parametrize("u, kernels", [(600, 2), (200, 1)])
+    def test_a_missing_edge_ends_one_run_and_a_second_starts(self, monkeypatch, ds, u, kernels):
+        # with the edge at 200 the first run is below the cut and the second
+        # still gets its kernel
+        graph = _without_edge(build_toeplitz(1200, ds), u, u + 1)
+        expected = self.step_sweep(monkeypatch, graph)
+        assert count_is_banded(graph) == expected
+        assert len(_kernel_work(monkeypatch, graph)[1]) == kernels
+
+    def test_a_missing_path_edge_leaves_two_fibonacci_factors(self):
+        graph = _without_edge(build_toeplitz(1200, (1,)), 500, 501)
+        # fibonacci(m + 1) independent sets on an m-vertex path
+        expected = formulas.fibonacci(501) * formulas.fibonacci(701)
+        assert count_is_banded(graph) == expected
+
+    def test_generated_sources_keep_to_the_grammar(self, monkeypatch):
+        # a kernel's source is built from state numbers only: a header, one
+        # loop, tuple assignments of sums of c<number> names, and a return
+        name, names = r"c\d+", r"c\d+(, c\d+)*"
+        sums = rf"{name}( \+ {name})*(, {name}( \+ {name})*)*"
+        grammar = re.compile(
+            rf"def run\(k, {names}\):\n for _ in range\(k\):\n(  {names} = {sums}\n)+ return {names},"
+        )
+        sources = []
+
+        def recorded_exec(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(counting, "exec", recorded_exec, raising=False)
+        graphs = [build_toeplitz(700, ds) for ds in [(1,), (1, 2), (2, 3), (1, 6, 11, 16)]]
+        graphs += [build_delta(700, "plain"), build_delta(700, "tilde")]
+        graphs.append(_without_edge(build_toeplitz(1200, (1, 3)), 600, 601))
+        for graph in graphs:
+            count_is_banded(graph)
+        assert len(sources) == 8
+        assert [s for s in sources if not grammar.fullmatch(s)] == []
+
+
+class TestSweepKernelWork:
+    """`_step` calls and kernels, work counts that do not depend on the machine."""
+
+    @pytest.mark.parametrize(
+        "graph, calls, kernels",
+        [
+            (build_toeplitz(3000, (1, 6, 11, 16)), 33, 1),
+            (build_toeplitz(3000, (4, 8, 12, 16)), 36, 4),  # one per residue class
+            (build_delta(3000, "plain"), 6, 1),
+            (build_delta(3000, "tilde"), 4, 1),
+        ],
+        ids=["d=1,6,11,16", "d=4,8,12,16", "delta", "deltaTilde"],
+    )
+    def test_periodic_graphs_at_3000(self, monkeypatch, graph, calls, kernels):
+        steps, runs = _kernel_work(monkeypatch, graph)
+        assert (steps, len(runs)) == (calls, kernels)
+        assert steps + sum(runs) == graph.n
+
+    @pytest.mark.parametrize("n", range(6, 20))
+    def test_small_toeplitz_graphs_take_no_kernel(self, monkeypatch, n):
+        for ds in [(1,), (1, 2), (2, 3), (1, 2, 3, 4), (1, 3, 4, 5)]:
+            if ds[-1] < n:
+                assert _kernel_work(monkeypatch, build_toeplitz(n, ds)) == (n, [])
+                monkeypatch.undo()
+
+    def test_runs_below_the_cut_take_no_kernel(self, monkeypatch):
+        # a path's live states close after two steps, and its last vertex has
+        # a key of its own, so the run left then is n - 3 steps
+        assert counting.KERNEL_CUT == 256
+        assert _kernel_work(monkeypatch, build_toeplitz(258, (1,))) == (258, [])
+        monkeypatch.undo()
+        assert _kernel_work(monkeypatch, build_toeplitz(259, (1,))) == (3, [256])
+
+    def test_runs_over_more_live_states_than_the_cap_take_no_kernel(self, monkeypatch):
+        # compiling takes memory by the live state; 173 states are numbered
+        # here, all live
+        assert counting.KERNEL_STATES == 4096
+        graph = build_toeplitz(600, (1, 6, 11, 16))
+        for cap, kernels in [(172, 0), (173, 1)]:
+            monkeypatch.setattr(counting, "KERNEL_STATES", cap)
+            assert len(_kernel_work(monkeypatch, graph)[1]) == kernels
+            monkeypatch.undo()
 
 
 class TestBranchWork:

@@ -746,6 +746,21 @@ class TestComponentMasks:
         leasts = [(comp & -comp).bit_length() for comp in masks]
         assert leasts == sorted(leasts)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            build_toeplitz(3000, (1,)),
+            build_delta(3000, "plain"),
+            build_delta(3000, "tilde"),
+            build_toeplitz(3000, (4, 8, 12, 16)),
+        ],
+        ids=["path", "delta", "deltaTilde", "d=4,8,12,16"],
+    )
+    def test_matches_bfs_on_long_banded_graphs(self, graph):
+        # the long one-bit frontiers that every banded count walks
+        mask = (1 << graph.n) - 1
+        assert _component_masks(graph.rows, mask) == _bfs_components(graph, mask)
+
     def test_empty_mask(self):
         assert _component_masks(build_toeplitz(4, (1,)).rows, 0) == []
 
