@@ -16,13 +16,12 @@ count branches on a maximum-degree vertex and prunes: a greedy matching bounds
 what the branch through the branch vertex can reach, and that branch is
 skipped when the other one already exceeds the bound, so ties still add
 their counts.  The banded sweep takes each connected component in label
-order, keeps per state the set of later vertices that the chosen ones
-block, and reads its transitions from one table per kind of vertex; its
-bandwidth, the graph's longest edge, is read off the rows.  Where the kinds
-repeat with period 1 or 2 (a Toeplitz interior, a ladder) and the live
-states close up, a long run is one straight-line function generated from
-state numbers and compiled once.  Counts include the empty set throughout,
-and use Python's arbitrary-precision integers.
+order and keeps one count per blocked set, the later vertices that the
+chosen ones block; its bandwidth, the graph's longest edge, is read off the
+rows.  Where the vertices repeat with period 1 or 2 (a Toeplitz interior, a
+ladder) and the live blocked sets close up, a long run is one straight-line
+function generated from those sets and compiled once.  Counts include the
+empty set throughout, and use Python's arbitrary-precision integers.
 
 One engine policy, `exact_count`, serves the CLI and the bound reports:
 `auto` picks the banded sweep for independent sets of a Toeplitz spec whose
@@ -33,7 +32,7 @@ everything else.
 from __future__ import annotations
 
 import operator
-from itertools import compress, count, islice, pairwise
+from itertools import compress, count, pairwise
 from math import prod
 from typing import NamedTuple
 
@@ -45,7 +44,7 @@ BRUTE_FORCE_LIMIT = 24
 MAXIMAL_LIMIT = 64
 BANDWIDTH_LIMIT = 20
 KERNEL_CUT = 256  # steps; compiling a kernel costs what 60 to 160 `_step` steps do
-KERNEL_STATES = 4096  # state numbers; compiling a kernel takes about 3.5 KB a live state
+KERNEL_STATES = 4096  # live blocked sets; compiling a kernel takes about 3.5 KB a set
 
 
 def _branch_vertex(rows, mask: int) -> int:
@@ -163,10 +162,9 @@ def count_is_banded(graph: BitGraph) -> BigCount:
     block, all within the bandwidth.  Partial sets with the same state
     have the same extensions, so no label-order sweep keeps fewer states; on
     a Toeplitz graph it is the minimal automaton of the binary words with no
-    x_i = x_(i+d) = 1.  Vertices with the same later neighbours and gap share
-    one table of successor numbers, and a periodic run of at least KERNEL_CUT
-    steps (a Toeplitz interior, a ladder) goes through one `_kernel`.  The
-    component counts multiply."""
+    x_i = x_(i+d) = 1.  A periodic run of at least KERNEL_CUT steps (a
+    Toeplitz interior, a ladder) goes through one `_kernel`.  The component
+    counts multiply."""
     bandwidth = max(row.bit_length() - 1 - i for i, row in enumerate(graph.rows))
     if bandwidth > BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be at most {BANDWIDTH_LIMIT}, got {bandwidth}")
@@ -174,15 +172,16 @@ def count_is_banded(graph: BitGraph) -> BigCount:
 
 
 def _sweep(rows, comp: int) -> BigCount:
-    """Independent sets of `comp`; `ids` numbers blocked sets, `blocked` maps back.
+    """Independent sets of `comp`, keeping one dict from each live blocked set
+    to its count.
 
     Step i's key is its vertex's (later, gap).  When the keys from step i - p
-    on repeat with period p <= 2 and the live blocked sets after step i are
-    those after step i - p (`lives` holds the recent ones), the live sets
-    repeat with period p and `_step` has filled their table entries, so the
-    rest of the run, if at least KERNEL_CUT steps over at most KERNEL_STATES
-    state numbers, goes through one `_kernel`; a shorter rest waits for its end."""
-    counts, ids, blocked, tables, lives = [1], {0: 0}, [0], {}, [None] * 3
+    on repeat with period p <= 2 and the live sets after step i are those
+    after step i - p (`lives` holds the recent ones), the live sets repeat
+    with period p, so the rest of the run, if at least KERNEL_CUT steps over
+    at most KERNEL_STATES live sets, goes through one `_kernel`; a shorter
+    rest waits for its end."""
+    counts, lives = {0: 1}, [None] * 3
     ends = pairwise(_mask_labels(comp) + (comp.bit_length() + 1,))
     keys = [(rows[v - 1] >> (v - 1), w - v) for v, w in ends]
     i = wait = 0
@@ -190,76 +189,55 @@ def _sweep(rows, comp: int) -> BigCount:
         if i >= wait and len(keys) - i >= KERNEL_CUT and len(counts) <= KERNEL_STATES and (
             p := next((p for p in (1, 2) if keys[i : i + p] == keys[i + p : i + 2 * p]), 0)
         ):
-            live = frozenset(compress(ids, counts))
-            if lives[(i - p) % 3] == (i - p, live):
+            if lives[(i - p) % 3] == (i - p, counts.keys()):
                 end = next(compress(count(i), map(operator.ne, keys[i:], keys[i - p :])), len(keys))
-                numbers = [j for j, c in enumerate(counts) if c]
                 if end - i < KERNEL_CUT:
                     wait = end  # what is left of this run is too short for a kernel
-                elif run := _kernel([*map(tables.get, keys[i : i + p])], numbers):
-                    for j, c in zip(numbers, run((end - i) // p, *[counts[j] for j in numbers])):
-                        counts[j] = c
+                else:
+                    run = _kernel(keys[i : i + p], [*counts])
+                    counts = dict(zip(counts, run((end - i) // p, *counts.values())))
                     i = end - (end - i) % p
                     continue
-            lives[i % 3] = (i, live)
-        later, gap = key = keys[i]
-        table = tables.get(key)
-        if table is None and 2 * counts.count(0) > len(counts):  # renumber the live states
-            blocked = [b for b, c in zip(ids, counts) if c]
-            counts = [c for c in counts if c]
-            ids, tables = dict(zip(blocked, range(len(blocked)))), {}
-        counts = _step(counts, table or tables.setdefault(key, []), later, gap, ids, blocked)
+            lives[i % 3] = (i, counts.keys())
+        counts = _step(counts, *keys[i])
         i += 1
-    return sum(counts)
+    return sum(counts.values())
 
 
-def _kernel(tables: list, live: list):
-    """run(k, *counts): the counts of the live state numbers `live` after k
-    passes of the steps whose successor tables are `tables`, written as one
-    tuple assignment per step from state numbers alone; None unless every
-    table has each live state's entry and the passes map `live` onto itself."""
-    names, steps, now = ", ".join(f"c{j}" for j in live), [], live
-    for table in tables:
+def _kernel(keys: list, live: list):
+    """run(k, *counts): the counts of the blocked sets `live`, in that order,
+    after k passes of the steps keyed (later, gap) by `keys`, written as one
+    tuple assignment per step over names c<blocked set>.  The passes must map
+    `live` onto itself, as `_sweep`'s trigger ensures."""
+    names, steps, now = ", ".join(f"c{b}" for b in live), [], live
+    for later, gap in keys:
         into: dict = {}
-        for j in now:
-            if not table or j >= len(table) or table[j] is None:
-                return None
-            for t in table[j]:
-                if t >= 0:
-                    into.setdefault(t, []).append(f"c{j}")
+        for b in now:
+            into.setdefault(b >> gap, []).append(f"c{b}")
+            if not b & 1:
+                into.setdefault((b | later) >> gap, []).append(f"c{b}")
         now = [*into]
         sums = ", ".join(map(" + ".join, into.values()))
         steps.append(f"  {', '.join(f'c{t}' for t in now)} = {sums}")
-    if sorted(now) != live:
-        return None
     namespace = {"__builtins__": {"range": range}}
     code = "\n".join([f"def run(k, {names}):", " for _ in range(k):", *steps, f" return {names},"])
     exec(code, namespace)
     return namespace["run"]
 
 
-def _step(counts: list, table: list, later: int, gap: int, ids: dict, blocked: list) -> list:
+def _step(counts: dict, later: int, gap: int) -> dict:
     """The counts after vertex v, whose later neighbours are `later` (bit t: t
-    labels on) and next component vertex `gap` labels on.  For b = blocked[i],
-    table[i] numbers b >> gap and (b | later) >> gap, or -1 when bit 0 of b blocks v."""
-    if len(table) < len(counts):
-        table += [None] * (len(counts) - len(table))
-    nxt = [0] * len(ids)
-    for i, c in enumerate(counts):
-        if c:
-            pair = table[i]
-            if pair is None:
-                if i >= len(blocked):
-                    blocked += islice(ids, len(blocked), None)
-                b = blocked[i]
-                took = -1 if b & 1 else ids.setdefault((b | later) >> gap, len(ids))
-                pair = table[i] = (ids.setdefault(b >> gap, len(ids)), took)
-                nxt += [0] * (len(ids) - len(nxt))
-            out, took = pair
-            # a first count is stored, not added to 0, which would copy it
-            nxt[out] = nxt[out] + c if nxt[out] else c
-            if took >= 0:
-                nxt[took] = nxt[took] + c if nxt[took] else c
+    labels on) and next component vertex `gap` labels on.  A blocked set b
+    leaves v out as b >> gap, and takes it as (b | later) >> gap unless bit 0
+    of b blocks v."""
+    nxt: dict = {}
+    for b, c in counts.items():
+        # a first count is stored, not added to 0, which would copy it
+        out = b >> gap
+        nxt[out] = nxt[out] + c if out in nxt else c
+        if not b & 1:
+            out = (b | later) >> gap
+            nxt[out] = nxt[out] + c if out in nxt else c
     return nxt
 
 

@@ -190,8 +190,9 @@ class TestBandedEngine:
         isolated=st.sampled_from([0.0, 0.2, 0.5]),
     )
     def test_table_sweep_on_random_banded_graphs(self, n, bandwidth, seed, density, isolated):
-        # every row drawn on its own, so vertices rarely share a table; the
-        # isolated labels split components and open gaps > 1 inside them
+        # every row drawn on its own, so vertices rarely share a key and the
+        # live sets rarely repeat; the isolated labels split components and
+        # open gaps > 1 inside them
         rng = random.Random(seed)
         alone = {v for v in range(1, n + 1) if rng.random() < isolated}
         edges = [
@@ -618,33 +619,32 @@ def _branch_nodes(monkeypatch, graph, quantity=count_is):
 
 
 def _sweep_work(monkeypatch, graph):
-    """The peak live-state count of each component sweep one count_is_banded
-    call makes, in sweep order, and the successor-table entries it fills."""
+    """The peak live-set count of each component sweep one count_is_banded
+    call makes, in sweep order, and how many live sets its `_step` calls visit."""
     sweep, step = counting._sweep, counting._step
     peaks = []
-    fills = 0
+    visits = 0
 
     def counted_sweep(rows, comp):
         peaks.append(0)
         return sweep(rows, comp)
 
-    def counted_step(counts, table, *rest):
-        nonlocal fills
-        filled = len(table) - table.count(None)
-        nxt = step(counts, table, *rest)
-        fills += len(table) - table.count(None) - filled
-        peaks[-1] = max(peaks[-1], len(nxt) - nxt.count(0))
+    def counted_step(counts, later, gap):
+        nonlocal visits
+        visits += len(counts)
+        nxt = step(counts, later, gap)
+        peaks[-1] = max(peaks[-1], len(nxt))
         return nxt
 
     monkeypatch.setattr(counting, "_sweep", counted_sweep)
     monkeypatch.setattr(counting, "_step", counted_step)
     count_is_banded(graph)
-    return peaks, fills
+    return peaks, visits
 
 
 class TestBandedWork:
-    """Sweeps, peak states and table fills, work counts that do not depend
-    on the machine."""
+    """Sweeps, peak live sets and the live sets stepped, work counts that do
+    not depend on the machine."""
 
     def test_common_factor_splits_into_classes(self, monkeypatch):
         # distances 4, 8, 12, 16: four components, the residue classes mod 4,
@@ -661,40 +661,18 @@ class TestBandedWork:
         graph = build_toeplitz(3000, (1, 6, 11, 16))
         assert _sweep_work(monkeypatch, graph)[0] == [173]
 
-    def test_interior_vertices_share_one_table(self, monkeypatch):
-        # 515 288 live states over the 3000 steps, at most 173 at a time; the
-        # interior vertices share one table, so a state is numbered and its
-        # successors found once per table, not once per step
-        graph = build_toeplitz(3000, (1, 6, 11, 16))
-        assert _sweep_work(monkeypatch, graph)[1] == 541
+    @pytest.mark.parametrize(
+        "graph, visits",
+        [(build_toeplitz(3000, (1, 6, 11, 16)), 1997), (build_delta(3000, "tilde"), 7)],
+        ids=["d=1,6,11,16", "deltaTilde"],
+    )
+    def test_steps_visit_few_live_sets(self, monkeypatch, graph, visits):
+        # the kernel takes the periodic run, so `_step` sees only its ends:
+        # 33 and 4 steps (`TestSweepKernelWork`)
+        assert _sweep_work(monkeypatch, graph)[1] == visits
 
-    def test_irregular_sweep_walks_few_dead_numbers(self, monkeypatch):
-        # rows drawn at random make nearly every vertex a new kind; renumbering
-        # the live states there keeps the counts lists short (without it they
-        # run to about 50 times the live states here)
-        rng = random.Random(5)
-        n, bandwidth = 600, 12
-        edges = [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, min(i + bandwidth, n) + 1)
-            if rng.random() < 0.2
-        ]
-        step = counting._step
-        walked = live = 0
-
-        def counted_step(counts, *rest):
-            nonlocal walked, live
-            walked += len(counts)
-            live += len(counts) - counts.count(0)
-            return step(counts, *rest)
-
-        monkeypatch.setattr(counting, "_step", counted_step)
-        count_is_banded(BitGraph.from_edges(n, edges))
-        assert walked < 2 * live
-
-    def test_tables_last_one_call(self, monkeypatch):
-        # nothing carries over: a second count fills its tables again
+    def test_work_lasts_one_call(self, monkeypatch):
+        # nothing carries over: a second count steps through the same sets
         graph = build_toeplitz(200, (1, 6, 11, 16))
         first = _sweep_work(monkeypatch, graph)
         monkeypatch.undo()
@@ -712,13 +690,11 @@ def _kernel_work(monkeypatch, graph):
         calls[0] += 1
         return step(*args)
 
-    def counted_kernel(tables, live):
-        run = kernel(tables, live)
-        if run is None:
-            return None
+    def counted_kernel(keys, live):
+        run = kernel(keys, live)
 
         def counted_run(k, *counts):
-            runs.append(k * len(tables))
+            runs.append(k * len(keys))
             return run(k, *counts)
 
         return counted_run
@@ -790,8 +766,9 @@ class TestSweepKernel:
         assert count_is_banded(graph) == expected
 
     def test_generated_sources_keep_to_the_grammar(self, monkeypatch):
-        # a kernel's source is built from state numbers only: a header, one
-        # loop, tuple assignments of sums of c<number> names, and a return
+        # a kernel's source is built from ints alone, the blocked sets: a
+        # header, one loop, tuple assignments of sums of c<set> names, and a
+        # return
         name, names = r"c\d+", r"c\d+(, c\d+)*"
         sums = rf"{name}( \+ {name})*(, {name}( \+ {name})*)*"
         grammar = re.compile(
@@ -847,8 +824,7 @@ class TestSweepKernelWork:
         assert _kernel_work(monkeypatch, build_toeplitz(259, (1,))) == (3, [256])
 
     def test_runs_over_more_live_states_than_the_cap_take_no_kernel(self, monkeypatch):
-        # compiling takes memory by the live state; 173 states are numbered
-        # here, all live
+        # compiling takes memory by the live set; 173 sets are live here
         assert counting.KERNEL_STATES == 4096
         graph = build_toeplitz(600, (1, 6, 11, 16))
         for cap, kernels in [(172, 0), (173, 1)]:

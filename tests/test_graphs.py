@@ -701,7 +701,8 @@ class TestPredicates:
 
 def _bfs_components(graph, mask):
     """Oracle: breadth-first search over the labels in mask, as bitmasks
-    in order of least vertex."""
+    in order of least vertex; each popped vertex queues the unseen
+    neighbours its row has inside mask."""
     inside = [v for v in range(graph.n) if mask >> v & 1]
     seen = set()
     out = []
@@ -714,8 +715,11 @@ def _bfs_components(graph, mask):
         while queue:
             v = queue.popleft()
             comp |= 1 << v
-            for u in inside:
-                if u not in seen and graph.has_edge(v + 1, u + 1):
+            row = graph.rows[v] & mask
+            while row:
+                u = (row & -row).bit_length() - 1
+                row &= row - 1
+                if u not in seen:
                     seen.add(u)
                     queue.append(u)
         out.append(comp)
