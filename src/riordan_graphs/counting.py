@@ -15,13 +15,17 @@ pivot, under which the cache acts as a memoized sweep.  The maximum-set
 count branches on a maximum-degree vertex and prunes: a greedy matching bounds
 what the branch through the branch vertex can reach, and that branch is
 skipped when the other one already exceeds the bound, so ties still add
-their counts.  The banded sweep takes each connected component in label
-order and keeps one count per blocked set, the later vertices that the
-chosen ones block; its bandwidth, the graph's longest edge, is read off the
-rows.  Where the vertices repeat with period 1 or 2 (a Toeplitz interior, a
-ladder) and the live blocked sets close up, a long run is one straight-line
-function generated from those sets and compiled once.  Counts include the
-empty set throughout, and use Python's arbitrary-precision integers.
+their counts.  The banded sweep shifts every row down to its later
+neighbours in one pass, which gives the bandwidth, the graph's longest
+edge, and the gcd of the edge lengths.  Edges stay inside the residue
+classes mod that gcd; a class that holds its consecutive path is one
+component, and only the other classes are walked into components.  Each
+component is swept in label order with one count per blocked set, the
+later vertices that the chosen ones block.  Where the vertices repeat with
+period 1 or 2 (a Toeplitz interior, a ladder) and the live blocked sets
+close up, a long run is one straight-line function generated from those
+sets and compiled once per count.  Counts include the empty set throughout,
+and use Python's arbitrary-precision integers.
 
 One engine policy, `exact_count`, serves the CLI and the bound reports:
 `auto` picks the banded sweep for independent sets of a Toeplitz spec whose
@@ -32,8 +36,9 @@ everything else.
 from __future__ import annotations
 
 import operator
-from itertools import compress, count, pairwise
-from math import prod
+from functools import reduce
+from itertools import chain, compress, count, repeat
+from math import gcd, prod
 from typing import NamedTuple
 
 from .graphs import BitGraph, GraphSpec, _component_masks, _mask_labels, _relabel
@@ -157,33 +162,62 @@ def count_is_banded(graph: BitGraph) -> BigCount:
     """Blocked-future sweep for graphs whose longest edge, their bandwidth,
     is at most BANDWIDTH_LIMIT; a wider graph is refused.
 
-    Each connected component is swept in label order, keeping one counter per
-    state: the set of the component's later vertices that the chosen ones
-    block, all within the bandwidth.  Partial sets with the same state
-    have the same extensions, so no label-order sweep keeps fewer states; on
-    a Toeplitz graph it is the minimal automaton of the binary words with no
-    x_i = x_(i+d) = 1.  A periodic run of at least KERNEL_CUT steps (a
-    Toeplitz interior, a ladder) goes through one `_kernel`.  The component
-    counts multiply."""
-    bandwidth = max(row.bit_length() - 1 - i for i, row in enumerate(graph.rows))
+    One pass shifts each row down to its later neighbours; their union is
+    the set of edge lengths, so the bandwidth is its top bit.  Edges join
+    only vertices alike mod g, the gcd of the lengths, so each residue
+    class is swept apart.  A class whose vertices, all but its last, each
+    reach the next one in it contains that path, so it is one component and
+    its keys come straight off the pass; any other class is split by
+    `_component_masks`.  Each component is swept in label order, keeping one
+    counter per state: the set of the component's later vertices that the
+    chosen ones block, all within the bandwidth.  Partial sets with the same
+    state have the same extensions, so no label-order sweep keeps fewer
+    states; on a Toeplitz graph it is the minimal automaton of the binary
+    words with no x_i = x_(i+d) = 1.  A periodic run of at least KERNEL_CUT
+    steps (a Toeplitz interior, a ladder) goes through one `_kernel`,
+    compiled once per call for each run of the same keys and live sets.
+    The component counts multiply."""
+    rows = graph.rows
+    laters = [0, *map(operator.rshift, rows, count())]  # laters[v]: bit t when v ~ v + t, v >= 1
+    lengths = reduce(operator.or_, laters)
+    bandwidth = lengths.bit_length() - 1
     if bandwidth > BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be at most {BANDWIDTH_LIMIT}, got {bandwidth}")
-    return prod(_sweep(graph.rows, c) for c in _component_masks(graph.rows, (1 << graph.n) - 1))
+    step = gcd(*(t for t in range(1, bandwidth + 1) if lengths >> t & 1)) or 1
+    runs: dict = {}
+    return prod(_sweep(keys, runs) for keys in _component_keys(rows, laters, step))
 
 
-def _sweep(rows, comp: int) -> BigCount:
-    """Independent sets of `comp`, keeping one dict from each live blocked set
-    to its count.
+def _component_keys(rows, laters: list, step: int):
+    """The step keys of each component of a graph whose edge lengths are all
+    multiples of `step`, one residue class after another: each vertex v's
+    (later, gap), its later neighbours `laters[v]` and the distance to the
+    component's next vertex, 1 after its last."""
+    n, link = len(rows), 1 << step
+    spaced = ((1 << step * -(-n // step)) - 1) // ((1 << step) - 1)  # bits 0, step, 2 step, ...
+    for r in range(1, step + 1):
+        along = laters[r::step]
+        if all(map(link.__and__, along[:-1])):  # the class holds its consecutive path
+            yield [*zip(along[:-1], repeat(step)), (along[-1], 1)]
+            continue
+        for comp in _component_masks(rows, (spaced << (r - 1)) & ((1 << n) - 1)):
+            labels = _mask_labels(comp)
+            gaps = chain(map(operator.sub, labels[1:], labels), (1,))
+            yield [*zip(map(laters.__getitem__, labels), gaps)]
+
+
+def _sweep(keys: list, runs: dict) -> BigCount:
+    """Independent sets of the component whose step keys are `keys`,
+    keeping one dict from each live blocked set to its count.
 
     Step i's key is its vertex's (later, gap).  When the keys from step i - p
     on repeat with period p <= 2 and the live sets after step i are those
     after step i - p (`lives` holds the recent ones), the live sets repeat
     with period p, so the rest of the run, if at least KERNEL_CUT steps over
     at most KERNEL_STATES live sets, goes through one `_kernel`; a shorter
-    rest waits for its end."""
+    rest waits for its end.  `runs` holds the kernels compiled so far, by
+    their keys and live sets."""
     counts, lives = {0: 1}, [None] * 3
-    ends = pairwise(_mask_labels(comp) + (comp.bit_length() + 1,))
-    keys = [(rows[v - 1] >> (v - 1), w - v) for v, w in ends]
     i = wait = 0
     while i < len(keys):
         if i >= wait and len(keys) - i >= KERNEL_CUT and len(counts) <= KERNEL_STATES and (
@@ -194,8 +228,10 @@ def _sweep(rows, comp: int) -> BigCount:
                 if end - i < KERNEL_CUT:
                     wait = end  # what is left of this run is too short for a kernel
                 else:
-                    run = _kernel(keys[i : i + p], [*counts])
-                    counts = dict(zip(counts, run((end - i) // p, *counts.values())))
+                    spot = (tuple(keys[i : i + p]), tuple(counts))
+                    if spot not in runs:
+                        runs[spot] = _kernel(keys[i : i + p], [*counts])
+                    counts = dict(zip(counts, runs[spot]((end - i) // p, *counts.values())))
                     i = end - (end - i) % p
                     continue
             lives[i % 3] = (i, counts.keys())

@@ -9,7 +9,8 @@ distance set.
 
 from __future__ import annotations
 
-from itertools import compress, pairwise
+import operator
+from itertools import compress, cycle, islice, pairwise, repeat
 from typing import NamedTuple
 
 from .series import (
@@ -320,13 +321,24 @@ def build_toeplitz(n: int, distances) -> BitGraph:
     """Graph on [n] with an edge (i, j) exactly when |i-j| is a listed distance."""
     ds = tuple(distances)
     _check_distances(ds, n)
-    # row i holds bit i + d below n and bit i - d from 0, for every d:
-    # `up` shifted up i places, and `down` shifted up i then down `top`
+    # row i holds bit i + d below n and bit i - d from 0, for every d: one
+    # pattern with bits top ± d, shifted into place
     top = ds[-1]
-    up = sum(1 << d for d in ds)
-    down = sum(1 << (top - d) for d in ds)
-    full = (1 << n) - 1
-    return BitGraph._unchecked(n, (((up << i) & full) | ((down << i) >> top) for i in range(n)))
+    both = sum(1 << top + d | 1 << top - d for d in ds)
+    return BitGraph._unchecked(n, _shifted_rows(repeat(both), top, n))
+
+
+def _shifted_rows(patterns, top: int, n: int) -> list[int]:
+    """Row i = patterns[i] << i >> top, cut to n bits: bit top ± d of a
+    pattern gives row i the neighbours i ± d, those below 0 shifted out.
+    Only the first `top` rows shift down, and only the last `top` are cut."""
+    full = (1 << n) - 1  # first: an order too large to shift fails before any row
+    patterns = iter(patterns)
+    low, cut = min(top, n), max(n - top, 0)
+    rows = [*map(operator.rshift, islice(patterns, low), range(top, top - low, -1))]
+    rows += map(operator.lshift, patterns, range(cut))
+    rows[cut:] = map(full.__and__, rows[cut:])
+    return rows
 
 
 def _check_distances(ds: tuple[int, ...], n: int) -> None:
@@ -349,11 +361,11 @@ def build_delta(n: int, variant: str = "plain") -> BitGraph:
         raise ValueError("n must be positive")
     if variant not in ("plain", "tilde"):
         raise ValueError(f"variant must be 'plain' or 'tilde', got {variant!r}")
-    # 0-indexed row i holds bits i-1 and i+1, plus i-2 and i+2 on even i (plain) or odd i (tilde)
-    rung = variant == "tilde"
-    full = (1 << n) - 1
-    rows = (0b101 << i >> 1 | (0b10001 << i >> 2 if i % 2 == rung else 0) for i in range(n))
-    return BitGraph._unchecked(n, (row & full for row in rows))
+    # 0-indexed row i holds bits i ± 1, plus i ± 2 on even i (plain) or odd i
+    # (tilde): patterns with bits 2 ± 1, or 2 ± 1 and 2 ± 2, by parity
+    path, rungs = 0b01010, 0b11011
+    patterns = cycle((path, rungs) if variant == "tilde" else (rungs, path))
+    return BitGraph._unchecked(n, _shifted_rows(patterns, 2, n))
 
 
 class DecompositionBlocks(NamedTuple):

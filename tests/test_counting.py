@@ -26,6 +26,7 @@ from riordan_graphs.counting import (
 from riordan_graphs.graphs import (
     BitGraph,
     _component_masks,
+    _mask_labels,
     build_delta,
     build_riordan,
     build_toeplitz,
@@ -216,6 +217,74 @@ class TestBandedEngine:
         graph = build_toeplitz(max(ds) + 1, ds)
         count = count_is_banded(graph)
         assert count == count_is(graph) == brute_force_is(graph)
+
+
+@st.composite
+def class_unions(draw):
+    """(graph, all_paths): a graph whose edge lengths are multiples of a
+    step and at most 20, each residue class mod the step drawn on its own,
+    as its consecutive path plus random longer edges or as random edges
+    alone; all_paths tells whether every class was drawn with its path."""
+    step, n = draw(st.integers(1, 5)), draw(st.integers(1, 60))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    paths = [rng.random() < 0.5 for _ in range(step)]
+    edges = [
+        (i, i + k * step)
+        for i in range(1, n + 1)
+        for k in range(1, 20 // step + 1)
+        if i + k * step <= n and (k == 1 and paths[i % step] or rng.random() < density)
+    ]
+    return BitGraph.from_edges(n, edges), all(paths) and n > step
+
+
+def _walks(monkeypatch, graph):
+    """How many times one count_is_banded(graph) call runs `_component_masks`."""
+    walk, calls = counting._component_masks, []
+    monkeypatch.setattr(counting, "_component_masks", lambda *a: calls.append(a) or walk(*a))
+    count_is_banded(graph)
+    return len(calls)
+
+
+class TestResidueClassRoutes:
+    """Classes that hold their consecutive path are swept whole; the others
+    are walked into components, which keeps interleaved components apart."""
+
+    def test_walk_splits_interleaved_components(self, monkeypatch):
+        # 19 disjoint edges, 9 of length 19 and 10 of length 20, so gcd 1:
+        # swept whole in label order, the first 19 vertices would leave
+        # 2^19 live blocked sets; vertex 29 is isolated
+        edges = [(i, i + 19) for i in range(1, 10)] + [(i, i + 20) for i in range(10, 20)]
+        graph = BitGraph.from_edges(39, edges)
+        assert count_is_banded(graph) == count_is(graph) == 3**19 * 2
+        peaks = _sweep_work(monkeypatch, graph)[0]
+        assert len(peaks) == 20
+        assert max(peaks) <= 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=class_unions())
+    @example(case=(build_toeplitz(40, (3, 6)), True))
+    @example(case=(build_toeplitz(40, (2, 3)), False))
+    def test_certified_and_walked_routes_match_count_is(self, case):
+        # sweep_count walks every component of the whole graph; count_is_banded
+        # sweeps a class that holds its path without a walk
+        graph, all_paths = case
+        assert count_is_banded(graph) == sweep_count(graph.rows) == count_is(graph)
+        if all_paths:
+            with pytest.MonkeyPatch.context() as patch:
+                assert _walks(patch, graph) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=class_unions())
+    def test_certified_keys_are_the_walked_keys(self, case):
+        # the certificate changes how a component is found, not its keys, so
+        # every kernel trigger sees what it saw before
+        graph, swept = case[0], []
+        with pytest.MonkeyPatch.context() as patch:
+            sweep = counting._sweep
+            patch.setattr(counting, "_sweep", lambda keys, runs: swept.append(keys) or sweep(keys, runs))
+            count_is_banded(graph)
+        assert sorted(swept) == sorted(walked_keys(graph.rows))
 
 
 class TestBruteForce:
@@ -625,9 +694,9 @@ def _sweep_work(monkeypatch, graph):
     peaks = []
     visits = 0
 
-    def counted_sweep(rows, comp):
+    def counted_sweep(keys, runs):
         peaks.append(0)
-        return sweep(rows, comp)
+        return sweep(keys, runs)
 
     def counted_step(counts, later, gap):
         nonlocal visits
@@ -670,6 +739,20 @@ class TestBandedWork:
         # the kernel takes the periodic run, so `_step` sees only its ends:
         # 33 and 4 steps (`TestSweepKernelWork`)
         assert _sweep_work(monkeypatch, graph)[1] == visits
+
+    @pytest.mark.parametrize(
+        "graph, walks",
+        [
+            (build_toeplitz(3000, (1, 2)), 0),
+            (build_toeplitz(3000, (4, 8, 12, 16)), 0),  # four classes, each a path
+            (build_delta(3000, "plain"), 0),
+            (build_delta(3000, "tilde"), 0),
+            (build_toeplitz(3000, (2, 3)), 1),  # no edge of length gcd = 1
+        ],
+        ids=["d=1,2", "d=4,8,12,16", "delta", "deltaTilde", "d=2,3"],
+    )
+    def test_only_classes_without_their_path_are_walked(self, monkeypatch, graph, walks):
+        assert _walks(monkeypatch, graph) == walks
 
     def test_work_lasts_one_call(self, monkeypatch):
         # nothing carries over: a second count steps through the same sets
@@ -786,7 +869,9 @@ class TestSweepKernel:
         graphs.append(_without_edge(build_toeplitz(1200, (1, 3)), 600, 601))
         for graph in graphs:
             count_is_banded(graph)
-        assert len(sources) == 8
+        # the missing edge's second run has the first one's keys and live
+        # sets, so it reuses the first one's kernel: 8 runs, 7 sources
+        assert len(sources) == 7
         assert [s for s in sources if not grammar.fullmatch(s)] == []
 
 
@@ -807,6 +892,22 @@ class TestSweepKernelWork:
         steps, runs = _kernel_work(monkeypatch, graph)
         assert (steps, len(runs)) == (calls, kernels)
         assert steps + sum(runs) == graph.n
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            build_toeplitz(3000, (1, 6, 11, 16)),
+            build_toeplitz(3000, (4, 8, 12, 16)),  # four runs, one compile
+            build_delta(3000, "plain"),
+            build_delta(3000, "tilde"),
+        ],
+        ids=["d=1,6,11,16", "d=4,8,12,16", "delta", "deltaTilde"],
+    )
+    def test_one_compile_per_count_at_3000(self, monkeypatch, graph):
+        kernel, compiled = counting._kernel, []
+        monkeypatch.setattr(counting, "_kernel", lambda *a: compiled.append(a) or kernel(*a))
+        count_is_banded(graph)
+        assert len(compiled) == 1
 
     @pytest.mark.parametrize("n", range(6, 20))
     def test_small_toeplitz_graphs_take_no_kernel(self, monkeypatch, n):
@@ -872,11 +973,22 @@ class TestBranchWork:
         assert _branch_nodes(monkeypatch, graph) == first
 
 
+def walked_keys(rows):
+    """The step keys of each component that `_component_masks` finds in the
+    rows as given, written out: each label's later neighbours and the gap
+    to the next label, 1 after the last."""
+    for comp in _component_masks(rows, (1 << len(rows)) - 1):
+        labels = _mask_labels(comp)
+        ends = zip(labels, labels[1:] + (labels[-1] + 1,))
+        yield [(rows[v - 1] >> (v - 1), w - v) for v, w in ends]
+
+
 def sweep_count(rows):
     """Independent sets by one label-order blocked-future sweep per
-    component of the rows as given: a second route, sharing no pivot,
-    relabelling or cache with branch-and-reduce."""
-    return prod(counting._sweep(rows, c) for c in _component_masks(rows, (1 << len(rows)) - 1))
+    component of `walked_keys`: a second route, sharing no pivot,
+    relabelling or cache with branch-and-reduce, and no residue class or
+    path certificate with `count_is_banded`."""
+    return prod(counting._sweep(keys, {}) for keys in walked_keys(rows))
 
 
 def assert_sweep_agrees(graph):

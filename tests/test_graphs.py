@@ -1200,6 +1200,17 @@ class TestUncheckedBuilds:
         for n in range(1, 201):
             _assert_checked_route_agrees(build_delta(n, variant))
 
+    @pytest.mark.parametrize(
+        "ds", [(1,), (2,), (1, 2), (2, 3), (1, 3, 5), (4, 8, 12), (1, 6, 11, 16), (5, 19)]
+    )
+    def test_shifted_toeplitz_rows_at_small_orders(self, ds):
+        # every order 1..40 that admits the distances, so the cut to n bits
+        # and the bits shifted out below 0 meet in the same rows
+        for n in range(ds[-1] + 1, 41):
+            graph = build_toeplitz(n, ds)
+            edges = [(i, i + d) for d in ds for i in range(1, n + 1 - d)]
+            assert BitGraph(n, graph.rows) == graph == BitGraph.from_edges(n, edges), n
+
     @pytest.mark.parametrize("spec", ["toeplitz:n=3000;d=1,6,11,16", "delta:n=3000"])
     def test_large_narrow_builds(self, spec):
         _assert_checked_route_agrees(parse_graph_spec(spec).build())
