@@ -242,18 +242,14 @@ def _sweep(keys: list, runs: dict) -> BigCount:
 
 def _kernel(keys: list, live: list):
     """run(k, *counts): the counts of the blocked sets `live`, in that order,
-    after k passes of the steps keyed (later, gap) by `keys`, written as one
-    tuple assignment per step over names c<blocked set>.  The passes must map
-    `live` onto itself, as `_sweep`'s trigger ensures."""
+    after k passes of the steps keyed (later, gap) by `keys`: per step, one
+    tuple assignment of `_step` run over lists of names c<blocked set>, which
+    add by concatenation.  The passes must map `live` onto itself, as
+    `_sweep`'s trigger ensures."""
     names, steps, now = ", ".join(f"c{b}" for b in live), [], live
     for later, gap in keys:
-        into: dict = {}
-        for b in now:
-            into.setdefault(b >> gap, []).append(f"c{b}")
-            if not b & 1:
-                into.setdefault((b | later) >> gap, []).append(f"c{b}")
-        now = [*into]
-        sums = ", ".join(map(" + ".join, into.values()))
+        now = _step({b: [f"c{b}"] for b in now}, later, gap)
+        sums = ", ".join(map(" + ".join, now.values()))
         steps.append(f"  {', '.join(f'c{t}' for t in now)} = {sums}")
     namespace = {"__builtins__": {"range": range}}
     code = "\n".join([f"def run(k, {names}):", " for _ in range(k):", *steps, f" return {names},"])
@@ -265,7 +261,7 @@ def _step(counts: dict, later: int, gap: int) -> dict:
     """The counts after vertex v, whose later neighbours are `later` (bit t: t
     labels on) and next component vertex `gap` labels on.  A blocked set b
     leaves v out as b >> gap, and takes it as (b | later) >> gap unless bit 0
-    of b blocks v."""
+    of b blocks v.  The one transition: `_kernel` builds its sums from it."""
     nxt: dict = {}
     for b, c in counts.items():
         # a first count is stored, not added to 0, which would copy it

@@ -65,7 +65,9 @@ class Gf2Series:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return tuple((self.bits >> k) & 1 for k in range(self.order))
+        # byte k of the reversed binary string is coefficient k; order 0 formats one "0"
+        bits = format(self.bits, f"0{self.order}b")[::-1][: self.order]
+        return tuple(bits.encode().translate(bytes.maketrans(b"01", b"\0\1")))
 
     def coeff(self, k: int) -> int:
         if not 0 <= k < self.order:

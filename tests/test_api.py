@@ -1,7 +1,7 @@
 """The package's public names, where a deletion has to show up, the one
 module that may store graph rows unchecked or name the bit-matrix helpers,
 the byte conversions that must run on the oldest supported Python, and the
-one place that runs generated source."""
+one place that runs generated source, with no transition of its own."""
 
 import ast
 import re
@@ -104,8 +104,9 @@ def test_byte_conversions_pass_their_byteorder():
 
 
 def test_only_the_sweep_kernel_names_exec():
-    # counting._kernel runs source built from state numbers alone; no other
-    # name that runs text appears in the package, as a name or an attribute
+    # counting._kernel runs source built from ints alone, the blocked sets;
+    # no other name that runs text appears in the package, as a name or an
+    # attribute
     package = Path(riordan_graphs.__file__).parent
     runners = ("exec", "eval", "__import__")
     uses = []
@@ -115,3 +116,19 @@ def test_only_the_sweep_kernel_names_exec():
             if name in runners:
                 uses.append((path.name, name))
     assert uses == [("counting.py", "exec")]
+
+
+def test_the_sweep_kernel_has_no_transition_of_its_own():
+    # counting._step holds the blocked-set rule (shift by the gap, mask bit
+    # 0); _kernel builds its sums by calling it, so its body shifts and masks
+    # nothing
+    source = (Path(riordan_graphs.__file__).parent / "counting.py").read_text()
+    kernel = next(
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "_kernel"
+    )
+    rule = (ast.RShift, ast.LShift, ast.BitAnd)
+    ops = [node.op for node in ast.walk(kernel) if isinstance(node, (ast.BinOp, ast.AugAssign))]
+    assert [op for op in ops if isinstance(op, rule)] == []
+    assert any(isinstance(node, ast.Name) and node.id == "_step" for node in ast.walk(kernel))

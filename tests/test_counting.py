@@ -687,9 +687,16 @@ def _branch_nodes(monkeypatch, graph, quantity=count_is):
     return len(calls)
 
 
+def _numeric(counts: dict) -> bool:
+    """Whether a `_step` call steps counts, not the lists of names that
+    `_kernel` builds its sums from."""
+    return isinstance(next(iter(counts.values())), int)
+
+
 def _sweep_work(monkeypatch, graph):
     """The peak live-set count of each component sweep one count_is_banded
-    call makes, in sweep order, and how many live sets its `_step` calls visit."""
+    call makes, in sweep order, and how many live sets its numeric `_step`
+    calls visit."""
     sweep, step = counting._sweep, counting._step
     peaks = []
     visits = 0
@@ -700,9 +707,10 @@ def _sweep_work(monkeypatch, graph):
 
     def counted_step(counts, later, gap):
         nonlocal visits
-        visits += len(counts)
         nxt = step(counts, later, gap)
-        peaks[-1] = max(peaks[-1], len(nxt))
+        if _numeric(counts):
+            visits += len(counts)
+            peaks[-1] = max(peaks[-1], len(nxt))
         return nxt
 
     monkeypatch.setattr(counting, "_sweep", counted_sweep)
@@ -764,14 +772,14 @@ class TestBandedWork:
 
 
 def _kernel_work(monkeypatch, graph):
-    """The `_step` calls one count_is_banded(graph) makes, and the steps each
-    of its kernels takes, in sweep order."""
+    """The numeric `_step` calls one count_is_banded(graph) makes, and the
+    steps each of its kernels takes, in sweep order."""
     step, kernel = counting._step, counting._kernel
     calls, runs = [0], []
 
-    def counted_step(*args):
-        calls[0] += 1
-        return step(*args)
+    def counted_step(counts, later, gap):
+        calls[0] += _numeric(counts)
+        return step(counts, later, gap)
 
     def counted_kernel(keys, live):
         run = kernel(keys, live)
@@ -876,7 +884,8 @@ class TestSweepKernel:
 
 
 class TestSweepKernelWork:
-    """`_step` calls and kernels, work counts that do not depend on the machine."""
+    """Numeric `_step` calls and kernels, work counts that do not depend on the
+    machine."""
 
     @pytest.mark.parametrize(
         "graph, calls, kernels",

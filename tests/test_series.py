@@ -129,6 +129,27 @@ class TestEvaluate:
             evaluate(parse("z"), 0)
 
 
+class TestCoeffs:
+    @pytest.mark.parametrize(
+        "bits, order, expected",
+        [
+            (0, 0, ()),
+            (5, 0, ()),  # bits at or above the order are dropped
+            (0, 1, (0,)),
+            (0, 7, (0,) * 7),
+            (0b101, 6, (1, 0, 1, 0, 0, 0)),  # trailing zeros
+            (0b11011, 3, (1, 1, 0)),
+        ],
+    )
+    def test_edge_cases(self, bits, order, expected):
+        assert Gf2Series(bits, order).coeffs == expected
+
+    @given(bits=st.integers(min_value=0, max_value=(1 << 300) - 1), order=st.integers(0, 300))
+    def test_matches_coeff(self, bits, order):
+        a = Gf2Series(bits, order)
+        assert a.coeffs == tuple(a.coeff(k) for k in range(order))
+
+
 class TestMulTrunc:
     def test_frobenius_square(self):
         a = Gf2Series.from_coeffs((1, 1, 0, 0))
