@@ -39,10 +39,7 @@ def fibonacci(n: int) -> BigCount:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a, b = 1, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return k_fibonacci(2, n + 1)
 
 
 def k_fibonacci(k: int, n: int) -> BigCount:

@@ -658,38 +658,14 @@ class GraphSpec(NamedTuple):
         return build_riordan(self.riordan)
 
 
-def _spec_params(body: str, spec: str) -> dict[str, str]:
-    params = {}
-    for chunk in body.split(";"):
-        if not chunk:
-            continue
-        key, sep, value = chunk.partition("=")
-        if not sep or not key or not value:
-            raise SpecParseError(f"bad parameter {chunk!r} in spec {spec!r}")
-        if key in params:
-            raise SpecParseError(f"duplicate parameter {key!r} in spec {spec!r}")
-        params[key] = value
-    return params
-
-
-def _spec_take(params: dict[str, str], key: str, spec: str) -> str:
-    try:
-        return params.pop(key)
-    except KeyError:
-        raise SpecParseError(f"spec {spec!r} is missing {key}=") from None
-
-
-def _spec_int(params: dict[str, str], key: str, spec: str) -> int:
-    raw = _spec_take(params, key, spec)
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpecParseError(f"{key} must be an integer in spec {spec!r}") from None
-
-
-def _spec_done(params: dict[str, str], spec: str) -> None:
-    if params:
-        raise SpecParseError(f"unexpected parameters {sorted(params)} in {spec!r}")
+# each kind's parameters in the order they are taken: g and f as series, n as
+# an integer, and Toeplitz d as text, parsed after the leftover check
+_SPEC_KEYS = {
+    "riordan": ("g", "f", "n"),
+    "bell": ("g", "n"),
+    **dict.fromkeys((*_SPEC_MAKERS, "delta", "deltaTilde"), ("n",)),
+    "toeplitz": ("n", "d"),
+}
 
 
 def parse_graph_spec(text: str) -> GraphSpec:
@@ -697,26 +673,41 @@ def parse_graph_spec(text: str) -> GraphSpec:
     kind, sep, body = text.partition(":")
     if not sep:
         raise SpecParseError(f"spec {text!r} has no ':'")
-    params = _spec_params(body, text)
+    params = {}
+    for chunk in filter(None, body.split(";")):
+        key, sep, value = chunk.partition("=")
+        if not sep or not key or not value:
+            raise SpecParseError(f"bad parameter {chunk!r} in spec {text!r}")
+        if key in params:
+            raise SpecParseError(f"duplicate parameter {key!r} in spec {text!r}")
+        params[key] = value
+    if kind not in _SPEC_KEYS:
+        raise SpecParseError(f"unknown spec kind {kind!r}")
+    taken = {}
+    for key in _SPEC_KEYS[kind]:
+        if key not in params:
+            raise SpecParseError(f"spec {text!r} is missing {key}=")
+        value = params.pop(key)
+        if key == "n":
+            try:
+                value = int(value)
+            except ValueError:
+                raise SpecParseError(f"n must be an integer in spec {text!r}") from None
+        taken[key] = parse(value) if key in ("g", "f") else value
+    if params:
+        raise SpecParseError(f"unexpected parameters {sorted(params)} in {text!r}")
+    n = taken["n"]
 
     if kind in ("riordan", "bell"):
-        g_expr = parse(_spec_take(params, "g", text))
-        f_expr = parse(_spec_take(params, "f", text)) if kind == "riordan" else Mul(Var(), g_expr)
-        n = _spec_int(params, "n", text)
-        _spec_done(params, text)
-        return GraphSpec(text=text, kind=kind, n=n, riordan=RiordanSpec(g_expr, f_expr, n))
+        f_expr = taken["f"] if kind == "riordan" else Mul(Var(), taken["g"])
+        return GraphSpec(text=text, kind=kind, n=n, riordan=RiordanSpec(taken["g"], f_expr, n))
 
     if kind in _SPEC_MAKERS:
-        n = _spec_int(params, "n", text)
-        _spec_done(params, text)
         return GraphSpec(text=text, kind=kind, n=n, riordan=_SPEC_MAKERS[kind](n))
 
     if kind == "toeplitz":
-        n = _spec_int(params, "n", text)
-        raw = _spec_take(params, "d", text)
-        _spec_done(params, text)
         try:
-            distances = tuple(int(x) for x in raw.split(","))
+            distances = tuple(int(x) for x in taken["d"].split(","))
         except ValueError:
             raise SpecParseError(f"d must be comma-separated integers in {text!r}") from None
         if any(d < 1 for d in distances):
@@ -729,10 +720,5 @@ def parse_graph_spec(text: str) -> GraphSpec:
             raise SpecParseError(str(exc)) from None
         return GraphSpec(text=text, kind="toeplitz", n=n, riordan=riordan, distances=distances)
 
-    if kind in ("delta", "deltaTilde"):
-        n = _spec_int(params, "n", text)
-        _spec_done(params, text)
-        variant = "plain" if kind == "delta" else "tilde"
-        return GraphSpec(text=text, kind=kind, n=n, variant=variant)
-
-    raise SpecParseError(f"unknown spec kind {kind!r}")
+    variant = "plain" if kind == "delta" else "tilde"
+    return GraphSpec(text=text, kind=kind, n=n, variant=variant)

@@ -21,17 +21,42 @@ q = max(D) + 1.
 
 Each check below runs n = 0 .. S + 2q, past the S + q that step 3 needs.
 The sampled checks against the engine stay in test_counting.py.
+
+The same argument proves two more closed forms.
+
+- k-type: T_n<1..k-1> has the key (2 + 4 + ... + 2^(k-1), 1) and S = k
+  states: none blocked, or the last chosen letter 1..k-1 steps back.  The
+  closed form F_k(n + k) (`formulas.k_fibonacci`) satisfies
+  F_k(m) = F_k(m-1) + F_k(m-k) for m > k, a monic recurrence of order k
+  in n from n = 0 on, so agreement at n = 0 .. S + k - 1 decides; the
+  check runs to S + 2k.  `formulas.k_type_upper_bound` is this value, and
+  T_n<1..k-1> is where the paper says it holds with equality.
+- Ladders: `graphs.build_delta` adds the rungs (2i-1, 2i+1) (plain) or
+  (2i, 2i+2) (tilde) to the path, so the keys alternate between (0b110, 1)
+  on the labels that carry rungs and (0b010, 1) on the others: odd labels
+  for plain, even ones for tilde.  Let M2 be the matrix of two steps, a
+  rung step and a path step in label order, and S2 the number of blocked
+  sets reachable from the empty one by whole pairs of steps.  After
+  n = 2m letters the total is 1^T M2^m e_0, and after 2m + 1 it is
+  1^T M1 M2^m e_0 with M1 the first step, so each parity is a sequence in
+  m annihilated by M2's characteristic polynomial, of degree S2.
+  `formulas.delta(n, variant)` is, for each parity, a sum of P_m and
+  P_(m+1), so the Pell polynomial x^2 - 2x - 1, of order 2, annihilates
+  it in m.  Agreement at m = 0 .. S2 + 1 on each parity decides; the check
+  runs m = 0 .. S2 + 4, i.e. n = 0 .. 2(S2 + 4) + 1.
 """
 
-from itertools import combinations
+from itertools import combinations, cycle, islice
 
 import pytest
 
 from riordan_graphs import counting, formulas
 from riordan_graphs.counting import count_is_banded
-from riordan_graphs.graphs import build_toeplitz
+from riordan_graphs.graphs import RiordanSpec, build_delta, build_toeplitz
+from riordan_graphs.series import parse
 
 LARGEST = 12
+LADDER_KEYS = {"plain": [(0b110, 1), (0b010, 1)], "tilde": [(0b010, 1), (0b110, 1)]}
 
 
 def _distance_sets(largest):
@@ -40,22 +65,31 @@ def _distance_sets(largest):
     return [(1, *more) for size in range(largest) for more in combinations(rest, size)]
 
 
-def _reachable(later):
-    """The blocked sets reachable from the empty one under the key (later, 1)."""
+def _toeplitz_keys(ds):
+    """The one step key of T_n(D), the same at every label."""
+    return [(sum(1 << d for d in ds), 1)]
+
+
+def _reachable(keys):
+    """The blocked sets reachable from the empty one by whole passes of the
+    step keys `keys`, each a (later, gap)."""
     reached, queue = {0}, [0]
     for b in queue:
-        for t in counting._step({b: 1}, later, 1):
+        counts = {b: 1}
+        for key in keys:
+            counts = counting._step(counts, *key)
+        for t in counts:
             if t not in reached:
                 reached.add(t)
                 queue.append(t)
     return reached
 
 
-def _totals(later, steps):
-    """The sweep's totals after 0 .. steps letters."""
+def _totals(keys, steps):
+    """The sweep's totals after 0 .. steps letters, keyed by `keys` in turn."""
     counts, totals = {0: 1}, [1]
-    for _ in range(steps):
-        counts = counting._step(counts, later, 1)
+    for key in islice(cycle(keys), steps):
+        counts = counting._step(counts, *key)
         totals.append(sum(counts.values()))
     return totals
 
@@ -72,17 +106,17 @@ def test_the_range_holds_170_well_based_sets():
 @pytest.mark.parametrize("top", range(1, LARGEST + 1))
 def test_closed_form_holds_at_every_n(top):
     for ds in [ds for ds in WELL_BASED if ds[-1] == top]:
-        later = sum(1 << d for d in ds)
-        last = len(_reachable(later)) + 2 * (top + 1)
+        keys = _toeplitz_keys(ds)
+        last = len(_reachable(keys)) + 2 * (top + 1)
         expected = [formulas.well_based_series_count(ds, n) for n in range(last + 1)]
-        assert _totals(later, last) == expected, ds
+        assert _totals(keys, last) == expected, ds
 
 
 @pytest.mark.parametrize("ds", WELL_BASED[::17], ids=lambda ds: ",".join(map(str, ds)))
 def test_sweep_totals_are_the_engine_counts(ds):
     # the automaton's key ignores the graph's end; blocked sets past it
     # still count their words once
-    totals, orders = _totals(sum(1 << d for d in ds), 40), range(ds[-1] + 1, 41)
+    totals, orders = _totals(_toeplitz_keys(ds), 40), range(ds[-1] + 1, 41)
     assert [count_is_banded(build_toeplitz(n, ds)) for n in orders] == totals[orders[0] :]
 
 
@@ -90,6 +124,39 @@ def test_reachable_sets_mark_well_based_sets():
     # a conjecture over this range, not used above: S = max(D) + 1 exactly
     # when D is well-based, and S is larger otherwise
     for ds in DISTANCE_SETS:
-        states = len(_reachable(sum(1 << d for d in ds)))
+        states = len(_reachable(_toeplitz_keys(ds)))
         assert (states == ds[-1] + 1) == formulas.is_well_based(ds), ds
         assert states >= ds[-1] + 1, ds
+
+
+@pytest.mark.parametrize("k", range(3, 17))
+def test_k_fibonacci_holds_at_every_n(k):
+    keys = _toeplitz_keys(range(1, k))
+    states = len(_reachable(keys))
+    assert states == k
+    last = states + 2 * k
+    assert _totals(keys, last) == [formulas.k_fibonacci(k, n + k) for n in range(last + 1)]
+
+
+@pytest.mark.parametrize("k", [3, 5, 16])
+def test_k_type_bound_is_the_automaton_total(k):
+    # the Appell spec (1 + z + ... + z^(k-2), z) builds T_n<1..k-1>
+    totals = _totals(_toeplitz_keys(range(1, k)), 40)
+    g = parse("+".join(f"z^{d}" for d in range(k - 1)))
+    for n in (1, k - 1, k, 2 * k + 1, 40):
+        assert formulas.k_type_upper_bound(RiordanSpec.appell(g, n), k) == totals[n], n
+
+
+@pytest.mark.parametrize("variant", ["plain", "tilde"])
+def test_ladder_closed_form_holds_at_every_n(variant):
+    keys = LADDER_KEYS[variant]
+    pairs = len(_reachable(keys))
+    assert pairs == 2
+    last = 2 * (pairs + 4) + 1
+    assert _totals(keys, last) == [formulas.delta(n, variant) for n in range(last + 1)]
+
+
+@pytest.mark.parametrize("variant", ["plain", "tilde"])
+def test_ladder_keys_are_the_engine_counts(variant):
+    totals = _totals(LADDER_KEYS[variant], 40)
+    assert [count_is_banded(build_delta(n, variant)) for n in range(1, 41)] == totals[1:]

@@ -1,6 +1,7 @@
 """Graph construction, decomposition, and structural predicate tests."""
 
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -1046,6 +1047,40 @@ class TestSpecLanguage:
         with pytest.raises(ValueError) as info:
             parse_graph_spec(bad)
         assert type(info.value) is error and str(info.value) == message
+
+
+# every kind with its parameters in the order the parser checks them
+SPEC_PARAMETERS = [
+    ("riordan", ["g=1+z", "f=z*(1+z)", "n=7"]),
+    ("riordan", ["g=1/(1-z)", "f=z", "n=6"]),
+    ("bell", ["g=motzkin", "n=9"]),
+    ("pascal", ["n=8"]),
+    ("catalan", ["n=8"]),
+    ("motzkin", ["n=8"]),
+    ("toeplitz", ["n=9", "d=1,3,4"]),
+    ("delta", ["n=7"]),
+    ("deltaTilde", ["n=7"]),
+]
+
+
+class TestSpecParameterOrder:
+    @pytest.mark.parametrize("kind, params", SPEC_PARAMETERS)
+    def test_order_and_empty_chunks_do_not_matter(self, kind, params):
+        first = parse_graph_spec(f"{kind}:{';'.join(params)}")
+        graph = first.build()
+        for order in itertools.permutations(params):
+            for body in (";".join(order), ";;".join(order), f";{';;'.join(order)};"):
+                spec = parse_graph_spec(f"{kind}:{body}")
+                assert spec._replace(text=first.text) == first, body
+                assert spec.build() == graph, body
+
+    @pytest.mark.parametrize("kind, params", SPEC_PARAMETERS)
+    def test_first_missing_parameter_is_named(self, kind, params):
+        for i, param in enumerate(params):
+            text = f"{kind}:{';'.join(params[:i])}"
+            with pytest.raises(SpecParseError) as info:
+                parse_graph_spec(text)
+            assert str(info.value) == f"spec {text!r} is missing {param[0]}="
 
 
 # sides around the byte and 64-bit word boundaries the kernel pads to, and larger powers of two
