@@ -16,16 +16,16 @@ count branches on a maximum-degree vertex and prunes: a greedy matching bounds
 what the branch through the branch vertex can reach, and that branch is
 skipped when the other one already exceeds the bound, so ties still add
 their counts.  The banded sweep shifts every row down to its later
-neighbours in one pass, which gives the bandwidth, the graph's longest
-edge, and the gcd of the edge lengths.  Edges stay inside the residue
-classes mod that gcd; a class that holds its consecutive path is one
-component, and only the other classes are walked into components.  Each
-component is swept in label order with one count per blocked set, the
-later vertices that the chosen ones block.  Where the vertices repeat with
-period 1 or 2 (a Toeplitz interior, a ladder) and the live blocked sets
-close up, a long run is one straight-line function generated from those
-sets and compiled once per count.  Counts include the empty set throughout,
-and use Python's arbitrary-precision integers.
+neighbours in one pass, which gives the bandwidth, the graph's longest edge,
+and the gcd of the edge lengths.  Edges stay inside the residue classes mod
+that gcd; a class whose sub-paths join up is one component, and only the
+other classes are walked into components.  Each component is swept in label
+order on plain later-neighbour ints with one gap, one count per blocked set,
+the later vertices that the chosen ones block.  Where the vertices repeat
+with period 1 or 2 (a Toeplitz interior, a ladder) and the live blocked sets
+close up, a long run is one straight-line function generated from those sets
+and compiled once per count.  Counts include the empty set throughout, and
+use Python's arbitrary-precision integers.
 
 One engine policy, `exact_count`, serves the CLI and the bound reports:
 `auto` picks the banded sweep for independent sets of a Toeplitz spec whose
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
-from itertools import chain, compress, count, repeat
+from itertools import compress, count
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -162,61 +162,75 @@ def count_is_banded(graph: BitGraph) -> BigCount:
     """Blocked-future sweep for graphs whose longest edge, their bandwidth,
     is at most BANDWIDTH_LIMIT; a wider graph is refused.
 
-    One pass shifts each row down to its later neighbours; their union is
-    the set of edge lengths, so the bandwidth is its top bit.  Edges join
-    only vertices alike mod g, the gcd of the lengths, so each residue
-    class is swept apart.  A class whose vertices, all but its last, each
-    reach the next one in it contains that path, so it is one component and
-    its keys come straight off the pass; any other class is split by
-    `_component_masks`.  Each component is swept in label order, keeping one
-    counter per state: the set of the component's later vertices that the
-    chosen ones block, all within the bandwidth.  Partial sets with the same
-    state have the same extensions, so no label-order sweep keeps fewer
-    states; on a Toeplitz graph it is the minimal automaton of the binary
-    words with no x_i = x_(i+d) = 1.  A periodic run of at least KERNEL_CUT
-    steps (a Toeplitz interior, a ladder) goes through one `_kernel`,
-    compiled once per call for each run of the same keys and live sets.
-    The component counts multiply."""
+    One pass shifts each row down to its later neighbours; their distinct
+    values OR to the set of edge lengths, so the bandwidth is its top bit.
+    Edges join only vertices alike mod g, the gcd of the lengths, so each
+    residue class is swept apart, on its later-neighbour ints with gap g: a
+    class that `_connected` certifies whole, each component of any other
+    over its span of the class.  There the other components' positions are
+    free, later 0: never blocked, each doubles the total, which is shifted
+    back.  A sweep keeps one counter per state: the set of the component's
+    later vertices that the chosen ones block, all within the bandwidth.
+    Partial sets with the same state have the same extensions, so no
+    label-order sweep keeps fewer states; on a Toeplitz graph it is the
+    minimal automaton of the binary words with no x_i = x_(i+d) = 1.  A
+    periodic run of at least KERNEL_CUT steps (a Toeplitz interior, a
+    ladder) goes through one `_kernel`, compiled once per call for each run
+    of the same keys, gap and live sets.  The component counts multiply."""
     rows = graph.rows
     laters = [0, *map(operator.rshift, rows, count())]  # laters[v]: bit t when v ~ v + t, v >= 1
-    lengths = reduce(operator.or_, laters)
+    lengths = reduce(operator.or_, set(laters))
     bandwidth = lengths.bit_length() - 1
     if bandwidth > BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be at most {BANDWIDTH_LIMIT}, got {bandwidth}")
-    step = gcd(*(t for t in range(1, bandwidth + 1) if lengths >> t & 1)) or 1
-    runs: dict = {}
-    return prod(_sweep(keys, runs) for keys in _component_keys(rows, laters, step))
-
-
-def _component_keys(rows, laters: list, step: int):
-    """The step keys of each component of a graph whose edge lengths are all
-    multiples of `step`, one residue class after another: each vertex v's
-    (later, gap), its later neighbours `laters[v]` and the distance to the
-    component's next vertex, 1 after its last."""
-    n, link = len(rows), 1 << step
-    spaced = ((1 << step * -(-n // step)) - 1) // ((1 << step) - 1)  # bits 0, step, 2 step, ...
-    for r in range(1, step + 1):
-        along = laters[r::step]
-        if all(map(link.__and__, along[:-1])):  # the class holds its consecutive path
-            yield [*zip(along[:-1], repeat(step)), (along[-1], 1)]
+    ts = [t for t in range(1, bandwidth + 1) if lengths >> t & 1] or [1]
+    n, g, runs, total = len(rows), gcd(*ts), {}, 1
+    spaced = ((1 << g * -(-n // g)) - 1) // ((1 << g) - 1)  # bits 0, g, 2 g, ...
+    for r in range(1, g + 1):
+        along = laters[r::g]
+        if _connected(along, ts[0], g):
+            total *= _sweep(along, g, runs)
             continue
         for comp in _component_masks(rows, (spaced << (r - 1)) & ((1 << n) - 1)):
-            labels = _mask_labels(comp)
-            gaps = chain(map(operator.sub, labels[1:], labels), (1,))
-            yield [*zip(map(laters.__getitem__, labels), gaps)]
+            span = range((comp & -comp).bit_length(), comp.bit_length() + 1, g)
+            keys = [laters[v] if comp >> v - 1 & 1 else 0 for v in span]
+            total *= _sweep(keys, g, runs) >> len(keys) - comp.bit_count()
+    return total
 
 
-def _sweep(keys: list, runs: dict) -> BigCount:
-    """Independent sets of the component whose step keys are `keys`,
-    keeping one dict from each live blocked set to its count.
+def _connected(along: list, s: int, g: int) -> bool:
+    """Whether the residue class mod g whose later neighbours are `along` is
+    certainly one component, read off distinct values.  With s the shortest
+    edge length and a = s / g, the class holds its a sub-paths (positions
+    alike mod a; for a = 1 its consecutive path) when each vertex but the
+    last a reaches the one s on, and a longer length t on sub-path x joins
+    x to sub-path (x + t / g) mod a: all joined, they are one component."""
+    a = s // g
+    group = [1 << x for x in range(a)]  # group[x]: the sub-paths joined to sub-path x
+    for x in range(a):
+        if group[0] == (1 << a) - 1:
+            break
+        held = reduce(operator.or_, set(along[x::a]), 0)
+        for t in range(s + g, held.bit_length(), g):
+            y = (x + t // g) % a
+            if held >> t & 1 and not group[x] >> y & 1:
+                joined = group[x] | group[y]
+                group = [joined if joined >> z & 1 else m for z, m in enumerate(group)]
+    return group[0] == (1 << a) - 1 and all(map((1 << s).__and__, set(along[:-a])))
 
-    Step i's key is its vertex's (later, gap).  When the keys from step i - p
-    on repeat with period p <= 2 and the live sets after step i are those
-    after step i - p (`lives` holds the recent ones), the live sets repeat
-    with period p, so the rest of the run, if at least KERNEL_CUT steps over
-    at most KERNEL_STATES live sets, goes through one `_kernel`; a shorter
-    rest waits for its end.  `runs` holds the kernels compiled so far, by
-    their keys and live sets."""
+
+def _sweep(keys: list, gap: int, runs: dict) -> BigCount:
+    """Independent sets of the component whose later neighbours, one per
+    position `gap` labels apart, are `keys`, keeping one dict from each live
+    blocked set to its count; the total sums them all, so the last step's
+    shift loses nothing.
+
+    When the keys from step i - p on repeat with period p <= 2 and the live
+    sets after step i are those after step i - p (`lives` holds the recent
+    ones), the live sets repeat with period p, so the rest of the run, if
+    at least KERNEL_CUT steps over at most KERNEL_STATES live sets, goes
+    through one `_kernel`; a shorter rest waits for its end.  `runs` holds
+    the kernels compiled so far, by their keys, gap and live sets."""
     counts, lives = {0: 1}, [None] * 3
     i = wait = 0
     while i < len(keys):
@@ -228,26 +242,26 @@ def _sweep(keys: list, runs: dict) -> BigCount:
                 if end - i < KERNEL_CUT:
                     wait = end  # what is left of this run is too short for a kernel
                 else:
-                    spot = (tuple(keys[i : i + p]), tuple(counts))
+                    spot = (tuple(keys[i : i + p]), gap, tuple(counts))
                     if spot not in runs:
-                        runs[spot] = _kernel(keys[i : i + p], [*counts])
+                        runs[spot] = _kernel(keys[i : i + p], gap, [*counts])
                     counts = dict(zip(counts, runs[spot]((end - i) // p, *counts.values())))
                     i = end - (end - i) % p
                     continue
             lives[i % 3] = (i, counts.keys())
-        counts = _step(counts, *keys[i])
+        counts = _step(counts, keys[i], gap)
         i += 1
     return sum(counts.values())
 
 
-def _kernel(keys: list, live: list):
+def _kernel(keys: list, gap: int, live: list):
     """run(k, *counts): the counts of the blocked sets `live`, in that order,
-    after k passes of the steps keyed (later, gap) by `keys`: per step, one
-    tuple assignment of `_step` run over lists of names c<blocked set>, which
-    add by concatenation.  The passes must map `live` onto itself, as
-    `_sweep`'s trigger ensures."""
+    after k passes of the steps on later neighbours `keys`, each with `gap`:
+    per step, one tuple assignment of `_step` run over lists of names
+    c<blocked set>, which add by concatenation.  The passes must map `live`
+    onto itself, as `_sweep`'s trigger ensures."""
     names, steps, now = ", ".join(f"c{b}" for b in live), [], live
-    for later, gap in keys:
+    for later in keys:
         now = _step({b: [f"c{b}"] for b in now}, later, gap)
         sums = ", ".join(map(" + ".join, now.values()))
         steps.append(f"  {', '.join(f'c{t}' for t in now)} = {sums}")

@@ -5,7 +5,7 @@ import operator
 import random
 import re
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 import pytest
 from corpus import random_graphs, random_proper_pairs
@@ -238,24 +238,101 @@ def class_unions(draw):
     return BitGraph.from_edges(n, edges), all(paths) and n > step
 
 
+@st.composite
+def sub_path_unions(draw):
+    """A graph whose edges (i, i + s), s = a g, are each kept with
+    probability `keep`, plus random longer multiples of g up to 20: all s
+    edges kept makes a sub-paths, the class positions alike mod a, which
+    the longer edges may or may not join into one component."""
+    g, a, n = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 60))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    keep, density = draw(st.sampled_from([1.0, 0.95])), draw(st.sampled_from([0.02, 0.1, 0.4]))
+    return BitGraph.from_edges(
+        n,
+        [
+            (i, i + t)
+            for i in range(1, n + 1)
+            for t in range(a * g, 21, g)
+            if i + t <= n and rng.random() < (keep if t == a * g else density)
+        ],
+    )
+
+
+@st.composite
+def banded_graphs(draw):
+    """A random graph on at most 60 vertices whose edges are at most 20 long."""
+    n, bandwidth = draw(st.integers(1, 60)), draw(st.integers(1, 20))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    density = draw(st.sampled_from([0.05, 0.2, 0.6]))
+    return BitGraph.from_edges(
+        n,
+        [
+            (i, j)
+            for i in range(1, n + 1)
+            for j in range(i + 1, min(i + bandwidth, n) + 1)
+            if rng.random() < density
+        ],
+    )
+
+
+def three_paths_and_one_edge(n=50):
+    """The step-3 paths, one per residue class mod 3, plus the edge (1, 5):
+    the gcd is 1 and the shortest length 3, and the length 4 joins the
+    first two paths but not the third, so one class holds two interleaved
+    components."""
+    return BitGraph.from_edges(n, [(i, i + 3) for i in range(1, n - 2)] + [(1, 5)])
+
+
+def interleaved_matching():
+    """19 disjoint edges, 9 of length 19 and 10 of length 20, so gcd 1, on
+    39 vertices; vertex 29 is isolated."""
+    edges = [(i, i + 19) for i in range(1, 10)] + [(i, i + 20) for i in range(10, 20)]
+    return BitGraph.from_edges(39, edges)
+
+
+def _without_edge(graph, u, v):
+    """graph minus the edge {u, v}, 1-based labels."""
+    rows = list(graph.rows)
+    rows[u - 1] ^= 1 << (v - 1)
+    rows[v - 1] ^= 1 << (u - 1)
+    return BitGraph(graph.n, rows)
+
+
+def _walked_masks(monkeypatch, graph):
+    """The masks one count_is_banded(graph) call hands `_component_masks`."""
+    walk, masks = counting._component_masks, []
+    monkeypatch.setattr(counting, "_component_masks", lambda r, m: masks.append(m) or walk(r, m))
+    count_is_banded(graph)
+    return masks
+
+
 def _walks(monkeypatch, graph):
     """How many times one count_is_banded(graph) call runs `_component_masks`."""
-    walk, calls = counting._component_masks, []
-    monkeypatch.setattr(counting, "_component_masks", lambda *a: calls.append(a) or walk(*a))
-    count_is_banded(graph)
-    return len(calls)
+    return len(_walked_masks(monkeypatch, graph))
+
+
+class_graphs = class_unions().map(operator.itemgetter(0))
+
+
+def length_gcd(graph):
+    """The gcd of the graph's edge lengths, 1 when it has no edge."""
+    return gcd(*(j - i for i, j in graph.edges())) or 1
+
+
+def residue_classes(graph):
+    """The mask of each residue class mod `length_gcd`."""
+    g = length_gcd(graph)
+    return [sum(1 << v - 1 for v in range(r, graph.n + 1, g)) for r in range(1, g + 1)]
 
 
 class TestResidueClassRoutes:
-    """Classes that hold their consecutive path are swept whole; the others
-    are walked into components, which keeps interleaved components apart."""
+    """Classes whose sub-paths join up are swept whole; the others are
+    walked into components, which keeps interleaved components apart."""
 
     def test_walk_splits_interleaved_components(self, monkeypatch):
-        # 19 disjoint edges, 9 of length 19 and 10 of length 20, so gcd 1:
-        # swept whole in label order, the first 19 vertices would leave
-        # 2^19 live blocked sets; vertex 29 is isolated
-        edges = [(i, i + 19) for i in range(1, 10)] + [(i, i + 20) for i in range(10, 20)]
-        graph = BitGraph.from_edges(39, edges)
+        # swept whole in label order, the first 19 vertices would leave 2^19
+        # live blocked sets
+        graph = interleaved_matching()
         assert count_is_banded(graph) == count_is(graph) == 3**19 * 2
         peaks = _sweep_work(monkeypatch, graph)[0]
         assert len(peaks) == 20
@@ -274,17 +351,55 @@ class TestResidueClassRoutes:
             with pytest.MonkeyPatch.context() as patch:
                 assert _walks(patch, graph) == 0
 
-    @settings(max_examples=60, deadline=None)
-    @given(case=class_unions())
-    def test_certified_keys_are_the_walked_keys(self, case):
-        # the certificate changes how a component is found, not its keys, so
-        # every kernel trigger sees what it saw before
-        graph, swept = case[0], []
+    @settings(max_examples=150, deadline=None)
+    @given(graph=st.one_of(class_graphs, sub_path_unions(), banded_graphs()))
+    @example(graph=build_toeplitz(50, (2, 3)))
+    @example(graph=build_toeplitz(50, (3, 5)))
+    @example(graph=three_paths_and_one_edge())
+    def test_certified_classes_are_one_component(self, graph):
+        # a class that is not walked was certified: it must be one component
         with pytest.MonkeyPatch.context() as patch:
-            sweep = counting._sweep
-            patch.setattr(counting, "_sweep", lambda keys, runs: swept.append(keys) or sweep(keys, runs))
+            walked = _walked_masks(patch, graph)
+        assert count_is_banded(graph) == count_is(graph) == sweep_count(graph.rows)
+        for mask in residue_classes(graph):
+            if mask not in walked:
+                assert len(_component_masks(graph.rows, mask)) == 1
+
+    @pytest.mark.parametrize(
+        "graph, walks, parts",
+        [
+            (build_toeplitz(50, (2, 3)), 0, 1),
+            (build_toeplitz(50, (3, 5)), 0, 1),
+            (three_paths_and_one_edge(), 1, 2),
+        ],
+        ids=["d=2,3", "d=3,5", "three-paths"],
+    )
+    def test_sub_paths_joined_or_not(self, monkeypatch, graph, walks, parts):
+        assert _walks(monkeypatch, graph) == walks
+        assert len(_component_masks(graph.rows, (1 << graph.n) - 1)) == parts
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=st.one_of(class_graphs, sub_path_unions()))
+    def test_certified_keys_are_the_walked_keys(self, graph):
+        # the certificate changes how a component is found, not its keys:
+        # with the free positions dropped, each sweep's keys are one walked
+        # component's keys, apart from the last gap, so every kernel trigger
+        # sees what it would see on that component alone
+        swept, g, sweep = [], length_gcd(graph), counting._sweep
+
+        def recorded_sweep(keys, gap, runs):
+            swept.append((keys, gap))
+            return sweep(keys, gap, runs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counting, "_sweep", recorded_sweep)
             count_is_banded(graph)
-        assert sorted(swept) == sorted(walked_keys(graph.rows))
+        spans = []
+        for keys in walked_keys(graph.rows):
+            assert all(gap % g == 0 for _, gap in keys[:-1])
+            span = [x for later, gap in keys[:-1] for x in [later] + [0] * (gap // g - 1)]
+            spans.append((span + [keys[-1][0]], g))
+        assert sorted(swept) == sorted(spans)
 
 
 class TestBruteForce:
@@ -701,9 +816,9 @@ def _sweep_work(monkeypatch, graph):
     peaks = []
     visits = 0
 
-    def counted_sweep(keys, runs):
+    def counted_sweep(keys, gap, runs):
         peaks.append(0)
-        return sweep(keys, runs)
+        return sweep(keys, gap, runs)
 
     def counted_step(counts, later, gap):
         nonlocal visits
@@ -755,9 +870,12 @@ class TestBandedWork:
             (build_toeplitz(3000, (4, 8, 12, 16)), 0),  # four classes, each a path
             (build_delta(3000, "plain"), 0),
             (build_delta(3000, "tilde"), 0),
-            (build_toeplitz(3000, (2, 3)), 1),  # no edge of length gcd = 1
+            (build_toeplitz(3000, (2, 3)), 0),  # two sub-paths, joined by length 3
+            (build_toeplitz(3000, (3, 5)), 0),  # three sub-paths, joined by length 5
+            (_without_edge(build_toeplitz(1200, (1, 3)), 600, 601), 1),  # the path breaks
+            (interleaved_matching(), 1),  # only 9 of the first 20 vertices have length 19
         ],
-        ids=["d=1,2", "d=4,8,12,16", "delta", "deltaTilde", "d=2,3"],
+        ids=["d=1,2", "d=4,8,12,16", "delta", "deltaTilde", "d=2,3", "d=3,5", "gap", "matching"],
     )
     def test_only_classes_without_their_path_are_walked(self, monkeypatch, graph, walks):
         assert _walks(monkeypatch, graph) == walks
@@ -781,8 +899,8 @@ def _kernel_work(monkeypatch, graph):
         calls[0] += _numeric(counts)
         return step(counts, later, gap)
 
-    def counted_kernel(keys, live):
-        run = kernel(keys, live)
+    def counted_kernel(keys, gap, live):
+        run = kernel(keys, gap, live)
 
         def counted_run(k, *counts):
             runs.append(k * len(keys))
@@ -794,14 +912,6 @@ def _kernel_work(monkeypatch, graph):
     monkeypatch.setattr(counting, "_kernel", counted_kernel)
     count_is_banded(graph)
     return calls[0], runs
-
-
-def _without_edge(graph, u, v):
-    """graph minus the edge {u, v}, 1-based labels."""
-    rows = list(graph.rows)
-    rows[u - 1] ^= 1 << (v - 1)
-    rows[v - 1] ^= 1 << (u - 1)
-    return BitGraph(graph.n, rows)
 
 
 class TestSweepKernel:
@@ -994,10 +1104,17 @@ def walked_keys(rows):
 
 def sweep_count(rows):
     """Independent sets by one label-order blocked-future sweep per
-    component of `walked_keys`: a second route, sharing no pivot,
-    relabelling or cache with branch-and-reduce, and no residue class or
-    path certificate with `count_is_banded`."""
-    return prod(counting._sweep(keys, {}) for keys in walked_keys(rows))
+    component of `walked_keys`, `counting._step` at each label with that
+    label's own gap: a second route, sharing no pivot, relabelling or cache
+    with branch-and-reduce, and no certificate, kernel or key layout with
+    `count_is_banded`."""
+    total = 1
+    for keys in walked_keys(rows):
+        counts = {0: 1}
+        for later, gap in keys:
+            counts = counting._step(counts, later, gap)
+        total *= sum(counts.values())
+    return total
 
 
 def assert_sweep_agrees(graph):
