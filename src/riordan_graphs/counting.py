@@ -27,10 +27,12 @@ close up, a long run is one straight-line function generated from those sets
 and compiled once per count.  Counts include the empty set throughout, and
 use Python's arbitrary-precision integers.
 
-One engine policy, `exact_count`, serves the CLI and the bound reports:
-`auto` picks the banded sweep for independent sets of a Toeplitz spec whose
-largest distance is at most BANDWIDTH_LIMIT, and branch-and-reduce for
-everything else.
+The CLI's engine policy is `exact_count`: `auto` picks the banded sweep for
+independent sets of a Toeplitz spec whose largest distance is at most
+BANDWIDTH_LIMIT, and branch-and-reduce for everything else.  A bound
+report's i(G), i(X) and i(Y) take `_sweep_or_branch` instead: one sweep of
+the whole graph in label order with gap 1, or branch-and-reduce once that
+sweep keeps more than SWEEP_STATES live blocked sets.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import operator
 from functools import reduce
 from itertools import compress, count
-from math import gcd, prod
+from math import gcd, inf
 from typing import NamedTuple
 
 from .graphs import BitGraph, GraphSpec, _component_masks, _mask_labels, _relabel
@@ -50,6 +52,7 @@ MAXIMAL_LIMIT = 64
 BANDWIDTH_LIMIT = 20
 KERNEL_CUT = 256  # steps; compiling a kernel costs what 60 to 160 `_step` steps do
 KERNEL_STATES = 4096  # live blocked sets; compiling a kernel takes about 3.5 KB a set
+SWEEP_STATES = 65536  # live blocked sets; past them a report's sweep gives way to branch
 
 
 def _branch_vertex(rows, mask: int) -> int:
@@ -143,6 +146,14 @@ def _count_is_rows(rows) -> BigCount:
     return _branch(_by_degree(rows), lambda k: 1 << k, operator.add, operator.mul, pick=_low_pivot)
 
 
+def _sweep_or_branch(rows) -> BigCount:
+    """count_is for a bound report, on a simple graph's rows: one label-order
+    sweep with gap 1, or branch-and-reduce once it keeps more than
+    SWEEP_STATES live blocked sets."""
+    total = _sweep([*map(operator.rshift, rows, count())], 1, {}, SWEEP_STATES)
+    return _count_is_rows(rows) if total is None else total
+
+
 def _by_degree(rows) -> tuple[int, ...]:
     """_relabel by stable descending degree; the rows themselves if already in it."""
     order = sorted(range(len(rows)), key=[*map(int.bit_count, rows)].__getitem__, reverse=True)
@@ -219,8 +230,8 @@ def _connected(along: list, s: int, g: int) -> bool:
     return group[0] == (1 << a) - 1 and all(map((1 << s).__and__, set(along[:-a])))
 
 
-def _sweep(keys: list, gap: int, runs: dict) -> BigCount:
-    """Independent sets of the component whose later neighbours, one per
+def _sweep(keys: list, gap: int, runs: dict, limit: float = inf) -> BigCount | None:
+    """Independent sets of the graph whose later neighbours, one per
     position `gap` labels apart, are `keys`, keeping one dict from each live
     blocked set to its count; the total sums them all, so the last step's
     shift loses nothing.
@@ -230,7 +241,8 @@ def _sweep(keys: list, gap: int, runs: dict) -> BigCount:
     ones), the live sets repeat with period p, so the rest of the run, if
     at least KERNEL_CUT steps over at most KERNEL_STATES live sets, goes
     through one `_kernel`; a shorter rest waits for its end.  `runs` holds
-    the kernels compiled so far, by their keys, gap and live sets."""
+    the kernels compiled so far, by their keys, gap and live sets.  Past
+    `limit` live sets the sweep stops and returns None."""
     counts, lives = {0: 1}, [None] * 3
     i = wait = 0
     while i < len(keys):
@@ -250,6 +262,8 @@ def _sweep(keys: list, gap: int, runs: dict) -> BigCount:
                     continue
             lives[i % 3] = (i, counts.keys())
         counts = _step(counts, keys[i], gap)
+        if len(counts) > limit:
+            return None
         i += 1
     return sum(counts.values())
 
@@ -291,7 +305,8 @@ def exact_count(
     spec: GraphSpec, graph: BitGraph, what: str = "is", engine: str = "auto"
 ) -> tuple[str, BigCount]:
     """(engine, count) for the independent sets (what="is") or the cliques
-    (what="cliques") of `graph`, built from `spec`.
+    (what="cliques") of `graph`, built from `spec`: the policy of `riordan
+    count`, whose output names the engine; bound reports use `_sweep_or_branch`.
 
     `auto` picks "banded" only for independent sets of a Toeplitz spec whose
     largest distance is at most BANDWIDTH_LIMIT, and "branch" otherwise.

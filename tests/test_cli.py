@@ -11,7 +11,7 @@ import pytest
 
 from riordan_graphs import cli, formulas, verify
 from riordan_graphs.cli import main, run
-from riordan_graphs.counting import brute_force_is
+from riordan_graphs.counting import brute_force_is, count_is_banded
 from riordan_graphs.graphs import parse_graph_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -334,6 +334,20 @@ class TestBoundsAndVerify:
         code, out, _ = run_cli(capsys, "bounds", "--spec", "pascal:n=6", "--format", "table")
         assert code == 0
         assert "pascal-upper" in out and "tight" in out
+
+    @pytest.mark.parametrize(
+        "spec, exact",
+        [
+            ("toeplitz:n=3000;d=1,6,11,16", lambda s: count_is_banded(s.build())),
+            ("delta:n=2000", lambda s: formulas.delta(2000, "plain")),
+        ],
+    )
+    def test_long_narrow_reports_are_answered(self, capsys, spec, exact):
+        # i(G), i(X) and i(Y) sweep in label order, so X and Y at n/2 or n
+        # labels take no branch-and-reduce recursion
+        code, out, err = run_cli(capsys, "bounds", "--spec", spec, "--force")
+        assert code == 0 and err == ""
+        assert json.loads(out)["exact"] == exact(parse_graph_spec(spec))
 
     def test_unit_constant_in_f_gets_no_fibonacci_bound(self, capsys):
         # f(0) = 1 makes the pair improper, and 1 - 2 - 3 - 4 is no path here

@@ -31,6 +31,7 @@ from riordan_graphs.graphs import (
     build_riordan,
     build_toeplitz,
     catalan_spec,
+    decompose,
     motzkin_spec,
     pascal_spec,
     parse_graph_spec,
@@ -1140,6 +1141,52 @@ class TestSweepRoute:
     def test_random_proper_specs(self, seed, n):
         [(g, f)] = random_proper_pairs(1, seed)
         assert_sweep_agrees(parse_graph_spec(f"riordan:g={g};f={f};n={n}").build())
+
+
+class TestReportRoute:
+    """A bound report's i(G), i(X) and i(Y): one label-order sweep, and
+    branch-and-reduce past SWEEP_STATES live blocked sets."""
+
+    @settings(deadline=None)
+    @given(
+        graph=st.builds(random_graph, st.integers(1, 20), st.integers(0, 10**6), st.floats(0, 1))
+    )
+    def test_matches_subset_enumeration(self, graph):
+        assert counting._sweep_or_branch(graph.rows) == brute_force_is(graph)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=st.builds(random_graph, st.integers(21, 40), st.integers(0, 10**6), st.floats(0, 1))
+    )
+    def test_matches_branch(self, graph):
+        assert counting._sweep_or_branch(graph.rows) == count_is(graph)
+
+    @pytest.mark.parametrize("n", [2, 9, 24, 33, 40])
+    @pytest.mark.parametrize("family", [pascal_spec, catalan_spec, motzkin_spec])
+    def test_odd_even_blocks(self, family, n):
+        blocks = decompose(build_riordan(family(n)))
+        for rows in (blocks.x, blocks.y):
+            assert counting._sweep_or_branch(rows) == count_is(BitGraph(len(rows), rows))
+
+    @pytest.mark.parametrize("family", [catalan_spec, motzkin_spec])
+    def test_family_graphs_at_96(self, family):
+        graph = build_riordan(family(96))
+        assert counting._sweep_or_branch(graph.rows) == count_is(graph)
+
+    def test_past_the_budget_branch_counts(self, monkeypatch):
+        graph = build_riordan(catalan_spec(40))
+        keys = [*map(operator.rshift, graph.rows, range(graph.n))]
+        assert counting._sweep(keys, 1, {}, 1) is None
+        expected, branch, branched = count_is(graph), counting._count_is_rows, []
+        assert counting._sweep(keys, 1, {}) == expected
+        monkeypatch.setattr(counting, "SWEEP_STATES", 1)
+
+        def spy(rows):
+            branched.append(rows)
+            return branch(rows)
+
+        monkeypatch.setattr(counting, "_count_is_rows", spy)
+        assert counting._sweep_or_branch(graph.rows) == expected and branched == [graph.rows]
 
 
 class TestDegreeOrder:
