@@ -30,8 +30,9 @@ use Python's arbitrary-precision integers.
 The CLI's engine policy is `exact_count`: `auto` picks the banded sweep for
 independent sets of a Toeplitz spec whose largest distance is at most
 BANDWIDTH_LIMIT, and branch-and-reduce for everything else.  A bound
-report's i(G), i(X) and i(Y) take `_sweep_or_branch` instead: one sweep of
-the whole graph in label order with gap 1, or branch-and-reduce once that
+report's i(G), i(X) and i(Y) take `count_is_swept` instead, chosen by the
+graph alone: the banded sweep when the bandwidth is at most BANDWIDTH_LIMIT,
+else one sweep in label order with gap 1, or branch-and-reduce once that
 sweep keeps more than SWEEP_STATES live blocked sets.
 """
 
@@ -146,14 +147,6 @@ def _count_is_rows(rows) -> BigCount:
     return _branch(_by_degree(rows), lambda k: 1 << k, operator.add, operator.mul, pick=_low_pivot)
 
 
-def _sweep_or_branch(rows) -> BigCount:
-    """count_is for a bound report, on a simple graph's rows: one label-order
-    sweep with gap 1, or branch-and-reduce once it keeps more than
-    SWEEP_STATES live blocked sets."""
-    total = _sweep([*map(operator.rshift, rows, count())], 1, {}, SWEEP_STATES)
-    return _count_is_rows(rows) if total is None else total
-
-
 def _by_degree(rows) -> tuple[int, ...]:
     """_relabel by stable descending degree; the rows themselves if already in it."""
     order = sorted(range(len(rows)), key=[*map(int.bit_count, rows)].__getitem__, reverse=True)
@@ -188,13 +181,30 @@ def count_is_banded(graph: BitGraph) -> BigCount:
     periodic run of at least KERNEL_CUT steps (a Toeplitz interior, a
     ladder) goes through one `_kernel`, compiled once per call for each run
     of the same keys, gap and live sets.  The component counts multiply."""
-    rows = graph.rows
-    laters = [0, *map(operator.rshift, rows, count())]  # laters[v]: bit t when v ~ v + t, v >= 1
+    laters = [0, *map(operator.rshift, graph.rows, count())]  # bit t of laters[v]: v ~ v + t
     lengths = reduce(operator.or_, set(laters))
     bandwidth = lengths.bit_length() - 1
     if bandwidth > BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be at most {BANDWIDTH_LIMIT}, got {bandwidth}")
-    ts = [t for t in range(1, bandwidth + 1) if lengths >> t & 1] or [1]
+    return _by_class(graph.rows, laters, lengths)
+
+
+def count_is_swept(rows) -> BigCount:
+    """count_is on a simple graph's adjacency rows, sweep first, as the bound
+    reports count i(G), i(X) and i(Y): by residue class as count_is_banded
+    does when the bandwidth is at most BANDWIDTH_LIMIT, else in label order
+    with gap 1, handed to branch-and-reduce past SWEEP_STATES live sets."""
+    laters = [0, *map(operator.rshift, rows, count())]
+    lengths = reduce(operator.or_, set(laters))
+    if lengths.bit_length() - 1 <= BANDWIDTH_LIMIT:
+        return _by_class(rows, laters, lengths)
+    total = _sweep(laters[1:], 1, {}, SWEEP_STATES)
+    return _count_is_rows(rows) if total is None else total
+
+
+def _by_class(rows, laters: list, lengths: int) -> BigCount:
+    """count_is_banded's count, given the rows, [0, *later neighbours] and their OR."""
+    ts = [t for t in range(1, lengths.bit_length()) if lengths >> t & 1] or [1]
     n, g, runs, total = len(rows), gcd(*ts), {}, 1
     spaced = ((1 << g * -(-n // g)) - 1) // ((1 << g) - 1)  # bits 0, g, 2 g, ...
     for r in range(1, g + 1):
@@ -306,7 +316,7 @@ def exact_count(
 ) -> tuple[str, BigCount]:
     """(engine, count) for the independent sets (what="is") or the cliques
     (what="cliques") of `graph`, built from `spec`: the policy of `riordan
-    count`, whose output names the engine; bound reports use `_sweep_or_branch`.
+    count`, whose output names the engine; bound reports use `count_is_swept`.
 
     `auto` picks "banded" only for independent sets of a Toeplitz spec whose
     largest distance is at most BANDWIDTH_LIMIT, and "branch" otherwise.

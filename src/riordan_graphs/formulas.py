@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 # count_is is unused here; bench/tests/test_bench.py calls formulas.count_is
-from .counting import BigCount, _sweep_or_branch, count_is
+from .counting import BigCount, count_is, count_is_swept
 from .graphs import (
     BitGraph,
     DecompositionBlocks,
@@ -335,7 +335,7 @@ def _odd_even_bound(blocks: DecompositionBlocks) -> BigCount:
     x, y, b = blocks.x, blocks.y, blocks.b
     sigma0 = len(x) * len(y) - sum(row.bit_count() for row in b)
     # the blocks are cut from a graph already checked symmetric and loop-free
-    return _sweep_or_branch(x) + _sweep_or_branch(y) - 1 + sigma0
+    return count_is_swept(x) + count_is_swept(y) - 1 + sigma0
 
 
 def io_dec_lower_bound(spec: RiordanSpec) -> BigCount:

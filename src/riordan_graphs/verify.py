@@ -13,7 +13,7 @@ import operator
 from typing import NamedTuple
 
 from . import formulas
-from .counting import _sweep_or_branch, count_cliques, count_is, count_maximum_is
+from .counting import count_cliques, count_is, count_is_swept, count_maximum_is
 from .graphs import (
     ChordalityRangeError,
     GraphSpec,
@@ -141,7 +141,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
     n = spec.n
     check_guard(n, max_n)
     graph = spec.build()
-    exact = _sweep_or_branch(graph.rows)
+    exact = count_is_swept(graph.rows)
     report = BoundReport(spec.text, n, exact, [], [])
     rs = spec.riordan
 

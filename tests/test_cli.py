@@ -339,12 +339,14 @@ class TestBoundsAndVerify:
         "spec, exact",
         [
             ("toeplitz:n=3000;d=1,6,11,16", lambda s: count_is_banded(s.build())),
+            ("toeplitz:n=3000;d=2,14", lambda s: count_is_banded(s.build())),
+            ("toeplitz:n=3000;d=3,18", lambda s: count_is_banded(s.build())),
             ("delta:n=2000", lambda s: formulas.delta(2000, "plain")),
         ],
     )
     def test_long_narrow_reports_are_answered(self, capsys, spec, exact):
-        # i(G), i(X) and i(Y) sweep in label order, so X and Y at n/2 or n
-        # labels take no branch-and-reduce recursion
+        # i(G), i(X) and i(Y) of these narrow graphs sweep by residue class,
+        # so X and Y at n/2 or n labels take no branch-and-reduce recursion
         code, out, err = run_cli(capsys, "bounds", "--spec", spec, "--force")
         assert code == 0 and err == ""
         assert json.loads(out)["exact"] == exact(parse_graph_spec(spec))

@@ -1143,35 +1143,60 @@ class TestSweepRoute:
         assert_sweep_agrees(parse_graph_spec(f"riordan:g={g};f={f};n={n}").build())
 
 
+def _route_work(monkeypatch, rows):
+    """count_is_swept(rows), with the live sets its numeric `_step` calls
+    visit and the most live sets one of them leaves."""
+    step, work = counting._step, [0, 0]
+
+    def counted_step(counts, later, gap):
+        nxt = step(counts, later, gap)
+        if _numeric(counts):
+            work[:] = work[0] + len(counts), max(work[1], len(nxt))
+        return nxt
+
+    monkeypatch.setattr(counting, "_step", counted_step)
+    return counting.count_is_swept(rows), *work
+
+
 class TestReportRoute:
-    """A bound report's i(G), i(X) and i(Y): one label-order sweep, and
+    """A bound report's i(G), i(X) and i(Y): by residue class when the
+    bandwidth is at most BANDWIDTH_LIMIT, else one label-order sweep, and
     branch-and-reduce past SWEEP_STATES live blocked sets."""
+
+    @pytest.mark.parametrize(
+        "ds, visits, peak", [((16,), 5984, 2), ((10, 20), 110, 3), ((3, 18), 315, 18)]
+    )
+    def test_narrow_graphs_sweep_each_class(self, monkeypatch, ds, visits, peak):
+        # one label-order sweep of the whole graph would keep the product of
+        # the classes' live sets, 65536, 59049 and 5832 here, past any kernel
+        graph = build_toeplitz(3000, ds)
+        assert _route_work(monkeypatch, graph.rows) == (count_is_banded(graph), visits, peak)
 
     @settings(deadline=None)
     @given(
         graph=st.builds(random_graph, st.integers(1, 20), st.integers(0, 10**6), st.floats(0, 1))
     )
     def test_matches_subset_enumeration(self, graph):
-        assert counting._sweep_or_branch(graph.rows) == brute_force_is(graph)
+        assert counting.count_is_swept(graph.rows) == brute_force_is(graph)
 
     @settings(max_examples=40, deadline=None)
     @given(
         graph=st.builds(random_graph, st.integers(21, 40), st.integers(0, 10**6), st.floats(0, 1))
     )
     def test_matches_branch(self, graph):
-        assert counting._sweep_or_branch(graph.rows) == count_is(graph)
+        assert counting.count_is_swept(graph.rows) == count_is(graph)
 
     @pytest.mark.parametrize("n", [2, 9, 24, 33, 40])
     @pytest.mark.parametrize("family", [pascal_spec, catalan_spec, motzkin_spec])
     def test_odd_even_blocks(self, family, n):
         blocks = decompose(build_riordan(family(n)))
         for rows in (blocks.x, blocks.y):
-            assert counting._sweep_or_branch(rows) == count_is(BitGraph(len(rows), rows))
+            assert counting.count_is_swept(rows) == count_is(BitGraph(len(rows), rows))
 
     @pytest.mark.parametrize("family", [catalan_spec, motzkin_spec])
     def test_family_graphs_at_96(self, family):
         graph = build_riordan(family(96))
-        assert counting._sweep_or_branch(graph.rows) == count_is(graph)
+        assert counting.count_is_swept(graph.rows) == count_is(graph)
 
     def test_past_the_budget_branch_counts(self, monkeypatch):
         graph = build_riordan(catalan_spec(40))
@@ -1186,7 +1211,7 @@ class TestReportRoute:
             return branch(rows)
 
         monkeypatch.setattr(counting, "_count_is_rows", spy)
-        assert counting._sweep_or_branch(graph.rows) == expected and branched == [graph.rows]
+        assert counting.count_is_swept(graph.rows) == expected and branched == [graph.rows]
 
 
 class TestDegreeOrder:

@@ -231,6 +231,26 @@ class TestTransposesPerReport:
         assert work["relabel"] == 1
 
 
+class TestReportSweepWork:
+    # i(G), i(X) and i(Y) sweep by residue class: one label-order sweep of
+    # G would keep 2^16 and 3^10 live sets
+    @pytest.mark.parametrize(
+        "spec, visits, peak", [("toeplitz:n=40;d=16", 128, 2), ("toeplitz:n=40;d=10,20", 160, 3)]
+    )
+    def test_live_sets_stepped(self, monkeypatch, spec, visits, peak):
+        step, work = counting._step, [0, 0]
+
+        def counted_step(counts, later, gap):
+            nxt = step(counts, later, gap)
+            if isinstance(next(iter(counts.values())), int):  # not a kernel's names
+                work[:] = work[0] + len(counts), max(work[1], len(nxt))
+            return nxt
+
+        monkeypatch.setattr(counting, "_step", counted_step)
+        bound_report(spec)
+        assert work == [visits, peak]
+
+
 class TestSweeps:
     def test_pascal_sweep_tightness(self):
         reports = sweep_bounds("pascal:n={n}", range(5, 13))
