@@ -15,17 +15,20 @@ pivot, under which the cache acts as a memoized sweep.  The maximum-set
 count branches on a maximum-degree vertex and prunes: a greedy matching bounds
 what the branch through the branch vertex can reach, and that branch is
 skipped when the other one already exceeds the bound, so ties still add
-their counts.  The banded sweep shifts every row down to its later
-neighbours in one pass, which gives the bandwidth, the graph's longest edge,
-and the gcd of the edge lengths.  Edges stay inside the residue classes mod
-that gcd; a class whose sub-paths join up is one component, and only the
-other classes are walked into components.  Each component is swept in label
-order on plain later-neighbour ints with one gap, one count per blocked set,
-the later vertices that the chosen ones block.  Where the vertices repeat
-with period 1 or 2 (a Toeplitz interior, a ladder) and the live blocked sets
-close up, a long run is one straight-line function generated from those sets
-and compiled once per count.  Counts include the empty set throughout, and
-use Python's arbitrary-precision integers.
+their counts.  The banded sweep takes each vertex's later neighbours from
+the graph, stored by the Toeplitz and ladder builders and read off the rows
+in one pass, once per graph, for any other; they give the bandwidth, the
+graph's longest edge, and the gcd of the edge lengths.  Edges stay inside the
+residue classes mod that gcd; a class whose sub-paths join up is one
+component, and only the other classes are walked into components, which
+reads the rows; a one-vertex component is a factor 2.  Each larger
+component is swept in label order on plain later-neighbour ints with one
+gap, one count per blocked set, the later vertices that the chosen ones
+block.  Where the vertices repeat with period 1 or 2 (a Toeplitz interior, a
+ladder) and the live blocked sets close up, a long run is one straight-line
+function generated from those sets and compiled once per count.  Counts
+include the empty set throughout, and use Python's arbitrary-precision
+integers.
 
 The CLI's engine policy is `exact_count`: `auto` picks the banded sweep for
 independent sets of a Toeplitz spec whose largest distance is at most
@@ -133,6 +136,8 @@ def _branch(rows, leaf, join, times, skip=None, pick=_branch_vertex):
         raise ValueError(
             f"branch-and-reduce recursion too deep at n={len(rows)}; use a smaller graph"
         ) from None
+    finally:
+        del solve  # solve reaches itself through its closure; free it and the cache now
 
 
 def count_is(graph: BitGraph) -> BigCount:
@@ -166,12 +171,15 @@ def count_is_banded(graph: BitGraph) -> BigCount:
     """Blocked-future sweep for graphs whose longest edge, their bandwidth,
     is at most BANDWIDTH_LIMIT; a wider graph is refused.
 
-    One pass shifts each row down to its later neighbours; their distinct
-    values OR to the set of edge lengths, so the bandwidth is its top bit.
-    Edges join only vertices alike mod g, the gcd of the lengths, so each
-    residue class is swept apart, on its later-neighbour ints with gap g: a
-    class that `_connected` certifies whole, each component of any other
-    over its span of the class.  There the other components' positions are
+    It reads the graph's later-neighbour ints (`BitGraph._laters`: stored
+    by the Toeplitz and ladder builders, else one pass shifting each row
+    down, made once per graph); their distinct values OR to the set of edge
+    lengths, so the bandwidth is its top bit.  Edges join only vertices
+    alike mod g, the gcd of the lengths, so each residue class is swept
+    apart, on its later-neighbour ints with gap g: a class that `_connected`
+    certifies whole, each component of any other over its span of the class,
+    which is the only place that reads the rows; a one-vertex component is a
+    factor 2, swept by no one.  There the other components' positions are
     free, later 0: never blocked, each doubles the total, which is shifted
     back.  A sweep keeps one counter per state: the set of the component's
     later vertices that the chosen ones block, all within the bandwidth.
@@ -181,12 +189,12 @@ def count_is_banded(graph: BitGraph) -> BigCount:
     periodic run of at least KERNEL_CUT steps (a Toeplitz interior, a
     ladder) goes through one `_kernel`, compiled once per call for each run
     of the same keys, gap and live sets.  The component counts multiply."""
-    laters = [0, *map(operator.rshift, graph.rows, count())]  # bit t of laters[v]: v ~ v + t
+    laters = graph._laters  # bit t of laters[v]: v ~ v + t
     lengths = reduce(operator.or_, set(laters))
     bandwidth = lengths.bit_length() - 1
     if bandwidth > BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be at most {BANDWIDTH_LIMIT}, got {bandwidth}")
-    return _by_class(graph.rows, laters, lengths)
+    return _by_class(laters, lengths, lambda mask: _component_masks(graph.rows, mask))
 
 
 def count_is_swept(rows) -> BigCount:
@@ -197,22 +205,26 @@ def count_is_swept(rows) -> BigCount:
     laters = [0, *map(operator.rshift, rows, count())]
     lengths = reduce(operator.or_, set(laters))
     if lengths.bit_length() - 1 <= BANDWIDTH_LIMIT:
-        return _by_class(rows, laters, lengths)
+        return _by_class(laters, lengths, lambda mask: _component_masks(rows, mask))
     total = _sweep(laters[1:], 1, {}, SWEEP_STATES)
     return _count_is_rows(rows) if total is None else total
 
 
-def _by_class(rows, laters: list, lengths: int) -> BigCount:
-    """count_is_banded's count, given the rows, [0, *later neighbours] and their OR."""
+def _by_class(laters, lengths: int, walk) -> BigCount:
+    """count_is_banded's count, given [0, *later neighbours], their OR and
+    walk(mask), the component masks of the vertices in mask."""
     ts = [t for t in range(1, lengths.bit_length()) if lengths >> t & 1] or [1]
-    n, g, runs, total = len(rows), gcd(*ts), {}, 1
+    n, g, runs, total = len(laters) - 1, gcd(*ts), {}, 1
     spaced = ((1 << g * -(-n // g)) - 1) // ((1 << g) - 1)  # bits 0, g, 2 g, ...
     for r in range(1, g + 1):
         along = laters[r::g]
-        if _connected(along, ts[0], g):
+        if len(along) > 1 and _connected(along, ts[0], g):
             total *= _sweep(along, g, runs)
             continue
-        for comp in _component_masks(rows, (spaced << (r - 1)) & ((1 << n) - 1)):
+        for comp in walk((spaced << (r - 1)) & ((1 << n) - 1)):
+            if not comp & (comp - 1):
+                total <<= 1
+                continue
             span = range((comp & -comp).bit_length(), comp.bit_length() + 1, g)
             keys = [laters[v] if comp >> v - 1 & 1 else 0 for v in span]
             total *= _sweep(keys, g, runs) >> len(keys) - comp.bit_count()
@@ -292,7 +304,7 @@ def _kernel(keys: list, gap: int, live: list):
     namespace = {"__builtins__": {"range": range}}
     code = "\n".join([f"def run(k, {names}):", " for _ in range(k):", *steps, f" return {names},"])
     exec(code, namespace)
-    return namespace["run"]
+    return namespace.pop("run")  # run's globals are the namespace: leave no cycle
 
 
 def _step(counts: dict, later: int, gap: int) -> dict:

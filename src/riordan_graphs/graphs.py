@@ -10,7 +10,7 @@ distance set.
 from __future__ import annotations
 
 import operator
-from itertools import compress, cycle, islice, pairwise, repeat
+from itertools import compress, count, cycle, islice, pairwise
 from typing import NamedTuple
 
 from .series import (
@@ -44,10 +44,14 @@ class BitGraph:
     Rows from outside the module are checked row by row and against their
     transpose; the builders and complement() below make rows that are
     symmetric and loop-free by construction and store them through
-    _unchecked.
+    _unchecked, or, for the Toeplitz and ladder graphs, through _periodic,
+    which stores the later-neighbour ints and builds the rows only when
+    `rows` is first read.  _laters, bit t of entry v set when v ~ v + t
+    (entry 0 is 0), is the banded sweep's input: kept from _periodic, made
+    from the rows at most once for any other graph.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_laters", "_patterns")
 
     def __init__(self, n: int, rows):
         if n < 1:
@@ -80,6 +84,33 @@ class BitGraph:
         graph.n = n
         graph.rows = tuple(rows)
         return graph
+
+    @classmethod
+    def _periodic(cls, n: int, patterns: tuple[int, ...], top: int) -> BitGraph:
+        """The graph whose row i is patterns[i % len(patterns)] << i >> top,
+        cut to n bits, for patterns this module made symmetric about bit top
+        and clear there (see _shifted_rows); row i's later neighbours are
+        its pattern >> top, cut for the last top rows.  Only graphs calls it."""
+        full = (1 << n) - 1  # first: an order too large to shift fails before any list
+        laters = [*islice(cycle([p >> top for p in patterns]), n)]
+        cut = max(n - top, 0)
+        laters[cut:] = map(operator.and_, laters[cut:], map(full.__rshift__, range(cut, n)))
+        graph = object.__new__(cls)
+        graph.n = n
+        graph._laters = [0, *laters]
+        graph._patterns = patterns, top
+        return graph
+
+    def __getattr__(self, name: str):
+        # reached only while a slot is unset: the rows of a _periodic graph
+        # and the later-neighbour ints of any other, each made once
+        if name == "rows":
+            self.rows = tuple(_shifted_rows(*self._patterns, self.n))
+            return self.rows
+        if name == "_laters":
+            self._laters = [0, *map(operator.rshift, self.rows, count())]
+            return self._laters
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> BitGraph:
@@ -324,16 +355,16 @@ def build_toeplitz(n: int, distances) -> BitGraph:
     # row i holds bit i + d below n and bit i - d from 0, for every d: one
     # pattern with bits top ± d, shifted into place
     top = ds[-1]
-    both = sum(1 << top + d | 1 << top - d for d in ds)
-    return BitGraph._unchecked(n, _shifted_rows(repeat(both), top, n))
+    return BitGraph._periodic(n, (sum(1 << top + d | 1 << top - d for d in ds),), top)
 
 
-def _shifted_rows(patterns, top: int, n: int) -> list[int]:
-    """Row i = patterns[i] << i >> top, cut to n bits: bit top ± d of a
-    pattern gives row i the neighbours i ± d, those below 0 shifted out.
-    Only the first `top` rows shift down, and only the last `top` are cut."""
-    full = (1 << n) - 1  # first: an order too large to shift fails before any row
-    patterns = iter(patterns)
+def _shifted_rows(patterns: tuple[int, ...], top: int, n: int) -> list[int]:
+    """Row i = patterns[i % len(patterns)] << i >> top, cut to n bits: bit
+    top ± d of a pattern gives row i the neighbours i ± d, those below 0
+    shifted out.  Only the first `top` rows shift down, and only the last
+    `top` are cut."""
+    full = (1 << n) - 1
+    patterns = cycle(patterns)
     low, cut = min(top, n), max(n - top, 0)
     rows = [*map(operator.rshift, islice(patterns, low), range(top, top - low, -1))]
     rows += map(operator.lshift, patterns, range(cut))
@@ -364,8 +395,7 @@ def build_delta(n: int, variant: str = "plain") -> BitGraph:
     # 0-indexed row i holds bits i ± 1, plus i ± 2 on even i (plain) or odd i
     # (tilde): patterns with bits 2 ± 1, or 2 ± 1 and 2 ± 2, by parity
     path, rungs = 0b01010, 0b11011
-    patterns = cycle((path, rungs) if variant == "tilde" else (rungs, path))
-    return BitGraph._unchecked(n, _shifted_rows(patterns, 2, n))
+    return BitGraph._periodic(n, (path, rungs) if variant == "tilde" else (rungs, path), 2)
 
 
 class DecompositionBlocks(NamedTuple):

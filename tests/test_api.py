@@ -61,10 +61,13 @@ def test_every_public_name_resolves():
 
 
 def test_only_graphs_names_the_unchecked_constructor():
-    # which graphs skip BitGraph's symmetry check is decided in one module
+    # which graphs skip BitGraph's symmetry check is decided in one module:
+    # _unchecked stores rows, _periodic the later neighbours of a pattern
     package = Path(riordan_graphs.__file__).parent
-    naming = sorted(p.name for p in package.glob("*.py") if "_unchecked" in p.read_text())
-    assert naming == ["graphs.py"]
+    for name in ("_unchecked", "_periodic"):
+        word = re.compile(rf"\b{name}\b")
+        naming = sorted(p.name for p in package.glob("*.py") if word.search(p.read_text()))
+        assert naming == ["graphs.py"], name
 
 
 def test_only_graphs_names_the_bit_matrix_helpers():

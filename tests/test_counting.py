@@ -1,5 +1,6 @@
 """Counting engine tests: frozen values, engine agreement, and invariants."""
 
+import gc
 import inspect
 import operator
 import random
@@ -12,7 +13,7 @@ from corpus import random_graphs, random_proper_pairs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riordan_graphs import counting, formulas
+from riordan_graphs import counting, formulas, graphs, verify
 from riordan_graphs.counting import (
     brute_force_is,
     count_cliques,
@@ -336,7 +337,7 @@ class TestResidueClassRoutes:
         graph = interleaved_matching()
         assert count_is_banded(graph) == count_is(graph) == 3**19 * 2
         peaks = _sweep_work(monkeypatch, graph)[0]
-        assert len(peaks) == 20
+        assert len(peaks) == 19  # the isolated vertex 29 is a factor 2, not swept
         assert max(peaks) <= 2
 
     @settings(max_examples=150, deadline=None)
@@ -397,6 +398,8 @@ class TestResidueClassRoutes:
             count_is_banded(graph)
         spans = []
         for keys in walked_keys(graph.rows):
+            if len(keys) == 1:
+                continue  # a one-vertex component is a factor 2, not swept
             assert all(gap % g == 0 for _, gap in keys[:-1])
             span = [x for later, gap in keys[:-1] for x in [later] + [0] * (gap // g - 1)]
             spans.append((span + [keys[-1][0]], g))
@@ -881,6 +884,45 @@ class TestBandedWork:
     def test_only_classes_without_their_path_are_walked(self, monkeypatch, graph, walks):
         assert _walks(monkeypatch, graph) == walks
 
+    def test_periodic_builds_make_rows_only_to_walk(self, monkeypatch):
+        # the Toeplitz and ladder builders store the later-neighbour ints, so
+        # rows are built only for a class that is walked, here a ladder's one
+        # vertex at n = 1 and d=3,5 at n = 6: {1, 3, 4, 6} and {2, 5}
+        built, walked, shifted, walk = [], [], graphs._shifted_rows, counting._component_masks
+        monkeypatch.setattr(graphs, "_shifted_rows", lambda *a: built.append(a) or shifted(*a))
+        monkeypatch.setattr(counting, "_component_masks", lambda *a: walked.append(a) or walk(*a))
+        sets = [(1,), (1, 2), (2, 3), (3, 5), (1, 4, 9), (4, 8, 12, 16), (1, 6, 11, 16)]
+        for n in [*range(1, 61), 1003, 3000]:
+            for kind, graph in [
+                *((ds, build_toeplitz(n, ds)) for ds in sets if ds[-1] < n),
+                *((variant, build_delta(n, variant)) for variant in ("plain", "tilde")),
+            ]:
+                count_is_banded(graph)
+                walks = n == 1 or (n, kind) == (6, (3, 5))
+                assert len(built) == len(walked) == walks, (n, kind)
+                del built[:], walked[:]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])
+    def test_edgeless_graph_takes_no_sweep(self, monkeypatch, n):
+        # every vertex is a one-vertex component: a factor 2, swept by no one
+        sweeps, sweep = [], counting._sweep
+        monkeypatch.setattr(counting, "_sweep", lambda *a: sweeps.append(a) or sweep(*a))
+        graph = BitGraph.from_edges(n, [])
+        assert count_is_banded(graph) == counting.count_is_swept(graph.rows) == 2**n
+        assert sweeps == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=st.one_of(class_graphs, sub_path_unions(), banded_graphs()), data=st.data())
+    def test_isolated_vertices_match_count_is(self, graph, data):
+        # up to 8 isolated vertices dropped in among the graph's, which keeps
+        # the edges that are still at most 20 long
+        spots = sorted(data.draw(st.lists(st.integers(0, graph.n), max_size=8)))
+        labels = [0, *(v + sum(s < v for s in spots) for v in range(1, graph.n + 1))]
+        edges = [(labels[i], labels[j]) for i, j in graph.edges() if labels[j] - labels[i] <= 20]
+        spread = BitGraph.from_edges(graph.n + len(spots), edges)
+        expected = count_is(spread)
+        assert count_is_banded(spread) == counting.count_is_swept(spread.rows) == expected
+
     def test_work_lasts_one_call(self, monkeypatch):
         # nothing carries over: a second count steps through the same sets
         graph = build_toeplitz(200, (1, 6, 11, 16))
@@ -1052,6 +1094,31 @@ class TestSweepKernelWork:
             monkeypatch.setattr(counting, "KERNEL_STATES", cap)
             assert len(_kernel_work(monkeypatch, graph)[1]) == kernels
             monkeypatch.undo()
+
+
+class TestNoCycles:
+    """A count frees what it made when it returns: the branch recursion's
+    closure and cache, and a kernel's namespace, are in no reference cycle."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: count_is(build_riordan(catalan_spec(80))),
+            lambda: count_maximum_is(build_riordan(catalan_spec(80))),
+            lambda: verify.bound_report("pascal:n=30"),
+            lambda: count_is_banded(build_toeplitz(3000, (1, 2))),  # one kernel
+        ],
+        ids=["count_is", "count_maximum_is", "bound_report", "kernel"],
+    )
+    def test_collector_finds_nothing(self, call):
+        call()  # anything a first call caches for good is made here
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBranchWork:

@@ -8,7 +8,7 @@ import pickle
 import random
 import re
 from collections import deque
-from operator import xor
+from operator import rshift, xor
 
 import pytest
 from corpus import poly_text
@@ -1249,6 +1249,53 @@ class TestUncheckedBuilds:
     @pytest.mark.parametrize("spec", ["toeplitz:n=3000;d=1,6,11,16", "delta:n=3000"])
     def test_large_narrow_builds(self, spec):
         _assert_checked_route_agrees(parse_graph_spec(spec).build())
+
+
+PERIODIC_SETS = [(1,), (1, 2), (2, 3), (3, 5), (1, 4, 9), (4, 8, 12, 16), (1, 6, 11, 16)]
+
+
+def periodic_builds(n):
+    """The Toeplitz builds of PERIODIC_SETS that fit n, and both ladders."""
+    yield from (build_toeplitz(n, ds) for ds in PERIODIC_SETS if ds[-1] < n)
+    yield from (build_delta(n, variant) for variant in ("plain", "tilde"))
+
+
+class TestPeriodicBuilds:
+    """The Toeplitz and ladder builders store the later-neighbour ints and
+    build the rows on first read."""
+
+    def test_later_ints_are_the_shifted_rows(self):
+        for n in range(1, 61):
+            for graph in periodic_builds(n):
+                laters = graph._laters  # read first: stored by the builder
+                assert laters == [0, *map(rshift, graph.rows, itertools.count())], n
+
+    def test_rows_are_built_once(self, monkeypatch):
+        built, shifted = [], graphs._shifted_rows
+        monkeypatch.setattr(graphs, "_shifted_rows", lambda *a: built.append(a) or shifted(*a))
+        graph = build_toeplitz(3000, (1, 6, 11, 16))
+        assert built == []
+        assert graph.rows is graph.rows and len(built) == 1
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda g: g,
+            hash,
+            BitGraph.edges,
+            export_graph,
+            lambda g: export_graph(g, "dot"),
+            BitGraph.complement,
+            lambda g: g._laters,
+            lambda g: pickle.loads(pickle.dumps(g)),
+        ],
+        ids=["eq", "hash", "edges", "json", "dot", "complement", "laters", "pickle"],
+    )
+    def test_first_read_gives_the_checked_graph(self, read):
+        # each read is the first thing done with a fresh build
+        for n in (*range(1, 25), 200):
+            for fresh, built in zip(periodic_builds(n), periodic_builds(n)):
+                assert read(fresh) == read(BitGraph(n, built.rows)), n
 
 
 class TestBitGraphValidation:
