@@ -218,7 +218,10 @@ def _by_class(laters, lengths: int, walk) -> BigCount:
     spaced = ((1 << g * -(-n // g)) - 1) // ((1 << g) - 1)  # bits 0, g, 2 g, ...
     for r in range(1, g + 1):
         along = laters[r::g]
-        if len(along) > 1 and _connected(along, ts[0], g):
+        if len(along) < 2:  # at most one vertex: a factor 2 each, no walk
+            total <<= len(along)
+            continue
+        if _connected(along, ts[0], g):
             total *= _sweep(along, g, runs)
             continue
         for comp in walk((spaced << (r - 1)) & ((1 << n) - 1)):

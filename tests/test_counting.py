@@ -886,8 +886,8 @@ class TestBandedWork:
 
     def test_periodic_builds_make_rows_only_to_walk(self, monkeypatch):
         # the Toeplitz and ladder builders store the later-neighbour ints, so
-        # rows are built only for a class that is walked, here a ladder's one
-        # vertex at n = 1 and d=3,5 at n = 6: {1, 3, 4, 6} and {2, 5}
+        # rows are built only for a class that is walked, here d=3,5 at
+        # n = 6: {1, 3, 4, 6} and {2, 5}
         built, walked, shifted, walk = [], [], graphs._shifted_rows, counting._component_masks
         monkeypatch.setattr(graphs, "_shifted_rows", lambda *a: built.append(a) or shifted(*a))
         monkeypatch.setattr(counting, "_component_masks", lambda *a: walked.append(a) or walk(*a))
@@ -898,7 +898,7 @@ class TestBandedWork:
                 *((variant, build_delta(n, variant)) for variant in ("plain", "tilde")),
             ]:
                 count_is_banded(graph)
-                walks = n == 1 or (n, kind) == (6, (3, 5))
+                walks = (n, kind) == (6, (3, 5))
                 assert len(built) == len(walked) == walks, (n, kind)
                 del built[:], walked[:]
 
