@@ -8,7 +8,7 @@ maximum-set count, which carries the independence number, each given by
 what an edgeless remainder is worth, how the two branches combine and how
 independent parts combine; it splits every subproblem into connected
 components, caches them per call, at every n, and takes one frame per
-branch level.  The independent-set count (so also the clique count)
+branch level.  The independent-set count (and `exact_count`'s cliques)
 relabels the graph once by descending degree and branches on a component's
 lowest label, or on its one neighbour when that is a pendant: an O(1)
 pivot, under which the cache acts as a memoized sweep.  The maximum-set
@@ -33,10 +33,11 @@ integers.
 The CLI's engine policy is `exact_count`: `auto` picks the banded sweep for
 independent sets of a Toeplitz spec whose largest distance is at most
 BANDWIDTH_LIMIT, and branch-and-reduce for everything else.  A bound
-report's i(G), i(X) and i(Y) take `count_is_swept` instead, chosen by the
-graph alone: the banded sweep when the bandwidth is at most BANDWIDTH_LIMIT,
-else one sweep in label order with gap 1, or branch-and-reduce once that
-sweep keeps more than SWEEP_STATES live blocked sets.
+report's i(G), i(X) and i(Y) take `count_is_swept` instead: the banded
+sweep by residue class at every bandwidth, and branch-and-reduce for the
+whole graph once a sweep of a graph wider than BANDWIDTH_LIMIT keeps more
+than SWEEP_STATES live blocked sets.  `count_cliques` counts each clique
+once from its lowest vertex, in at most omega(G) + 1 frames.
 """
 
 from __future__ import annotations
@@ -142,14 +143,10 @@ def _branch(rows, leaf, join, times, skip=None, pick=_branch_vertex):
 
 def count_is(graph: BitGraph) -> BigCount:
     """Number of independent sets, the empty set included:
-    i(G) = i(G - v) + i(G - N[v]), and 2^k for k isolated vertices."""
-    return _count_is_rows(graph.rows)
-
-
-def _count_is_rows(rows) -> BigCount:
-    """count_is on the adjacency rows of a graph already known to be simple,
+    i(G) = i(G - v) + i(G - N[v]), and 2^k for k isolated vertices,
     relabelled by descending degree and branching on `_low_pivot`."""
-    return _branch(_by_degree(rows), lambda k: 1 << k, operator.add, operator.mul, pick=_low_pivot)
+    rows = _by_degree(graph.rows)
+    return _branch(rows, lambda k: 1 << k, operator.add, operator.mul, pick=_low_pivot)
 
 
 def _by_degree(rows) -> tuple[int, ...]:
@@ -169,50 +166,49 @@ def _low_pivot(rows, mask: int) -> int:
 
 def count_is_banded(graph: BitGraph) -> BigCount:
     """Blocked-future sweep for graphs whose longest edge, their bandwidth,
-    is at most BANDWIDTH_LIMIT; a wider graph is refused.
+    is at most BANDWIDTH_LIMIT; a wider graph is refused.  It is `_by_class`,
+    the sweep of each residue class, with no live-set limit.
 
-    It reads the graph's later-neighbour ints (`BitGraph._laters`: stored
-    by the Toeplitz and ladder builders, else one pass shifting each row
-    down, made once per graph); their distinct values OR to the set of edge
-    lengths, so the bandwidth is its top bit.  Edges join only vertices
-    alike mod g, the gcd of the lengths, so each residue class is swept
-    apart, on its later-neighbour ints with gap g: a class that `_connected`
-    certifies whole, each component of any other over its span of the class,
-    which is the only place that reads the rows; a one-vertex component is a
-    factor 2, swept by no one.  There the other components' positions are
-    free, later 0: never blocked, each doubles the total, which is shifted
-    back.  A sweep keeps one counter per state: the set of the component's
-    later vertices that the chosen ones block, all within the bandwidth.
-    Partial sets with the same state have the same extensions, so no
-    label-order sweep keeps fewer states; on a Toeplitz graph it is the
-    minimal automaton of the binary words with no x_i = x_(i+d) = 1.  A
-    periodic run of at least KERNEL_CUT steps (a Toeplitz interior, a
-    ladder) goes through one `_kernel`, compiled once per call for each run
-    of the same keys, gap and live sets.  The component counts multiply."""
-    laters = graph._laters  # bit t of laters[v]: v ~ v + t
-    lengths = reduce(operator.or_, set(laters))
+    A sweep keeps one counter per state: the set of the component's later
+    vertices that the chosen ones block, all within the bandwidth.  Partial
+    sets with the same state have the same extensions, so no label-order
+    sweep keeps fewer states; on a Toeplitz graph it is the minimal
+    automaton of the binary words with no x_i = x_(i+d) = 1.  A periodic run
+    of at least KERNEL_CUT steps (a Toeplitz interior, a ladder) goes
+    through one `_kernel`, compiled once per call for each run of the same
+    keys, gap and live sets."""
+    lengths = reduce(operator.or_, set(graph._laters))
     bandwidth = lengths.bit_length() - 1
     if bandwidth > BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be at most {BANDWIDTH_LIMIT}, got {bandwidth}")
-    return _by_class(laters, lengths, lambda mask: _component_masks(graph.rows, mask))
+    return _by_class(graph, lengths, inf)
 
 
-def count_is_swept(rows) -> BigCount:
-    """count_is on a simple graph's adjacency rows, sweep first, as the bound
-    reports count i(G), i(X) and i(Y): by residue class as count_is_banded
-    does when the bandwidth is at most BANDWIDTH_LIMIT, else in label order
-    with gap 1, handed to branch-and-reduce past SWEEP_STATES live sets."""
-    laters = [0, *map(operator.rshift, rows, count())]
-    lengths = reduce(operator.or_, set(laters))
-    if lengths.bit_length() - 1 <= BANDWIDTH_LIMIT:
-        return _by_class(laters, lengths, lambda mask: _component_masks(rows, mask))
-    total = _sweep(laters[1:], 1, {}, SWEEP_STATES)
-    return _count_is_rows(rows) if total is None else total
+def count_is_swept(graph: BitGraph) -> BigCount:
+    """The independent-set count, sweep first, as the bound reports take
+    i(G), i(X) and i(Y): `_by_class` at every bandwidth, with no live-set
+    limit up to BANDWIDTH_LIMIT and SWEEP_STATES above it; once a sweep
+    passes the limit, `count_is` (branch-and-reduce) counts the whole graph."""
+    lengths = reduce(operator.or_, set(graph._laters))
+    narrow = lengths.bit_length() - 1 <= BANDWIDTH_LIMIT
+    total = _by_class(graph, lengths, inf if narrow else SWEEP_STATES)
+    return count_is(graph) if total is None else total
 
 
-def _by_class(laters, lengths: int, walk) -> BigCount:
-    """count_is_banded's count, given [0, *later neighbours], their OR and
-    walk(mask), the component masks of the vertices in mask."""
+def _by_class(graph: BitGraph, lengths: int, limit: float) -> BigCount | None:
+    """Independent sets of `graph`, swept by residue class, or None once a
+    sweep keeps more than `limit` live blocked sets.  The distinct values of
+    its later-neighbour ints, `BitGraph._laters`, OR to `lengths`, the set
+    of its edge lengths, whose top bit is the bandwidth.
+
+    Edges join only vertices alike mod g, the gcd of the lengths, so each
+    residue class is swept apart, on its later-neighbour ints with gap g: a
+    class that `_connected` certifies whole, each component of any other
+    over its span of the class, which is the only place that reads the rows;
+    a one-vertex component is a factor 2, swept by no one.  There the other
+    components' positions are free, later 0: never blocked, each doubles the
+    total, which is shifted back.  The component counts multiply."""
+    laters = graph._laters  # bit t of laters[v]: v ~ v + t
     ts = [t for t in range(1, lengths.bit_length()) if lengths >> t & 1] or [1]
     n, g, runs, total = len(laters) - 1, gcd(*ts), {}, 1
     spaced = ((1 << g * -(-n // g)) - 1) // ((1 << g) - 1)  # bits 0, g, 2 g, ...
@@ -221,16 +217,16 @@ def _by_class(laters, lengths: int, walk) -> BigCount:
         if len(along) < 2:  # at most one vertex: a factor 2 each, no walk
             total <<= len(along)
             continue
-        if _connected(along, ts[0], g):
-            total *= _sweep(along, g, runs)
-            continue
-        for comp in walk((spaced << (r - 1)) & ((1 << n) - 1)):
+        mask = (spaced << (r - 1)) & ((1 << n) - 1)
+        for comp in [mask] if _connected(along, ts[0], g) else _component_masks(graph.rows, mask):
             if not comp & (comp - 1):
                 total <<= 1
                 continue
             span = range((comp & -comp).bit_length(), comp.bit_length() + 1, g)
-            keys = [laters[v] if comp >> v - 1 & 1 else 0 for v in span]
-            total *= _sweep(keys, g, runs) >> len(keys) - comp.bit_count()
+            keys = along if comp == mask else [laters[v] if comp >> v - 1 & 1 else 0 for v in span]
+            if (part := _sweep(keys, g, runs, limit)) is None:
+                return None
+            total *= part >> len(keys) - comp.bit_count()
     return total
 
 
@@ -379,8 +375,35 @@ def brute_force_is(graph: BitGraph) -> BigCount:
 
 
 def count_cliques(graph: BitGraph) -> BigCount:
-    """Number of cliques, the empty clique included: i of the complement."""
-    return count_is(graph.complement())
+    """Number of cliques, the empty clique included, by `_cliques` on the
+    graph's later-neighbour ints.  `exact_count` counts them as the
+    independent sets of the complement, and so does this once a clique is
+    too large for the interpreter's recursion limit."""
+    try:
+        return _cliques(graph._laters, (1 << graph.n) - 1, {})
+    except RecursionError:
+        return count_is(graph.complement())
+
+
+def _cliques(laters, mask: int, cache: dict) -> BigCount:
+    """Cliques among the vertices in mask, the empty one included: each
+    other one is counted once, from its lowest vertex v, as v plus a clique
+    among v's later neighbours in mask, so the recursion is at most
+    omega(G) + 1 frames deep.  A mask of two or more vertices is counted
+    once per call: on the Riordan graphs later neighbourhoods nest, and
+    most such masks recur."""
+    if not mask & (mask - 1):
+        return 2 if mask else 1
+    total = cache.get(mask)
+    if total is None:
+        total, rest = 1, mask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length()
+            total += _cliques(laters, rest & laters[v] << v - 1, cache)
+            rest ^= low
+        cache[mask] = total
+    return total
 
 
 def independence_number(graph: BitGraph) -> int:

@@ -16,6 +16,7 @@ from .graphs import (
     BitGraph,
     DecompositionBlocks,
     RiordanSpec,
+    _block_graphs,
     _io_blocks,
     _prefix_defect,
     decompose,
@@ -332,9 +333,8 @@ def odd_even_lower_bound(graph: BitGraph) -> BigCount:
 
 def _odd_even_bound(blocks: DecompositionBlocks) -> BigCount:
     """odd_even_lower_bound read off the graph's odd/even blocks."""
-    x, y, b = blocks.x, blocks.y, blocks.b
-    sigma0 = len(x) * len(y) - sum(row.bit_count() for row in b)
-    # the blocks are cut from a graph already checked symmetric and loop-free
+    x, y = _block_graphs(blocks)
+    sigma0 = x.n * y.n - sum(row.bit_count() for row in blocks.b)
     return count_is_swept(x) + count_is_swept(y) - 1 + sigma0
 
 

@@ -466,6 +466,11 @@ def _split(rows: tuple[int, ...]) -> DecompositionBlocks:
     )
 
 
+def _block_graphs(blocks: DecompositionBlocks) -> tuple[BitGraph, BitGraph]:
+    """X and Y as graphs: cut from a symmetric, loop-free matrix, they are so too."""
+    return tuple(BitGraph._unchecked(len(rows), rows) for rows in (blocks.x, blocks.y))
+
+
 def predict_blocks(spec: RiordanSpec) -> DecompositionBlocks:
     """Blocks of the odd/even decomposition computed from g and f alone, as
     U + Uᵀ (see _predicted_upper); equal to decompose(build_riordan(spec))."""

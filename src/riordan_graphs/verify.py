@@ -141,7 +141,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
     n = spec.n
     check_guard(n, max_n)
     graph = spec.build()
-    exact = count_is_swept(graph.rows)
+    exact = count_is_swept(graph)
     report = BoundReport(spec.text, n, exact, [], [])
     rs = spec.riordan
 

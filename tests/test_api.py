@@ -70,6 +70,15 @@ def test_only_graphs_names_the_unchecked_constructor():
         assert naming == ["graphs.py"], name
 
 
+def test_only_graphs_assigns_the_later_neighbours():
+    # BitGraph._laters is the one place a graph's later-neighbour ints are
+    # made: stored by _periodic, else shifted off the rows once per graph
+    package = Path(riordan_graphs.__file__).parent
+    word = re.compile(r"\b_laters\b\s*=(?!=)")
+    naming = sorted(p.name for p in package.glob("*.py") if word.search(p.read_text()))
+    assert naming == ["graphs.py"]
+
+
 def test_only_graphs_names_the_bit_matrix_helpers():
     # the odd/even layout and the bit-matrix path stay in one module: verify
     # reads blocks and series through graphs' functions

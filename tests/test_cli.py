@@ -12,7 +12,7 @@ import pytest
 from riordan_graphs import cli, formulas, verify
 from riordan_graphs.cli import main, run
 from riordan_graphs.counting import brute_force_is, count_is_banded
-from riordan_graphs.graphs import parse_graph_spec
+from riordan_graphs.graphs import build_toeplitz, parse_graph_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -342,14 +342,24 @@ class TestBoundsAndVerify:
             ("toeplitz:n=3000;d=2,14", lambda s: count_is_banded(s.build())),
             ("toeplitz:n=3000;d=3,18", lambda s: count_is_banded(s.build())),
             ("delta:n=2000", lambda s: formulas.delta(2000, "plain")),
+            (
+                "toeplitz:n=3000;d=3,24",  # three classes, each T_1000<1, 8>
+                lambda s: count_is_banded(build_toeplitz(1000, (1, 8))) ** 3,
+            ),
+            ("toeplitz:n=3000;d=16", lambda s: count_is_banded(s.build())),
         ],
     )
     def test_long_narrow_reports_are_answered(self, capsys, spec, exact):
-        # i(G), i(X) and i(Y) of these narrow graphs sweep by residue class,
-        # so X and Y at n/2 or n labels take no branch-and-reduce recursion
+        # i(G), i(X) and i(Y) of these graphs sweep by residue class, at
+        # bandwidth 24 too, so X and Y at n/2 or n labels take no
+        # branch-and-reduce recursion; the chordal d=16 counts its cliques
+        # from each clique's lowest vertex, at most omega + 1 frames deep
         code, out, err = run_cli(capsys, "bounds", "--spec", spec, "--force")
         assert code == 0 and err == ""
-        assert json.loads(out)["exact"] == exact(parse_graph_spec(spec))
+        payload = json.loads(out)
+        assert payload["exact"] == exact(parse_graph_spec(spec))
+        if spec.endswith("d=16"):
+            assert "ok: chordal clique formula 5985 vs exact 5985" in payload["notes"]
 
     def test_unit_constant_in_f_gets_no_fibonacci_bound(self, capsys):
         # f(0) = 1 makes the pair improper, and 1 - 2 - 3 - 4 is no path here

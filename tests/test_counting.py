@@ -389,9 +389,9 @@ class TestResidueClassRoutes:
         # sees what it would see on that component alone
         swept, g, sweep = [], length_gcd(graph), counting._sweep
 
-        def recorded_sweep(keys, gap, runs):
+        def recorded_sweep(keys, gap, runs, limit):
             swept.append((keys, gap))
-            return sweep(keys, gap, runs)
+            return sweep(keys, gap, runs, limit)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(counting, "_sweep", recorded_sweep)
@@ -440,6 +440,13 @@ class TestCliques:
     @given(graph=small_graphs)
     def test_equals_complement_subset_count(self, graph):
         assert count_cliques(graph) == subset_oracle_count(graph.complement())
+
+    def test_clique_past_the_recursion_limit(self):
+        # one frame per clique vertex would pass the interpreter's limit; the
+        # complement, edgeless here, counts it
+        full = (1 << 1200) - 1
+        graph = BitGraph(1200, [full ^ 1 << v for v in range(1200)])
+        assert count_cliques(graph) == 2**1200
 
 
 class TestIndependenceNumber:
@@ -820,9 +827,9 @@ def _sweep_work(monkeypatch, graph):
     peaks = []
     visits = 0
 
-    def counted_sweep(keys, gap, runs):
+    def counted_sweep(keys, gap, runs, limit):
         peaks.append(0)
-        return sweep(keys, gap, runs)
+        return sweep(keys, gap, runs, limit)
 
     def counted_step(counts, later, gap):
         nonlocal visits
@@ -908,7 +915,7 @@ class TestBandedWork:
         sweeps, sweep = [], counting._sweep
         monkeypatch.setattr(counting, "_sweep", lambda *a: sweeps.append(a) or sweep(*a))
         graph = BitGraph.from_edges(n, [])
-        assert count_is_banded(graph) == counting.count_is_swept(graph.rows) == 2**n
+        assert count_is_banded(graph) == counting.count_is_swept(graph) == 2**n
         assert sweeps == []
 
     @settings(max_examples=150, deadline=None)
@@ -921,7 +928,7 @@ class TestBandedWork:
         edges = [(labels[i], labels[j]) for i, j in graph.edges() if labels[j] - labels[i] <= 20]
         spread = BitGraph.from_edges(graph.n + len(spots), edges)
         expected = count_is(spread)
-        assert count_is_banded(spread) == counting.count_is_swept(spread.rows) == expected
+        assert count_is_banded(spread) == counting.count_is_swept(spread) == expected
 
     def test_work_lasts_one_call(self, monkeypatch):
         # nothing carries over: a second count steps through the same sets
@@ -1210,8 +1217,8 @@ class TestSweepRoute:
         assert_sweep_agrees(parse_graph_spec(f"riordan:g={g};f={f};n={n}").build())
 
 
-def _route_work(monkeypatch, rows):
-    """count_is_swept(rows), with the live sets its numeric `_step` calls
+def _route_work(monkeypatch, graph):
+    """count_is_swept(graph), with the live sets its numeric `_step` calls
     visit and the most live sets one of them leaves."""
     step, work = counting._step, [0, 0]
 
@@ -1222,13 +1229,13 @@ def _route_work(monkeypatch, rows):
         return nxt
 
     monkeypatch.setattr(counting, "_step", counted_step)
-    return counting.count_is_swept(rows), *work
+    return counting.count_is_swept(graph), *work
 
 
 class TestReportRoute:
-    """A bound report's i(G), i(X) and i(Y): by residue class when the
-    bandwidth is at most BANDWIDTH_LIMIT, else one label-order sweep, and
-    branch-and-reduce past SWEEP_STATES live blocked sets."""
+    """A bound report's i(G), i(X) and i(Y): by residue class at every
+    bandwidth, and above BANDWIDTH_LIMIT branch-and-reduce on the whole
+    graph once a sweep passes SWEEP_STATES live blocked sets."""
 
     @pytest.mark.parametrize(
         "ds, visits, peak", [((16,), 5984, 2), ((10, 20), 110, 3), ((3, 18), 315, 18)]
@@ -1237,48 +1244,63 @@ class TestReportRoute:
         # one label-order sweep of the whole graph would keep the product of
         # the classes' live sets, 65536, 59049 and 5832 here, past any kernel
         graph = build_toeplitz(3000, ds)
-        assert _route_work(monkeypatch, graph.rows) == (count_is_banded(graph), visits, peak)
+        assert _route_work(monkeypatch, graph) == (count_is_banded(graph), visits, peak)
+
+    @pytest.mark.parametrize(
+        "ds, visits, peak", [((2, 22), 2444, 199), ((3, 24), 852, 47), ((5, 25), 310, 11)]
+    )
+    def test_wide_graphs_sweep_each_class(self, monkeypatch, ds, visits, peak):
+        # above BANDWIDTH_LIMIT too: each of the g classes is T_(n/g)<d/g>,
+        # swept under the SWEEP_STATES budget, which never trips; one sweep of
+        # the whole graph would keep the product of their live sets
+        n, g = 3000, gcd(*ds)
+        expected = count_is_banded(build_toeplitz(n // g, tuple(d // g for d in ds))) ** g
+        branched = []
+        monkeypatch.setattr(counting, "count_is", branched.append)
+        assert _route_work(monkeypatch, build_toeplitz(n, ds)) == (expected, visits, peak)
+        assert branched == []
 
     @settings(deadline=None)
     @given(
         graph=st.builds(random_graph, st.integers(1, 20), st.integers(0, 10**6), st.floats(0, 1))
     )
     def test_matches_subset_enumeration(self, graph):
-        assert counting.count_is_swept(graph.rows) == brute_force_is(graph)
+        assert counting.count_is_swept(graph) == brute_force_is(graph)
 
     @settings(max_examples=40, deadline=None)
     @given(
         graph=st.builds(random_graph, st.integers(21, 40), st.integers(0, 10**6), st.floats(0, 1))
     )
     def test_matches_branch(self, graph):
-        assert counting.count_is_swept(graph.rows) == count_is(graph)
+        assert counting.count_is_swept(graph) == count_is(graph)
 
     @pytest.mark.parametrize("n", [2, 9, 24, 33, 40])
     @pytest.mark.parametrize("family", [pascal_spec, catalan_spec, motzkin_spec])
     def test_odd_even_blocks(self, family, n):
         blocks = decompose(build_riordan(family(n)))
         for rows in (blocks.x, blocks.y):
-            assert counting.count_is_swept(rows) == count_is(BitGraph(len(rows), rows))
+            graph = BitGraph(len(rows), rows)
+            assert counting.count_is_swept(graph) == count_is(graph)
 
     @pytest.mark.parametrize("family", [catalan_spec, motzkin_spec])
     def test_family_graphs_at_96(self, family):
         graph = build_riordan(family(96))
-        assert counting.count_is_swept(graph.rows) == count_is(graph)
+        assert counting.count_is_swept(graph) == count_is(graph)
 
     def test_past_the_budget_branch_counts(self, monkeypatch):
         graph = build_riordan(catalan_spec(40))
         keys = [*map(operator.rshift, graph.rows, range(graph.n))]
         assert counting._sweep(keys, 1, {}, 1) is None
-        expected, branch, branched = count_is(graph), counting._count_is_rows, []
+        expected, branch, branched = count_is(graph), counting.count_is, []
         assert counting._sweep(keys, 1, {}) == expected
         monkeypatch.setattr(counting, "SWEEP_STATES", 1)
 
-        def spy(rows):
-            branched.append(rows)
-            return branch(rows)
+        def spy(graph):
+            branched.append(graph)
+            return branch(graph)
 
-        monkeypatch.setattr(counting, "_count_is_rows", spy)
-        assert counting.count_is_swept(graph.rows) == expected and branched == [graph.rows]
+        monkeypatch.setattr(counting, "count_is", spy)
+        assert counting.count_is_swept(graph) == expected and branched == [graph]
 
 
 class TestDegreeOrder:
