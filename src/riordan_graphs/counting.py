@@ -19,14 +19,13 @@ their counts.  The banded sweep takes each vertex's later neighbours from
 the graph, stored by the Toeplitz and ladder builders and read off the rows
 in one pass, once per graph, for any other; they give the bandwidth, the
 graph's longest edge, and the gcd of the edge lengths.  Edges stay inside the
-residue classes mod that gcd; a class whose sub-paths join up is one
-component, and only the other classes are walked into components, which
-reads the rows; a one-vertex component is a factor 2.  Each larger
-component is swept in label order on plain later-neighbour ints with one
-gap, one count per blocked set, the later vertices that the chosen ones
-block.  Where the vertices repeat with period 1 or 2 (a Toeplitz interior, a
-ladder) and the live blocked sets close up, a long run is one straight-line
-function generated from those sets and compiled once per count.  Counts
+residue classes mod that gcd, and each class is swept whole in label order
+on plain later-neighbour ints with one gap, one count per blocked set, the
+later vertices that the chosen ones block; components that interleave in a
+class are swept together, their live sets bounded by the bandwidth.  Where
+the vertices repeat with period 1 or 2 (a Toeplitz interior, a ladder) and
+the live blocked sets close up, a long run is one straight-line function
+generated from those sets and compiled once per count.  Counts
 include the empty set throughout, and use Python's arbitrary-precision
 integers.
 
@@ -169,8 +168,10 @@ def count_is_banded(graph: BitGraph) -> BigCount:
     is at most BANDWIDTH_LIMIT; a wider graph is refused.  It is `_by_class`,
     the sweep of each residue class, with no live-set limit.
 
-    A sweep keeps one counter per state: the set of the component's later
-    vertices that the chosen ones block, all within the bandwidth.  Partial
+    A sweep keeps one counter per state: the set of the class's later
+    vertices that the chosen ones block, all within the bandwidth, so the
+    refusal bounds the live sets of components that interleave in a class,
+    which are swept together, at 2^BANDWIDTH_LIMIT.  Partial
     sets with the same state have the same extensions, so no label-order
     sweep keeps fewer states; on a Toeplitz graph it is the minimal
     automaton of the binary words with no x_i = x_(i+d) = 1.  A periodic run
@@ -202,53 +203,17 @@ def _by_class(graph: BitGraph, lengths: int, limit: float) -> BigCount | None:
     of its edge lengths, whose top bit is the bandwidth.
 
     Edges join only vertices alike mod g, the gcd of the lengths, so each
-    residue class is swept apart, on its later-neighbour ints with gap g: a
-    class that `_connected` certifies whole, each component of any other
-    over its span of the class, which is the only place that reads the rows;
-    a one-vertex component is a factor 2, swept by no one.  There the other
-    components' positions are free, later 0: never blocked, each doubles the
-    total, which is shifted back.  The component counts multiply."""
+    residue class is swept whole, on its later-neighbour ints with gap g,
+    and the class counts multiply.  Components that interleave in one class
+    are swept together; the bandwidth bounds their live blocked sets."""
     laters = graph._laters  # bit t of laters[v]: v ~ v + t
-    ts = [t for t in range(1, lengths.bit_length()) if lengths >> t & 1] or [1]
-    n, g, runs, total = len(laters) - 1, gcd(*ts), {}, 1
-    spaced = ((1 << g * -(-n // g)) - 1) // ((1 << g) - 1)  # bits 0, g, 2 g, ...
+    g = gcd(*(t for t in range(1, lengths.bit_length()) if lengths >> t & 1)) or 1
+    runs, total = {}, 1
     for r in range(1, g + 1):
-        along = laters[r::g]
-        if len(along) < 2:  # at most one vertex: a factor 2 each, no walk
-            total <<= len(along)
-            continue
-        mask = (spaced << (r - 1)) & ((1 << n) - 1)
-        for comp in [mask] if _connected(along, ts[0], g) else _component_masks(graph.rows, mask):
-            if not comp & (comp - 1):
-                total <<= 1
-                continue
-            span = range((comp & -comp).bit_length(), comp.bit_length() + 1, g)
-            keys = along if comp == mask else [laters[v] if comp >> v - 1 & 1 else 0 for v in span]
-            if (part := _sweep(keys, g, runs, limit)) is None:
-                return None
-            total *= part >> len(keys) - comp.bit_count()
+        if (part := _sweep(laters[r::g], g, runs, limit)) is None:
+            return None
+        total *= part
     return total
-
-
-def _connected(along: list, s: int, g: int) -> bool:
-    """Whether the residue class mod g whose later neighbours are `along` is
-    certainly one component, read off distinct values.  With s the shortest
-    edge length and a = s / g, the class holds its a sub-paths (positions
-    alike mod a; for a = 1 its consecutive path) when each vertex but the
-    last a reaches the one s on, and a longer length t on sub-path x joins
-    x to sub-path (x + t / g) mod a: all joined, they are one component."""
-    a = s // g
-    group = [1 << x for x in range(a)]  # group[x]: the sub-paths joined to sub-path x
-    for x in range(a):
-        if group[0] == (1 << a) - 1:
-            break
-        held = reduce(operator.or_, set(along[x::a]), 0)
-        for t in range(s + g, held.bit_length(), g):
-            y = (x + t // g) % a
-            if held >> t & 1 and not group[x] >> y & 1:
-                joined = group[x] | group[y]
-                group = [joined if joined >> z & 1 else m for z, m in enumerate(group)]
-    return group[0] == (1 << a) - 1 and all(map((1 << s).__and__, set(along[:-a])))
 
 
 def _sweep(keys: list, gap: int, runs: dict, limit: float = inf) -> BigCount | None:

@@ -1,7 +1,8 @@
 """The package's public names, where a deletion has to show up, the one
 module that may store graph rows unchecked or name the bit-matrix helpers,
-the byte conversions that must run on the oldest supported Python, and the
-one place that runs generated source, with no transition of its own."""
+the byte conversions that must run on the oldest supported Python, the
+one place that runs generated source, with no transition of its own, and
+the banded sweep, which reads no rows."""
 
 import ast
 import re
@@ -144,3 +145,27 @@ def test_the_sweep_kernel_has_no_transition_of_its_own():
     ops = [node.op for node in ast.walk(kernel) if isinstance(node, (ast.BinOp, ast.AugAssign))]
     assert [op for op in ops if isinstance(op, rule)] == []
     assert any(isinstance(node, ast.Name) and node.id == "_step" for node in ast.walk(kernel))
+
+
+def test_the_banded_sweep_reads_no_rows():
+    # the sweep counts from BitGraph._laters alone, so a Toeplitz or ladder
+    # graph is counted without its rows; the component walk on rows serves
+    # branch-and-reduce only
+    tree = ast.parse((Path(riordan_graphs.__file__).parent / "counting.py").read_text())
+    places = [
+        getattr(top, "name", type(top).__name__)
+        for top in tree.body
+        for node in ast.walk(top)
+        if "_component_masks" in (getattr(node, "id", None), getattr(node, "attr", None))
+        or isinstance(node, ast.alias) and node.name == "_component_masks"
+    ]
+    assert places == ["ImportFrom", "_branch"]
+    sweep = ("count_is_banded", "_by_class", "_sweep", "_step", "_kernel")
+    reads = [
+        (top.name, node.lineno)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name in sweep
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "rows"
+    ]
+    assert reads == []

@@ -223,10 +223,9 @@ class TestBandedEngine:
 
 @st.composite
 def class_unions(draw):
-    """(graph, all_paths): a graph whose edge lengths are multiples of a
-    step and at most 20, each residue class mod the step drawn on its own,
-    as its consecutive path plus random longer edges or as random edges
-    alone; all_paths tells whether every class was drawn with its path."""
+    """A graph whose edge lengths are multiples of a step and at most 20,
+    each residue class mod the step drawn on its own, as its consecutive
+    path plus random longer edges or as random edges alone."""
     step, n = draw(st.integers(1, 5)), draw(st.integers(1, 60))
     rng = random.Random(draw(st.integers(0, 10**6)))
     density = draw(st.sampled_from([0.1, 0.3, 0.6]))
@@ -237,7 +236,7 @@ def class_unions(draw):
         for k in range(1, 20 // step + 1)
         if i + k * step <= n and (k == 1 and paths[i % step] or rng.random() < density)
     ]
-    return BitGraph.from_edges(n, edges), all(paths) and n > step
+    return BitGraph.from_edges(n, edges)
 
 
 @st.composite
@@ -286,10 +285,10 @@ def three_paths_and_one_edge(n=50):
 
 
 def interleaved_matching():
-    """19 disjoint edges, 9 of length 19 and 10 of length 20, so gcd 1, on
-    39 vertices; vertex 29 is isolated."""
-    edges = [(i, i + 19) for i in range(1, 10)] + [(i, i + 20) for i in range(10, 20)]
-    return BitGraph.from_edges(39, edges)
+    """9 disjoint edges, 4 of length 9 and 5 of length 10, so gcd 1, on 19
+    vertices; vertex 14 is isolated."""
+    edges = [(i, i + 9) for i in range(1, 5)] + [(i, i + 10) for i in range(5, 10)]
+    return BitGraph.from_edges(19, edges)
 
 
 def _without_edge(graph, u, v):
@@ -300,110 +299,35 @@ def _without_edge(graph, u, v):
     return BitGraph(graph.n, rows)
 
 
-def _walked_masks(monkeypatch, graph):
-    """The masks one count_is_banded(graph) call hands `_component_masks`."""
-    walk, masks = counting._component_masks, []
-    monkeypatch.setattr(counting, "_component_masks", lambda r, m: masks.append(m) or walk(r, m))
-    count_is_banded(graph)
-    return masks
-
-
-def _walks(monkeypatch, graph):
-    """How many times one count_is_banded(graph) call runs `_component_masks`."""
-    return len(_walked_masks(monkeypatch, graph))
-
-
-class_graphs = class_unions().map(operator.itemgetter(0))
-
-
-def length_gcd(graph):
-    """The gcd of the graph's edge lengths, 1 when it has no edge."""
-    return gcd(*(j - i for i, j in graph.edges())) or 1
-
-
-def residue_classes(graph):
-    """The mask of each residue class mod `length_gcd`."""
-    g = length_gcd(graph)
-    return [sum(1 << v - 1 for v in range(r, graph.n + 1, g)) for r in range(1, g + 1)]
-
-
 class TestResidueClassRoutes:
-    """Classes whose sub-paths join up are swept whole; the others are
-    walked into components, which keeps interleaved components apart."""
+    """Each residue class is swept whole, so components that interleave in
+    a class are swept together: their live sets multiply, bounded by the
+    bandwidth."""
 
-    def test_walk_splits_interleaved_components(self, monkeypatch):
-        # swept whole in label order, the first 19 vertices would leave 2^19
-        # live blocked sets
+    def test_interleaved_components_are_swept_together(self, monkeypatch):
+        # the first 9 vertices block 9 later ones, which leaves 2^9 live sets:
+        # the cost of sweeping the class whole
         graph = interleaved_matching()
-        assert count_is_banded(graph) == count_is(graph) == 3**19 * 2
-        peaks = _sweep_work(monkeypatch, graph)[0]
-        assert len(peaks) == 19  # the isolated vertex 29 is a factor 2, not swept
-        assert max(peaks) <= 2
+        assert count_is_banded(graph) == count_is(graph) == brute_force_is(graph) == 3**9 * 2
+        assert _sweep_work(monkeypatch, graph)[0] == [512]
 
     @settings(max_examples=150, deadline=None)
-    @given(case=class_unions())
-    @example(case=(build_toeplitz(40, (3, 6)), True))
-    @example(case=(build_toeplitz(40, (2, 3)), False))
-    def test_certified_and_walked_routes_match_count_is(self, case):
-        # sweep_count walks every component of the whole graph; count_is_banded
-        # sweeps a class that holds its path without a walk
-        graph, all_paths = case
-        assert count_is_banded(graph) == sweep_count(graph.rows) == count_is(graph)
-        if all_paths:
-            with pytest.MonkeyPatch.context() as patch:
-                assert _walks(patch, graph) == 0
-
-    @settings(max_examples=150, deadline=None)
-    @given(graph=st.one_of(class_graphs, sub_path_unions(), banded_graphs()))
-    @example(graph=build_toeplitz(50, (2, 3)))
+    @given(graph=st.one_of(class_unions(), sub_path_unions(), banded_graphs()))
+    @example(graph=build_toeplitz(40, (3, 6)))
+    @example(graph=build_toeplitz(40, (2, 3)))
     @example(graph=build_toeplitz(50, (3, 5)))
+    @example(graph=build_toeplitz(30, (15, 19)))
+    @example(graph=build_toeplitz(33, (17, 20)))
     @example(graph=three_paths_and_one_edge())
-    def test_certified_classes_are_one_component(self, graph):
-        # a class that is not walked was certified: it must be one component
-        with pytest.MonkeyPatch.context() as patch:
-            walked = _walked_masks(patch, graph)
-        assert count_is_banded(graph) == count_is(graph) == sweep_count(graph.rows)
-        for mask in residue_classes(graph):
-            if mask not in walked:
-                assert len(_component_masks(graph.rows, mask)) == 1
-
-    @pytest.mark.parametrize(
-        "graph, walks, parts",
-        [
-            (build_toeplitz(50, (2, 3)), 0, 1),
-            (build_toeplitz(50, (3, 5)), 0, 1),
-            (three_paths_and_one_edge(), 1, 2),
-        ],
-        ids=["d=2,3", "d=3,5", "three-paths"],
-    )
-    def test_sub_paths_joined_or_not(self, monkeypatch, graph, walks, parts):
-        assert _walks(monkeypatch, graph) == walks
-        assert len(_component_masks(graph.rows, (1 << graph.n) - 1)) == parts
-
-    @settings(max_examples=60, deadline=None)
-    @given(graph=st.one_of(class_graphs, sub_path_unions()))
-    def test_certified_keys_are_the_walked_keys(self, graph):
-        # the certificate changes how a component is found, not its keys:
-        # with the free positions dropped, each sweep's keys are one walked
-        # component's keys, apart from the last gap, so every kernel trigger
-        # sees what it would see on that component alone
-        swept, g, sweep = [], length_gcd(graph), counting._sweep
-
-        def recorded_sweep(keys, gap, runs, limit):
-            swept.append((keys, gap))
-            return sweep(keys, gap, runs, limit)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(counting, "_sweep", recorded_sweep)
-            count_is_banded(graph)
-        spans = []
-        for keys in walked_keys(graph.rows):
-            if len(keys) == 1:
-                continue  # a one-vertex component is a factor 2, not swept
-            assert all(gap % g == 0 for _, gap in keys[:-1])
-            span = [x for later, gap in keys[:-1] for x in [later] + [0] * (gap // g - 1)]
-            spans.append((span + [keys[-1][0]], g))
-        assert sorted(swept) == sorted(spans)
+    @example(graph=interleaved_matching())
+    def test_certified_and_walked_routes_match_count_is(self, graph):
+        # classes with and without their path, sub-paths joined or not, and
+        # interleaved components: sweep_count walks every component of the
+        # whole graph, count_is_banded sweeps each class whole
+        count = count_is_banded(graph)
+        assert count == counting.count_is_swept(graph) == sweep_count(graph.rows) == count_is(graph)
+        if graph.n <= 20:
+            assert count == brute_force_is(graph)
 
 
 class TestBruteForce:
@@ -874,30 +798,11 @@ class TestBandedWork:
         # 33 and 4 steps (`TestSweepKernelWork`)
         assert _sweep_work(monkeypatch, graph)[1] == visits
 
-    @pytest.mark.parametrize(
-        "graph, walks",
-        [
-            (build_toeplitz(3000, (1, 2)), 0),
-            (build_toeplitz(3000, (4, 8, 12, 16)), 0),  # four classes, each a path
-            (build_delta(3000, "plain"), 0),
-            (build_delta(3000, "tilde"), 0),
-            (build_toeplitz(3000, (2, 3)), 0),  # two sub-paths, joined by length 3
-            (build_toeplitz(3000, (3, 5)), 0),  # three sub-paths, joined by length 5
-            (_without_edge(build_toeplitz(1200, (1, 3)), 600, 601), 1),  # the path breaks
-            (interleaved_matching(), 1),  # only 9 of the first 20 vertices have length 19
-        ],
-        ids=["d=1,2", "d=4,8,12,16", "delta", "deltaTilde", "d=2,3", "d=3,5", "gap", "matching"],
-    )
-    def test_only_classes_without_their_path_are_walked(self, monkeypatch, graph, walks):
-        assert _walks(monkeypatch, graph) == walks
-
-    def test_periodic_builds_make_rows_only_to_walk(self, monkeypatch):
-        # the Toeplitz and ladder builders store the later-neighbour ints, so
-        # rows are built only for a class that is walked, here d=3,5 at
-        # n = 6: {1, 3, 4, 6} and {2, 5}
-        built, walked, shifted, walk = [], [], graphs._shifted_rows, counting._component_masks
+    def test_periodic_builds_make_no_rows(self, monkeypatch):
+        # the Toeplitz and ladder builders store the later-neighbour ints,
+        # which are all the sweep reads
+        built, shifted = [], graphs._shifted_rows
         monkeypatch.setattr(graphs, "_shifted_rows", lambda *a: built.append(a) or shifted(*a))
-        monkeypatch.setattr(counting, "_component_masks", lambda *a: walked.append(a) or walk(*a))
         sets = [(1,), (1, 2), (2, 3), (3, 5), (1, 4, 9), (4, 8, 12, 16), (1, 6, 11, 16)]
         for n in [*range(1, 61), 1003, 3000]:
             for kind, graph in [
@@ -905,21 +810,20 @@ class TestBandedWork:
                 *((variant, build_delta(n, variant)) for variant in ("plain", "tilde")),
             ]:
                 count_is_banded(graph)
-                walks = (n, kind) == (6, (3, 5))
-                assert len(built) == len(walked) == walks, (n, kind)
-                del built[:], walked[:]
+                assert built == [], (n, kind)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100])
-    def test_edgeless_graph_takes_no_sweep(self, monkeypatch, n):
-        # every vertex is a one-vertex component: a factor 2, swept by no one
+    def test_edgeless_graph_takes_one_sweep(self, monkeypatch, n):
+        # gcd 1, so the one class is every vertex, stepped with no later
+        # neighbour: one sweep per count
         sweeps, sweep = [], counting._sweep
-        monkeypatch.setattr(counting, "_sweep", lambda *a: sweeps.append(a) or sweep(*a))
+        monkeypatch.setattr(counting, "_sweep", lambda *a: sweeps.append(a[:2]) or sweep(*a))
         graph = BitGraph.from_edges(n, [])
         assert count_is_banded(graph) == counting.count_is_swept(graph) == 2**n
-        assert sweeps == []
+        assert sweeps == [([0] * n, 1)] * 2
 
     @settings(max_examples=150, deadline=None)
-    @given(graph=st.one_of(class_graphs, sub_path_unions(), banded_graphs()), data=st.data())
+    @given(graph=st.one_of(class_unions(), sub_path_unions(), banded_graphs()), data=st.data())
     def test_isolated_vertices_match_count_is(self, graph, data):
         # up to 8 isolated vertices dropped in among the graph's, which keeps
         # the edges that are still at most 20 long
@@ -1181,7 +1085,7 @@ def sweep_count(rows):
     """Independent sets by one label-order blocked-future sweep per
     component of `walked_keys`, `counting._step` at each label with that
     label's own gap: a second route, sharing no pivot, relabelling or cache
-    with branch-and-reduce, and no certificate, kernel or key layout with
+    with branch-and-reduce, and no kernel or key layout with
     `count_is_banded`."""
     total = 1
     for keys in walked_keys(rows):
