@@ -41,17 +41,16 @@ class BitGraph:
     """Immutable simple graph on vertices 1..n with bitmask adjacency rows.
 
     Row i-1 (0-indexed) has bit j-1 set exactly when (i, j) is an edge.
-    Rows from outside the module are checked row by row and against their
-    transpose; the builders and complement() below make rows that are
-    symmetric and loop-free by construction and store them through
-    _unchecked, or, for the Toeplitz and ladder graphs, through _periodic,
-    which stores the later-neighbour ints and builds the rows only when
-    `rows` is first read.  _laters, bit t of entry v set when v ~ v + t
-    (entry 0 is 0), is the banded sweep's input: kept from _periodic, made
-    from the rows at most once for any other graph.
+    _laters, bit t of entry v set when v ~ v + t (entry 0 is 0), is the
+    banded sweep's input.  A graph stores one of rows and _laters, and the
+    other is made from it once, on first read.  Rows from outside the module
+    are checked row by row and against their transpose; the builders and
+    complement() below make rows that are symmetric and loop-free by
+    construction and store them through _unchecked, and the Toeplitz and
+    ladder builders store their later-neighbour ints through _periodic.
     """
 
-    __slots__ = ("n", "rows", "_laters", "_patterns")
+    __slots__ = ("n", "rows", "_laters")
 
     def __init__(self, n: int, rows):
         if n < 1:
@@ -86,26 +85,25 @@ class BitGraph:
         return graph
 
     @classmethod
-    def _periodic(cls, n: int, patterns: tuple[int, ...], top: int) -> BitGraph:
-        """The graph whose row i is patterns[i % len(patterns)] << i >> top,
-        cut to n bits, for patterns this module made symmetric about bit top
-        and clear there (see _shifted_rows); row i's later neighbours are
-        its pattern >> top, cut for the last top rows.  Only graphs calls it."""
+    def _periodic(cls, n: int, patterns: tuple[int, ...]) -> BitGraph:
+        """The graph in which vertex i (0-indexed) has later neighbour i + t
+        for every bit t of patterns[i % len(patterns)] below n - i, stored as
+        its later-neighbour ints; no pattern has bit 0.  Only graphs calls it."""
         full = (1 << n) - 1  # first: an order too large to shift fails before any list
-        laters = [*islice(cycle([p >> top for p in patterns]), n)]
-        cut = max(n - top, 0)
+        laters = [*islice(cycle(patterns), n)]
+        cut = max(n - max(patterns).bit_length(), 0)
         laters[cut:] = map(operator.and_, laters[cut:], map(full.__rshift__, range(cut, n)))
         graph = object.__new__(cls)
         graph.n = n
         graph._laters = [0, *laters]
-        graph._patterns = patterns, top
         return graph
 
     def __getattr__(self, name: str):
-        # reached only while a slot is unset: the rows of a _periodic graph
-        # and the later-neighbour ints of any other, each made once
+        # reached only while a slot is unset: the rows of a _periodic graph,
+        # U + Uᵀ for U its later neighbours shifted into place, and the
+        # later-neighbour ints of any other, each made once
         if name == "rows":
-            self.rows = tuple(_shifted_rows(*self._patterns, self.n))
+            self.rows = _symmetric(tuple(map(operator.lshift, self._laters[1:], count())))
             return self.rows
         if name == "_laters":
             self._laters = [0, *map(operator.rshift, self.rows, count())]
@@ -352,24 +350,7 @@ def build_toeplitz(n: int, distances) -> BitGraph:
     """Graph on [n] with an edge (i, j) exactly when |i-j| is a listed distance."""
     ds = tuple(distances)
     _check_distances(ds, n)
-    # row i holds bit i + d below n and bit i - d from 0, for every d: one
-    # pattern with bits top ± d, shifted into place
-    top = ds[-1]
-    return BitGraph._periodic(n, (sum(1 << top + d | 1 << top - d for d in ds),), top)
-
-
-def _shifted_rows(patterns: tuple[int, ...], top: int, n: int) -> list[int]:
-    """Row i = patterns[i % len(patterns)] << i >> top, cut to n bits: bit
-    top ± d of a pattern gives row i the neighbours i ± d, those below 0
-    shifted out.  Only the first `top` rows shift down, and only the last
-    `top` are cut."""
-    full = (1 << n) - 1
-    patterns = cycle(patterns)
-    low, cut = min(top, n), max(n - top, 0)
-    rows = [*map(operator.rshift, islice(patterns, low), range(top, top - low, -1))]
-    rows += map(operator.lshift, patterns, range(cut))
-    rows[cut:] = map(full.__and__, rows[cut:])
-    return rows
+    return BitGraph._periodic(n, (sum(1 << d for d in ds),))
 
 
 def _check_distances(ds: tuple[int, ...], n: int) -> None:
@@ -392,10 +373,10 @@ def build_delta(n: int, variant: str = "plain") -> BitGraph:
         raise ValueError("n must be positive")
     if variant not in ("plain", "tilde"):
         raise ValueError(f"variant must be 'plain' or 'tilde', got {variant!r}")
-    # 0-indexed row i holds bits i ± 1, plus i ± 2 on even i (plain) or odd i
-    # (tilde): patterns with bits 2 ± 1, or 2 ± 1 and 2 ± 2, by parity
-    path, rungs = 0b01010, 0b11011
-    return BitGraph._periodic(n, (path, rungs) if variant == "tilde" else (rungs, path), 2)
+    # 0-indexed vertex i has later neighbour i + 1, and i + 2 on even i
+    # (plain) or odd i (tilde)
+    path, rungs = 0b010, 0b110
+    return BitGraph._periodic(n, (path, rungs) if variant == "tilde" else (rungs, path))
 
 
 class DecompositionBlocks(NamedTuple):

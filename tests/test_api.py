@@ -1,8 +1,9 @@
 """The package's public names, where a deletion has to show up, the one
 module that may store graph rows unchecked or name the bit-matrix helpers,
 the byte conversions that must run on the oldest supported Python, the
-one place that runs generated source, with no transition of its own, and
-the banded sweep, which reads no rows."""
+one place that runs generated source, with no transition of its own, the
+banded sweep, which reads no rows, and the one U + Uᵀ assembly of built
+rows."""
 
 import ast
 import re
@@ -169,3 +170,44 @@ def test_the_banded_sweep_reads_no_rows():
         if isinstance(node, ast.Attribute) and node.attr == "rows"
     ]
     assert reads == []
+
+
+def _calls_by_function(tree, name):
+    """The names of the innermost functions that call `name`, once per call."""
+    callers = []
+
+    def visit(node, function):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+            callers.append(function)
+        inner = node.name if isinstance(node, ast.FunctionDef) else function
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(tree, None)
+    return callers
+
+
+def test_one_assembly_makes_every_built_graphs_rows():
+    # U + Uᵀ: the Riordan build, a Toeplitz or ladder graph's first read of
+    # its rows, the block prediction and its errors; _periodic stores only
+    # the later neighbours
+    tree = ast.parse((Path(riordan_graphs.__file__).parent / "graphs.py").read_text())
+    assert sorted(_calls_by_function(tree, "_symmetric")) == [
+        "__getattr__",
+        "_prediction_errors",
+        "predict_blocks",
+        "riordan_adjacency",
+    ]
+    periodic = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_periodic"
+    )
+    # an assignment to .rows, or a "rows" handed to setattr
+    stores = [
+        node.lineno
+        for node in ast.walk(periodic)
+        if isinstance(node, ast.Attribute) and (node.attr, type(node.ctx)) == ("rows", ast.Store)
+        or isinstance(node, ast.Constant) and node.value == "rows"
+    ]
+    assert stores == []

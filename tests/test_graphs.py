@@ -1270,12 +1270,38 @@ class TestPeriodicBuilds:
                 laters = graph._laters  # read first: stored by the builder
                 assert laters == [0, *map(rshift, graph.rows, itertools.count())], n
 
+    @given(
+        patterns=st.lists(
+            st.integers(1, 2**20 - 1).map(lambda p: p << 1), min_size=1, max_size=3
+        ).map(tuple),
+        n=st.integers(1, 80),
+    )
+    @example(patterns=(0b110, 0b010), n=5)  # delta
+    @example(patterns=(1 << 20,), n=21)  # the one edge (1, 21)
+    @settings(max_examples=200, deadline=None)
+    def test_any_patterns_give_the_checked_graph(self, patterns, n):
+        # vertex v (0-indexed) has later neighbour v + t for bit t of its
+        # pattern, those past n cut
+        edges = [
+            (v + 1, v + t + 1)
+            for v in range(n)
+            for t in range(1, n - v)
+            if patterns[v % len(patterns)] >> t & 1
+        ]
+        checked = BitGraph.from_edges(n, edges)
+        graph = BitGraph._periodic(n, patterns)
+        assert graph._laters == checked._laters
+        assert graph.rows == checked.rows
+
     def test_rows_are_built_once(self, monkeypatch):
-        built, shifted = [], graphs._shifted_rows
-        monkeypatch.setattr(graphs, "_shifted_rows", lambda *a: built.append(a) or shifted(*a))
+        # the rows slot stays unset until read, then U + Uᵀ fills it once
+        built, symmetric = [], graphs._symmetric
+        monkeypatch.setattr(graphs, "_symmetric", lambda *a: built.append(a) or symmetric(*a))
         graph = build_toeplitz(3000, (1, 6, 11, 16))
-        assert built == []
+        with pytest.raises(AttributeError):
+            object.__getattribute__(graph, "rows")
         assert graph.rows is graph.rows and len(built) == 1
+        assert object.__getattribute__(graph, "rows") is graph.rows
 
     @pytest.mark.parametrize(
         "read",

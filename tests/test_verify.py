@@ -217,12 +217,13 @@ def _work(monkeypatch, run):
 
 class TestTransposesPerReport:
     # built graphs and the X and Y blocks cut from them are not checked for
-    # symmetry; a Riordan build transposes once to form L + L^T, and the
+    # symmetry; a build transposes once to form U + Uᵀ (a Riordan build's
+    # L + L^T, a Toeplitz build's rows from its later neighbours), and the
     # odd/even split is the one relabel, since the report's counts sweep in
     # label order with no degree order
     def test_toeplitz_report_checks_no_symmetry(self, monkeypatch):
         work = _work(monkeypatch, lambda: bound_report("toeplitz:n=12;d=1,3"))
-        assert work["transpose"] == 0
+        assert work["transpose"] == 1
         assert work["relabel"] == 1
 
     def test_pascal_report(self, monkeypatch):
