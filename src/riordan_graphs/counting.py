@@ -8,14 +8,14 @@ maximum-set count, which carries the independence number, each given by
 what an edgeless remainder is worth, how the two branches combine and how
 independent parts combine; it splits every subproblem into connected
 components, caches them per call, at every n, and takes one frame per
-branch level.  The independent-set count (and `exact_count`'s cliques)
-relabels the graph once by descending degree and branches on a component's
-lowest label, or on its one neighbour when that is a pendant: an O(1)
-pivot, under which the cache acts as a memoized sweep.  The maximum-set
-count branches on a maximum-degree vertex and prunes: a greedy matching bounds
-what the branch through the branch vertex can reach, and that branch is
-skipped when the other one already exceeds the bound, so ties still add
-their counts.  The banded sweep takes each vertex's later neighbours from
+branch level.  The independent-set count relabels the graph once by
+descending degree and branches on a component's lowest label, or on its one
+neighbour when that is a pendant: an O(1) pivot, under which the cache acts
+as a memoized sweep.  The maximum-set count branches on a maximum-degree
+vertex and prunes: a greedy matching bounds what the branch through the
+branch vertex can reach, and that branch is skipped when the other one
+already exceeds the bound, so ties still add their counts.
+The banded sweep takes each vertex's later neighbours from
 the graph, stored by the Toeplitz and ladder builders and read off the rows
 in one pass, once per graph, for any other; they give the bandwidth, the
 graph's longest edge, and the gcd of the edge lengths.  Edges stay inside the
@@ -29,14 +29,14 @@ generated from those sets and compiled once per count.  Counts
 include the empty set throughout, and use Python's arbitrary-precision
 integers.
 
-The CLI's engine policy is `exact_count`: `auto` picks the banded sweep for
-independent sets of a Toeplitz spec whose largest distance is at most
-BANDWIDTH_LIMIT, and branch-and-reduce for everything else.  A bound
-report's i(G), i(X) and i(Y) take `count_is_swept` instead: the banded
-sweep by residue class at every bandwidth, and branch-and-reduce for the
-whole graph once a sweep of a graph wider than BANDWIDTH_LIMIT keeps more
-than SWEEP_STATES live blocked sets.  `count_cliques` counts each clique
-once from its lowest vertex, in at most omega(G) + 1 frames.
+`count_cliques` counts each clique once from its lowest vertex, in at most
+omega(G) + 1 frames.  The CLI's engine policy is `exact_count`: under
+`auto`, independent sets of a Toeplitz spec whose largest distance is at
+most BANDWIDTH_LIMIT take the banded sweep, and all else "branch":
+branch-and-reduce, or `count_cliques` for cliques.  A bound report's i(G),
+i(X) and i(Y) take `count_is_swept`: the banded sweep by residue class at
+every bandwidth, and branch-and-reduce on the whole graph once a sweep wider
+than BANDWIDTH_LIMIT keeps over SWEEP_STATES live sets.
 """
 
 from __future__ import annotations
@@ -295,10 +295,10 @@ def exact_count(
     count`, whose output names the engine; bound reports use `count_is_swept`.
 
     `auto` picks "banded" only for independent sets of a Toeplitz spec whose
-    largest distance is at most BANDWIDTH_LIMIT, and "branch" otherwise.
-    Cliques are counted as the independent sets of the complement, which
-    the banded engine does not cover.  The banded engine reads the bandwidth
-    off the graph and refuses one above BANDWIDTH_LIMIT.
+    largest distance is at most BANDWIDTH_LIMIT, and "branch", `count_is` or
+    `count_cliques`, otherwise.  "brute" counts cliques as the complement's
+    independent sets; "banded" refuses them, and any bandwidth above
+    BANDWIDTH_LIMIT, which it reads off the graph.
     """
     if what not in ("is", "cliques"):
         raise ValueError(f"what must be 'is' or 'cliques', got {what!r}")
@@ -307,12 +307,12 @@ def exact_count(
     if engine == "auto":
         narrow = spec.kind == "toeplitz" and max(spec.distances) <= BANDWIDTH_LIMIT
         engine = "banded" if what == "is" and narrow else "branch"
-    if what == "cliques":
-        if engine == "banded":
-            raise ValueError("the banded engine does not apply to clique counting")
-        graph = graph.complement()
+    if what == "cliques" and engine == "banded":
+        raise ValueError("the banded engine does not apply to clique counting")
+    if what == "cliques" and engine == "branch":
+        return engine, count_cliques(graph)
     if engine == "brute":
-        return engine, brute_force_is(graph)
+        return engine, brute_force_is(graph.complement() if what == "cliques" else graph)
     if engine == "banded":
         return engine, count_is_banded(graph)
     return engine, count_is(graph)
@@ -341,9 +341,8 @@ def brute_force_is(graph: BitGraph) -> BigCount:
 
 def count_cliques(graph: BitGraph) -> BigCount:
     """Number of cliques, the empty clique included, by `_cliques` on the
-    graph's later-neighbour ints.  `exact_count` counts them as the
-    independent sets of the complement, and so does this once a clique is
-    too large for the interpreter's recursion limit."""
+    graph's later-neighbour ints; once a clique is too large for the
+    interpreter's recursion limit, as the independent sets of the complement."""
     try:
         return _cliques(graph._laters, (1 << graph.n) - 1, {})
     except RecursionError:

@@ -153,6 +153,25 @@ class TestCount:
             "toeplitz:n=300;d=2,3", "--engine", "banded"
         )
 
+    @pytest.mark.parametrize("engine", [[], ["--engine", "branch"]])
+    @pytest.mark.parametrize(
+        "spec, k, t, count",
+        [
+            ("toeplitz:n=3000;d=16", 1, 16, 5985),
+            ("toeplitz:n=2000;d=" + ",".join(map(str, range(1, 17))), 16, 1, (2000 - 15) * 2**16),
+        ],
+    )
+    def test_long_chordal_cliques_are_answered(self, capsys, engine, spec, k, t, count):
+        # branch-and-reduce on the dense complement would go n levels deep;
+        # counted from each clique's lowest vertex they take omega + 1 frames
+        argv = ["count", "--spec", spec, "--what", "cliques", "--force", *engine]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["engine"] == "branch"
+        n = parse_graph_spec(spec).n
+        assert payload["count"] == formulas.chordal_toeplitz_cliques(k, t, n) == count
+
 
     @pytest.mark.parametrize("kind, variant", [("delta", "plain"), ("deltaTilde", "tilde")])
     def test_banded_ladders_match_pell_form(self, capsys, kind, variant):

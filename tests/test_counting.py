@@ -26,6 +26,7 @@ from riordan_graphs.counting import (
 )
 from riordan_graphs.graphs import (
     BitGraph,
+    GraphSpec,
     _component_masks,
     _mask_labels,
     build_delta,
@@ -1283,3 +1284,36 @@ class TestEnginePolicy:
             "brute",
             count_cliques(build_riordan(pascal_spec(10))),
         )
+
+    @pytest.mark.parametrize("engine", ["auto", "branch"])
+    @pytest.mark.parametrize("n", [20, 40, 60, 80])
+    @pytest.mark.parametrize("family", ["pascal", "catalan", "motzkin"])
+    def test_cliques_match_the_complement_route(self, family, n, engine):
+        # "branch" cliques are the lowest-vertex recursion; branch-and-reduce
+        # on the complement, and subset enumeration at n <= 20, are the
+        # independent routes
+        picked, count = _exact(f"{family}:n={n}", "cliques", engine)
+        graph = parse_graph_spec(f"{family}:n={n}").build()
+        assert (picked, count) == ("branch", count_is(graph.complement()))
+        if n <= 20:
+            assert count == _exact(f"{family}:n={n}", "cliques", "brute")[1]
+
+    @pytest.mark.parametrize("engine", ["auto", "branch"])
+    def test_cliques_of_random_graphs_match_both_oracles(self, engine):
+        for graph in random_graphs(40, 40, seed=41):
+            spec = GraphSpec(f"random:n={graph.n}", "random", graph.n)
+            picked, count = exact_count(spec, graph, "cliques", engine)
+            assert (picked, count) == ("branch", count_is(graph.complement()))
+            if graph.n <= 20:
+                assert count == exact_count(spec, graph, "cliques", "brute")[1]
+
+    def test_only_brute_takes_the_complement(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("complement taken")
+
+        count = count_cliques(build_riordan(catalan_spec(30)))
+        monkeypatch.setattr(BitGraph, "complement", refuse)
+        for engine in ("auto", "branch"):
+            assert _exact("catalan:n=30", "cliques", engine) == ("branch", count)
+        with pytest.raises(AssertionError, match="complement taken"):
+            _exact("catalan:n=20", "cliques", "brute")
