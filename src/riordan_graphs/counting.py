@@ -11,10 +11,11 @@ components, caches them per call, at every n, and takes one frame per
 branch level.  The independent-set count relabels the graph once by
 descending degree and branches on a component's lowest label, or on its one
 neighbour when that is a pendant: an O(1) pivot, under which the cache acts
-as a memoized sweep.  The maximum-set count branches on a maximum-degree
-vertex and prunes: a greedy matching bounds what the branch through the
-branch vertex can reach, and that branch is skipped when the other one
-already exceeds the bound, so ties still add their counts.
+as a memoized sweep.  The maximum-set count first drops the vertices that
+a greedy set and a matching bound show no maximum set holds, then branches
+on a maximum-degree vertex and prunes: a greedy matching bounds what the
+branch through the branch vertex can reach, and that branch is skipped when
+the other one already exceeds the bound, so ties still add their counts.
 The banded sweep takes each vertex's later neighbours from
 the graph, stored by the Toeplitz and ladder builders and read off the rows
 in one pass, once per graph, for any other; they give the bandwidth, the
@@ -90,9 +91,10 @@ def _matching_bound(rows, mask: int) -> int:
     return bound
 
 
-def _branch(rows, leaf, join, times, skip=None, pick=_branch_vertex):
+def _branch(rows, leaf, join, times, skip=None, pick=_branch_vertex, start=None):
     """The branch-and-reduce recursion behind every exact quantity here,
-    on the adjacency rows of a simple graph.
+    on the adjacency rows of a simple graph, induced on the mask `start`,
+    every vertex by default.
 
     A subproblem's isolated vertices, k of them, are worth leaf(k), the
     empty graph included; each remaining connected component is solved on
@@ -131,7 +133,7 @@ def _branch(rows, leaf, join, times, skip=None, pick=_branch_vertex):
         return value
 
     try:
-        return solve((1 << len(rows)) - 1)
+        return solve((1 << len(rows)) - 1 if start is None else start)
     except RecursionError:
         raise ValueError(
             f"branch-and-reduce recursion too deep at n={len(rows)}; use a smaller graph"
@@ -396,18 +398,49 @@ def _max_times(part: tuple[int, int], other: tuple[int, int]) -> tuple[int, int]
 def _maximum(rows) -> tuple[int, BigCount]:
     """(alpha, number of maximum independent sets) of a simple graph's rows.
 
-    The recursion carries (alpha, count) pairs; the two branches partition
-    the independent sets by membership of the branch vertex, so counts add
-    exactly on size ties.  The G - N[v] branch is skipped only when
-    alpha(G - v) exceeds the matching bound of G - N[v] plus one, so that
-    tied branches still add their counts."""
-    return _branch(rows, lambda k: (k, 1), _max_join, _max_times, lambda ac, ub: ac[0] > ub + 1)
+    The recursion starts from `_maximum_keep`'s vertices and carries
+    (alpha, count) pairs; the two branches partition the independent sets
+    by membership of the branch vertex, so counts add exactly on size ties.
+    The G - N[v] branch is skipped only when alpha(G - v) exceeds the
+    matching bound of G - N[v] plus one, so that tied branches still add
+    their counts."""
+    keep = _maximum_keep(rows)
+    return _branch(
+        rows, lambda k: (k, 1), _max_join, _max_times, lambda ac, ub: ac[0] > ub + 1, start=keep
+    )
+
+
+def _maximum_keep(rows) -> int:
+    """The vertices left once those that no maximum independent set holds
+    are dropped, which keeps alpha and the maximum sets themselves.
+
+    A greedy set S in ascending-degree order has lb <= alpha vertices.  A
+    vertex v outside S, by descending degree, is dropped when 1 + the
+    matching bound of keep - N[v] is below lb, since then no set with v
+    reaches alpha; S holds S - v, and a keep - N[v] of 2 lb - 2 or more
+    vertices a matching bound of lb - 1 or more, so such v stay untested.
+    The first other v that stays ends the walk."""
+    order = sorted(range(len(rows)), key=[*map(int.bit_count, rows)].__getitem__)
+    keep = chosen = (1 << len(rows)) - 1
+    for v in order:
+        if chosen >> v & 1:
+            chosen &= ~rows[v]  # ends as the greedy set: what no earlier pick blocks
+    lb = chosen.bit_count()
+    for v in reversed(order):
+        if chosen >> v & 1:
+            continue
+        rest = keep & ~(rows[v] | 1 << v)
+        if rest.bit_count() >= 2 * lb - 2 or 1 + _matching_bound(rows, rest) >= lb:
+            break
+        keep ^= 1 << v
+    return keep
 
 
 def count_maximum_is(graph: BitGraph) -> MaximumISCount:
     """The independence number and how many independent sets reach it, by
-    `_maximum`.  Witness sets are enumerated only at oracle scale (n <= 24),
-    sorted lexicographically.
+    `_maximum`, whose root reduction leaves the Pascal, Catalan and Motzkin
+    graphs little more than their maximum sets.  Witness sets are enumerated
+    only at oracle scale (n <= 24), sorted lexicographically.
     """
     alpha, count = _maximum(graph.rows)
     witnesses = None

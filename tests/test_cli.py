@@ -95,13 +95,21 @@ class TestCount:
         assert json.loads(out)["count"] > 0
 
     def test_alpha_past_the_guard(self, capsys):
-        # past the reach of the unpruned recursion; the matching-bound prune
-        # answers in milliseconds
+        # past the reach of the unpruned recursion; the root reduction leaves
+        # one maximum set, edgeless, and the answer takes milliseconds
         code, out, _ = run_cli(
             capsys, "count", "--spec", "pascal:n=200", "--what", "alpha", "--force"
         )
         assert code == 0
         assert json.loads(out)["count"] == 100
+
+    def test_alpha_past_the_recursion_limit(self, capsys):
+        # the skip rule alone branched about n/2 levels deep and ran out of frames here
+        code, out, _ = run_cli(
+            capsys, "count", "--spec", "pascal:n=2048", "--what", "alpha", "--force"
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 1024
 
     def test_count_and_bounds_share_one_guard(self, capsys, monkeypatch):
         monkeypatch.delenv("RIORDAN_MAX_N", raising=False)

@@ -454,8 +454,10 @@ def pruned_alpha_and_max_count(graph):
 
 class TestMatchingBoundPrune:
     """independence_number and count_maximum_is share one recursion, which
-    skips the C - N[v] branch when alpha(C - v) exceeds a matching bound of
-    C - N[v] plus one; both must agree with the recursions that never skip."""
+    starts from the vertices that `_maximum_keep` leaves and skips the
+    C - N[v] branch when alpha(C - v) exceeds a matching bound of C - N[v]
+    plus one; both must agree with the recursions that never drop a vertex
+    or skip a branch."""
 
     @given(graph=small_graphs, picks=st.integers(0, 2**10 - 1))
     def test_matching_bound_is_at_least_alpha(self, graph, picks):
@@ -499,12 +501,67 @@ class TestMatchingBoundPrune:
         assert pruned_alpha_and_max_count(cycle) == unpruned_alpha_and_max_count(cycle)
 
 
+def skip_only_maximum(graph):
+    """(alpha, maximum-set count) from `_branch` started on every vertex,
+    with `_maximum`'s skip rule: the route without the root reduction."""
+    return counting._branch(
+        graph.rows,
+        lambda k: (k, 1),
+        counting._max_join,
+        counting._max_times,
+        lambda ac, ub: ac[0] > ub + 1,
+    )
+
+
+class TestRootReduction:
+    """`_maximum_keep` drops only vertices that no maximum independent set
+    holds, so the recursion on what it keeps has the same alpha and the
+    same maximum sets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=small_graphs)
+    def test_dropped_vertices_are_in_no_maximum_set(self, graph):
+        keep = counting._maximum_keep(graph.rows)
+        alpha, count = skip_only_maximum(graph)
+        maximum = [s for s in list_maximal_is(graph) if len(s) == alpha]
+        assert len(maximum) == count
+        held = {v - 1 for s in maximum for v in s}
+        assert all(keep >> v & 1 for v in held)
+        assert counting._maximum(graph.rows) == (alpha, count)
+        kept = graph.induced([v + 1 for v in range(graph.n) if keep >> v & 1])
+        assert skip_only_maximum(kept) == (alpha, count)
+
+    @pytest.mark.parametrize("family", [pascal_spec, catalan_spec, motzkin_spec])
+    def test_family_graphs_match_the_route_without_it(self, family):
+        for n in range(40, 81):
+            graph = build_riordan(family(n))
+            assert counting._maximum(graph.rows) == skip_only_maximum(graph)
+
+    def test_catalan_keeps_an_edge_to_branch_on(self):
+        # Catalan's two maximum sets at n = 80 differ in one vertex: the
+        # kept graph has one edge, so the recursion still branches
+        graph = build_riordan(catalan_spec(80))
+        keep = counting._maximum_keep(graph.rows)
+        kept = graph.induced([v + 1 for v in range(graph.n) if keep >> v & 1])
+        assert (kept.n, len(kept.edges())) == (41, 1)
+        assert count_maximum_is(graph)[:2] == (40, 2)
+
+    def test_greedy_set_below_alpha_drops_nothing(self):
+        # the 4-cycle 1-2-4-3 with a pendant 5 on 4: ascending degree takes
+        # 5 then 1, so lb = 2 < alpha = 3.  Vertex 4 stays, as 1 + the
+        # matching bound of {1} is 2, and ends the walk; vertex 1, in the
+        # greedy set, stays too, though the one maximum set {2, 3, 5} lacks it
+        graph = BitGraph.from_edges(5, [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
+        assert counting._maximum_keep(graph.rows) == 0b11111
+        assert count_maximum_is(graph) == (3, 1, [(2, 3, 5)])
+
+
 class TestIoClaimsAtLargeOrders:
     """The io-decomposition claims, alpha = floor(n/2) and at most 2 (n even)
     or 4 (n odd) maximum independent sets, past the orders the unpruned
     recursion reaches in seconds."""
 
-    @pytest.mark.parametrize("n", [99, 100, 127, 128, 199, 200])
+    @pytest.mark.parametrize("n", [99, 100, 127, 128, 199, 200, 511, 512])
     @pytest.mark.parametrize("family", [pascal_spec, catalan_spec, motzkin_spec])
     def test_claims_hold(self, family, n):
         alpha, cap = formulas.io_independence_claims(n)
@@ -1054,15 +1111,24 @@ class TestBranchWork:
         assert nodes == self.COUNT_IS_NODES_AT_80[spec]
 
     # alpha and the maximum-set count share one pruned recursion, so they
-    # take the same nodes; the unpruned recursion took 78 341, 176 554 and
-    # 36 945
+    # take the same nodes; the root reduction leaves Pascal and Motzkin
+    # edgeless and Catalan 7 edges at n = 128
     @pytest.mark.parametrize(
-        "family, nodes", [(pascal_spec, 175), (catalan_spec, 85), (motzkin_spec, 64)]
+        "family, nodes", [(pascal_spec, 0), (catalan_spec, 3), (motzkin_spec, 0)]
     )
     @pytest.mark.parametrize("quantity", [independence_number, count_maximum_is])
     def test_pruned_family_graphs_at_128(self, monkeypatch, family, nodes, quantity):
         graph = build_riordan(family(128))
         assert _branch_nodes(monkeypatch, graph, quantity) == nodes
+
+    # the skip rule alone, started on every vertex; the unpruned recursion
+    # took 78 341, 176 554 and 36 945
+    @pytest.mark.parametrize(
+        "family, nodes", [(pascal_spec, 175), (catalan_spec, 85), (motzkin_spec, 64)]
+    )
+    def test_skip_only_family_graphs_at_128(self, monkeypatch, family, nodes):
+        graph = build_riordan(family(128))
+        assert _branch_nodes(monkeypatch, graph, skip_only_maximum) == nodes
 
     def test_no_cache_survives_a_call(self, monkeypatch):
         graph = build_riordan(catalan_spec(40))
