@@ -12,10 +12,11 @@ branch level.  The independent-set count relabels the graph once by
 descending degree and branches on a component's lowest label, or on its one
 neighbour when that is a pendant: an O(1) pivot, under which the cache acts
 as a memoized sweep.  The maximum-set count first drops the vertices that
-a greedy set and a matching bound show no maximum set holds, then branches
-on a maximum-degree vertex and prunes: a greedy matching bounds what the
-branch through the branch vertex can reach, and that branch is skipped when
-the other one already exceeds the bound, so ties still add their counts.
+a greedy set and a matching bound, stopped once it decides, show no
+maximum set holds, then branches on a maximum-degree vertex and prunes: a
+greedy matching bounds what the branch through the branch vertex can
+reach, and that branch is skipped when the other one already exceeds the
+bound, so ties still add their counts.
 The banded sweep takes each vertex's later neighbours from
 the graph, stored by the Toeplitz and ladder builders and read off the rows
 in one pass, once per graph, for any other; they give the bandwidth, the
@@ -76,12 +77,14 @@ def _branch_vertex(rows, mask: int) -> int:
     return best
 
 
-def _matching_bound(rows, mask: int) -> int:
+def _matching_bound(rows, mask: int, stop: int = -1) -> int:
     """|mask| minus a greedy matching inside mask: an independent set holds
-    at most one end of each matched edge, so this is at least alpha(mask)."""
+    at most one end of each matched edge, so this is at least alpha(mask).
+    The bound only falls, so the walk stops once it is at most stop; it is at
+    most stop exactly when the full bound is, and the full bound otherwise."""
     bound = mask.bit_count()
     free = mask
-    while free:
+    while free and bound > stop:
         low = free & -free
         free ^= low
         mates = rows[low.bit_length() - 1] & free
@@ -416,10 +419,10 @@ def _maximum_keep(rows) -> int:
 
     A greedy set S in ascending-degree order has lb <= alpha vertices.  A
     vertex v outside S, by descending degree, is dropped when 1 + the
-    matching bound of keep - N[v] is below lb, since then no set with v
-    reaches alpha; S holds S - v, and a keep - N[v] of 2 lb - 2 or more
-    vertices a matching bound of lb - 1 or more, so such v stay untested.
-    The first other v that stays ends the walk."""
+    matching bound of keep - N[v], stopped at lb - 2, is below lb, since
+    then no set with v reaches alpha; S holds S - v, and a keep - N[v] of
+    2 lb - 2 or more vertices a matching bound of lb - 1 or more, so such v
+    stay untested.  The first other v that stays ends the walk."""
     order = sorted(range(len(rows)), key=[*map(int.bit_count, rows)].__getitem__)
     keep = chosen = (1 << len(rows)) - 1
     for v in order:
@@ -430,7 +433,7 @@ def _maximum_keep(rows) -> int:
         if chosen >> v & 1:
             continue
         rest = keep & ~(rows[v] | 1 << v)
-        if rest.bit_count() >= 2 * lb - 2 or 1 + _matching_bound(rows, rest) >= lb:
+        if rest.bit_count() >= 2 * lb - 2 or 1 + _matching_bound(rows, rest, lb - 2) >= lb:
             break
         keep ^= 1 << v
     return keep

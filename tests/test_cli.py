@@ -111,6 +111,21 @@ class TestCount:
         assert code == 0
         assert json.loads(out)["count"] == 1024
 
+    @pytest.mark.parametrize("family", ["pascal", "catalan", "motzkin"])
+    def test_maximum_sets_at_large_orders(self, capsys, family):
+        # the io-decomposition claims at n = 1024: alpha = 512, and at most
+        # 2 maximum sets; both answers come through the root reduction
+        alpha, cap = formulas.io_independence_claims(1024)
+        answers = {}
+        for what in ("alpha", "max-is"):
+            code, out, _ = run_cli(
+                capsys, "count", "--spec", f"{family}:n=1024", "--what", what, "--force"
+            )
+            assert code == 0
+            answers[what] = json.loads(out)["count"]
+        assert answers["alpha"] == alpha
+        assert 1 <= answers["max-is"] <= cap
+
     def test_count_and_bounds_share_one_guard(self, capsys, monkeypatch):
         monkeypatch.delenv("RIORDAN_MAX_N", raising=False)
         errors = [
