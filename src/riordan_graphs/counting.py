@@ -38,7 +38,9 @@ most BANDWIDTH_LIMIT take the banded sweep, and all else "branch":
 branch-and-reduce, or `count_cliques` for cliques.  A bound report's i(G),
 i(X) and i(Y) take `count_is_swept`: the banded sweep by residue class at
 every bandwidth, and branch-and-reduce on the whole graph once a sweep wider
-than BANDWIDTH_LIMIT keeps over SWEEP_STATES live sets.
+than BANDWIDTH_LIMIT keeps over SWEEP_STATES live sets.  The banded engine,
+`count_is_banded`, is `count_is_swept` behind a refusal of any bandwidth
+above BANDWIDTH_LIMIT, so it never branches.
 """
 
 from __future__ import annotations
@@ -169,54 +171,43 @@ def _low_pivot(rows, mask: int) -> int:
 
 
 def count_is_banded(graph: BitGraph) -> BigCount:
-    """Blocked-future sweep for graphs whose longest edge, their bandwidth,
-    is at most BANDWIDTH_LIMIT; a wider graph is refused.  It is `_by_class`,
-    the sweep of each residue class, with no live-set limit.
-
-    A sweep keeps one counter per state: the set of the class's later
-    vertices that the chosen ones block, all within the bandwidth, so the
-    refusal bounds the live sets of components that interleave in a class,
-    which are swept together, at 2^BANDWIDTH_LIMIT.  Partial
-    sets with the same state have the same extensions, so no label-order
-    sweep keeps fewer states; on a Toeplitz graph it is the minimal
-    automaton of the binary words with no x_i = x_(i+d) = 1.  A periodic run
-    of at least KERNEL_CUT steps (a Toeplitz interior, a ladder) goes
-    through one `_kernel`, compiled once per call for each run of the same
-    keys, gap and live sets."""
-    lengths = reduce(operator.or_, set(graph._laters))
-    bandwidth = lengths.bit_length() - 1
+    """`count_is_swept` for graphs whose longest edge, their bandwidth, is
+    at most BANDWIDTH_LIMIT; a wider graph is refused.  The sweep of so
+    narrow a graph has no live-set limit, so it never branches."""
+    bandwidth = max(graph._laters).bit_length() - 1
     if bandwidth > BANDWIDTH_LIMIT:
         raise ValueError(f"bandwidth must be at most {BANDWIDTH_LIMIT}, got {bandwidth}")
-    return _by_class(graph, lengths, inf)
+    return count_is_swept(graph)
 
 
 def count_is_swept(graph: BitGraph) -> BigCount:
     """The independent-set count, sweep first, as the bound reports take
-    i(G), i(X) and i(Y): `_by_class` at every bandwidth, with no live-set
-    limit up to BANDWIDTH_LIMIT and SWEEP_STATES above it; once a sweep
-    passes the limit, `count_is` (branch-and-reduce) counts the whole graph."""
-    lengths = reduce(operator.or_, set(graph._laters))
-    narrow = lengths.bit_length() - 1 <= BANDWIDTH_LIMIT
-    total = _by_class(graph, lengths, inf if narrow else SWEEP_STATES)
-    return count_is(graph) if total is None else total
+    i(G), i(X) and i(Y): a blocked-future sweep of each residue class, with
+    no live-set limit up to BANDWIDTH_LIMIT and SWEEP_STATES above it; once
+    a sweep passes the limit, `count_is` (branch-and-reduce) counts the
+    whole graph.
 
-
-def _by_class(graph: BitGraph, lengths: int, limit: float) -> BigCount | None:
-    """Independent sets of `graph`, swept by residue class, or None once a
-    sweep keeps more than `limit` live blocked sets.  The distinct values of
-    its later-neighbour ints, `BitGraph._laters`, OR to `lengths`, the set
-    of its edge lengths, whose top bit is the bandwidth.
-
-    Edges join only vertices alike mod g, the gcd of the lengths, so each
-    residue class is swept whole, on its later-neighbour ints with gap g,
-    and the class counts multiply.  Components that interleave in one class
-    are swept together; the bandwidth bounds their live blocked sets."""
+    The distinct later-neighbour ints, `BitGraph._laters`, OR to the set of
+    edge lengths, whose top bit is the bandwidth.  Edges join only vertices
+    alike mod g, the gcd of the lengths, so each residue class is swept
+    whole, on its later-neighbour ints with gap g, and the class counts
+    multiply.  A sweep keeps one counter per state: the set of the class's
+    later vertices that the chosen ones block, all within the bandwidth, so
+    components that interleave in a class are swept together, their live
+    sets at most 2^bandwidth.  Partial sets with the same state have the
+    same extensions, so no label-order sweep keeps fewer states; on a
+    Toeplitz graph it is the minimal automaton of the binary words with no
+    x_i = x_(i+d) = 1.  A periodic run of at least KERNEL_CUT steps (a
+    Toeplitz interior, a ladder) goes through one `_kernel`, compiled once
+    per call for each run of the same keys, gap and live sets."""
     laters = graph._laters  # bit t of laters[v]: v ~ v + t
+    lengths = reduce(operator.or_, set(laters))
     g = gcd(*(t for t in range(1, lengths.bit_length()) if lengths >> t & 1)) or 1
+    limit = inf if lengths.bit_length() - 1 <= BANDWIDTH_LIMIT else SWEEP_STATES
     runs, total = {}, 1
-    for r in range(1, g + 1):
+    for r in range(g):
         if (part := _sweep(laters[r::g], g, runs, limit)) is None:
-            return None
+            return count_is(graph)
         total *= part
     return total
 
@@ -368,8 +359,8 @@ def _cliques(laters, mask: int, cache: dict) -> BigCount:
         total, rest = 1, mask
         while rest:
             low = rest & -rest
-            v = low.bit_length()
-            total += _cliques(laters, rest & laters[v] << v - 1, cache)
+            v = low.bit_length() - 1
+            total += _cliques(laters, rest & laters[v] << v, cache)
             rest ^= low
         cache[mask] = total
     return total

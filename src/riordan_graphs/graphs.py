@@ -41,9 +41,11 @@ class BitGraph:
     """Immutable simple graph on vertices 1..n with bitmask adjacency rows.
 
     Row i-1 (0-indexed) has bit j-1 set exactly when (i, j) is an edge.
-    _laters, bit t of entry v set when v ~ v + t (entry 0 is 0), is the
-    banded sweep's input.  A graph stores one of rows and _laters, and the
-    other is made from it once, on first read.  Rows from outside the module
+    _laters, bit t of entry v (0-indexed, like the rows) set when v ~ v + t,
+    is the input of the banded sweep, `count_is_swept`, which the banded
+    engine, `count_is_banded`, runs behind its bandwidth refusal.  A graph
+    stores one of rows and _laters, and the other is made from it once, on
+    first read.  Rows from outside the module
     are checked row by row and against their transpose; the builders and
     complement() below make rows that are symmetric and loop-free by
     construction and store them through _unchecked, and the Toeplitz and
@@ -95,7 +97,7 @@ class BitGraph:
         laters[cut:] = map(operator.and_, laters[cut:], map(full.__rshift__, range(cut, n)))
         graph = object.__new__(cls)
         graph.n = n
-        graph._laters = [0, *laters]
+        graph._laters = laters
         return graph
 
     def __getattr__(self, name: str):
@@ -103,10 +105,10 @@ class BitGraph:
         # U + Uᵀ for U its later neighbours shifted into place, and the
         # later-neighbour ints of any other, each made once
         if name == "rows":
-            self.rows = _symmetric(tuple(map(operator.lshift, self._laters[1:], count())))
+            self.rows = _symmetric(tuple(map(operator.lshift, self._laters, count())))
             return self.rows
         if name == "_laters":
-            self._laters = [0, *map(operator.rshift, self.rows, count())]
+            self._laters = [*map(operator.rshift, self.rows, count())]
             return self._laters
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 

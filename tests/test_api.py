@@ -149,9 +149,9 @@ def test_the_sweep_kernel_has_no_transition_of_its_own():
 
 
 def test_the_banded_sweep_reads_no_rows():
-    # the sweep counts from BitGraph._laters alone, so a Toeplitz or ladder
-    # graph is counted without its rows; the component walk on rows serves
-    # branch-and-reduce only
+    # the sweep and the clique recursion count from BitGraph._laters alone,
+    # so a Toeplitz or ladder graph is counted without its rows; the
+    # component walk on rows serves branch-and-reduce only
     tree = ast.parse((Path(riordan_graphs.__file__).parent / "counting.py").read_text())
     places = [
         getattr(top, "name", type(top).__name__)
@@ -161,7 +161,18 @@ def test_the_banded_sweep_reads_no_rows():
         or isinstance(node, ast.alias) and node.name == "_component_masks"
     ]
     assert places == ["ImportFrom", "_branch"]
-    sweep = ("count_is_banded", "_by_class", "_sweep", "_step", "_kernel")
+    sweep = (
+        "count_is_banded",
+        "count_is_swept",
+        "_sweep",
+        "_step",
+        "_kernel",
+        "count_cliques",
+        "_cliques",
+    )
+    defined = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert defined.issuperset(sweep)  # a renamed function cannot empty the check
+    assert _calls_by_function(tree, "_sweep") == ["count_is_swept"]
     reads = [
         (top.name, node.lineno)
         for top in tree.body

@@ -261,9 +261,10 @@ def sub_path_unions(draw):
 
 
 @st.composite
-def banded_graphs(draw):
-    """A random graph on at most 60 vertices whose edges are at most 20 long."""
-    n, bandwidth = draw(st.integers(1, 60)), draw(st.integers(1, 20))
+def banded_graphs(draw, orders=st.integers(1, 60)):
+    """A random graph on `orders` vertices, at most 60, whose edges are at
+    most 20 long."""
+    n, bandwidth = draw(orders), draw(st.integers(1, 20))
     rng = random.Random(draw(st.integers(0, 10**6)))
     density = draw(st.sampled_from([0.05, 0.2, 0.6]))
     return BitGraph.from_edges(
@@ -1309,6 +1310,18 @@ def _route_work(monkeypatch, graph):
     return counting.count_is_swept(graph), *work
 
 
+def _never_branch(mp):
+    """Patch the ways out of a narrow sweep: were its live sets bounded by
+    SWEEP_STATES, now 1, the first step to keep two would branch, and
+    count_is now raises."""
+
+    def refuse(graph):
+        raise AssertionError(f"branched on a graph of order {graph.n}")
+
+    mp.setattr(counting, "SWEEP_STATES", 1)
+    mp.setattr(counting, "count_is", refuse)
+
+
 class TestReportRoute:
     """A bound report's i(G), i(X) and i(Y): by residue class at every
     bandwidth, and above BANDWIDTH_LIMIT branch-and-reduce on the whole
@@ -1378,6 +1391,28 @@ class TestReportRoute:
 
         monkeypatch.setattr(counting, "count_is", spy)
         assert counting.count_is_swept(graph) == expected and branched == [graph]
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=banded_graphs(st.integers(1, 20)))
+    def test_narrow_graphs_never_branch(self, graph):
+        # bandwidth at most BANDWIDTH_LIMIT: no live-set limit through
+        # either entry point
+        with pytest.MonkeyPatch.context() as mp:
+            _never_branch(mp)
+            count = count_is_banded(graph)
+            assert count == counting.count_is_swept(graph)
+        assert count == brute_force_is(graph)
+
+    def test_narrow_peaks_never_branch(self, monkeypatch):
+        # T_35<17,20> keeps 16 464 live sets at its peak, and the ladder's
+        # periodic run goes through a kernel
+        graph, ladder = build_toeplitz(35, (17, 20)), build_delta(3000)
+        expected = count_is(graph)
+        _never_branch(monkeypatch)
+        assert count_is_banded(graph) == expected
+        count, _, peak = _route_work(monkeypatch, graph)
+        assert (count, peak) == (expected, 16464)
+        assert count_is_banded(ladder) == counting.count_is_swept(ladder) == formulas.delta(3000)
 
 
 class TestDegreeOrder:

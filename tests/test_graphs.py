@@ -1268,7 +1268,8 @@ class TestPeriodicBuilds:
         for n in range(1, 61):
             for graph in periodic_builds(n):
                 laters = graph._laters  # read first: stored by the builder
-                assert laters == [0, *map(rshift, graph.rows, itertools.count())], n
+                assert laters == [*map(rshift, graph.rows, itertools.count())], n
+                assert len(laters) == graph.n
 
     @given(
         patterns=st.lists(
