@@ -3,20 +3,20 @@
 Three engines cross-check each other: branch-and-reduce (the workhorse),
 a blocked-future sweep for banded graphs, and subset enumeration as the
 oracle, a table of all 2^n subsets held as the bits of one Python int.
-One branch-and-reduce core serves the independent-set count and the
-maximum-set count, which carries the independence number, each given by
-what an edgeless remainder is worth, how the two branches combine and how
-independent parts combine; it splits every subproblem into connected
-components, caches them per call, at every n, and takes one frame per
-branch level.  The independent-set count relabels the graph once by
-descending degree and branches on a component's lowest label, or on its one
-neighbour when that is a pendant: an O(1) pivot, under which the cache acts
-as a memoized sweep.  The maximum-set count first drops the vertices that
-a greedy set and a matching bound, stopped once it decides, show no
-maximum set holds, then branches on a maximum-degree vertex and prunes: a
-greedy matching bounds what the branch through the branch vertex can
-reach, and that branch is skipped when the other one already exceeds the
-bound, so ties still add their counts.
+One branch-and-reduce core, given `one`, the empty set's value, and `w`,
+one taken vertex's, which add across the two branches and multiply across
+independent parts, counts over ints for the independent sets and over
+`_Best` (alpha, count) pairs for the maximum sets.  It splits every
+subproblem into connected components, caches them per call, at every n,
+and takes one frame per branch level.  The independent-set count relabels
+the graph once by descending degree and branches on a component's lowest
+label, or on its one neighbour when that is a pendant: an O(1) pivot,
+under which the cache acts as a memoized sweep.  The maximum-set count
+first drops the vertices that a greedy set and a matching bound, stopped
+once it decides, show no maximum set holds, then branches on a
+maximum-degree vertex and prunes: a greedy matching bounds what the branch
+through the branch vertex can reach, and that branch is skipped when the
+other one already exceeds the bound, so ties still add their counts.
 The banded sweep takes each vertex's later neighbours from
 the graph, stored by the Toeplitz and ladder builders and read off the rows
 in one pass, once per graph, for any other; they give the bandwidth, the
@@ -96,28 +96,29 @@ def _matching_bound(rows, mask: int, stop: int = -1) -> int:
     return bound
 
 
-def _branch(rows, leaf, join, times, skip=None, pick=_branch_vertex, start=None):
-    """The branch-and-reduce recursion behind every exact quantity here,
-    on the adjacency rows of a simple graph, induced on the mask `start`,
-    every vertex by default.
+def _branch(rows, one, w, skip=None, pick=_branch_vertex, start=None):
+    """The branch-and-reduce recursion behind every exact quantity here, on
+    a simple graph's rows induced on the mask `start` (all by default), over
+    a semiring: `one` is the empty set's value, `w` one taken vertex's.
 
-    A subproblem's isolated vertices, k of them, are worth leaf(k), the
-    empty graph included; each remaining connected component is solved on
-    its own and the parts are combined with times.  A component C branches
-    on the vertex v = pick(rows, C), splitting its independent sets by
-    membership of v: join(value(C - v), value(C - N[v])), with C - v solved
-    first.  When skip(value(C - v), _matching_bound(C - N[v])) holds, the
-    C - N[v] branch cannot change the join and is not solved; a skip that
-    depends only on the component keeps every cached value exact.  Component
-    values are cached on the component's bitmask for this call only, and
-    read before it branches.  Each of the at most n levels is one frame; a
-    recursion past the interpreter's limit is reported as a ValueError.
+    A subproblem's k isolated vertices are worth (one + w) ** k, and each
+    other connected component is solved on its own; the subproblem is worth
+    the product of its parts.  A component C branches on the vertex
+    v = pick(rows, C), splitting its independent sets by membership of v:
+    value(C - v) + value(C - N[v]) * w, with C - v solved first.  When
+    skip(value(C - v), _matching_bound(C - N[v])) holds, the C - N[v] branch
+    cannot change the sum and is not solved; a skip that depends only on the
+    component keeps every cached value exact.  Component values are cached
+    by bitmask for this call only, and read before it branches.  Each of the
+    at most n levels is one frame; a recursion past the interpreter's limit
+    is reported as a ValueError.
     """
+    lone = one + w
     cache: dict = {}
 
     def solve(mask: int):
         isolated = 0
-        parts = []
+        value = one
         for comp in _component_masks(rows, mask):
             if not comp & (comp - 1):
                 isolated += 1
@@ -129,13 +130,10 @@ def _branch(rows, leaf, join, times, skip=None, pick=_branch_vertex, start=None)
                 part = solve(comp & ~bit)
                 rest = comp & ~(rows[v] | bit)
                 if skip is None or not skip(part, _matching_bound(rows, rest)):
-                    part = join(part, solve(rest))
+                    part = part + solve(rest) * w
                 cache[comp] = part
-            parts.append(part)
-        value = leaf(isolated)
-        for part in parts:
-            value = times(value, part)
-        return value
+            value = value * part
+        return value * lone**isolated
 
     try:
         return solve((1 << len(rows)) - 1 if start is None else start)
@@ -151,8 +149,7 @@ def count_is(graph: BitGraph) -> BigCount:
     """Number of independent sets, the empty set included:
     i(G) = i(G - v) + i(G - N[v]), and 2^k for k isolated vertices,
     relabelled by descending degree and branching on `_low_pivot`."""
-    rows = _by_degree(graph.rows)
-    return _branch(rows, lambda k: 1 << k, operator.add, operator.mul, pick=_low_pivot)
+    return _branch(_by_degree(graph.rows), 1, 1, pick=_low_pivot)
 
 
 def _by_degree(rows) -> tuple[int, ...]:
@@ -368,7 +365,7 @@ def _cliques(laters, mask: int, cache: dict) -> BigCount:
 
 def independence_number(graph: BitGraph) -> int:
     """Size of a maximum independent set: the alpha of `_maximum`."""
-    return _maximum(graph.rows)[0]
+    return _maximum(graph.rows).alpha
 
 
 class MaximumISCount(NamedTuple):
@@ -377,31 +374,34 @@ class MaximumISCount(NamedTuple):
     witnesses: list[tuple[int, ...]] | None
 
 
-def _max_join(without_v: tuple[int, int], with_v: tuple[int, int]) -> tuple[int, int]:
-    (a, c), (b, d) = without_v, with_v
-    b += 1
-    if a != b:
-        return (a, c) if a > b else (b, d)
-    return (a, c + d)
+class _Best(NamedTuple):
+    """`_maximum`'s value: the largest size among the sets counted and how
+    many reach it.  + keeps the larger alpha, adding counts on a tie, * adds
+    alphas and multiplies counts, and ** k is the k-fold product."""
+
+    alpha: int
+    count: BigCount
+
+    def __add__(self, other: _Best) -> _Best:
+        if self.alpha != other.alpha:
+            return self if self.alpha > other.alpha else other
+        return _Best(self.alpha, self.count + other.count)
+
+    def __mul__(self, other: _Best) -> _Best:
+        return _Best(self.alpha + other.alpha, self.count * other.count)
+
+    def __pow__(self, k: int) -> _Best:
+        return _Best(self.alpha * k, self.count**k)
 
 
-def _max_times(part: tuple[int, int], other: tuple[int, int]) -> tuple[int, int]:
-    return (part[0] + other[0], part[1] * other[1])
-
-
-def _maximum(rows) -> tuple[int, BigCount]:
-    """(alpha, number of maximum independent sets) of a simple graph's rows.
-
-    The recursion starts from `_maximum_keep`'s vertices and carries
-    (alpha, count) pairs; the two branches partition the independent sets
-    by membership of the branch vertex, so counts add exactly on size ties.
-    The G - N[v] branch is skipped only when alpha(G - v) exceeds the
-    matching bound of G - N[v] plus one, so that tied branches still add
-    their counts."""
+def _maximum(rows) -> _Best:
+    """(alpha, number of maximum independent sets) of a simple graph's rows,
+    by `_branch` over `_Best` pairs from `_maximum_keep`'s vertices.  The
+    G - N[v] branch is skipped only when alpha(G - v) exceeds the matching
+    bound of G - N[v] plus one, so that tied branches still add their
+    counts."""
     keep = _maximum_keep(rows)
-    return _branch(
-        rows, lambda k: (k, 1), _max_join, _max_times, lambda ac, ub: ac[0] > ub + 1, start=keep
-    )
+    return _branch(rows, _Best(0, 1), _Best(1, 1), lambda b, ub: b.alpha > ub + 1, start=keep)
 
 
 def _maximum_keep(rows) -> int:

@@ -10,6 +10,7 @@ import re
 from pathlib import Path
 
 import riordan_graphs
+from riordan_graphs import counting
 
 PUBLIC_NAMES = [
     "BitGraph",
@@ -196,6 +197,36 @@ def _calls_by_function(tree, name):
 
     visit(tree, None)
     return callers
+
+
+def test_branch_takes_two_semiring_values():
+    # one branch-and-reduce core for every quantity: each caller hands
+    # _branch the empty set's value and one taken vertex's, which add across
+    # the branches and multiply across components, not callbacks that must
+    # agree with each other
+    tree = ast.parse((Path(riordan_graphs.__file__).parent / "counting.py").read_text())
+    branch = next(
+        top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "_branch"
+    )
+    assert [arg.arg for arg in branch.args.args] == ["rows", "one", "w", "skip", "pick", "start"]
+    assert sorted(_calls_by_function(tree, "_branch")) == ["_maximum", "count_is"]
+
+    def names_a_function(node):
+        # a lambda, or a name or module attribute that resolves to a callable
+        if isinstance(node, ast.Lambda):
+            return True
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return callable(getattr(getattr(counting, node.value.id, None), node.attr, None))
+        return isinstance(node, ast.Name) and callable(getattr(counting, node.id, None))
+
+    values = [
+        value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_branch"
+        for value in node.args[1:3] + [k.value for k in node.keywords if k.arg in ("one", "w")]
+    ]
+    assert len(values) == 4
+    assert [ast.unparse(value) for value in values if names_a_function(value)] == []
 
 
 def test_one_assembly_makes_every_built_graphs_rows():

@@ -5,7 +5,8 @@ import inspect
 import operator
 import random
 import re
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, zip_longest
 from math import gcd, prod
 
 import pytest
@@ -440,11 +441,25 @@ class TestMaximumIS:
             assert all(not graph.has_edge(u, v) for u in witness for v in witness if u < v)
 
 
+class MaxPlus(int):
+    """A set size in the (max, +) semiring: + keeps the larger, * adds."""
+
+    def __add__(self, other):
+        return MaxPlus(max(self, other))
+
+    def __mul__(self, other):
+        return MaxPlus(int(self) + int(other))
+
+    def __pow__(self, k):
+        return MaxPlus(int(self) * k)
+
+
 def unpruned_alpha_and_max_count(graph):
     """(alpha, alpha, maximum-set count) from `_branch` with no skip hook,
-    which solves both branches at every node: the oracle for the prune."""
-    alpha = counting._branch(graph.rows, lambda k: k, lambda a, b: max(a, b + 1), operator.add)
-    best = counting._branch(graph.rows, lambda k: (k, 1), counting._max_join, counting._max_times)
+    which solves both branches at every node: the oracle for the prune.
+    The first alpha is its own route, over `MaxPlus` sizes alone."""
+    alpha = counting._branch(graph.rows, MaxPlus(0), MaxPlus(1))
+    best = counting._branch(graph.rows, counting._Best(0, 1), counting._Best(1, 1))
     return (alpha, *best)
 
 
@@ -506,11 +521,7 @@ def skip_only_maximum(graph):
     """(alpha, maximum-set count) from `_branch` started on every vertex,
     with `_maximum`'s skip rule: the route without the root reduction."""
     return counting._branch(
-        graph.rows,
-        lambda k: (k, 1),
-        counting._max_join,
-        counting._max_times,
-        lambda ac, ub: ac[0] > ub + 1,
+        graph.rows, counting._Best(0, 1), counting._Best(1, 1), lambda b, ub: b.alpha > ub + 1
     )
 
 
@@ -838,8 +849,9 @@ def fibonacci(k):
 
 
 class TestComponentSplit:
-    """The times rule: independent parts multiply counts, add independence
-    numbers, and add alpha while multiplying maximum-set counts."""
+    """The product across components: independent parts multiply counts,
+    add independence numbers, and add alpha while multiplying maximum-set
+    counts."""
 
     @settings(max_examples=30, deadline=None)
     @given(graph=split_graphs())
@@ -886,6 +898,62 @@ class TestComponentSplit:
     @pytest.mark.parametrize("variant", ["plain", "tilde"])
     def test_ladders_match_pell_closed_form(self, n, variant):
         assert count_is(build_delta(n, variant)) == formulas.delta(n, variant)
+
+
+bests = st.builds(counting._Best, st.integers(0, 3), st.integers(1, 10**6))
+
+
+class Polynomial(tuple):
+    """An independence polynomial, its coefficients the number of
+    independent sets of each size: + adds them, * multiplies polynomials."""
+
+    def __add__(self, other):
+        return Polynomial(map(sum, zip_longest(self, other, fillvalue=0)))
+
+    def __mul__(self, other):
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            for j, b in enumerate(other):
+                out[i + j] += a * b
+        return Polynomial(out)
+
+    def __pow__(self, k):
+        return reduce(operator.mul, [self] * k, Polynomial((1,)))
+
+
+class TestSemiring:
+    """`_branch` adds values across its two branches, multiplies them across
+    components, caches each component's value and folds k isolated vertices
+    into one power: each is exact only under the semiring laws."""
+
+    @given(a=bests, b=bests, c=bests)
+    @example(a=counting._Best(1, 2), b=counting._Best(1, 3), c=counting._Best(1, 5))
+    @example(a=counting._Best(2, 7), b=counting._Best(0, 3), c=counting._Best(1, 5))
+    def test_best_laws(self, a, b, c):
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert counting._Best(0, 1) * a == a
+        assert all(type(x) is counting._Best for x in (a + b, a * b, a**2))
+
+    @given(lone=bests, k=st.integers(0, 8))
+    def test_best_power_is_the_product(self, lone, k):
+        assert lone**k == reduce(operator.mul, [lone] * k, counting._Best(0, 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 14), seed=st.integers(0, 10**6), p=st.sampled_from((0.1, 0.3, 0.6)))
+    @pytest.mark.parametrize("pick", [counting._branch_vertex, counting._low_pivot])
+    def test_independence_polynomial_matches_subset_enumeration(self, n, seed, p, pick):
+        # one oracle for all three quantities: the polynomial sums to i(G),
+        # and its degree and leading coefficient are alpha and the count
+        graph = random_graph(n, seed, p)
+        poly = counting._branch(graph.rows, Polynomial((1,)), Polynomial((0, 1)), pick=pick)
+        assert list(poly) == independent_sets_by_size(graph)
+        assert sum(poly) == count_is(graph)
+        assert (len(poly) - 1, poly[-1]) == counting._maximum(graph.rows)
+        assert (len(poly) - 1, poly[-1]) == count_maximum_is(graph)[:2]
 
 
 def _branch_nodes(monkeypatch, graph, quantity=count_is):
