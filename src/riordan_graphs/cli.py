@@ -119,11 +119,11 @@ def _run_count(args) -> int:
 def _run_bounds(args) -> int:
     report = verify.bound_report(args.spec, max_n=_guard_value(args))
     if args.format == "table":
-        print(f"spec {report.graph_spec}  n={report.n}  exact={report.exact}")
+        print(f"spec {report.spec}  n={report.n}  exact={report.exact}")
         for e in report.entries:
             flag = "ok" if e.holds else "VIOLATED"
             tight = " (tight)" if e.tight else ""
-            print(f"  {e.name:<22} {e.relation:<5} {e.value:<12} {flag}{tight}")
+            print(f"  {e.bound:<22} {e.relation:<5} {e.value:<12} {flag}{tight}")
         for note in report.notes:
             print(f"  {note}")
     else:
@@ -163,7 +163,7 @@ def _run_verify(args) -> int:
     if spec.riordan is None:
         raise SpecParseError(f"spec {args.spec!r} does not describe a Riordan graph")
     check = verify.verify_decomposition(spec.riordan)
-    _emit({"spec": args.spec, "ok": check.ok, "mismatch": check.mismatch})
+    _emit({"spec": args.spec, **check._asdict()})
     return 0 if check.ok else 1
 
 

@@ -10,13 +10,16 @@ distance set.
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from itertools import compress, count, cycle, islice, pairwise
 from typing import NamedTuple
 
 from .series import (
+    Add,
     Builtin,
     Gf2Series,
     Mul,
+    Pow,
     SeriesExpr,
     Var,
     _square_bits,
@@ -244,7 +247,8 @@ class RiordanSpec(
 
     RiordanSpec(g_expr, f_expr, n) derives the family tag syntactically:
     appell when f is the bare variable, bell when f is z*g (either factor
-    order), generic otherwise.
+    order), generic otherwise.  _replace, copy and pickle rebuild through
+    __new__ too, so the tag is derived and n checked again.
     """
 
     __slots__ = ()
@@ -261,8 +265,11 @@ class RiordanSpec(
         return super().__new__(cls, g_expr, f_expr, n, family)
 
     def __getnewargs__(self):
-        # copy and pickle rebuild through __new__, which derives family again
         return self[:3]
+
+    @classmethod
+    def _make(cls, iterable) -> RiordanSpec:
+        return cls(*tuple(iterable)[:3])
 
     @classmethod
     def bell(cls, g_expr: SeriesExpr, n: int) -> RiordanSpec:
@@ -656,6 +663,7 @@ def export_graph(graph: BitGraph, fmt: str = "json") -> str:
 
 # bench/tests/test_bench.py calls _SPEC_MAKERS["pascal"] through this binding
 _SPEC_MAKERS = {"pascal": pascal_spec, "catalan": catalan_spec, "motzkin": motzkin_spec}
+_DELTA_VARIANTS = {"delta": "plain", "deltaTilde": "tilde"}
 
 
 class GraphSpec(NamedTuple):
@@ -666,12 +674,16 @@ class GraphSpec(NamedTuple):
     n: int
     riordan: RiordanSpec | None = None
     distances: tuple[int, ...] | None = None
-    variant: str | None = None
+
+    @property
+    def variant(self) -> str | None:
+        """The ladder variant of a delta or deltaTilde spec, else None."""
+        return _DELTA_VARIANTS.get(self.kind)
 
     def build(self) -> BitGraph:
         if self.kind == "toeplitz":
             return build_toeplitz(self.n, self.distances)
-        if self.kind in ("delta", "deltaTilde"):
+        if self.kind in _DELTA_VARIANTS:
             return build_delta(self.n, self.variant)
         return build_riordan(self.riordan)
 
@@ -681,7 +693,7 @@ class GraphSpec(NamedTuple):
 _SPEC_KEYS = {
     "riordan": ("g", "f", "n"),
     "bell": ("g", "n"),
-    **dict.fromkeys((*_SPEC_MAKERS, "delta", "deltaTilde"), ("n",)),
+    **dict.fromkeys((*_SPEC_MAKERS, *_DELTA_VARIANTS), ("n",)),
     "toeplitz": ("n", "d"),
 }
 
@@ -731,12 +743,11 @@ def parse_graph_spec(text: str) -> GraphSpec:
         if any(d < 1 for d in distances):
             raise SpecParseError(f"distances must be positive in {text!r}")
         # RiordanSpec refuses n < 1 before the range check can name [1, n-1]
-        riordan = RiordanSpec.appell(parse("+".join(f"z^{d - 1}" for d in distances)), n)
+        riordan = RiordanSpec.appell(reduce(Add, [Pow(Var(), d - 1) for d in distances]), n)
         try:
             _check_distances(distances, n)
         except ValueError as exc:
             raise SpecParseError(str(exc)) from None
         return GraphSpec(text=text, kind="toeplitz", n=n, riordan=riordan, distances=distances)
 
-    variant = "plain" if kind == "delta" else "tilde"
-    return GraphSpec(text=text, kind=kind, n=n, variant=variant)
+    return GraphSpec(text=text, kind=kind, n=n)

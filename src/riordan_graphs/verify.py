@@ -13,6 +13,8 @@ import operator
 from typing import NamedTuple
 
 from . import formulas
+# count_is is not called here; bench/tests/test_bench.py traces it through
+# this from-import binding
 from .counting import count_cliques, count_is, count_is_swept, count_maximum_is
 from .graphs import (
     ChordalityRangeError,
@@ -80,14 +82,12 @@ def verify_table1(max_n: int = 12) -> Table1Report:
     for family, expected_row in TABLE1.items():
         for n in range(1, max_n + 1):
             graph = parse_graph_spec(f"{family}:n={n}").build()
-            cells.append(
-                Table1Cell(family=family, n=n, expected=expected_row[n - 1], actual=count_is(graph))
-            )
+            cells.append(Table1Cell(family, n, expected_row[n - 1], count_is_swept(graph)))
     return Table1Report(cells)
 
 
 class BoundEntry(NamedTuple):
-    name: str
+    bound: str
     value: int
     relation: str  # lower | upper | exact
     holds: bool
@@ -95,7 +95,7 @@ class BoundEntry(NamedTuple):
 
 
 class BoundReport(NamedTuple):
-    graph_spec: str
+    spec: str
     n: int
     exact: int
     entries: list[BoundEntry]
@@ -108,23 +108,8 @@ class BoundReport(NamedTuple):
         )
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.graph_spec,
-            "n": self.n,
-            "exact": self.exact,
-            "entries": [
-                {
-                    "bound": e.name,
-                    "value": e.value,
-                    "relation": e.relation,
-                    "holds": e.holds,
-                    "tight": e.tight,
-                }
-                for e in self.entries
-            ],
-            "notes": list(self.notes),
-            "ok": self.ok,
-        }
+        entries = [e._asdict() for e in self.entries]
+        return {**self._replace(entries=entries, notes=list(self.notes))._asdict(), "ok": self.ok}
 
 
 def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundReport:
@@ -145,9 +130,9 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
     report = BoundReport(spec.text, n, exact, [], [])
     rs = spec.riordan
 
-    def add(name: str, value: int, relation: str) -> None:
+    def add(bound: str, value: int, relation: str) -> None:
         holds = _HOLDS[relation](value, exact)
-        report.entries.append(BoundEntry(name, value, relation, holds, tight=value == exact))
+        report.entries.append(BoundEntry(bound, value, relation, holds, tight=value == exact))
 
     def claim(ok: bool, text: str) -> None:
         report.notes.append(f"{'ok' if ok else 'FAIL'}: {text}")
@@ -169,7 +154,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
                     f"note: uncorrected clique closed form {uncorrected} fails (exact {cliques})"
                 )
 
-    if spec.kind in ("delta", "deltaTilde"):
+    if spec.variant is not None:
         add("delta-exact", formulas.delta(n, spec.variant), "exact")
 
     if has_consecutive_ham_path(graph):
@@ -262,16 +247,15 @@ def reports_to_json(reports) -> str:
 
 
 def reports_to_csv(reports) -> str:
-    """One row per bound entry: spec,n,exact,bound,value,relation,holds,tight."""
+    """One row per bound entry; the columns are the report's first three
+    fields (spec, n, exact), then the entry's fields."""
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["spec", "n", "exact", "bound", "value", "relation", "holds", "tight"])
+    writer.writerow([*BoundReport._fields[:3], *BoundEntry._fields])
     for r in reports:
         for e in r.entries:
-            writer.writerow(
-                [r.graph_spec, r.n, r.exact, e.name, e.value, e.relation, e.holds, e.tight]
-            )
+            writer.writerow([r.spec, r.n, r.exact, *e])
     return buf.getvalue()

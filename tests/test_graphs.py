@@ -955,6 +955,35 @@ class TestSpecLanguage:
         with pytest.raises(ValueError, match="^n must be positive$"):
             RiordanSpec(Var(), Var(), 0)
 
+    def test_replace_derives_family_and_checks_n_again(self):
+        spec = pascal_spec(6)
+        appell = spec._replace(f_expr=Var())
+        assert appell == RiordanSpec.appell(spec.g_expr, 6) and appell.family == "appell"
+        assert build_riordan(appell) != build_riordan(spec)
+        assert build_riordan(appell) == parse_graph_spec("riordan:g=1/(1-z);f=z;n=6").build()
+        bell = appell._replace(f_expr=Mul(Var(), spec.g_expr))
+        assert bell == spec and build_riordan(bell) == build_riordan(spec)
+        for clone in (copy.copy(appell), pickle.loads(pickle.dumps(appell))):
+            assert clone == appell and clone.family == "appell"
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            spec._replace(n=0)
+
+    def test_variant_follows_kind(self):
+        spec = parse_graph_spec("delta:n=7")
+        tilde = spec._replace(kind="deltaTilde")
+        assert (spec.variant, tilde.variant) == ("plain", "tilde")
+        assert tilde.build() == build_delta(7, "tilde") != spec.build()
+        assert parse_graph_spec("pascal:n=7").variant is None
+
+    def test_toeplitz_g_is_the_parsed_polynomial(self):
+        # g = z^(d1-1) + ... + z^(dk-1), left-nested as the parser nests sums
+        rng = random.Random(2024)
+        for _ in range(50):
+            n = rng.randint(2, 60)
+            ds = sorted(rng.sample(range(1, n), rng.randint(1, min(12, n - 1))))
+            spec = parse_graph_spec(f"toeplitz:n={n};d={','.join(map(str, ds))}")
+            assert spec.riordan.g_expr == parse("+".join(f"z^{d - 1}" for d in ds))
+
     def test_toeplitz_kind(self):
         spec = parse_graph_spec("toeplitz:n=6;d=1,2,4")
         assert spec.distances == (1, 2, 4)

@@ -1,6 +1,8 @@
 """Verification layer tests: reference table, sweeps, reports, generators."""
 
+import ast
 import csv
+import inspect
 import io
 import json
 from collections import Counter
@@ -92,7 +94,7 @@ class TestBoundReport:
 
     def test_chordal_toeplitz_entries(self):
         report = bound_report("toeplitz:n=7;d=2,4")
-        by_name = {e.name: e for e in report.entries}
+        by_name = {e.bound: e for e in report.entries}
         assert by_name["chordal-exact"].value == report.exact == 24
         assert by_name["chordal-exact"].holds
         assert any("chordal clique formula 19 vs exact 19" in n for n in report.notes)
@@ -100,7 +102,7 @@ class TestBoundReport:
 
     def test_delta_reports_exact_formula(self):
         report = bound_report("delta:n=9")
-        entry = next(e for e in report.entries if e.name == "delta-exact")
+        entry = next(e for e in report.entries if e.bound == "delta-exact")
         assert entry.holds and entry.tight
 
     def test_io_claims_in_notes(self):
@@ -134,7 +136,7 @@ class TestFailingReports:
         report = bound_report("pascal:n=8")
         assert not report.ok
         assert report.entries[0] == verify.BoundEntry(
-            name="fibonacci-upper", value=0, relation="upper", holds=False, tight=False
+            bound="fibonacci-upper", value=0, relation="upper", holds=False, tight=False
         )
         assert all(e.holds for e in report.entries[1:])
         assert cli.run(["bounds", "--spec", "pascal:n=8", "--format", "table"]) == 1
@@ -258,23 +260,23 @@ class TestSweeps:
         assert all_reports_ok(reports)
         by_n = {r.n: r for r in reports}
         for n in (5, 6):
-            entry = next(e for e in by_n[n].entries if e.name == "pascal-upper")
+            entry = next(e for e in by_n[n].entries if e.bound == "pascal-upper")
             assert entry.tight
-        entry12 = next(e for e in by_n[12].entries if e.name == "pascal-upper")
+        entry12 = next(e for e in by_n[12].entries if e.bound == "pascal-upper")
         assert entry12.value == 120 and not entry12.tight
 
     def test_catalan_sweep_io_upper(self):
         reports = sweep_bounds("catalan:n={n}", range(5, 13))
         assert all_reports_ok(reports)
         r7 = next(r for r in reports if r.n == 7)
-        entry = next(e for e in r7.entries if e.name == "io-upper")
+        entry = next(e for e in r7.entries if e.bound == "io-upper")
         assert entry.value == 22 and r7.exact == 21 and entry.holds
 
     def test_toeplitz_distance_two_sweep_is_strict(self):
         reports = sweep_bounds("toeplitz:n={n};d=2", range(4, 13))
         assert all_reports_ok(reports)
         for r in reports:
-            entry = next(e for e in r.entries if e.name == "toeplitz-series-lower")
+            entry = next(e for e in r.entries if e.bound == "toeplitz-series-lower")
             assert entry.holds and not entry.tight
 
     def test_template_requires_placeholder(self):
@@ -419,6 +421,39 @@ class TestReportSerialization:
         assert rows[0] == ["spec", "n", "exact", "bound", "value", "relation", "holds", "tight"]
         assert len(rows) == 1 + sum(len(r.entries) for r in reports)
         assert rows[1][0] == "toeplitz:n=5;d=1,2"
+
+    def test_schema_is_the_record_fields(self):
+        assert verify.BoundEntry._fields == ("bound", "value", "relation", "holds", "tight")
+        assert verify.BoundReport._fields == ("spec", "n", "exact", "entries", "notes")
+        reports = sweep_bounds("catalan:n={n}", range(1, 7))
+        for report in reports:
+            payload = report.to_dict()
+            assert tuple(payload) == (*verify.BoundReport._fields, "ok")
+            assert all(tuple(e) == verify.BoundEntry._fields for e in payload["entries"])
+        header = next(csv.reader(io.StringIO(reports_to_csv(reports))))
+        assert header == ["spec", "n", "exact", *verify.BoundEntry._fields]
+
+    def test_serializers_name_no_field(self):
+        # the schema is stated once, in the class bodies: the serializers
+        # spell no field name as a string
+        fields = {*verify.BoundReport._fields, *verify.BoundEntry._fields}
+        tops = {
+            node.name: node
+            for node in ast.parse(inspect.getsource(verify)).body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        }
+        (to_dict,) = (
+            node
+            for node in tops["BoundReport"].body
+            if isinstance(node, ast.FunctionDef) and node.name == "to_dict"
+        )
+        strings = {
+            node.value
+            for fn in (to_dict, tops["reports_to_csv"])
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert not strings & fields
 
 
 class TestGenerators:
