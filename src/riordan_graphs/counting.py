@@ -153,10 +153,8 @@ def count_is(graph: BitGraph) -> BigCount:
 
 
 def _by_degree(rows) -> tuple[int, ...]:
-    """_relabel by stable descending degree; the rows themselves if already in it."""
+    """The rows _relabel-ed by stable descending degree."""
     order = sorted(range(len(rows)), key=[*map(int.bit_count, rows)].__getitem__, reverse=True)
-    if order == [*range(len(rows))]:
-        return rows
     return _relabel(rows, order)
 
 
@@ -215,31 +213,32 @@ def _sweep(keys: list, gap: int, runs: dict, limit: float = inf) -> BigCount | N
     blocked set to its count; the total sums them all, so the last step's
     shift loses nothing.
 
-    When the keys from step i - p on repeat with period p <= 2 and the live
-    sets after step i are those after step i - p (`lives` holds the recent
-    ones), the live sets repeat with period p, so the rest of the run, if
-    at least KERNEL_CUT steps over at most KERNEL_STATES live sets, goes
-    through one `_kernel`; a shorter rest waits for its end.  `runs` holds
+    Live sets that repeat over repeated keys repeat from then on: at step
+    i, with p the first of 1 and 2 whose p keys before i are the p keys
+    from i on, if the live sets are those p steps back (`lives` holds the
+    recent ones) and the keys from i stay p-periodic for KERNEL_CUT steps
+    or more, the whole run goes through one `_kernel` over at most
+    KERNEL_STATES live sets; every other step is a `_step`.  `runs` holds
     the kernels compiled so far, by their keys, gap and live sets.  Past
     `limit` live sets the sweep stops and returns None."""
     counts, lives = {0: 1}, [None] * 3
-    i = wait = 0
+    i = 0
     while i < len(keys):
-        if i >= wait and len(keys) - i >= KERNEL_CUT and len(counts) <= KERNEL_STATES and (
-            p := next((p for p in (1, 2) if keys[i : i + p] == keys[i + p : i + 2 * p]), 0)
+        lives[i % 3] = (i, counts.keys())
+        if (
+            len(keys) - i >= KERNEL_CUT
+            and len(counts) <= KERNEL_STATES
+            and (p := next((p for p in (1, 2) if keys[i - p : i] == keys[i : i + p]), 0))
+            and lives[(i - p) % 3] == (i - p, counts.keys())
+            and keys[i - p : i - p + KERNEL_CUT] == keys[i : i + KERNEL_CUT]
         ):
-            if lives[(i - p) % 3] == (i - p, counts.keys()):
-                end = next(compress(count(i), map(operator.ne, keys[i:], keys[i - p :])), len(keys))
-                if end - i < KERNEL_CUT:
-                    wait = end  # what is left of this run is too short for a kernel
-                else:
-                    spot = (tuple(keys[i : i + p]), gap, tuple(counts))
-                    if spot not in runs:
-                        runs[spot] = _kernel(keys[i : i + p], gap, [*counts])
-                    counts = dict(zip(counts, runs[spot]((end - i) // p, *counts.values())))
-                    i = end - (end - i) % p
-                    continue
-            lives[i % 3] = (i, counts.keys())
+            end = next(compress(count(i), map(operator.ne, keys[i:], keys[i - p :])), len(keys))
+            spot = (tuple(keys[i : i + p]), gap, tuple(counts))
+            if spot not in runs:
+                runs[spot] = _kernel(keys[i : i + p], gap, [*counts])
+            counts = dict(zip(counts, runs[spot]((end - i) // p, *counts.values())))
+            i = end - (end - i) % p
+            continue
         counts = _step(counts, keys[i], gap)
         if len(counts) > limit:
             return None

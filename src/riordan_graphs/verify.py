@@ -168,7 +168,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
     # the odd/even bound
     blocks = decompose(graph)
     odd_even = formulas._odd_even_bound(blocks)
-    if rs is not None and is_proper(rs) and has_io_blocks(graph, blocks):
+    if rs is not None and has_io_blocks(graph, blocks) and is_proper(rs):
         add("io-dec-lower", odd_even, "lower")
         alpha_claim, max_cap = formulas.io_independence_claims(n)
         alpha, max_count, _ = count_maximum_is(graph)

@@ -1222,6 +1222,16 @@ class TestSweepKernelWork:
                 assert _kernel_work(monkeypatch, build_toeplitz(n, ds)) == (n, [])
                 monkeypatch.undo()
 
+    @pytest.mark.parametrize(
+        "ds, calls, run",
+        [((1, 2), 204, 996), ((1, 3), 207, 993), ((1, 6, 11, 16), 233, 967)],
+    )
+    def test_a_short_first_run_is_stepped(self, monkeypatch, ds, calls, run):
+        # the edge missing at 200 ends the first run below the cut: it is
+        # stepped, and the one kernel takes the run after the gap
+        graph = _without_edge(build_toeplitz(1200, ds), 200, 201)
+        assert _kernel_work(monkeypatch, graph) == (calls, [run])
+
     def test_runs_below_the_cut_take_no_kernel(self, monkeypatch):
         # a path's live states close after two steps, and its last vertex has
         # a key of its own, so the run left then is n - 3 steps
@@ -1490,6 +1500,9 @@ class TestDegreeOrder:
     @given(
         graph=st.builds(random_graph, st.integers(1, 40), st.integers(0, 10**6), st.floats(0, 1))
     )
+    # already in degree order: relabelled all the same
+    @example(graph=BitGraph.from_edges(6, []))
+    @example(graph=BitGraph.from_edges(5, [(1, 2), (1, 3), (2, 4)]))
     def test_relabelled_rows_are_the_permuted_graph(self, graph):
         degree = [row.bit_count() for row in graph.rows]
         # stable descending order: higher degrees first, ties by label
@@ -1503,13 +1516,6 @@ class TestDegreeOrder:
         )
         degrees = [row.bit_count() for row in relabelled.rows]
         assert degrees == sorted(degrees, reverse=True)
-
-    @pytest.mark.parametrize(
-        "graph", [BitGraph.from_edges(6, []), BitGraph.from_edges(5, [(1, 2), (1, 3), (2, 4)])]
-    )
-    def test_rows_in_degree_order_are_kept(self, graph):
-        # edgeless blocks are most of the odd/even bound's count calls
-        assert counting._by_degree(graph.rows) is graph.rows
 
 
 def _exact(text, what="is", engine="auto"):

@@ -167,6 +167,17 @@ class TestBuildsPerReport:
         assert _adjacency_builds(monkeypatch, "bell:g=1+z^3;n=16") == 1
 
 
+class TestProperPerReport:
+    # properness is read only where the io split holds, the io bounds' gate
+    @pytest.mark.parametrize("spec, calls", [("bell:g=1+z^3;n=16", 0), ("pascal:n=16", 1)])
+    def test_is_proper_only_on_an_io_split(self, monkeypatch, spec, calls):
+        seen = []
+        proper = verify.is_proper
+        monkeypatch.setattr(verify, "is_proper", lambda rs: seen.append(rs) or proper(rs))
+        bound_report(spec)
+        assert len(seen) == calls
+
+
 def _decompositions(monkeypatch, spec):
     calls = []
     split = graphs.decompose
