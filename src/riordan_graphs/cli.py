@@ -100,7 +100,7 @@ def _run_count(args) -> int:
     graph = spec.build()
     out = {"spec": args.spec, "what": args.what}
     if args.what in ("is", "cliques"):
-        out["engine"], out["count"] = counting.exact_count(spec, graph, args.what, args.engine)
+        out["engine"], out["count"] = counting.exact_count(graph, args.what, args.engine)
     elif args.what == "alpha":
         out["count"] = counting.independence_number(graph)
     elif args.what == "max-is":

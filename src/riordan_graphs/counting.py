@@ -32,9 +32,9 @@ include the empty set throughout, and use Python's arbitrary-precision
 integers.
 
 `count_cliques` counts each clique once from its lowest vertex, in at most
-omega(G) + 1 frames.  The CLI's engine policy is `exact_count`: under
-`auto`, independent sets of a Toeplitz spec whose largest distance is at
-most BANDWIDTH_LIMIT take the banded sweep, and all else "branch":
+omega(G) + 1 frames.  The CLI's engine policy is `exact_count`, read off the
+graph: under `auto`, independent sets of a Toeplitz graph whose longest edge
+is at most BANDWIDTH_LIMIT take the banded sweep, and all else "branch":
 branch-and-reduce, or `count_cliques` for cliques.  A bound report's i(G),
 i(X) and i(Y) take `count_is_swept`: the banded sweep by residue class at
 every bandwidth, and branch-and-reduce on the whole graph once a sweep wider
@@ -51,7 +51,7 @@ from itertools import compress, count
 from math import gcd, inf
 from typing import NamedTuple
 
-from .graphs import BitGraph, GraphSpec, _component_masks, _mask_labels, _relabel
+from .graphs import BitGraph, _component_masks, _mask_labels, _relabel
 
 BigCount = int
 
@@ -279,26 +279,28 @@ def _step(counts: dict, later: int, gap: int) -> dict:
     return nxt
 
 
-def exact_count(
-    spec: GraphSpec, graph: BitGraph, what: str = "is", engine: str = "auto"
-) -> tuple[str, BigCount]:
+def exact_count(graph: BitGraph, what: str = "is", engine: str = "auto") -> tuple[str, BigCount]:
     """(engine, count) for the independent sets (what="is") or the cliques
-    (what="cliques") of `graph`, built from `spec`: the policy of `riordan
-    count`, whose output names the engine; bound reports use `count_is_swept`.
+    (what="cliques") of `graph`: the policy of `riordan count`, whose output
+    names the engine; bound reports use `count_is_swept`.
 
-    `auto` picks "banded" only for independent sets of a Toeplitz spec whose
-    largest distance is at most BANDWIDTH_LIMIT, and "branch", `count_is` or
+    `auto` picks "banded" only for independent sets of a Toeplitz graph whose
+    longest edge is at most BANDWIDTH_LIMIT (each vertex's later neighbours
+    are vertex 1's, cut at vertex n), and "branch", `count_is` or
     `count_cliques`, otherwise.  "brute" counts cliques as the complement's
     independent sets; "banded" refuses them, and any bandwidth above
-    BANDWIDTH_LIMIT, which it reads off the graph.
-    """
+    BANDWIDTH_LIMIT, which it reads off the graph."""
     if what not in ("is", "cliques"):
         raise ValueError(f"what must be 'is' or 'cliques', got {what!r}")
     if engine not in ("auto", "brute", "branch", "banded"):
         raise ValueError(f"engine must be 'auto', 'brute', 'branch' or 'banded', got {engine!r}")
     if engine == "auto":
-        narrow = spec.kind == "toeplitz" and max(spec.distances) <= BANDWIDTH_LIMIT
-        engine = "banded" if what == "is" and narrow else "branch"
+        d = graph._laters[0]  # vertex 1's later neighbours; w is its longest edge, 0 if none
+        w = max(d.bit_length(), 1) - 1
+        # the last w vertices' later neighbours: d cut at vertex n
+        cut = [d & ~(-1 << k) for k in range(w, 0, -1)] if w <= BANDWIDTH_LIMIT else None
+        toeplitz = cut is not None and graph._laters == [d] * (graph.n - w) + cut
+        engine = "banded" if what == "is" and toeplitz else "branch"
     if what == "cliques" and engine == "banded":
         raise ValueError("the banded engine does not apply to clique counting")
     if what == "cliques" and engine == "branch":

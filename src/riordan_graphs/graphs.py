@@ -69,7 +69,7 @@ class BitGraph:
                 raise ValueError(f"row {i + 1} has bits outside 1..{n}")
             if (row >> i) & 1:
                 raise ValueError(f"vertex {i + 1} has a loop")
-        cols = _transpose(rows, n, n)
+        cols = _transpose(rows, n)
         if cols != rows:
             # the first row with an edge (i, j) whose row j lacks i, at its lowest such j
             for i, (row, col) in enumerate(zip(rows, cols)):
@@ -178,9 +178,9 @@ class BitGraph:
         return f"BitGraph(n={self.n}, edges={self.edges()})"
 
 
-def _transpose(rows: tuple[int, ...], nrows: int, ncols: int) -> tuple[int, ...]:
-    """Columns of the nrows x ncols bit matrix `rows`, whose bits all lie
-    below ncols, by one of two strategies chosen by the number of set bits.
+def _transpose(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
+    """Columns of the bit matrix `rows`, its nrows = len(rows) rows all
+    below bit ncols, by one of two strategies chosen by the number of set bits.
 
     The per-bit walk costs a few big-int ops per set bit, so it is the
     cheap one on sparse input such as Toeplitz and ladder graphs.  The byte
@@ -197,7 +197,7 @@ def _transpose(rows: tuple[int, ...], nrows: int, ncols: int) -> tuple[int, ...]
     of a pass and its read) about three, and its fixed cost about 32, so
     the walk is taken below nrows + 3 * ncols + 32 set bits, about where
     the two cost the same; dense Riordan graphs take the kernel."""
-    if sum(map(int.bit_count, rows)) < nrows + 3 * ncols + 32:
+    if sum(map(int.bit_count, rows)) < len(rows) + 3 * ncols + 32:
         cols = [0] * ncols
         for r, row in enumerate(rows):
             bit = 1 << r
@@ -207,9 +207,9 @@ def _transpose(rows: tuple[int, ...], nrows: int, ncols: int) -> tuple[int, ...]
                 row ^= 1 << c
         return tuple(cols)
     width = (ncols + 7) >> 3
-    height = (nrows + 7) >> 3 << 3
+    height = (len(rows) + 7) >> 3 << 3
     data = b"".join([row.to_bytes(width, "little") for row in rows])
-    data += bytes((height - nrows) * width)
+    data += bytes((height - len(rows)) * width)
     # bit 64i of `ones` is set for each of the height/8 words of a byte column
     ones = ((1 << 8 * height) - 1) // ((1 << 64) - 1)
     m7, m14, m28 = 0x00AA00AA00AA00AA * ones, 0x0000CCCC0000CCCC * ones, 0xF0F0F0F0 * ones
@@ -234,7 +234,7 @@ def _relabel(rows: tuple[int, ...], order) -> tuple[int, ...]:
     so the reordered rows of the transpose of the reordered rows.  For a
     symmetric A that is P·A·Pᵀ; for any A, _symmetric of it is the
     relabeled A + Aᵀ, so the orientation does not matter there."""
-    cols = _transpose(tuple(rows[v] for v in order), len(order), len(rows))
+    cols = _transpose(tuple(rows[v] for v in order), len(rows))
     return tuple(cols[v] for v in order)
 
 
@@ -338,7 +338,7 @@ def _riordan_upper(g: Gf2Series, f: Gf2Series, n: int) -> tuple[int, ...]:
 
 def _symmetric(rows: tuple[int, ...]) -> tuple[int, ...]:
     """A + Aᵀ for the square bit matrix A = `rows`, zero on the diagonal for every A."""
-    return tuple(map(int.__xor__, rows, _transpose(rows, len(rows), len(rows))))
+    return tuple(map(int.__xor__, rows, _transpose(rows, len(rows))))
 
 
 def _series_pair(spec: RiordanSpec, order: int) -> tuple[Gf2Series, Gf2Series]:
@@ -426,7 +426,7 @@ class DecompositionBlocks(NamedTuple):
         ]
         rows[1::2] = [
             _square_bits(bt, n) | _square_bits(y, n) << 1
-            for bt, y in zip(_transpose(self.b, (n + 1) // 2, n // 2), self.y)
+            for bt, y in zip(_transpose(self.b, n // 2), self.y)
         ]
         return BitGraph(len(rows), rows)
 

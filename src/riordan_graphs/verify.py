@@ -18,7 +18,6 @@ from . import formulas
 from .counting import count_cliques, count_is, count_is_swept, count_maximum_is
 from .graphs import (
     ChordalityRangeError,
-    GraphSpec,
     RiordanSpec,
     _prediction_errors,
     _prediction_pair,
@@ -112,8 +111,8 @@ class BoundReport(NamedTuple):
         return {**self._replace(entries=entries, notes=list(self.notes))._asdict(), "ok": self.ok}
 
 
-def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundReport:
-    """Evaluate every applicable bound for one graph spec.
+def bound_report(text: str, max_n: int = DEFAULT_MAX_N) -> BoundReport:
+    """Evaluate every applicable bound for the graph spec `text`.
 
     Lower/upper violations make entries with holds=False; claims that are
     not plain count bounds (independence number, maximum-set counts, the
@@ -121,8 +120,7 @@ def bound_report(spec: GraphSpec | str, max_n: int = DEFAULT_MAX_N) -> BoundRepo
     not check out.  The uncorrected odd/even bound is reported in notes
     whenever it exceeds the exact count.
     """
-    if isinstance(spec, str):
-        spec = parse_graph_spec(spec)
+    spec = parse_graph_spec(text)
     n = spec.n
     check_guard(n, max_n)
     graph = spec.build()

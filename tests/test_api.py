@@ -2,8 +2,8 @@
 module that may store graph rows unchecked or name the bit-matrix helpers,
 the byte conversions that must run on the oldest supported Python, the
 one place that runs generated source, with no transition of its own, the
-banded sweep, which reads no rows, and the one U + Uᵀ assembly of built
-rows."""
+banded sweep, which reads no rows, the one U + Uᵀ assembly of built
+rows, and the CLI's engine policy, which reads the graph, not its spec."""
 
 import ast
 import re
@@ -227,6 +227,24 @@ def test_branch_takes_two_semiring_values():
     ]
     assert len(values) == 4
     assert [ast.unparse(value) for value in values if names_a_function(value)] == []
+
+
+def test_the_engine_policy_takes_the_graph_alone():
+    # `riordan count` picks its engine from the graph, so a library caller
+    # counts any BitGraph through it, with no spec to invent
+    tree = ast.parse((Path(riordan_graphs.__file__).parent / "counting.py").read_text())
+    policy = next(
+        top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "exact_count"
+    )
+    assert [arg.arg for arg in policy.args.args] == ["graph", "what", "engine"]
+    assert "kind" not in {node.attr for node in ast.walk(policy) if isinstance(node, ast.Attribute)}
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "GraphSpec" not in imported
 
 
 def test_one_assembly_makes_every_built_graphs_rows():

@@ -175,6 +175,10 @@ class TestCount:
         assert count("toeplitz:n=300;d=2,3", "--engine", "branch") == count(
             "toeplitz:n=300;d=2,3", "--engine", "banded"
         )
+        # Toeplitz graphs under Riordan spellings take the banded sweep on
+        # auto, as their Toeplitz spellings do, rather than branch too deep
+        assert count("riordan:g=1+z;f=z;n=2000") == count("toeplitz:n=2000;d=1,2")
+        assert count("bell:g=1;n=3000") == count("toeplitz:n=3000;d=1")
 
     @pytest.mark.parametrize("engine", [[], ["--engine", "branch"]])
     @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from riordan_graphs.counting import (
 )
 from riordan_graphs.graphs import (
     BitGraph,
-    GraphSpec,
     _component_masks,
     _mask_labels,
     build_delta,
@@ -1520,7 +1519,7 @@ class TestDegreeOrder:
 
 def _exact(text, what="is", engine="auto"):
     spec = parse_graph_spec(text)
-    return exact_count(spec, spec.build(), what, engine)
+    return exact_count(spec.build(), what, engine)
 
 
 class TestEnginePolicy:
@@ -1536,6 +1535,12 @@ class TestEnginePolicy:
             ("deltaTilde:n=40", "is", "branch"),
             ("pascal:n=12", "is", "branch"),
             ("toeplitz:n=8;d=2", "cliques", "branch"),
+            # the engine is read off the graph: these are Toeplitz graphs
+            # under other spellings, with distances 1, 2; 1; 1, 20; and 1, 21
+            ("riordan:g=1+z;f=z;n=30", "is", "banded"),
+            ("bell:g=1;n=30", "is", "banded"),
+            ("riordan:g=1+z^19;f=z;n=40", "is", "banded"),
+            ("riordan:g=1+z^20;f=z;n=40", "is", "branch"),
         ],
     )
     def test_auto_picks(self, text, what, engine):
@@ -1543,6 +1548,30 @@ class TestEnginePolicy:
         assert picked == engine
         graph = parse_graph_spec(text).build()
         assert count == (count_is(graph) if what == "is" else count_cliques(graph))
+
+    @pytest.mark.parametrize("ds", [(1,), (2, 5), (1, 4, 20)])
+    def test_auto_reads_the_cut_tail(self, ds):
+        # the last vertices' later neighbours are vertex 1's cut at vertex n;
+        # without the last edge the graph differs from a Toeplitz graph only
+        # there
+        toeplitz = build_toeplitz(30, ds)
+        rows = list(toeplitz.rows)
+        picks = [("banded", BitGraph(30, rows))]
+        i, j = toeplitz.edges()[-1]
+        rows[i - 1] ^= 1 << j - 1
+        rows[j - 1] ^= 1 << i - 1
+        picks.append(("branch", BitGraph(30, rows)))
+        for engine, graph in picks:
+            assert exact_count(graph) == (engine, count_is(graph))
+
+    @pytest.mark.parametrize(
+        "edges, engine", [([], "banded"), ([(2, 3)], "branch"), ([(1, 2), (3, 4)], "branch")]
+    )
+    def test_auto_reads_the_first_vertex(self, edges, engine):
+        # an edgeless graph is Toeplitz with no distances; a graph whose
+        # vertex 1 has other later neighbours than some later vertex is not
+        graph = BitGraph.from_edges(5, edges)
+        assert exact_count(graph) == (engine, count_is(graph))
 
     @pytest.mark.parametrize(
         "what, engine, message",
@@ -1583,11 +1612,10 @@ class TestEnginePolicy:
     @pytest.mark.parametrize("engine", ["auto", "branch"])
     def test_cliques_of_random_graphs_match_both_oracles(self, engine):
         for graph in random_graphs(40, 40, seed=41):
-            spec = GraphSpec(f"random:n={graph.n}", "random", graph.n)
-            picked, count = exact_count(spec, graph, "cliques", engine)
+            picked, count = exact_count(graph, "cliques", engine)
             assert (picked, count) == ("branch", count_is(graph.complement()))
             if graph.n <= 20:
-                assert count == exact_count(spec, graph, "cliques", "brute")[1]
+                assert count == exact_count(graph, "cliques", "brute")[1]
 
     def test_only_brute_takes_the_complement(self, monkeypatch):
         def refuse(graph):

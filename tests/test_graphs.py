@@ -326,7 +326,7 @@ def _cross_block(h1, h2, f, p, q):
     """The block route to B, the reference for the Bell form: the p x q block
     of (h1, f) plus the q x p block of (h2, f) transposed, whose rows are the
     columns of (h2, f)."""
-    m1 = graphs._transpose(_riordan_columns(h1, f, p, q), q, p)
+    m1 = graphs._transpose(_riordan_columns(h1, f, p, q), p)
     return tuple(map(xor, m1, _riordan_columns(h2, f, q, p)))
 
 
@@ -1140,9 +1140,9 @@ class TestTranspose:
         rows = tuple(
             sum(1 << c for c in range(ncols) if rng.random() < density) for _ in range(nrows)
         )
-        t = graphs._transpose(rows, nrows, ncols)
+        t = graphs._transpose(rows, ncols)
         assert t == tuple(sum((rows[r] >> c & 1) << r for r in range(nrows)) for c in range(ncols))
-        assert graphs._transpose(t, ncols, nrows) == rows
+        assert graphs._transpose(t, nrows) == rows
 
 
 def _first_asymmetry(rows):
