@@ -2,9 +2,9 @@
 bound reports, and verification sweeps.
 
 Output is JSON on stdout unless a format flag says otherwise, so results
-compose in pipelines.  Exit codes: 0 success, 1 a verification check
-failed, 2 invalid input.  The counting guard is --max-n, the RIORDAN_MAX_N
-environment variable, or 40, in that order; --force disables it.
+compose in pipelines.  Exit codes: 0 success, 1 a verification check failed,
+2 invalid input or an unwritable stdout.  The counting guard is --max-n, the
+RIORDAN_MAX_N environment variable, or 40, in that order; --force disables it.
 """
 
 from __future__ import annotations
@@ -193,7 +193,17 @@ def run(argv) -> int:
 
 
 def main(argv=None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    """run() with its output flushed.  A failed write to stdout (a closed pipe,
+    a full disk) gives one error line and exit 2, and stdout then points at the
+    null device, so the interpreter's last flush raises nothing."""
+    try:
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

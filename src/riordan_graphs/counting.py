@@ -17,10 +17,10 @@ once it decides, show no maximum set holds, then branches on a
 maximum-degree vertex and prunes: a greedy matching bounds what the branch
 through the branch vertex can reach, and that branch is skipped when the
 other one already exceeds the bound, so ties still add their counts.
-The banded sweep takes each vertex's later neighbours from
-the graph, stored by the Toeplitz and ladder builders and read off the rows
-in one pass, once per graph, for any other; they give the bandwidth, the
-graph's longest edge, and the gcd of the edge lengths.  Edges stay inside the
+The banded sweep takes each vertex's later neighbours from the graph, stored
+by every f = z (Toeplitz) build and the ladder builder, and read off the rows
+once per graph for any other; they give the bandwidth, the graph's longest
+edge, and the gcd of the edge lengths.  Edges stay inside the
 residue classes mod that gcd, and each class is swept whole in label order
 on plain later-neighbour ints with one gap, one count per blocked set, the
 later vertices that the chosen ones block; components that interleave in a

@@ -48,11 +48,11 @@ class BitGraph:
     is the input of the banded sweep, `count_is_swept`, which the banded
     engine, `count_is_banded`, runs behind its bandwidth refusal.  A graph
     stores one of rows and _laters, and the other is made from it once, on
-    first read.  Rows from outside the module
-    are checked row by row and against their transpose; the builders and
-    complement() below make rows that are symmetric and loop-free by
-    construction and store them through _unchecked, and the Toeplitz and
-    ladder builders store their later-neighbour ints through _periodic.
+    first read.  Rows from outside the module are checked row by row and
+    against their transpose; the builders and complement() below make rows
+    that are symmetric and loop-free by construction and store them through
+    _unchecked, and a Riordan build with f = z (every Toeplitz spec) and the
+    ladder builder store their later-neighbour ints through _periodic.
     """
 
     __slots__ = ("n", "rows", "_laters")
@@ -137,7 +137,7 @@ class BitGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, sorted lexicographically."""
-        above = _upper_neighbours(self.rows, range(1, self.n + 1))
+        above = _upper_neighbours(self._laters, range(1, self.n + 1))
         return [(i, j) for i, js in enumerate(above, start=1) for j in js]
 
     @property
@@ -351,8 +351,12 @@ def _series_pair(spec: RiordanSpec, order: int) -> tuple[Gf2Series, Gf2Series]:
 
 def build_riordan(spec: RiordanSpec) -> BitGraph:
     """The labeled Riordan graph of the spec, from g and f at order n (its
-    edges need z^(n-2)); L + L^T is symmetric and loop-free for every g and f."""
-    return BitGraph._unchecked(spec.n, riordan_adjacency(*_series_pair(spec, spec.n), spec.n))
+    edges need z^(n-2)): where f = z below z^n, stored as the later-neighbour
+    pattern zg (j < i adjacent when [z^(i-j-1)] g is odd), else as L + L^T."""
+    g, f = _series_pair(spec, spec.n)
+    if f.bits == 2 & (1 << spec.n) - 1:
+        return BitGraph._periodic(spec.n, (g.bits << 1,))
+    return BitGraph._unchecked(spec.n, riordan_adjacency(g, f, spec.n))
 
 
 def build_toeplitz(n: int, distances) -> BitGraph:
@@ -630,16 +634,16 @@ def multipartition(spec: RiordanSpec) -> list[tuple[int, ...]]:
 
 def has_consecutive_ham_path(graph: BitGraph) -> bool:
     """True when 1 - 2 - ... - n is a path in the graph."""
-    return all(row >> (i + 1) & 1 for i, row in enumerate(graph.rows[:-1]))
+    return all(later & 2 for later in graph._laters[:-1])
 
 
-def _upper_neighbours(rows, labels):
-    """For each row i, an iterator over the `labels` at its set bits above i."""
+def _upper_neighbours(laters, labels):
+    """For each vertex i, an iterator over `labels` i + t for the bits t of laters[i]."""
     bit = bytes.maketrans(b"01", b"\0\1")
-    for i, row in enumerate(rows):
-        # byte k of the reversed binary string is bit k of row >> (i + 1)
-        above = format(row >> (i + 1), "b")[::-1].encode().translate(bit)
-        yield compress(labels[i + 1 : row.bit_length()], above)
+    for i, later in enumerate(laters):
+        # byte t of the reversed binary string is bit t of later
+        above = format(later, "b")[::-1].encode().translate(bit)
+        yield compress(labels[i : i + later.bit_length()], above)
 
 
 def export_graph(graph: BitGraph, fmt: str = "json") -> str:
@@ -651,7 +655,7 @@ def export_graph(graph: BitGraph, fmt: str = "json") -> str:
     labels = list(map(str, range(1, graph.n + 1)))
     rows = [
         head + i + mid + text + tail
-        for i, js in zip(labels, _upper_neighbours(graph.rows, labels))
+        for i, js in zip(labels, _upper_neighbours(graph._laters, labels))
         if (text := (tail + sep + head + i + mid).join(js))
     ]
     if fmt == "json":
@@ -681,8 +685,6 @@ class GraphSpec(NamedTuple):
         return _DELTA_VARIANTS.get(self.kind)
 
     def build(self) -> BitGraph:
-        if self.kind == "toeplitz":
-            return build_toeplitz(self.n, self.distances)
         if self.kind in _DELTA_VARIANTS:
             return build_delta(self.n, self.variant)
         return build_riordan(self.riordan)

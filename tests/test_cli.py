@@ -1,5 +1,6 @@
 """CLI contract tests: output shapes, engines, guards, and exit codes."""
 
+import errno
 import json
 import os
 import random
@@ -258,6 +259,13 @@ def _assert_one_error_line(capsys, argv):
     return captured.err
 
 
+# `count` and `verify sweep` requests whose stdout is over 64 KiB
+_LONG_OUTPUTS = [
+    ["count", "--spec", "toeplitz:n=30;d=1", "--what", "maximal"],
+    ["verify", "sweep", "--family", "toeplitz:n={n};d=1", "--range", "2..200", "--force"],
+]
+
+
 class TestNoTraceback:
     @pytest.mark.parametrize(
         "argv",
@@ -287,6 +295,32 @@ class TestNoTraceback:
         argv = ["verify", "sweep", "--family", f"pascal:n={{n}};{extra}", "--range", "3..4"]
         err = _assert_one_error_line(capsys, argv)
         assert extra in err
+
+    @pytest.mark.parametrize("argv", _LONG_OUTPUTS)
+    def test_stdout_closed_after_one_byte(self, argv):
+        # past a pipe's 64 KiB, the one write blocks until the reader has
+        # closed, and then fails
+        with subprocess.Popen(
+            [sys.executable, "-m", "riordan_graphs", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(), text=True,
+        ) as child:
+            assert child.stdout.read(1)
+            child.stdout.close()
+            err = child.stderr.read()
+        assert child.returncode == 2 and "Traceback" not in err
+        assert err == f"error: [Errno {errno.EPIPE}] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv", [*_LONG_OUTPUTS, ["count", "--spec", "pascal:n=12"]])
+    def test_stdout_on_a_full_disk(self, argv):
+        # a short output fails only at the flush
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "riordan_graphs", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=_src_env(), text=True,
+            )
+        assert result.returncode == 2 and "Traceback" not in result.stderr
+        assert result.stderr == f"error: [Errno {errno.ENOSPC}] No space left on device\n"
 
     def test_seeded_generated_commands(self, capsys, monkeypatch):
         monkeypatch.delenv("RIORDAN_MAX_N", raising=False)

@@ -1035,10 +1035,12 @@ class TestBandedWork:
         # the Toeplitz and ladder builders store the later-neighbour ints,
         # which are all the sweep reads: the rows slot stays unset
         sets = [(1,), (1, 2), (2, 3), (3, 5), (1, 4, 9), (4, 8, 12, 16), (1, 6, 11, 16)]
+        appell = ["riordan:g=1+z;f=z", "bell:g=1", "riordan:g=1+z^4+z^8;f=z"]
         for n in [*range(1, 61), 1003, 3000]:
             for graph in [
                 *(build_toeplitz(n, ds) for ds in sets if ds[-1] < n),
                 *(build_delta(n, variant) for variant in ("plain", "tilde")),
+                *(parse_graph_spec(f"{text};n={n}").build() for text in appell),
             ]:
                 count_is_banded(graph)
                 with pytest.raises(AttributeError):

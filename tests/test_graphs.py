@@ -16,7 +16,7 @@ from corpus import random_graphs as corpus_graphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riordan_graphs import graphs
+from riordan_graphs import cli, graphs
 from riordan_graphs.counting import count_is
 from riordan_graphs.graphs import (
     BitGraph,
@@ -107,6 +107,47 @@ proper_pairs = st.one_of(
 )
 
 
+# Appell g: the rational g_exprs, and polynomials of up to 12 terms
+appell_g_exprs = st.one_of(g_exprs, st.integers(0, 2**12 - 1).map(lambda b: parse(poly_text(b))))
+
+
+def _assert_built_as(spec, stored):
+    """build_riordan(spec) stores `stored` ("rows" or "_laters") and, read
+    through both, is the generic route's L + L^T from g and f at order n."""
+    graph = build_riordan(spec)
+    generic = BitGraph._unchecked(spec.n, riordan_adjacency(*_series_pair(spec, spec.n), spec.n))
+    try:
+        object.__getattribute__(graph, "rows")
+        kind = "rows"
+    except AttributeError:
+        kind = "_laters"
+    assert kind == stored
+    assert graph._laters == generic._laters
+    assert graph.rows == generic.rows
+
+
+class TestAppellBuild:
+    """Where the evaluated f is z below z^n, the build stores the one
+    later-neighbour pattern zg."""
+
+    @given(g_expr=appell_g_exprs, n=st.integers(1, 60))
+    @example(g_expr=parse("0"), n=5)
+    @example(g_expr=parse("1/(1-z)"), n=60)
+    def test_matches_the_generic_route(self, g_expr, n):
+        _assert_built_as(RiordanSpec.appell(g_expr, n), "_laters")
+
+    @pytest.mark.parametrize(
+        "text, stored",
+        [
+            *((f"bell:g=1;n={n}", "_laters") for n in (1, 2, 9, 64)),
+            ("riordan:g=1+z;f=z+z^5;n=5", "_laters"),  # f = z only below z^5
+            ("riordan:g=1+z;f=z+z^4;n=5", "rows"),
+        ],
+    )
+    def test_decided_on_the_series(self, text, stored):
+        _assert_built_as(parse_graph_spec(text).riordan, stored)
+
+
 class TestBuildRiordan:
     def test_pascal_4_edges(self):
         graph = build_riordan(pascal_spec(4))
@@ -167,6 +208,12 @@ class TestEdges:
     def test_motzkin_graph(self):
         graph = build_riordan(motzkin_spec(90))
         assert graph.edges() == _edges_by_cell(graph)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+    def test_periodic_graphs(self, n):
+        appell = build_riordan(RiordanSpec.appell(parse("1+z^2+z^5"), n))
+        for graph in [*periodic_builds(n), appell]:
+            assert graph.edges() == _edges_by_cell(graph)
 
 
 class TestBuildToeplitz:
@@ -904,6 +951,16 @@ _EXPORT_GRAPHS = (
         for n in (2, 5, 33, 64)
     ]
     + [BitGraph(1, [0]), BitGraph(6, [0] * 6), BitGraph(6, [63 & ~(1 << i) for i in range(6)])]
+    + [
+        graph
+        for n in (4, 5, 33, 64)
+        for graph in (
+            build_toeplitz(n, (1, 3)),
+            build_delta(n, "plain"),
+            build_delta(n, "tilde"),
+            build_riordan(RiordanSpec.appell(parse("1+z^2+z^5"), n)),
+        )
+    ]
 )
 
 
@@ -1332,6 +1389,21 @@ class TestPeriodicBuilds:
             object.__getattribute__(graph, "rows")
         assert graph.rows is graph.rows and len(built) == 1
         assert object.__getattribute__(graph, "rows") is graph.rows
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "build", "--spec", "toeplitz:n=20000;d=1"],
+            ["graph", "build", "--spec", "riordan:g=1+z;f=z;n=20000"],
+            ["count", "--spec", "riordan:g=1+z;f=z;n=20000", "--force"],
+        ],
+    )
+    def test_requests_on_periodic_graphs_make_no_rows(self, monkeypatch, capsys, argv):
+        # the export and the banded count read the later-neighbour ints alone
+        built, symmetric = [], graphs._symmetric
+        monkeypatch.setattr(graphs, "_symmetric", lambda *a: built.append(a) or symmetric(*a))
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out and built == []
 
     @pytest.mark.parametrize(
         "read",
