@@ -193,16 +193,15 @@ def run(argv) -> int:
 
 
 def main(argv=None) -> int:
-    """run() with its output flushed.  A failed write to stdout (a closed pipe,
-    a full disk) gives one error line and exit 2, and stdout then points at the
-    null device, so the interpreter's last flush raises nothing."""
     try:
         code = run(sys.argv[1:] if argv is None else argv)
-        sys.stdout.flush()
+        sys.stdout.flush()  # a short output fails here, not at the interpreter's exit
         return code
-    except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # stdout unwritable: a closed pipe, a full disk
         print(f"error: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:  # fd 1 to the null device: the exit flush raises nothing
+            os.dup2(null := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.close(null)
         return 2
 
 

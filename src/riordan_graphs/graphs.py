@@ -51,7 +51,7 @@ class BitGraph:
     first read.  Rows from outside the module are checked row by row and
     against their transpose; the builders and complement() below make rows
     that are symmetric and loop-free by construction and store them through
-    _unchecked, and a Riordan build with f = z (every Toeplitz spec) and the
+    _unchecked, and the Toeplitz builder, a Riordan build with f = z and the
     ladder builder store their later-neighbour ints through _periodic.
     """
 
@@ -350,9 +350,8 @@ def _series_pair(spec: RiordanSpec, order: int) -> tuple[Gf2Series, Gf2Series]:
 
 
 def build_riordan(spec: RiordanSpec) -> BitGraph:
-    """The labeled Riordan graph of the spec, from g and f at order n (its
-    edges need z^(n-2)): where f = z below z^n, stored as the later-neighbour
-    pattern zg (j < i adjacent when [z^(i-j-1)] g is odd), else as L + L^T."""
+    """The labeled Riordan graph of the spec, from g and f at order n: where f = z
+    below z^n, the later-neighbour pattern zg (Toeplitz), else L + L^T."""
     g, f = _series_pair(spec, spec.n)
     if f.bits == 2 & (1 << spec.n) - 1:
         return BitGraph._periodic(spec.n, (g.bits << 1,))
@@ -685,6 +684,8 @@ class GraphSpec(NamedTuple):
         return _DELTA_VARIANTS.get(self.kind)
 
     def build(self) -> BitGraph:
+        if self.kind == "toeplitz":
+            return build_toeplitz(self.n, self.distances)
         if self.kind in _DELTA_VARIANTS:
             return build_delta(self.n, self.variant)
         return build_riordan(self.riordan)

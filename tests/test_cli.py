@@ -1,6 +1,7 @@
 """CLI contract tests: output shapes, engines, guards, and exit codes."""
 
 import errno
+import io
 import json
 import os
 import random
@@ -321,6 +322,16 @@ class TestNoTraceback:
             )
         assert result.returncode == 2 and "Traceback" not in result.stderr
         assert result.stderr == f"error: [Errno {errno.ENOSPC}] No space left on device\n"
+
+    def test_stdout_without_a_descriptor(self, capsys, monkeypatch):
+        # in process, a stdout that is not the process's own is left as it is
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["count", "--spec", "pascal:n=4"]) == 2
+        assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] Broken pipe\n"
 
     def test_seeded_generated_commands(self, capsys, monkeypatch):
         monkeypatch.delenv("RIORDAN_MAX_N", raising=False)

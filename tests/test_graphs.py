@@ -1051,6 +1051,14 @@ class TestSpecLanguage:
         spec = parse_graph_spec("toeplitz:n=9;d=2,3")
         assert spec.build() == build_riordan(spec.riordan)
 
+    def test_toeplitz_spec_with_a_thousand_distances(self, capsys):
+        # built from its distances: the Appell g's sum nests one level per term
+        ds = range(1, 1001)
+        spec = parse_graph_spec(f"toeplitz:n=1001;d={','.join(map(str, ds))}")
+        assert spec.build()._laters == build_toeplitz(1001, ds)._laters
+        assert cli.run(["graph", "build", "--spec", spec.text]) == 0
+        assert json.loads(capsys.readouterr().out)["edges"][-1] == [1000, 1001]
+
     def test_delta_kinds(self):
         assert parse_graph_spec("delta:n=5").build() == build_delta(5, "plain")
         assert parse_graph_spec("deltaTilde:n=5").build() == build_delta(5, "tilde")
