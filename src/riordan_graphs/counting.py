@@ -17,10 +17,9 @@ once it decides, show no maximum set holds, then branches on a
 maximum-degree vertex and prunes: a greedy matching bounds what the branch
 through the branch vertex can reach, and that branch is skipped when the
 other one already exceeds the bound, so ties still add their counts.
-The banded sweep takes each vertex's later neighbours from the graph, stored
-by every f = z (Toeplitz) build and the ladder builder, and read off the rows
-once per graph for any other; they give the bandwidth, the graph's longest
-edge, and the gcd of the edge lengths.  Edges stay inside the
+The banded sweep takes each vertex's later neighbours from the graph, which
+stores them for every graph, built or checked; they give the bandwidth, the
+graph's longest edge, and the gcd of the edge lengths.  Edges stay inside the
 residue classes mod that gcd, and each class is swept whole in label order
 on plain later-neighbour ints with one gap, one count per blocked set, the
 later vertices that the chosen ones block; components that interleave in a
@@ -448,11 +447,13 @@ def list_maximal_is(graph: BitGraph) -> list[tuple[int, ...]]:
     """All inclusion-maximal independent sets, each sorted, list sorted.
 
     Runs Bron-Kerbosch with pivoting on the complement graph, where
-    maximal independent sets appear as maximal cliques.  Capped at n <= 64.
+    maximal independent sets appear as maximal cliques, the complement's
+    rows taken from the graph's own with no transpose.  Capped at n <= 64.
     """
     if graph.n > MAXIMAL_LIMIT:
         raise ValueError(f"maximal-set enumeration capped at n <= {MAXIMAL_LIMIT}")
-    comp = graph.complement().rows
+    full = (1 << graph.n) - 1
+    comp = [full & ~(row | 1 << v) for v, row in enumerate(graph.rows)]
     out: list[tuple[int, ...]] = []
 
     def expand(r: int, p: int, x: int) -> None:

@@ -1,10 +1,10 @@
 """Labeled graphs built from generating-function data, and their structure.
 
-Vertices are always labeled 1..n.  A Riordan graph G_n(g, f) has an edge
-(i, j) with i > j exactly when [z^(i-2)] g*f^(j-1) is odd; the adjacency
-matrix is the mod-2 sum of the truncated matrix (zg, f)_n and its
-transpose.  Toeplitz graphs are the f = z special case driven by a
-distance set.
+Vertices are always labeled 1..n.  A Riordan graph G_n(g, f) is L + L^T,
+the mod-2 sum of the truncated matrix L = (zg, f)_n and its transpose; only
+when f(0) = 0, so L is strictly lower triangular, is its edge (i, j), i > j,
+exactly where [z^(i-2)] g*f^(j-1) is odd.  Toeplitz graphs are the f = z
+special case driven by a distance set.
 """
 
 from __future__ import annotations
@@ -44,15 +44,13 @@ class BitGraph:
     """Immutable simple graph on vertices 1..n with bitmask adjacency rows.
 
     Row i-1 (0-indexed) has bit j-1 set exactly when (i, j) is an edge.
-    _laters, bit t of entry v (0-indexed, like the rows) set when v ~ v + t,
-    is the input of the banded sweep, `count_is_swept`, which the banded
-    engine, `count_is_banded`, runs behind its bandwidth refusal.  A graph
-    stores one of rows and _laters, and the other is made from it once, on
-    first read.  Rows from outside the module are checked row by row and
-    against their transpose; the builders and complement() below make rows
-    that are symmetric and loop-free by construction and store them through
-    _unchecked, and the Toeplitz builder, a Riordan build with f = z and the
-    ladder builder store their later-neighbour ints through _periodic.
+    Every graph stores its later-neighbour ints, _laters: bit t of entry v
+    (0-indexed, like the rows) set when v ~ v + t, its upper half and the
+    input of the banded sweep, `count_is_swept`; rows are made from them
+    once, on first read.  Rows from outside the module are checked row by
+    row and against their transpose, and kept as well.  The builders,
+    complement() and the X and Y blocks make later-neighbour ints that are
+    loop-free by construction and store them through _periodic.
     """
 
     __slots__ = ("n", "rows", "_laters")
@@ -79,21 +77,14 @@ class BitGraph:
                     raise ValueError(f"adjacency not symmetric at ({i + 1}, {j})")
         self.n = n
         self.rows = rows
+        self._laters = _later_ints(rows)
 
     @classmethod
-    def _unchecked(cls, n: int, rows) -> BitGraph:
-        """The graph on rows this module built symmetric and loop-free, stored
-        without the checks of __init__; no other module calls it."""
-        graph = object.__new__(cls)
-        graph.n = n
-        graph.rows = tuple(rows)
-        return graph
-
-    @classmethod
-    def _periodic(cls, n: int, patterns: tuple[int, ...]) -> BitGraph:
+    def _periodic(cls, n: int, patterns: tuple[int, ...] | list[int]) -> BitGraph:
         """The graph in which vertex i (0-indexed) has later neighbour i + t
         for every bit t of patterns[i % len(patterns)] below n - i, stored as
-        its later-neighbour ints; no pattern has bit 0.  Only graphs calls it."""
+        its later-neighbour ints (n ints are a pattern list of period n); no
+        pattern has bit 0.  Only graphs calls it."""
         full = (1 << n) - 1  # first: an order too large to shift fails before any list
         laters = [*islice(cycle(patterns), n)]
         cut = max(n - max(patterns).bit_length(), 0)
@@ -105,14 +96,10 @@ class BitGraph:
 
     def __getattr__(self, name: str):
         # reached only while a slot is unset: the rows of a _periodic graph,
-        # U + Uᵀ for U its later neighbours shifted into place, and the
-        # later-neighbour ints of any other, each made once
+        # U + Uᵀ for U its later neighbours shifted into place, made once
         if name == "rows":
             self.rows = _symmetric(tuple(map(operator.lshift, self._laters, count())))
             return self.rows
-        if name == "_laters":
-            self._laters = [*map(operator.rshift, self.rows, count())]
-            return self._laters
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @classmethod
@@ -127,7 +114,7 @@ class BitGraph:
 
     def has_edge(self, i: int, j: int) -> bool:
         self._check_labels((i, j))
-        return bool((self.rows[i - 1] >> (j - 1)) & 1)
+        return bool(self._laters[min(i, j) - 1] >> abs(i - j) & 1)
 
     def _check_labels(self, labels) -> None:
         """Raise a ValueError naming the first label outside 1..n."""
@@ -142,7 +129,7 @@ class BitGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        return sum(map(int.bit_count, self._laters))
 
     def induced(self, labels) -> BitGraph:
         """Subgraph induced by the given labels, relabeled 1..k in order."""
@@ -163,16 +150,15 @@ class BitGraph:
         return BitGraph(len(labels), rows)
 
     def complement(self) -> BitGraph:
-        full = (1 << self.n) - 1
-        return BitGraph._unchecked(
-            self.n, (~row & full & ~(1 << i) for i, row in enumerate(self.rows))
-        )
+        # vertex v's later non-neighbours: bits 1..n-1-v not in its later int
+        n = self.n
+        return BitGraph._periodic(n, [((1 << n - v) - 2) & ~t for v, t in enumerate(self._laters)])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BitGraph) and self.n == other.n and self.rows == other.rows
+        return isinstance(other, BitGraph) and self._laters == other._laters
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rows))
+        return hash((self.n, *self._laters))
 
     def __repr__(self) -> str:
         return f"BitGraph(n={self.n}, edges={self.edges()})"
@@ -226,6 +212,11 @@ def _transpose(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
         x ^= t ^ t << 28
         cols += map(x.to_bytes(height, "little").__getitem__, lanes)
     return tuple([int.from_bytes(col, "little") for col in cols[:ncols]])
+
+
+def _later_ints(rows) -> list[int]:
+    """The later-neighbour ints of the loop-free bit rows `rows`: row v shifted down v places."""
+    return [*map(operator.rshift, rows, count())]
 
 
 def _relabel(rows: tuple[int, ...], order) -> tuple[int, ...]:
@@ -350,12 +341,15 @@ def _series_pair(spec: RiordanSpec, order: int) -> tuple[Gf2Series, Gf2Series]:
 
 
 def build_riordan(spec: RiordanSpec) -> BitGraph:
-    """The labeled Riordan graph of the spec, from g and f at order n: where f = z
-    below z^n, the later-neighbour pattern zg (Toeplitz), else L + L^T."""
+    """The labeled Riordan graph L + L^T of the spec, from g and f at order n,
+    stored as its upper half: the later-neighbour pattern zg where f = z below
+    z^n (Toeplitz), else L^T where f(0) = 0 (L strictly lower triangular), else
+    (f(0) = 1) the upper half of riordan_adjacency's L + L^T."""
     g, f = _series_pair(spec, spec.n)
     if f.bits == 2 & (1 << spec.n) - 1:
         return BitGraph._periodic(spec.n, (g.bits << 1,))
-    return BitGraph._unchecked(spec.n, riordan_adjacency(g, f, spec.n))
+    upper = (riordan_adjacency if f.bits & 1 else _riordan_upper)(g, f, spec.n)
+    return BitGraph._periodic(spec.n, _later_ints(upper))
 
 
 def build_toeplitz(n: int, distances) -> BitGraph:
@@ -461,7 +455,7 @@ def _split(rows: tuple[int, ...]) -> DecompositionBlocks:
 
 def _block_graphs(blocks: DecompositionBlocks) -> tuple[BitGraph, BitGraph]:
     """X and Y as graphs: cut from a symmetric, loop-free matrix, they are so too."""
-    return tuple(BitGraph._unchecked(len(rows), rows) for rows in (blocks.x, blocks.y))
+    return tuple(BitGraph._periodic(len(rows), _later_ints(rows)) for rows in (blocks.x, blocks.y))
 
 
 def predict_blocks(spec: RiordanSpec) -> DecompositionBlocks:

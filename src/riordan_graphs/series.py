@@ -371,7 +371,12 @@ def _eval_bits(expr: SeriesExpr, order: int) -> int:
     if isinstance(expr, Var):
         return 2 & _mask(order)
     if isinstance(expr, Add):
-        return _eval_bits(expr.left, order) ^ _eval_bits(expr.right, order)
+        # a sum parses left-deep, so its left spine is folded in one loop
+        bits = 0
+        while isinstance(expr, Add):
+            bits ^= _eval_bits(expr.right, order)
+            expr = expr.left
+        return bits ^ _eval_bits(expr, order)
     if isinstance(expr, Mul):
         return _mul_bits(_eval_bits(expr.left, order), _eval_bits(expr.right, order), order)
     if isinstance(expr, Div):

@@ -1,9 +1,10 @@
 """The package's public names, where a deletion has to show up, the one
-module that may store graph rows unchecked or name the bit-matrix helpers,
+module that may store a graph unchecked or name the bit-matrix helpers,
 the byte conversions that must run on the oldest supported Python, the
 one place that runs generated source, with no transition of its own, the
 banded sweep, which reads no rows, the one U + Uᵀ assembly of built
-rows, and the CLI's engine policy, which reads the graph, not its spec."""
+rows, the one stored form of every graph, and the CLI's engine policy,
+which reads the graph, not its spec."""
 
 import ast
 import re
@@ -65,17 +66,16 @@ def test_every_public_name_resolves():
 
 def test_only_graphs_names_the_unchecked_constructor():
     # which graphs skip BitGraph's symmetry check is decided in one module:
-    # _unchecked stores rows, _periodic the later neighbours of a pattern
+    # _periodic stores the later neighbours of a pattern, unchecked
     package = Path(riordan_graphs.__file__).parent
-    for name in ("_unchecked", "_periodic"):
-        word = re.compile(rf"\b{name}\b")
-        naming = sorted(p.name for p in package.glob("*.py") if word.search(p.read_text()))
-        assert naming == ["graphs.py"], name
+    word = re.compile(r"\b_periodic\b")
+    naming = sorted(p.name for p in package.glob("*.py") if word.search(p.read_text()))
+    assert naming == ["graphs.py"]
 
 
 def test_only_graphs_assigns_the_later_neighbours():
     # BitGraph._laters is the one place a graph's later-neighbour ints are
-    # made: stored by _periodic, else shifted off the rows once per graph
+    # made: stored by _periodic, or shifted off checked rows by __init__
     package = Path(riordan_graphs.__file__).parent
     word = re.compile(r"\b_laters\b\s*=(?!=)")
     naming = sorted(p.name for p in package.glob("*.py") if word.search(p.read_text()))
@@ -271,3 +271,40 @@ def test_one_assembly_makes_every_built_graphs_rows():
         or isinstance(node, ast.Constant) and node.value == "rows"
     ]
     assert stores == []
+
+
+def test_one_stored_form_per_graph():
+    # every graph stores its later-neighbour ints, and rows are stored only
+    # by the checked constructor and made only on first read: no
+    # constructor that skips __init__ stores rows
+    tree = ast.parse((Path(riordan_graphs.__file__).parent / "graphs.py").read_text())
+    bitgraph = next(
+        top for top in tree.body if isinstance(top, ast.ClassDef) and top.name == "BitGraph"
+    )
+    stores = {"rows": [], "_laters": []}
+    for top in tree.body:
+        for function in ast.walk(top):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                # an assignment to .rows or ._laters, or either name handed to setattr
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    stores.get(node.attr, []).append(function.name)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+                    stores.get(getattr(node.args[1], "value", None), []).append(function.name)
+    assert sorted(stores["_laters"]) == ["__init__", "_periodic"]
+    assert sorted(stores["rows"]) == ["__getattr__", "__init__"]
+    methods = [node for node in bitgraph.body if isinstance(node, ast.FunctionDef)]
+    classmethods = [
+        method.name
+        for method in methods
+        if any(getattr(d, "id", None) == "classmethod" for d in method.decorator_list)
+    ]
+    assert sorted(classmethods) == ["_periodic", "from_edges"]
+    bypass = [
+        method.name
+        for method in methods
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+    ]
+    assert bypass == ["_periodic"]

@@ -260,6 +260,31 @@ def _assert_one_error_line(capsys, argv):
     return captured.err
 
 
+class TestLongSums:
+    # a sum parses left-deep, one level per term, and is evaluated in one loop
+    SUM = "+".join(f"z^{i}" for i in range(1200))
+
+    def test_series_eval(self, capsys):
+        code, out, _ = run_cli(capsys, "series", "eval", "--expr", self.SUM, "--order", "8")
+        assert code == 0 and json.loads(out)["coefficients"] == [1] * 8
+
+    def test_repeated_term(self, capsys):
+        expr = "+".join(["z"] * 5000)
+        code, out, _ = run_cli(capsys, "series", "eval", "--expr", expr, "--order", "4")
+        assert code == 0 and json.loads(out)["coefficients"] == [0, 0, 0, 0]
+
+    def test_graph_build(self, capsys):
+        spec = f"riordan:g={self.SUM};f=z;n=8"
+        code, out, _ = run_cli(capsys, "graph", "build", "--spec", spec)
+        edges = [[i, j] for i in range(1, 9) for j in range(i + 1, 9)]
+        assert code == 0 and json.loads(out) == {"n": 8, "edges": edges}
+
+    def test_verify_decomposition_of_many_distances(self, capsys):
+        spec = "toeplitz:n=1001;d=" + ",".join(map(str, range(1, 1001)))
+        code, out, _ = run_cli(capsys, "verify", "decomposition", "--spec", spec)
+        assert code == 0 and json.loads(out)["ok"] is True
+
+
 # `count` and `verify sweep` requests whose stdout is over 64 KiB
 _LONG_OUTPUTS = [
     ["count", "--spec", "toeplitz:n=30;d=1", "--what", "maximal"],
@@ -272,11 +297,13 @@ class TestNoTraceback:
         "argv",
         [
             ["series", "eval", "--expr", "(" * 3000 + "z" + ")" * 3000, "--order", "4"],
-            ["series", "eval", "--expr", "+".join(["z"] * 5000), "--order", "4"],
+            ["series", "eval", "--expr", "z" + "/(1+z)" * 3000, "--order", "4"],
             ["graph", "build", "--spec", "riordan:g=1;f=z" + "*(1+z)" * 3000 + ";n=5"],
         ],
     )
     def test_deep_series_expression(self, capsys, argv):
+        # nested parentheses, and long quotient and product chains, still
+        # evaluate by recursion
         err = _assert_one_error_line(capsys, argv)
         assert err == "error: series expression nested too deeply\n"
 

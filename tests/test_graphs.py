@@ -42,6 +42,7 @@ from riordan_graphs.graphs import (
     riordan_adjacency,
 )
 from riordan_graphs.graphs import (
+    _block_graphs,
     _component_masks,
     _mask_labels,
     _riordan_columns,
@@ -111,19 +112,24 @@ proper_pairs = st.one_of(
 appell_g_exprs = st.one_of(g_exprs, st.integers(0, 2**12 - 1).map(lambda b: parse(poly_text(b))))
 
 
-def _assert_built_as(spec, stored):
-    """build_riordan(spec) stores `stored` ("rows" or "_laters") and, read
-    through both, is the generic route's L + L^T from g and f at order n."""
-    graph = build_riordan(spec)
-    generic = BitGraph._unchecked(spec.n, riordan_adjacency(*_series_pair(spec, spec.n), spec.n))
+def _rows_unset(graph):
+    """Whether the graph's rows slot is still unset: no read has made them."""
     try:
         object.__getattribute__(graph, "rows")
-        kind = "rows"
     except AttributeError:
-        kind = "_laters"
-    assert kind == stored
-    assert graph._laters == generic._laters
-    assert graph.rows == generic.rows
+        return True
+    return False
+
+
+def _assert_built_as(spec):
+    """build_riordan(spec) stores only its later-neighbour ints and, read
+    through both forms, is riordan_adjacency's L + L^T from g and f at order
+    n, as the checked constructor takes it."""
+    graph = build_riordan(spec)
+    assert _rows_unset(graph)
+    reference = BitGraph(spec.n, riordan_adjacency(*_series_pair(spec, spec.n), spec.n))
+    assert graph._laters == reference._laters
+    assert graph.rows == reference.rows
 
 
 class TestAppellBuild:
@@ -134,18 +140,27 @@ class TestAppellBuild:
     @example(g_expr=parse("0"), n=5)
     @example(g_expr=parse("1/(1-z)"), n=60)
     def test_matches_the_generic_route(self, g_expr, n):
-        _assert_built_as(RiordanSpec.appell(g_expr, n), "_laters")
+        _assert_built_as(RiordanSpec.appell(g_expr, n))
 
     @pytest.mark.parametrize(
-        "text, stored",
+        "text, made_from",
         [
             *((f"bell:g=1;n={n}", "_laters") for n in (1, 2, 9, 64)),
             ("riordan:g=1+z;f=z+z^5;n=5", "_laters"),  # f = z only below z^5
             ("riordan:g=1+z;f=z+z^4;n=5", "rows"),
         ],
     )
-    def test_decided_on_the_series(self, text, stored):
-        _assert_built_as(parse_graph_spec(text).riordan, stored)
+    def test_decided_on_the_series(self, monkeypatch, text, made_from):
+        # "_laters": the pattern zg is stored as it is, with no Riordan
+        # columns; "rows": the rows of L^T, one _riordan_upper call, are
+        # shifted into later-neighbour ints
+        calls, upper = [], graphs._riordan_upper
+        monkeypatch.setattr(graphs, "_riordan_upper", lambda *a: calls.append(a) or upper(*a))
+        spec = parse_graph_spec(text).riordan
+        build_riordan(spec)
+        assert len(calls) == {"_laters": 0, "rows": 1}[made_from]
+        monkeypatch.undo()
+        _assert_built_as(spec)
 
 
 class TestBuildRiordan:
@@ -1294,8 +1309,9 @@ class TestSymmetryCheckWork:
 
 
 def _assert_checked_route_agrees(graph):
-    """The builders and complement() store their rows unchecked; BitGraph's
-    checked constructor must accept those rows and give the same graph."""
+    """The builders and complement() store their later-neighbour ints
+    unchecked; BitGraph's checked constructor must accept the rows made from
+    them and give the same graph."""
     for g in (graph, graph.complement()):
         assert BitGraph(g.n, g.rows) == g
 
@@ -1315,7 +1331,10 @@ class TestUncheckedBuilds:
     @example(pair=(parse("1+z"), parse("1+z")), n=9)  # L has diagonal bits, L + L^T none
     @settings(max_examples=150, deadline=None)
     def test_riordan(self, pair, n):
-        _assert_checked_route_agrees(build_riordan(RiordanSpec(*pair, n)))
+        # proper and improper (f(0) = 1) pairs alike store no rows
+        spec = RiordanSpec(*pair, n)
+        _assert_built_as(spec)
+        _assert_checked_route_agrees(build_riordan(spec))
 
     @given(case=_toeplitz_cases())
     @example(case=(9, [1, 3]))  # w * w = n
@@ -1432,6 +1451,62 @@ class TestPeriodicBuilds:
         for n in (*range(1, 25), 200):
             for fresh, built in zip(periodic_builds(n), periodic_builds(n)):
                 assert read(fresh) == read(BitGraph(n, built.rows)), n
+
+
+def _one_form_cases():
+    """(graph, its rows by an independent route) for a Toeplitz, a ladder,
+    a proper, an improper (f(0) = 1) and an Appell Riordan build."""
+    ds = (1, 6, 11)
+    toeplitz = [(i, i + d) for d in ds for i in range(1, 41 - d)]
+    yield build_toeplitz(40, ds), BitGraph.from_edges(40, toeplitz).rows
+    ladder = [(i, i + 1) for i in range(1, 41)] + [(i, i + 2) for i in range(2, 40, 2)]
+    yield build_delta(41, "tilde"), BitGraph.from_edges(41, ladder).rows
+    for text in (
+        "pascal:n=40",
+        "riordan:g=1;f=1+z;n=5",
+        "riordan:g=1+z^2;f=1+z+z^3;n=37",
+        "riordan:g=1/(1-z^3);f=z;n=30",
+    ):
+        spec = parse_graph_spec(text).riordan
+        yield build_riordan(spec), riordan_adjacency(*_series_pair(spec, spec.n), spec.n)
+
+
+class TestOneStoredForm:
+    """Every graph the package builds stores its later-neighbour ints alone,
+    and reads back the rows of an independent route."""
+
+    def test_builds_complements_and_blocks(self):
+        for graph, rows in _one_form_cases():
+            checked = BitGraph(graph.n, rows)
+            complement = graph.complement()
+            blocks = _block_graphs(decompose(checked))
+            assert all(map(_rows_unset, (graph, complement, *blocks)))
+            assert graph.rows == checked.rows
+            full = (1 << graph.n) - 1
+            assert complement.rows == tuple(~row & full & ~(1 << v) for v, row in enumerate(rows))
+            assert [block.rows for block in blocks] == list(decompose(checked)[:2])
+
+    def test_readers_make_no_rows(self):
+        # edge_count, has_edge, == and hash read the later-neighbour ints
+        for graph, rows in _one_form_cases():
+            checked = BitGraph(graph.n, rows)
+            pairs = list(itertools.product(range(1, graph.n + 1), repeat=2))
+            assert graph.edge_count == checked.edge_count == sum(map(int.bit_count, rows)) // 2
+            assert [graph.has_edge(i, j) for i, j in pairs] == [
+                bool(rows[i - 1] >> (j - 1) & 1) for i, j in pairs
+            ]
+            assert graph == checked and hash(graph) == hash(checked)
+            assert _rows_unset(graph)
+
+    def test_edge_count_of_a_long_path(self):
+        graph = build_toeplitz(20000, (1,))
+        assert graph.edge_count == 19999 and _rows_unset(graph)
+
+    def test_a_dense_build_request_makes_no_rows(self, monkeypatch, capsys):
+        built, symmetric = [], graphs._symmetric
+        monkeypatch.setattr(graphs, "_symmetric", lambda *a: built.append(a) or symmetric(*a))
+        assert cli.run(["graph", "build", "--spec", "bell:g=motzkin;n=300"]) == 0
+        assert capsys.readouterr().out and built == []
 
 
 class TestBitGraphValidation:

@@ -122,7 +122,7 @@ def test_large_n_decompositions_match_references(monkeypatch):
 
 
 def test_large_n_graph_builds_match_references(monkeypatch):
-    # dense Riordan builds, whose rows are stored without a symmetry check
+    # dense Riordan builds, stored as the later-neighbour ints of L^T with no rows
     keys = [
         k
         for k in REFERENCES["large-n"]

@@ -146,11 +146,10 @@ class TestFailingReports:
 
 
 def _adjacency_builds(monkeypatch, spec):
+    # a proper build computes the upper half L^T once, and stores it
     calls = []
-    build = graphs.riordan_adjacency
-    monkeypatch.setattr(
-        graphs, "riordan_adjacency", lambda *args: calls.append(args) or build(*args)
-    )
+    build = graphs._riordan_upper
+    monkeypatch.setattr(graphs, "_riordan_upper", lambda *args: calls.append(args) or build(*args))
     bound_report(spec)
     return len(calls)
 
