@@ -168,10 +168,7 @@ def count_is_banded(graph: BitGraph) -> BigCount:
     """`count_is_swept` for graphs whose longest edge, their bandwidth, is
     at most BANDWIDTH_LIMIT; a wider graph is refused.  The sweep of so
     narrow a graph has no live-set limit, so it never branches."""
-    bandwidth = max(graph._laters).bit_length() - 1
-    if bandwidth > BANDWIDTH_LIMIT:
-        raise ValueError(f"bandwidth must be at most {BANDWIDTH_LIMIT}, got {bandwidth}")
-    return count_is_swept(graph)
+    return _swept(graph, None)
 
 
 def count_is_swept(graph: BitGraph) -> BigCount:
@@ -194,10 +191,18 @@ def count_is_swept(graph: BitGraph) -> BigCount:
     x_i = x_(i+d) = 1.  A periodic run of at least KERNEL_CUT steps (a
     Toeplitz interior, a ladder) goes through one `_kernel`, compiled once
     per call for each run of the same keys, gap and live sets."""
+    return _swept(graph, SWEEP_STATES)
+
+
+def _swept(graph: BitGraph, wide: int | None) -> BigCount:
+    """Both routes' sweep: at most `wide` live sets above BANDWIDTH_LIMIT; None refuses."""
     laters = graph._laters  # bit t of laters[v]: v ~ v + t
     lengths = reduce(operator.or_, set(laters))
+    bandwidth = lengths.bit_length() - 1
+    if bandwidth > BANDWIDTH_LIMIT and wide is None:
+        raise ValueError(f"bandwidth must be at most {BANDWIDTH_LIMIT}, got {bandwidth}")
     g = gcd(*(t for t in range(1, lengths.bit_length()) if lengths >> t & 1)) or 1
-    limit = inf if lengths.bit_length() - 1 <= BANDWIDTH_LIMIT else SWEEP_STATES
+    limit = inf if bandwidth <= BANDWIDTH_LIMIT else wide
     runs, total = {}, 1
     for r in range(g):
         if (part := _sweep(laters[r::g], g, runs, limit)) is None:

@@ -12,15 +12,7 @@ from typing import NamedTuple
 
 # count_is is unused here; bench/tests/test_bench.py calls formulas.count_is
 from .counting import BigCount, count_is, count_is_swept
-from .graphs import (
-    BitGraph,
-    DecompositionBlocks,
-    RiordanSpec,
-    _block_graphs,
-    _io_blocks,
-    _prefix_defect,
-    decompose,
-)
+from .graphs import BitGraph, RiordanSpec, _io_split, _odd_even_split, _prefix_defect
 
 WELL_BASED_LIMIT = 30
 
@@ -320,7 +312,7 @@ def odd_even_lower_bound(graph: BitGraph) -> BigCount:
     """Lower bound from the odd/even split:
     i(X) + i(Y) - 1 + sigma0(B), where X and Y are the subgraphs induced by
     the odd and the even labels and sigma0(B) counts the non-adjacent
-    odd/even vertex pairs.
+    odd/even vertex pairs, all read off the later-neighbour ints, no rows.
 
     The -1 removes the doubly counted empty set; without it the bound
     fails on small cases (it exceeds the exact count of the order-4
@@ -328,13 +320,13 @@ def odd_even_lower_bound(graph: BitGraph) -> BigCount:
     """
     if graph.n < 2:
         raise ValueError("bound applies for n >= 2")
-    return _odd_even_bound(decompose(graph))
+    return _odd_even_bound(_odd_even_split(graph))
 
 
-def _odd_even_bound(blocks: DecompositionBlocks) -> BigCount:
-    """odd_even_lower_bound read off the graph's odd/even blocks."""
-    x, y = _block_graphs(blocks)
-    sigma0 = x.n * y.n - sum(row.bit_count() for row in blocks.b)
+def _odd_even_bound(split: tuple[BitGraph, BitGraph, int]) -> BigCount:
+    """odd_even_lower_bound read off the graph's odd/even split: X, Y and
+    sigma0(B), from `graphs._odd_even_split`."""
+    x, y, sigma0 = split
     return count_is_swept(x) + count_is_swept(y) - 1 + sigma0
 
 
@@ -345,10 +337,10 @@ def io_dec_lower_bound(spec: RiordanSpec) -> BigCount:
     holds the edges of G_n outside X."""
     if spec.n < 2:
         raise ValueError("bound applies for n >= 2")
-    blocks = _io_blocks(spec)
-    if blocks is None:
+    split = _io_split(spec)
+    if split is None:
         raise BoundPreconditionError("spec is not io-decomposable")
-    return _odd_even_bound(blocks)
+    return _odd_even_bound(split)
 
 
 def multipartite_lower_bound(n: int) -> BigCount:

@@ -77,18 +77,20 @@ class BitGraph:
                     raise ValueError(f"adjacency not symmetric at ({i + 1}, {j})")
         self.n = n
         self.rows = rows
-        self._laters = _later_ints(rows)
+        self._laters = [*map(operator.rshift, rows, count())]  # row v shifted down v places
 
     @classmethod
-    def _periodic(cls, n: int, patterns: tuple[int, ...] | list[int]) -> BitGraph:
+    def _periodic(cls, n: int, patterns: tuple[int, ...] | list[int], cut: bool = True) -> BitGraph:
         """The graph in which vertex i (0-indexed) has later neighbour i + t
-        for every bit t of patterns[i % len(patterns)] below n - i, stored as
-        its later-neighbour ints (n ints are a pattern list of period n); no
-        pattern has bit 0.  Only graphs calls it."""
-        full = (1 << n) - 1  # first: an order too large to shift fails before any list
-        laters = [*islice(cycle(patterns), n)]
-        cut = max(n - max(patterns).bit_length(), 0)
-        laters[cut:] = map(operator.and_, laters[cut:], map(full.__rshift__, range(cut, n)))
+        for every bit t of patterns[i % len(patterns)] below n - i, stored as its
+        later-neighbour ints; no pattern has bit 0.  With cut=False, patterns
+        is n such ints, each in range, stored as given.  Only graphs calls it."""
+        laters = patterns
+        if cut:
+            full = (1 << n) - 1  # first: an order too large to shift fails before any list
+            laters = [*islice(cycle(patterns), n)]
+            low = max(n - max(patterns).bit_length(), 0)
+            laters[low:] = map(operator.and_, laters[low:], map(full.__rshift__, range(low, n)))
         graph = object.__new__(cls)
         graph.n = n
         graph._laters = laters
@@ -151,8 +153,8 @@ class BitGraph:
 
     def complement(self) -> BitGraph:
         # vertex v's later non-neighbours: bits 1..n-1-v not in its later int
-        n = self.n
-        return BitGraph._periodic(n, [((1 << n - v) - 2) & ~t for v, t in enumerate(self._laters)])
+        laters = [((1 << self.n - v) - 2) & ~t for v, t in enumerate(self._laters)]
+        return BitGraph._periodic(self.n, laters, cut=False)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BitGraph) and self._laters == other._laters
@@ -212,11 +214,6 @@ def _transpose(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
         x ^= t ^ t << 28
         cols += map(x.to_bytes(height, "little").__getitem__, lanes)
     return tuple([int.from_bytes(col, "little") for col in cols[:ncols]])
-
-
-def _later_ints(rows) -> list[int]:
-    """The later-neighbour ints of the loop-free bit rows `rows`: row v shifted down v places."""
-    return [*map(operator.rshift, rows, count())]
 
 
 def _relabel(rows: tuple[int, ...], order) -> tuple[int, ...]:
@@ -349,7 +346,7 @@ def build_riordan(spec: RiordanSpec) -> BitGraph:
     if f.bits == 2 & (1 << spec.n) - 1:
         return BitGraph._periodic(spec.n, (g.bits << 1,))
     upper = (riordan_adjacency if f.bits & 1 else _riordan_upper)(g, f, spec.n)
-    return BitGraph._periodic(spec.n, _later_ints(upper))
+    return BitGraph._periodic(spec.n, [*map(operator.rshift, upper, count())], cut=False)
 
 
 def build_toeplitz(n: int, distances) -> BitGraph:
@@ -453,9 +450,17 @@ def _split(rows: tuple[int, ...]) -> DecompositionBlocks:
     )
 
 
-def _block_graphs(blocks: DecompositionBlocks) -> tuple[BitGraph, BitGraph]:
-    """X and Y as graphs: cut from a symmetric, loop-free matrix, they are so too."""
-    return tuple(BitGraph._periodic(len(rows), _later_ints(rows)) for rows in (blocks.x, blocks.y))
+def _odd_even_split(graph: BitGraph) -> tuple[BitGraph, BitGraph, int]:
+    """X and Y, induced by the odd and the even labels, and sigma0(B), the
+    odd/even non-edges, of a graph with n >= 2, off its later-neighbour ints:
+    X's (Y's) entry a is vertex 2a's (2a + 1's), bit 2s made bit s."""
+    # bit 2s of t as bit s: every other binary digit of t from its last, once per distinct t
+    halves = {t: int(f"{t:b}"[::-2][::-1], 2) for t in {*graph._laters}}
+    x, y = (
+        BitGraph._periodic(len(ts), [*map(halves.get, ts)], cut=False)
+        for ts in (graph._laters[0::2], graph._laters[1::2])
+    )
+    return x, y, x.n * y.n - graph.edge_count + x.edge_count + y.edge_count
 
 
 def predict_blocks(spec: RiordanSpec) -> DecompositionBlocks:
@@ -525,32 +530,33 @@ def is_proper(spec: RiordanSpec) -> bool:
     return _prefix_defect(spec, 2) is None
 
 
-def has_io_blocks(graph: BitGraph, blocks: DecompositionBlocks) -> bool:
-    """Whether the Riordan graph G_n (n >= 2) with odd/even blocks `blocks` is
-    io-decomposable: even labels independent (Y = 0), odd labels inducing
-    G_ceil(n/2) in order.  G_ceil(n/2) is G_n on 1..ceil(n/2), as edge (i, j)
-    depends only on [z^(i-2)] g f^(j-1), so X must equal G_n's first
-    ceil(n/2) rows cut to ceil(n/2) bits."""
-    p = len(blocks.x)
-    full = (1 << p) - 1
-    return not any(blocks.y) and blocks.x == tuple(r & full for r in graph.rows[:p])
+def has_io_blocks(graph: BitGraph, split: tuple[BitGraph, BitGraph, int]) -> bool:
+    """Whether the Riordan graph G_n (n >= 2) with odd/even split `split`
+    (see _odd_even_split) is io-decomposable: even labels independent (Y has
+    no edge), odd labels inducing G_ceil(n/2) in order.  G_ceil(n/2) is G_n
+    on 1..ceil(n/2), as edge (i, j) depends only on [z^(i-2)] g f^(j-1), so
+    X's entry a must be G_n's cut below bit ceil(n/2) - a."""
+    x, y, _ = split
+    p = x.n
+    cuts = (t & ((1 << (p - a)) - 1) for a, t in enumerate(graph._laters[:p]))
+    return not any(y._laters) and all(map(operator.eq, x._laters, cuts))
 
 
-def _io_blocks(spec: RiordanSpec) -> DecompositionBlocks | None:
-    """The odd/even blocks of G_n when n >= 2 and G_n is io-decomposable (see
+def _io_split(spec: RiordanSpec) -> tuple[BitGraph, BitGraph, int] | None:
+    """The odd/even split of G_n when n >= 2 and G_n is io-decomposable (see
     has_io_blocks), else None; an improper spec is refused first."""
     if not is_proper(spec):
         raise ValueError("io-decomposability is defined for proper specs")
     if spec.n < 2:
         return None
     graph = build_riordan(spec)
-    blocks = decompose(graph)
-    return blocks if has_io_blocks(graph, blocks) else None
+    split = _odd_even_split(graph)
+    return split if has_io_blocks(graph, split) else None
 
 
 def is_io_decomposable(spec: RiordanSpec) -> bool:
     """Structural io-decomposability of the built G_n (see has_io_blocks); G_1 is."""
-    return _io_blocks(spec) is not None or spec.n == 1
+    return _io_split(spec) is not None or spec.n == 1
 
 
 def is_chordal_toeplitz(n: int, distances) -> bool:
@@ -663,14 +669,30 @@ _SPEC_MAKERS = {"pascal": pascal_spec, "catalan": catalan_spec, "motzkin": motzk
 _DELTA_VARIANTS = {"delta": "plain", "deltaTilde": "tilde"}
 
 
-class GraphSpec(NamedTuple):
-    """A parsed graph spec string: what to build and how."""
+class GraphSpec(
+    NamedTuple(
+        "GraphSpec",
+        [("text", str), ("kind", str), ("n", int), ("riordan", RiordanSpec | None),
+         ("distances", tuple[int, ...] | None)],
+    )
+):
+    """A parsed graph spec string: what to build and how.  _replace writes a
+    new kind, n or distances into the text and parses it again, so riordan
+    and text follow them as a RiordanSpec's family follows f."""
 
-    text: str
-    kind: str
-    n: int
-    riordan: RiordanSpec | None = None
-    distances: tuple[int, ...] | None = None
+    __slots__ = ()
+
+    def _replace(self, **changes) -> GraphSpec:
+        spec = parse_graph_spec(changes.pop("text")) if "text" in changes else self
+        kind, _, body = spec.text.partition(":")
+        params = dict(chunk.split("=", 1) for chunk in body.split(";") if chunk)
+        if "distances" in changes:
+            params["d"] = ",".join(map(str, changes.pop("distances")))
+        params["n"] = changes.pop("n", params["n"])
+        kind = changes.pop("kind", kind)
+        if changes:
+            raise ValueError(f"fields {sorted(changes)} are parsed from the text, not replaced")
+        return parse_graph_spec(kind + ":" + ";".join(f"{k}={v}" for k, v in params.items()))
 
     @property
     def variant(self) -> str | None:
@@ -727,10 +749,10 @@ def parse_graph_spec(text: str) -> GraphSpec:
 
     if kind in ("riordan", "bell"):
         f_expr = taken["f"] if kind == "riordan" else Mul(Var(), taken["g"])
-        return GraphSpec(text=text, kind=kind, n=n, riordan=RiordanSpec(taken["g"], f_expr, n))
+        return GraphSpec(text, kind, n, RiordanSpec(taken["g"], f_expr, n), None)
 
     if kind in _SPEC_MAKERS:
-        return GraphSpec(text=text, kind=kind, n=n, riordan=_SPEC_MAKERS[kind](n))
+        return GraphSpec(text, kind, n, _SPEC_MAKERS[kind](n), None)
 
     if kind == "toeplitz":
         try:
@@ -745,6 +767,6 @@ def parse_graph_spec(text: str) -> GraphSpec:
             _check_distances(distances, n)
         except ValueError as exc:
             raise SpecParseError(str(exc)) from None
-        return GraphSpec(text=text, kind="toeplitz", n=n, riordan=riordan, distances=distances)
+        return GraphSpec(text, "toeplitz", n, riordan, distances)
 
-    return GraphSpec(text=text, kind=kind, n=n)
+    return GraphSpec(text, kind, n, None, None)

@@ -19,9 +19,9 @@ from .counting import count_cliques, count_is, count_is_swept, count_maximum_is
 from .graphs import (
     ChordalityRangeError,
     RiordanSpec,
+    _odd_even_split,
     _prediction_errors,
     _prediction_pair,
-    decompose,
     has_consecutive_ham_path,
     has_io_blocks,
     is_chordal_toeplitz,
@@ -118,7 +118,8 @@ def bound_report(text: str, max_n: int = DEFAULT_MAX_N) -> BoundReport:
     not plain count bounds (independence number, maximum-set counts, the
     clique closed form) are appended to notes, prefixed FAIL when they do
     not check out.  The uncorrected odd/even bound is reported in notes
-    whenever it exceeds the exact count.
+    whenever it exceeds the exact count.  Of it all, only the maximum-set
+    count on an io-decomposable graph reads rows.
     """
     spec = parse_graph_spec(text)
     n = spec.n
@@ -161,12 +162,12 @@ def bound_report(text: str, max_n: int = DEFAULT_MAX_N) -> BoundReport:
     if n < 2:
         return report
 
-    # one odd/even split serves every bound below; graph is G_n(rs) for
-    # Toeplitz specs too, and on an io-decomposable G_n the io-dec bound is
-    # the odd/even bound
-    blocks = decompose(graph)
-    odd_even = formulas._odd_even_bound(blocks)
-    if rs is not None and has_io_blocks(graph, blocks) and is_proper(rs):
+    # one odd/even split, read off the later-neighbour ints, serves every
+    # bound below; graph is G_n(rs) for Toeplitz specs too, and on an
+    # io-decomposable G_n the io-dec bound is the odd/even bound
+    split = _odd_even_split(graph)
+    odd_even = formulas._odd_even_bound(split)
+    if rs is not None and has_io_blocks(graph, split) and is_proper(rs):
         add("io-dec-lower", odd_even, "lower")
         alpha_claim, max_cap = formulas.io_independence_claims(n)
         alpha, max_count, _ = count_maximum_is(graph)

@@ -165,6 +165,7 @@ def test_the_banded_sweep_reads_no_rows():
     sweep = (
         "count_is_banded",
         "count_is_swept",
+        "_swept",
         "_sweep",
         "_step",
         "_kernel",
@@ -173,7 +174,9 @@ def test_the_banded_sweep_reads_no_rows():
     )
     defined = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
     assert defined.issuperset(sweep)  # a renamed function cannot empty the check
-    assert _calls_by_function(tree, "_sweep") == ["count_is_swept"]
+    # one scan of the edge lengths drives the sweep for both public routes
+    assert _calls_by_function(tree, "_sweep") == ["_swept"]
+    assert sorted(_calls_by_function(tree, "_swept")) == ["count_is_banded", "count_is_swept"]
     reads = [
         (top.name, node.lineno)
         for top in tree.body

@@ -7,6 +7,7 @@ import pytest
 from corpus import poly_text, random_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_graphs import split_graphs
 
 from riordan_graphs.counting import brute_force_is, count_cliques, count_is
 from riordan_graphs.formulas import (
@@ -679,4 +680,10 @@ class TestSplitBoundOracles:
     @given(seed=st.integers(0, 10**6))
     def test_odd_even_matches_induced_subgraph_formula(self, seed):
         (graph,) = random_graphs(1, 16, seed)
+        assert odd_even_lower_bound(graph) == _odd_even_oracle(graph)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=split_graphs)
+    def test_odd_even_on_built_graphs(self, graph):
+        # dense Riordan, Toeplitz, ladder and random graphs at n = 2..60
         assert odd_even_lower_bound(graph) == _odd_even_oracle(graph)

@@ -31,6 +31,7 @@ from riordan_graphs.graphs import (
     decompose,
     export_graph,
     has_consecutive_ham_path,
+    has_io_blocks,
     is_chordal_toeplitz,
     is_io_decomposable,
     is_proper,
@@ -42,9 +43,9 @@ from riordan_graphs.graphs import (
     riordan_adjacency,
 )
 from riordan_graphs.graphs import (
-    _block_graphs,
     _component_masks,
     _mask_labels,
+    _odd_even_split,
     _riordan_columns,
     _series_pair,
 )
@@ -365,6 +366,74 @@ class TestDecompose:
         bad = blocks._replace(**{block: change(getattr(blocks, block))})
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bad.reassemble()
+
+
+# the graphs a split sees: dense Riordan builds (f(0) = 1 among them), Toeplitz
+# builds, ladders and random checked graphs, n = 2..60
+split_graphs = st.one_of(
+    st.builds(
+        lambda pair, n: build_riordan(RiordanSpec(*pair, n)),
+        st.one_of(st.tuples(g_exprs, f_exprs), proper_pairs),
+        st.integers(2, 60),
+    ),
+    st.integers(2, 60).flatmap(
+        lambda n: st.sets(st.integers(1, n - 1), min_size=1, max_size=6).map(
+            lambda ds: build_toeplitz(n, sorted(ds))
+        )
+    ),
+    st.builds(build_delta, st.integers(2, 60), st.sampled_from(["plain", "tilde"])),
+    st.builds(_graph_from_seed, st.integers(2, 60), st.integers(0, 10**6), st.floats(0, 1)),
+)
+
+
+class TestOddEvenSplit:
+    """X, Y and sigma0(B) read off the later-neighbour ints, against
+    decompose, the rows route, and the io test against its definition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=split_graphs)
+    def test_matches_decompose(self, graph):
+        unset = _rows_unset(graph)
+        x, y, sigma0 = _odd_even_split(graph)
+        assert _rows_unset(graph) == unset and _rows_unset(x) and _rows_unset(y)
+        blocks = decompose(graph)
+        assert (x.rows, y.rows) == (blocks.x, blocks.y)
+        assert sigma0 == x.n * y.n - sum(map(int.bit_count, blocks.b))
+
+    @given(pair=st.one_of(st.tuples(g_exprs, f_exprs), proper_pairs), n=st.integers(2, 40))
+    def test_io_test_matches_the_rebuild(self, pair, n):
+        spec = RiordanSpec(*pair, n)
+        graph = build_riordan(spec)
+        assert has_io_blocks(graph, _odd_even_split(graph)) == _io_decomposable_by_rebuild(spec)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "bell:g=1;n={n}",
+            "riordan:g=1+z;f=z;n={n}",
+            "riordan:g=1/(1-z);f=z;n={n}",
+            "pascal:n={n}",
+            "riordan:g=1;f=1+z;n={n}",
+            "riordan:g=1+z;f=z+z^2;n={n}",
+        ],
+    )
+    def test_small_orders_match_the_checked_constructor(self, text):
+        # the f = z pattern keeps its cut at n = 1; dense builds, their
+        # complements and their X and Y are stored as given
+        for n in (1, 2, 3):
+            spec = parse_graph_spec(text.format(n=n)).riordan
+            graph = build_riordan(spec)
+            checked = BitGraph(n, riordan_adjacency(*_series_pair(spec, n), n))
+            assert (graph._laters, graph.rows) == (checked._laters, checked.rows), n
+            full = (1 << n) - 1
+            rows = [~row & full & ~(1 << v) for v, row in enumerate(checked.rows)]
+            assert graph.complement()._laters == BitGraph(n, rows)._laters, n
+            if n > 1:
+                blocks = decompose(checked)
+                split = _odd_even_split(graph)[:2]
+                assert [block._laters for block in split] == [
+                    BitGraph(len(cut), cut)._laters for cut in blocks[:2]
+                ], n
 
 
 class TestRelabel:
@@ -1040,6 +1109,19 @@ class TestSpecLanguage:
         with pytest.raises(ValueError, match="^n must be positive$"):
             spec._replace(n=0)
 
+    def test_replace_rebuilds_riordan_and_text(self):
+        # the text is parsed again with the new n or distances written in
+        spec = parse_graph_spec("pascal:n=8")._replace(n=10)
+        assert spec == parse_graph_spec("pascal:n=10") and spec.build().n == 10
+        toeplitz = parse_graph_spec("toeplitz:n=8;d=1,2")._replace(distances=(1, 3))
+        assert toeplitz == parse_graph_spec("toeplitz:n=8;d=1,3")
+        assert toeplitz.build() == build_riordan(toeplitz.riordan) == build_toeplitz(8, (1, 3))
+        riordan = parse_graph_spec("riordan:g=1+z;f=z*(1+z);n=7")._replace(n=9)
+        assert riordan == parse_graph_spec("riordan:g=1+z;f=z*(1+z);n=9")
+        assert riordan.build().n == 9
+        with pytest.raises(ValueError, match=r"^fields \['riordan'\] are parsed from the text"):
+            spec._replace(riordan=None)
+
     def test_variant_follows_kind(self):
         spec = parse_graph_spec("delta:n=7")
         tilde = spec._replace(kind="deltaTilde")
@@ -1479,7 +1561,7 @@ class TestOneStoredForm:
         for graph, rows in _one_form_cases():
             checked = BitGraph(graph.n, rows)
             complement = graph.complement()
-            blocks = _block_graphs(decompose(checked))
+            blocks = _odd_even_split(graph)[:2]
             assert all(map(_rows_unset, (graph, complement, *blocks)))
             assert graph.rows == checked.rows
             full = (1 << graph.n) - 1

@@ -178,17 +178,21 @@ class TestProperPerReport:
 
 
 def _decompositions(monkeypatch, spec):
+    """The odd/even splits a report makes; decompose would relabel, which
+    `TestTransposesPerReport` counts."""
     calls = []
-    split = graphs.decompose
+    split = graphs._odd_even_split
     for module in (graphs, formulas, verify):
-        monkeypatch.setattr(module, "decompose", lambda graph: calls.append(graph) or split(graph))
+        monkeypatch.setattr(
+            module, "_odd_even_split", lambda graph: calls.append(graph) or split(graph)
+        )
     bound_report(spec)
     return len(calls)
 
 
 class TestSplitsPerReport:
-    # one odd/even split serves the io-decomposability check and both
-    # split bounds
+    # one odd/even split, read off the later-neighbour ints, serves the
+    # io-decomposability check and both split bounds
     @pytest.mark.parametrize(
         "spec",
         ["pascal:n=16", "catalan:n=9", "bell:g=1+z^3;n=16", "toeplitz:n=9;d=1,3", "delta:n=2"],
@@ -228,20 +232,44 @@ def _work(monkeypatch, run):
 
 
 class TestTransposesPerReport:
-    # built graphs and the X and Y blocks cut from them are not checked for
-    # symmetry; a build transposes once to form U + Uᵀ (a Riordan build's
-    # L + L^T, a Toeplitz build's rows from its later neighbours), and the
-    # odd/even split is the one relabel, since the report's counts sweep in
-    # label order with no degree order
+    # built graphs and the X and Y blocks split from them are not checked for
+    # symmetry, and the split reads later-neighbour ints, so no report
+    # relabels; only the maximum-set count of an io-decomposable graph makes
+    # rows, U + Uᵀ by one transpose, and the counts sweep in label order with
+    # no degree order
     def test_toeplitz_report_checks_no_symmetry(self, monkeypatch):
         work = _work(monkeypatch, lambda: bound_report("toeplitz:n=12;d=1,3"))
-        assert work["transpose"] == 1
-        assert work["relabel"] == 1
+        assert work["transpose"] == 0
+        assert work["relabel"] == 0
 
     def test_pascal_report(self, monkeypatch):
         work = _work(monkeypatch, lambda: bound_report("pascal:n=16"))
         assert work["transpose"] == 1
-        assert work["relabel"] == 1
+        assert work["relabel"] == 0
+
+
+class TestReportsReadNoRows:
+    # a report on a graph that is not io-decomposable reads the
+    # later-neighbour ints alone, at any n
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--spec", "toeplitz:n=20000;d=3,7", "--force"],
+            ["bounds", "--spec", "bell:g=1+z^3;n=16"],
+        ],
+    )
+    def test_no_rows_transposes_or_relabels(self, monkeypatch, capsys, argv):
+        calls = []
+        for module, name in [
+            (graphs, "_symmetric"),
+            (graphs, "_transpose"),
+            (graphs, "_relabel"),
+            (counting, "_relabel"),
+        ]:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out and calls == []
 
 
 class TestReportSweepWork:
