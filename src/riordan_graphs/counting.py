@@ -168,7 +168,7 @@ def count_is_banded(graph: BitGraph) -> BigCount:
     """`count_is_swept` for graphs whose longest edge, their bandwidth, is
     at most BANDWIDTH_LIMIT; a wider graph is refused.  The sweep of so
     narrow a graph has no live-set limit, so it never branches."""
-    return _swept(graph, None)
+    return _swept(graph, refuse=True)
 
 
 def count_is_swept(graph: BitGraph) -> BigCount:
@@ -191,18 +191,18 @@ def count_is_swept(graph: BitGraph) -> BigCount:
     x_i = x_(i+d) = 1.  A periodic run of at least KERNEL_CUT steps (a
     Toeplitz interior, a ladder) goes through one `_kernel`, compiled once
     per call for each run of the same keys, gap and live sets."""
-    return _swept(graph, SWEEP_STATES)
+    return _swept(graph, refuse=False)
 
 
-def _swept(graph: BitGraph, wide: int | None) -> BigCount:
-    """Both routes' sweep: at most `wide` live sets above BANDWIDTH_LIMIT; None refuses."""
+def _swept(graph: BitGraph, refuse: bool) -> BigCount:
+    """Both routes' sweep; above BANDWIDTH_LIMIT it refuses or keeps SWEEP_STATES live sets."""
     laters = graph._laters  # bit t of laters[v]: v ~ v + t
     lengths = reduce(operator.or_, set(laters))
     bandwidth = lengths.bit_length() - 1
-    if bandwidth > BANDWIDTH_LIMIT and wide is None:
+    if bandwidth > BANDWIDTH_LIMIT and refuse:
         raise ValueError(f"bandwidth must be at most {BANDWIDTH_LIMIT}, got {bandwidth}")
     g = gcd(*(t for t in range(1, lengths.bit_length()) if lengths >> t & 1)) or 1
-    limit = inf if bandwidth <= BANDWIDTH_LIMIT else wide
+    limit = inf if bandwidth <= BANDWIDTH_LIMIT else SWEEP_STATES
     runs, total = {}, 1
     for r in range(g):
         if (part := _sweep(laters[r::g], g, runs, limit)) is None:

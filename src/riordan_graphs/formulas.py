@@ -324,8 +324,7 @@ def odd_even_lower_bound(graph: BitGraph) -> BigCount:
 
 
 def _odd_even_bound(split: tuple[BitGraph, BitGraph, int]) -> BigCount:
-    """odd_even_lower_bound read off the graph's odd/even split: X, Y and
-    sigma0(B), from `graphs._odd_even_split`."""
+    """odd_even_lower_bound read off the graph's `graphs._odd_even_split`."""
     x, y, sigma0 = split
     return count_is_swept(x) + count_is_swept(y) - 1 + sigma0
 

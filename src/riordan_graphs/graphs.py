@@ -77,7 +77,7 @@ class BitGraph:
                     raise ValueError(f"adjacency not symmetric at ({i + 1}, {j})")
         self.n = n
         self.rows = rows
-        self._laters = [*map(operator.rshift, rows, count())]  # row v shifted down v places
+        self._laters = _later_ints(rows)
 
     @classmethod
     def _periodic(cls, n: int, patterns: tuple[int, ...] | list[int], cut: bool = True) -> BitGraph:
@@ -85,15 +85,14 @@ class BitGraph:
         for every bit t of patterns[i % len(patterns)] below n - i, stored as its
         later-neighbour ints; no pattern has bit 0.  With cut=False, patterns
         is n such ints, each in range, stored as given.  Only graphs calls it."""
-        laters = patterns
         if cut:
             full = (1 << n) - 1  # first: an order too large to shift fails before any list
-            laters = [*islice(cycle(patterns), n)]
             low = max(n - max(patterns).bit_length(), 0)
-            laters[low:] = map(operator.and_, laters[low:], map(full.__rshift__, range(low, n)))
+            patterns = [*islice(cycle(patterns), n)]
+            patterns[low:] = map(operator.and_, patterns[low:], map(full.__rshift__, range(low, n)))
         graph = object.__new__(cls)
         graph.n = n
-        graph._laters = laters
+        graph._laters = patterns
         return graph
 
     def __getattr__(self, name: str):
@@ -214,6 +213,11 @@ def _transpose(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
         x ^= t ^ t << 28
         cols += map(x.to_bytes(height, "little").__getitem__, lanes)
     return tuple([int.from_bytes(col, "little") for col in cols[:ncols]])
+
+
+def _later_ints(rows) -> list[int]:
+    """The later-neighbour ints of the loop-free bit rows `rows`: row v shifted down v places."""
+    return [*map(operator.rshift, rows, count())]
 
 
 def _relabel(rows: tuple[int, ...], order) -> tuple[int, ...]:
@@ -346,7 +350,7 @@ def build_riordan(spec: RiordanSpec) -> BitGraph:
     if f.bits == 2 & (1 << spec.n) - 1:
         return BitGraph._periodic(spec.n, (g.bits << 1,))
     upper = (riordan_adjacency if f.bits & 1 else _riordan_upper)(g, f, spec.n)
-    return BitGraph._periodic(spec.n, [*map(operator.rshift, upper, count())], cut=False)
+    return BitGraph._periodic(spec.n, _later_ints(upper), cut=False)
 
 
 def build_toeplitz(n: int, distances) -> BitGraph:
@@ -456,10 +460,8 @@ def _odd_even_split(graph: BitGraph) -> tuple[BitGraph, BitGraph, int]:
     X's (Y's) entry a is vertex 2a's (2a + 1's), bit 2s made bit s."""
     # bit 2s of t as bit s: every other binary digit of t from its last, once per distinct t
     halves = {t: int(f"{t:b}"[::-2][::-1], 2) for t in {*graph._laters}}
-    x, y = (
-        BitGraph._periodic(len(ts), [*map(halves.get, ts)], cut=False)
-        for ts in (graph._laters[0::2], graph._laters[1::2])
-    )
+    half = [*map(halves.get, graph._laters)]
+    x, y = (BitGraph._periodic(len(ts), ts, cut=False) for ts in (half[0::2], half[1::2]))
     return x, y, x.n * y.n - graph.edge_count + x.edge_count + y.edge_count
 
 
@@ -537,8 +539,7 @@ def has_io_blocks(graph: BitGraph, split: tuple[BitGraph, BitGraph, int]) -> boo
     on 1..ceil(n/2), as edge (i, j) depends only on [z^(i-2)] g f^(j-1), so
     X's entry a must be G_n's cut below bit ceil(n/2) - a."""
     x, y, _ = split
-    p = x.n
-    cuts = (t & ((1 << (p - a)) - 1) for a, t in enumerate(graph._laters[:p]))
+    cuts = (t & ((1 << (x.n - a)) - 1) for a, t in enumerate(graph._laters))
     return not any(y._laters) and all(map(operator.eq, x._laters, cuts))
 
 
@@ -676,19 +677,21 @@ class GraphSpec(
          ("distances", tuple[int, ...] | None)],
     )
 ):
-    """A parsed graph spec string: what to build and how.  _replace writes a
-    new kind, n or distances into the text and parses it again, so riordan
-    and text follow them as a RiordanSpec's family follows f."""
+    """A parsed graph spec string: what to build and how.  _replace keeps the
+    parsed fields for a new text alone, and writes a new kind, n or distances
+    into the text and parses it again, so riordan and text follow them."""
 
     __slots__ = ()
 
     def _replace(self, **changes) -> GraphSpec:
-        spec = parse_graph_spec(changes.pop("text")) if "text" in changes else self
-        kind, _, body = spec.text.partition(":")
-        params = dict(chunk.split("=", 1) for chunk in body.split(";") if chunk)
+        if changes.keys() <= {"text"}:  # a new spelling of the same graph
+            return super()._replace(**changes)
+        kind, _, body = changes.pop("text", self.text).partition(":")
+        params = dict(chunk.partition("=")[::2] for chunk in body.split(";") if chunk)
         if "distances" in changes:
             params["d"] = ",".join(map(str, changes.pop("distances")))
-        params["n"] = changes.pop("n", params["n"])
+        if "n" in changes:
+            params["n"] = changes.pop("n")
         kind = changes.pop("kind", kind)
         if changes:
             raise ValueError(f"fields {sorted(changes)} are parsed from the text, not replaced")

@@ -117,9 +117,8 @@ def bound_report(text: str, max_n: int = DEFAULT_MAX_N) -> BoundReport:
     Lower/upper violations make entries with holds=False; claims that are
     not plain count bounds (independence number, maximum-set counts, the
     clique closed form) are appended to notes, prefixed FAIL when they do
-    not check out.  The uncorrected odd/even bound is reported in notes
-    whenever it exceeds the exact count.  Of it all, only the maximum-set
-    count on an io-decomposable graph reads rows.
+    not check out, as is the uncorrected odd/even bound above the exact
+    count.  Only the maximum-set count on an io-decomposable graph reads rows.
     """
     spec = parse_graph_spec(text)
     n = spec.n
@@ -162,9 +161,8 @@ def bound_report(text: str, max_n: int = DEFAULT_MAX_N) -> BoundReport:
     if n < 2:
         return report
 
-    # one odd/even split, read off the later-neighbour ints, serves every
-    # bound below; graph is G_n(rs) for Toeplitz specs too, and on an
-    # io-decomposable G_n the io-dec bound is the odd/even bound
+    # one odd/even split serves every bound below; graph is G_n(rs) for Toeplitz
+    # specs too, and on an io-decomposable G_n the io-dec bound is the odd/even bound
     split = _odd_even_split(graph)
     odd_even = formulas._odd_even_bound(split)
     if rs is not None and has_io_blocks(graph, split) and is_proper(rs):

@@ -1121,6 +1121,9 @@ class TestSpecLanguage:
         assert riordan.build().n == 9
         with pytest.raises(ValueError, match=r"^fields \['riordan'\] are parsed from the text"):
             spec._replace(riordan=None)
+        # a new text alone is a new spelling: the parsed fields stay
+        spelled = spec._replace(text="pascal:;n=10;")
+        assert spelled.text == "pascal:;n=10;" and spelled[1:] == spec[1:]
 
     def test_variant_follows_kind(self):
         spec = parse_graph_spec("delta:n=7")
