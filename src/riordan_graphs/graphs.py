@@ -167,32 +167,17 @@ class BitGraph:
 
 def _transpose(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     """Columns of the bit matrix `rows`, its nrows = len(rows) rows all
-    below bit ncols, by one of two strategies chosen by the number of set bits.
+    below bit ncols, by an 8 x 8 byte kernel.
 
-    The per-bit walk costs a few big-int ops per set bit, so it is the
-    cheap one on sparse input such as Toeplitz and ladder graphs.  The byte
-    kernel packs the rows little-endian, width = ceil(ncols/8) bytes each,
-    and pads them with zero rows to a multiple of 8.  Byte column k of every
-    row, gathered by one strided slice, is one int whose 64-bit word i holds
-    the 8 x 8 bit block of rows 8i..8i+7 and columns 8k..8k+7, bit 8r + c
-    for cell (r, c); the three delta swaps of Warren's transpose8 (Hacker's
+    The rows are packed little-endian, width = ceil(ncols/8) bytes each, and
+    padded with zero rows to a multiple of 8.  Byte column k of every row,
+    gathered by one strided slice, is one int whose 64-bit word i holds the
+    8 x 8 bit block of rows 8i..8i+7 and columns 8k..8k+7, bit 8r + c for
+    cell (r, c); the three delta swaps of Warren's transpose8 (Hacker's
     Delight 7-3), on masks repeated across every word, move each cell to
     bit 8c + r in all blocks at once, so byte c of every word, read by one
     more strided slice, is column 8k + c.  That is ceil(ncols/8) passes on
-    nrows-bit ints and one read per column at every density.  A row costs
-    the kernel about what one set bit costs the walk, a column (its share
-    of a pass and its read) about three, and its fixed cost about 32, so
-    the walk is taken below nrows + 3 * ncols + 32 set bits, about where
-    the two cost the same; dense Riordan graphs take the kernel."""
-    if sum(map(int.bit_count, rows)) < len(rows) + 3 * ncols + 32:
-        cols = [0] * ncols
-        for r, row in enumerate(rows):
-            bit = 1 << r
-            while row:
-                c = row.bit_length() - 1
-                cols[c] |= bit
-                row ^= 1 << c
-        return tuple(cols)
+    nrows-bit ints and one read per column at every density."""
     width = (ncols + 7) >> 3
     height = (len(rows) + 7) >> 3 << 3
     data = b"".join([row.to_bytes(width, "little") for row in rows])

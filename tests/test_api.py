@@ -1,10 +1,10 @@
 """The package's public names, where a deletion has to show up, the one
 module that may store a graph unchecked or name the bit-matrix helpers,
-the byte conversions that must run on the oldest supported Python, the
-one place that runs generated source, with no transition of its own, the
-banded sweep, which reads no rows, the one U + Uᵀ assembly of built
-rows, the one stored form of every graph, and the CLI's engine policy,
-which reads the graph, not its spec."""
+the one path of the bit-matrix transpose, the byte conversions that must
+run on the oldest supported Python, the one place that runs generated
+source, with no transition of its own, the banded sweep, which reads no
+rows, the one U + Uᵀ assembly of built rows, the one stored form of every
+graph, and the CLI's engine policy, which reads the graph, not its spec."""
 
 import ast
 import re
@@ -90,6 +90,19 @@ def test_only_graphs_names_the_bit_matrix_helpers():
         word = re.compile(rf"\b{name}\b")
         naming = sorted(p.name for p in package.glob("*.py") if word.search(p.read_text()))
         assert naming == ["graphs.py"], name
+
+
+def test_the_transpose_has_one_path():
+    # the byte kernel serves every density and shape: no branch, and no
+    # count of set bits to choose a second algorithm by
+    tree = ast.parse((Path(riordan_graphs.__file__).parent / "graphs.py").read_text())
+    transpose = next(
+        top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "_transpose"
+    )
+    assert [node for node in ast.walk(transpose) if isinstance(node, (ast.If, ast.IfExp))] == []
+    names = {getattr(node, "id", None) for node in ast.walk(transpose)}
+    names |= {getattr(node, "attr", None) for node in ast.walk(transpose)}
+    assert "bit_count" not in names
 
 
 def test_byte_conversions_pass_their_byteorder():

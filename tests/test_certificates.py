@@ -44,9 +44,23 @@ The same argument proves two more closed forms.
   P_(m+1), so the Pell polynomial x^2 - 2x - 1, of order 2, annihilates
   it in m.  Agreement at m = 0 .. S2 + 1 on each parity decides; the check
   runs m = 0 .. S2 + 4, i.e. n = 0 .. 2(S2 + 4) + 1.
+- Chordal Toeplitz: T_n<t, 2t, ..., kt> is the disjoint union of its t
+  residue classes, and the banded sweep takes each class j = 1..t alone,
+  keyed (2^t + 2^(2t) + ... + 2^(kt), t) at every step, since its
+  vertices lie t labels apart.  Every blocked set reachable from the empty
+  one lies on multiples of t, and the map bit it -> bit i takes the step
+  of each one to the step of its image under T_m<1..k>'s key
+  (2 + 4 + ... + 2^k, 1).  `_step` is linear in the counts and the map is
+  one-to-one on these sets, so after m letters the two sweeps hold the
+  same counts.  Class j has m_j = floor((n - j)/t) + 1 vertices, so by
+  the k-type case at k + 1 it has F_(k+1)(m_j + k + 1) independent sets,
+  and their product is `formulas.chordal_toeplitz_is(k, t, n)` at every
+  n.  The check covers k, t <= 4; k = 1 rests on the k-type case at
+  k = 2, the path.
 """
 
 from itertools import combinations, cycle, islice
+from math import prod
 
 import pytest
 
@@ -129,13 +143,48 @@ def test_reachable_sets_mark_well_based_sets():
         assert states >= ds[-1] + 1, ds
 
 
-@pytest.mark.parametrize("k", range(3, 17))
+@pytest.mark.parametrize("k", range(2, 17))
 def test_k_fibonacci_holds_at_every_n(k):
     keys = _toeplitz_keys(range(1, k))
     states = len(_reachable(keys))
     assert states == k
     last = states + 2 * k
     assert _totals(keys, last) == [formulas.k_fibonacci(k, n + k) for n in range(last + 1)]
+
+
+def _chordal_class_keys(k, t):
+    """The one step key of each residue class of T_n<t, 2t, ..., kt>."""
+    return [(sum(1 << i * t for i in range(1, k + 1)), t)]
+
+
+def _squeeze(b, t):
+    """Bit i for each bit it of `b`."""
+    return sum(1 << i // t for i in range(b.bit_length()) if b >> i & 1)
+
+
+@pytest.mark.parametrize("t", range(1, 5))
+@pytest.mark.parametrize("k", range(1, 5))
+def test_chordal_class_sweep_is_the_k_type_sweep(k, t):
+    ((later, gap),) = _chordal_class_keys(k, t)
+    ((path, one),) = _toeplitz_keys(range(1, k + 1))
+    for b in _reachable([(later, gap)]):
+        assert b & ~sum(1 << i * t for i in range(b.bit_length())) == 0, b
+        stepped = counting._step({b: 1}, later, gap)
+        squeezed = {_squeeze(s, t): c for s, c in stepped.items()}
+        assert squeezed == counting._step({_squeeze(b, t): 1}, path, one), b
+
+
+@pytest.mark.parametrize("t", range(1, 5))
+@pytest.mark.parametrize("k", range(1, 5))
+def test_chordal_closed_form_is_the_class_product(k, t):
+    # every residue of n mod t, from the formula's threshold on
+    first = (2 * k - 1) * t + 1
+    totals = _totals(_chordal_class_keys(k, t), first // t + 4)
+    distances = range(t, k * t + 1, t)
+    for n in range(first, first + 3 * t):
+        product = prod(totals[(n - j) // t + 1] for j in range(1, t + 1))
+        assert formulas.chordal_toeplitz_is(k, t, n) == product, n
+        assert count_is_banded(build_toeplitz(n, distances)) == product, n
 
 
 @pytest.mark.parametrize("k", [3, 5, 16])

@@ -1293,14 +1293,17 @@ class TestTranspose:
     @example(nrows=128, ncols=128, density=1.0, seed=0)
     @example(nrows=129, ncols=1, density=1.0, seed=0)
     @example(nrows=1, ncols=65, density=0.0, seed=0)
-    # uneven dense shapes: 13 x 21, 9 x 130 and 130 x 9 take the byte kernel;
-    # 1 x 1 is below the cut at every density, so it takes the walk
+    # uneven dense shapes, each a part byte or part word on one side
     @example(nrows=1, ncols=1, density=1.0, seed=0)
     @example(nrows=13, ncols=21, density=1.0, seed=0)
     @example(nrows=9, ncols=130, density=1.0, seed=0)
     @example(nrows=130, ncols=9, density=1.0, seed=0)
+    # past the drawn sides: a long sparse square, one long row, one long column
+    @example(nrows=300, ncols=300, density=0.01, seed=0)
+    @example(nrows=1, ncols=1000, density=1.0, seed=0)
+    @example(nrows=1000, ncols=1, density=1.0, seed=0)
     def test_matches_per_cell_definition(self, nrows, ncols, density, seed):
-        # dense draws take the byte kernel, sparse ones the per-bit walk
+        # one kernel at every density and shape
         rng = random.Random(seed)
         rows = tuple(
             sum(1 << c for c in range(ncols) if rng.random() < density) for _ in range(nrows)
