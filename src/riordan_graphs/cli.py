@@ -150,9 +150,9 @@ def _run_verify(args) -> int:
         _emit(report.to_dict())
         return 0 if report.ok else 1
     if args.verify_command == "sweep":
-        reports = verify.sweep_bounds(
-            args.family, _parse_range(args.range), max_n=_guard_value(args)
-        )
+        orders, guard = _parse_range(args.range), _guard_value(args)
+        verify.check_guard(orders[-1], guard)  # before any report is built
+        reports = verify.sweep_bounds(args.family, orders, max_n=guard)
         if args.format == "csv":
             sys.stdout.write(verify.reports_to_csv(reports))
         else:

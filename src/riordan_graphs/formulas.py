@@ -1,9 +1,10 @@
 """Closed forms and bounds for independent-set counts, over exact integers.
 
 Fibonacci/Pell families, the ladder-count sequences delta and delta-tilde,
-well-based distance sets with their generating-function counts, and every
-bound exposed by the verification layer.  Functions here only compute
-values; comparing them against exact counts is the verify module's job.
+well-based distance sets with their generating-function counts, every
+bound the verification layer's reports print, and the k-type upper bound,
+which no report prints.  Functions here only compute values; comparing
+them against exact counts is the verify module's job.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import NamedTuple
 
 # count_is is unused here; bench/tests/test_bench.py calls formulas.count_is
 from .counting import BigCount, count_is, count_is_swept
-from .graphs import BitGraph, RiordanSpec, _io_split, _odd_even_split, _prefix_defect
+from .graphs import BitGraph, RiordanSpec, _odd_even_split, _prefix_defect
 
 WELL_BASED_LIMIT = 30
 
@@ -327,19 +328,6 @@ def _odd_even_bound(split: tuple[BitGraph, BitGraph, int]) -> BigCount:
     """odd_even_lower_bound read off the graph's `graphs._odd_even_split`."""
     x, y, sigma0 = split
     return count_is_swept(x) + count_is_swept(y) - 1 + sigma0
-
-
-def io_dec_lower_bound(spec: RiordanSpec) -> BigCount:
-    """The odd/even lower bound on an io-decomposable spec, where it reads
-    i(G_ceil(n/2)) + 2^floor(n/2) - 1 + ceil(n/2)*floor(n/2)
-    - |E(G_n)| + |E(G_ceil(n/2))|: X is G_ceil(n/2), Y is edgeless, and B
-    holds the edges of G_n outside X."""
-    if spec.n < 2:
-        raise ValueError("bound applies for n >= 2")
-    split = _io_split(spec)
-    if split is None:
-        raise BoundPreconditionError("spec is not io-decomposable")
-    return _odd_even_bound(split)
 
 
 def multipartite_lower_bound(n: int) -> BigCount:

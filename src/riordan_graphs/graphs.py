@@ -22,7 +22,6 @@ from .series import (
     Pow,
     SeriesExpr,
     Var,
-    _square_bits,
     evaluate,
     mul_trunc,
     parse,
@@ -373,7 +372,8 @@ def build_delta(n: int, variant: str = "plain") -> BitGraph:
 
 class DecompositionBlocks(NamedTuple):
     """X (odd-odd), Y (even-even), B (odd-even) blocks under the
-    odd-then-even relabeling, with the permutation that produced them.
+    odd-then-even relabeling, from a built graph (decompose) or from g and f
+    alone (predict_blocks); nothing turns blocks back into a graph.
 
     Each block is a tuple of bit rows: with p = ceil(n/2) odd and q =
     floor(n/2) even labels, X is p x p, Y is q x q and B is p x q, and bit c
@@ -383,35 +383,6 @@ class DecompositionBlocks(NamedTuple):
     x: tuple[int, ...]
     y: tuple[int, ...]
     b: tuple[int, ...]
-    permutation: tuple[int, ...]
-
-    def reassemble(self) -> BitGraph:
-        """Invert the permutation by interleaving odd and even rows again.
-
-        Spreading bit k of a block row to bit 2k is squaring it over GF(2);
-        no block row is wider than ceil(n/2) bits, so nothing is truncated.
-        Blocks of the wrong shape are refused with a ValueError naming the
-        block and its first bad row.
-        """
-        n = len(self.permutation)
-        p, q = (n + 1) // 2, n // 2
-        shapes = (("X", self.x, p, p), ("Y", self.y, q, q), ("B", self.b, p, q))
-        for name, block, height, width in shapes:
-            if len(block) != height:
-                raise ValueError(f"{name} block has {len(block)} rows, expected {height}")
-            for i, row in enumerate(block):
-                if not 0 <= row < 1 << width:
-                    raise ValueError(f"{name} block row {i + 1} has bits outside 1..{width}")
-        rows = [0] * n
-        rows[0::2] = [
-            _square_bits(x, n) | _square_bits(b, n) << 1
-            for x, b in zip(self.x, self.b)
-        ]
-        rows[1::2] = [
-            _square_bits(bt, n) | _square_bits(y, n) << 1
-            for bt, y in zip(_transpose(self.b, n // 2), self.y)
-        ]
-        return BitGraph(len(rows), rows)
 
 
 def decompose(graph: BitGraph) -> DecompositionBlocks:
@@ -435,7 +406,6 @@ def _split(rows: tuple[int, ...]) -> DecompositionBlocks:
         x=tuple(row & full for row in rows[:p]),
         y=tuple(row >> p for row in rows[p:]),
         b=tuple(row >> p for row in rows[:p]),
-        permutation=_odd_even_order(len(rows)),
     )
 
 
@@ -528,21 +498,15 @@ def has_io_blocks(graph: BitGraph, split: tuple[BitGraph, BitGraph, int]) -> boo
     return not any(y._laters) and all(map(operator.eq, x._laters, cuts))
 
 
-def _io_split(spec: RiordanSpec) -> tuple[BitGraph, BitGraph, int] | None:
-    """The odd/even split of G_n when n >= 2 and G_n is io-decomposable (see
-    has_io_blocks), else None; an improper spec is refused first."""
+def is_io_decomposable(spec: RiordanSpec) -> bool:
+    """Structural io-decomposability of the built G_n (see has_io_blocks); G_1
+    is.  An improper spec is refused first."""
     if not is_proper(spec):
         raise ValueError("io-decomposability is defined for proper specs")
-    if spec.n < 2:
-        return None
+    if spec.n == 1:
+        return True
     graph = build_riordan(spec)
-    split = _odd_even_split(graph)
-    return split if has_io_blocks(graph, split) else None
-
-
-def is_io_decomposable(spec: RiordanSpec) -> bool:
-    """Structural io-decomposability of the built G_n (see has_io_blocks); G_1 is."""
-    return _io_split(spec) is not None or spec.n == 1
+    return has_io_blocks(graph, _odd_even_split(graph))
 
 
 def is_chordal_toeplitz(n: int, distances) -> bool:

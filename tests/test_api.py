@@ -1,4 +1,5 @@
-"""The package's public names, where a deletion has to show up, the one
+"""The package's public names, where a deletion has to show up, the
+functions and classes that only library callers and the tests reach, the one
 module that may store a graph unchecked or name the bit-matrix helpers,
 the one path of the bit-matrix transpose, the byte conversions that must
 run on the oldest supported Python, the one place that runs generated
@@ -62,6 +63,44 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in PUBLIC_NAMES:
         assert callable(getattr(riordan_graphs, name)), name
+
+
+# defined in the package and loaded by no module of it: the tests' references
+# (induced, has_edge, from_edges, decompose), wrappers that hide a format, the
+# split or the masks (odd_even_lower_bound, connected_components,
+# is_io_decomposable), criterion 09's evidence (multipartition), public paper
+# or series API (predict_blocks, k_type_upper_bound, from_coeffs), and
+# RiordanSpec._make, which NamedTuple's own methods call
+LIBRARY_ONLY = [
+    "_make",
+    "connected_components",
+    "decompose",
+    "from_coeffs",
+    "from_edges",
+    "has_edge",
+    "induced",
+    "is_io_decomposable",
+    "k_type_upper_bound",
+    "multipartition",
+    "odd_even_lower_bound",
+    "predict_blocks",
+]
+
+
+def test_library_only_names_are_pinned():
+    # a second route that only the tests call has to be declared here; an
+    # import is not a load, so a name that only __init__ re-exports counts
+    defined, loaded = set(), set()
+    for path in sorted(Path(riordan_graphs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    unloaded = {name for name in defined - loaded if not name.startswith("__")}
+    assert sorted(unloaded) == LIBRARY_ONLY
 
 
 def test_only_graphs_names_the_unchecked_constructor():

@@ -19,7 +19,6 @@ from riordan_graphs.formulas import (
     delta_tilde,
     fibonacci,
     fibonacci_upper_bound,
-    io_dec_lower_bound,
     io_independence_claims,
     io_upper_bound,
     is_well_based,
@@ -42,7 +41,6 @@ from riordan_graphs.graphs import (
     build_toeplitz,
     catalan_spec,
     is_io_decomposable,
-    motzkin_spec,
     multipartition,
     pascal_spec,
 )
@@ -526,20 +524,13 @@ class TestLowerBounds:
         assert odd_even_lower_bound(BitGraph.from_edges(4, [])) == 11
 
     def test_io_dec_values(self):
-        assert io_dec_lower_bound(pascal_spec(4)) == 6
-        assert io_dec_lower_bound(pascal_spec(8)) == 23 == count_is(build_riordan(pascal_spec(8)))
-        assert io_dec_lower_bound(catalan_spec(6)) == 13 <= 14
-
-    def test_io_dec_requires_io_decomposable(self):
-        with pytest.raises(BoundPreconditionError, match="^spec is not io-decomposable$"):
-            io_dec_lower_bound(motzkin_spec(8))
-
-    def test_io_dec_checks_the_order_then_properness(self):
-        improper = RiordanSpec(parse("z"), parse("z"), 1)
-        with pytest.raises(ValueError, match=r"^bound applies for n >= 2$"):
-            io_dec_lower_bound(improper)
-        with pytest.raises(ValueError, match="^io-decomposability is defined for proper specs$"):
-            io_dec_lower_bound(RiordanSpec(parse("z"), parse("z"), 6))
+        # the io-dec bound is the odd/even bound of an io-decomposable G_n
+        for spec in (pascal_spec(4), pascal_spec(8), catalan_spec(6)):
+            assert is_io_decomposable(spec), spec
+        assert odd_even_lower_bound(build_riordan(pascal_spec(4))) == 6
+        graph = build_riordan(pascal_spec(8))
+        assert odd_even_lower_bound(graph) == 23 == count_is(graph)
+        assert odd_even_lower_bound(build_riordan(catalan_spec(6))) == 13 <= 14
 
     def test_multipartite_values(self):
         assert multipartite_lower_bound(4) == 6
@@ -665,16 +656,13 @@ class TestSplitBoundOracles:
     @given(spec=proper_specs)
     def test_io_dec_matches_written_out_formula(self, spec):
         if is_io_decomposable(spec):
-            assert io_dec_lower_bound(spec) == _io_dec_oracle(spec)
-            assert io_dec_lower_bound(spec) == odd_even_lower_bound(build_riordan(spec))
-        else:
-            with pytest.raises(BoundPreconditionError):
-                io_dec_lower_bound(spec)
+            assert odd_even_lower_bound(build_riordan(spec)) == _io_dec_oracle(spec)
 
     @pytest.mark.parametrize("maker", [pascal_spec, catalan_spec])
     def test_io_dec_on_pascal_and_catalan(self, maker):
         for n in range(2, 41):
-            assert io_dec_lower_bound(maker(n)) == _io_dec_oracle(maker(n)), n
+            assert is_io_decomposable(maker(n)), n
+            assert odd_even_lower_bound(build_riordan(maker(n))) == _io_dec_oracle(maker(n)), n
 
     @settings(max_examples=80)
     @given(seed=st.integers(0, 10**6))
