@@ -190,6 +190,9 @@ def run(argv) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # str(MemoryError()) is empty
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

@@ -626,25 +626,17 @@ class GraphSpec(
          ("distances", tuple[int, ...] | None)],
     )
 ):
-    """A parsed graph spec string: what to build and how.  _replace keeps the
-    parsed fields for a new text alone, and writes a new kind, n or distances
-    into the text and parses it again, so riordan and text follow them."""
+    """A parsed graph spec string: what to build and how.  A spec is the parse
+    of its text: _replace(text=t) is parse_graph_spec(t), _replace() parses
+    its own text again, and a new kind, n, riordan or distances is refused."""
 
     __slots__ = ()
 
     def _replace(self, **changes) -> GraphSpec:
-        if changes.keys() <= {"text"}:  # a new spelling of the same graph
-            return super()._replace(**changes)
-        kind, _, body = changes.pop("text", self.text).partition(":")
-        params = dict(chunk.partition("=")[::2] for chunk in body.split(";") if chunk)
-        if "distances" in changes:
-            params["d"] = ",".join(map(str, changes.pop("distances")))
-        if "n" in changes:
-            params["n"] = changes.pop("n")
-        kind = changes.pop("kind", kind)
+        text = changes.pop("text", self.text)
         if changes:
             raise ValueError(f"fields {sorted(changes)} are parsed from the text, not replaced")
-        return parse_graph_spec(kind + ":" + ";".join(f"{k}={v}" for k, v in params.items()))
+        return parse_graph_spec(text)
 
     @property
     def variant(self) -> str | None:

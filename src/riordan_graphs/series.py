@@ -331,7 +331,7 @@ class _Parser:
                 raise SeriesSyntaxError("expected ')'", self.pos)
             self.pos += 1
             return node
-        if ch.isdigit():
+        if ch.isdecimal():
             return Lit(self.uint())
         if ch.isalpha():
             start = self.pos
@@ -350,7 +350,7 @@ class _Parser:
     def uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             raise SeriesSyntaxError("expected an unsigned integer", self.pos)

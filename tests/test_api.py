@@ -5,7 +5,9 @@ the one path of the bit-matrix transpose, the byte conversions that must
 run on the oldest supported Python, the one place that runs generated
 source, with no transition of its own, the banded sweep, which reads no
 rows, the one U + Uᵀ assembly of built rows, the one stored form of every
-graph, and the CLI's engine policy, which reads the graph, not its spec."""
+graph, the CLI's engine policy, which reads the graph, not its spec, and the
+one statement of the spec grammar, the only function that splits a spec
+body."""
 
 import ast
 import re
@@ -89,7 +91,10 @@ LIBRARY_ONLY = [
 
 def test_library_only_names_are_pinned():
     # a second route that only the tests call has to be declared here; an
-    # import is not a load, so a name that only __init__ re-exports counts
+    # import is not a load, so a name that only __init__ re-exports counts.
+    # The pin matches names, not owners: a method that shares its name with
+    # an attribute the package loads is not caught here, as GraphSpec._replace
+    # was not, since BoundReport.to_dict loads BoundReport's own _replace
     defined, loaded = set(), set()
     for path in sorted(Path(riordan_graphs.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -101,6 +106,33 @@ def test_library_only_names_are_pinned():
                 loaded.add(node.attr)
     unloaded = {name for name in defined - loaded if not name.startswith("__")}
     assert sorted(unloaded) == LIBRARY_ONLY
+
+
+def test_only_the_spec_parser_splits_a_spec_body():
+    # the spec grammar is stated once: parse_graph_spec alone cuts a body into
+    # chunks on ";" and a chunk into key and value on "=", and GraphSpec's
+    # _replace parses its new text with it
+    cuts = []
+
+    def visit(node, path, function):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("split", "rsplit", "partition", "rpartition")
+        ):
+            args = node.args[:1] + [keyword.value for keyword in node.keywords]
+            seps = [getattr(arg, "value", None) for arg in args]
+            cuts.extend((path.name, function, node.func.attr, s) for s in seps if s in (";", "="))
+        inner = node.name if isinstance(node, ast.FunctionDef) else function
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, inner)
+
+    for path in sorted(Path(riordan_graphs.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert cuts == [
+        ("graphs.py", "parse_graph_spec", "split", ";"),
+        ("graphs.py", "parse_graph_spec", "partition", "="),
+    ]
 
 
 def test_only_graphs_names_the_unchecked_constructor():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from riordan_graphs import cli, formulas, verify
+from riordan_graphs import cli, counting, formulas, verify
 from riordan_graphs.cli import main, run
 from riordan_graphs.counting import brute_force_is, count_is_banded
 from riordan_graphs.graphs import build_toeplitz, parse_graph_spec
@@ -317,6 +317,30 @@ class TestNoTraceback:
     def test_arithmetic_overflow(self, capsys, argv):
         # an OverflowError, like a ZeroDivisionError, is an ArithmeticError
         _assert_one_error_line(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "module, name, argv",
+        [
+            (cli, "evaluate", ["series", "eval", "--expr", "z", "--order", "4"]),
+            (cli, "export_graph", ["graph", "build", "--spec", "pascal:n=4"]),
+            (counting, "exact_count", ["count", "--spec", "pascal:n=4"]),
+            (verify, "bound_report", ["bounds", "--spec", "pascal:n=4"]),
+            (verify, "verify_table1", ["verify", "table1", "--max-n", "4"]),
+            (
+                verify,
+                "sweep_bounds",
+                ["verify", "sweep", "--family", "pascal:n={n}", "--range", "2..3"],
+            ),
+            (verify, "verify_decomposition", ["verify", "decomposition", "--spec", "pascal:n=4"]),
+        ],
+    )
+    def test_out_of_memory(self, capsys, monkeypatch, module, name, argv):
+        # str(MemoryError()) is empty, so the line names the cause itself
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(module, name, exhausted)
+        assert _assert_one_error_line(capsys, argv) == "error: out of memory\n"
 
     @pytest.mark.parametrize("extra", ["{x}", "{0}"])
     def test_sweep_template_with_other_braces(self, capsys, extra):

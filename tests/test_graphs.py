@@ -1106,24 +1106,23 @@ class TestSpecLanguage:
             spec._replace(n=0)
 
     def test_replace_rebuilds_riordan_and_text(self):
-        # the text is parsed again with the new n or distances written in
-        spec = parse_graph_spec("pascal:n=8")._replace(n=10)
-        assert spec == parse_graph_spec("pascal:n=10") and spec.build().n == 10
-        toeplitz = parse_graph_spec("toeplitz:n=8;d=1,2")._replace(distances=(1, 3))
-        assert toeplitz == parse_graph_spec("toeplitz:n=8;d=1,3")
-        assert toeplitz.build() == build_riordan(toeplitz.riordan) == build_toeplitz(8, (1, 3))
-        riordan = parse_graph_spec("riordan:g=1+z;f=z*(1+z);n=7")._replace(n=9)
-        assert riordan == parse_graph_spec("riordan:g=1+z;f=z*(1+z);n=9")
-        assert riordan.build().n == 9
-        with pytest.raises(ValueError, match=r"^fields \['riordan'\] are parsed from the text"):
-            spec._replace(riordan=None)
-        # a new text alone is a new spelling: the parsed fields stay
-        spelled = spec._replace(text="pascal:;n=10;")
-        assert spelled.text == "pascal:;n=10;" and spelled[1:] == spec[1:]
+        # a spec is the parse of its text: a new text rebuilds every field, and
+        # no other field can be replaced
+        spec = parse_graph_spec("pascal:n=8")
+        refusal = r"^fields \['{}'\] are parsed from the text, not replaced$"
+        fields = (("n", 10), ("distances", (1, 3)), ("kind", "catalan"), ("riordan", None))
+        for field, value in fields:
+            with pytest.raises(ValueError, match=refusal.format(field)):
+                spec._replace(**{field: value})
+        for text in ("pascal:;n=10;", "riordan:g=1+z;f=z*(1+z);n=9", "toeplitz:n=9;d=1"):
+            assert spec._replace(text=text) == parse_graph_spec(text), text
+        # a text of another kind takes its kind, n and graph with it
+        assert spec._replace(text="toeplitz:n=9;d=1").build() == build_toeplitz(9, (1,))
+        assert spec._replace() == spec
 
     def test_variant_follows_kind(self):
         spec = parse_graph_spec("delta:n=7")
-        tilde = spec._replace(kind="deltaTilde")
+        tilde = spec._replace(text="deltaTilde:n=7")
         assert (spec.variant, tilde.variant) == ("plain", "tilde")
         assert tilde.build() == build_delta(7, "tilde") != spec.build()
         assert parse_graph_spec("pascal:n=7").variant is None
@@ -1261,7 +1260,7 @@ class TestSpecParameterOrder:
         for order in itertools.permutations(params):
             for body in (";".join(order), ";;".join(order), f";{';;'.join(order)};"):
                 spec = parse_graph_spec(f"{kind}:{body}")
-                assert spec._replace(text=first.text) == first, body
+                assert spec[1:] == first[1:], body
                 assert spec.build() == graph, body
 
     @pytest.mark.parametrize("kind, params", SPEC_PARAMETERS)

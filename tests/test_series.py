@@ -92,8 +92,19 @@ class TestParse:
             parse("1+z)")
 
     def test_missing_exponent(self):
-        with pytest.raises(SeriesSyntaxError):
-            parse("z^")
+        # a superscript two is a digit to str.isdigit but not a decimal
+        for text in ("z^", "z^\N{SUPERSCRIPT TWO}"):
+            with pytest.raises(SeriesSyntaxError) as exc:
+                parse(text)
+            assert exc.value.position == 2, text
+
+    def test_non_decimal_digit_is_no_number(self):
+        with pytest.raises(SeriesSyntaxError) as exc:
+            parse("\N{SUPERSCRIPT TWO}")
+        assert exc.value.position == 0
+
+    def test_unicode_decimal_digits_parse(self):
+        assert parse("z^\N{ARABIC-INDIC DIGIT THREE}") == Pow(Var(), 3)
 
     def test_equality_depends_on_the_node_type(self):
         # nodes with the same children but different operators differ, and
