@@ -16,7 +16,7 @@ import sys
 from functools import cache
 
 from . import counting, verify
-from .graphs import SpecParseError, export_graph, parse_graph_spec
+from .graphs import export_graph, parse_graph_spec
 from .series import evaluate, parse
 
 
@@ -84,7 +84,7 @@ def _guard_value(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise SpecParseError(f"RIORDAN_MAX_N must be an integer, got {env!r}") from None
+            raise ValueError(f"RIORDAN_MAX_N must be an integer, got {env!r}") from None
     return verify.DEFAULT_MAX_N
 
 
@@ -94,7 +94,7 @@ def _emit(payload) -> None:
 
 def _run_count(args) -> int:
     if args.what not in ("is", "cliques") and args.engine in ("brute", "banded"):
-        raise SpecParseError(f"the {args.engine} engine does not apply to --what {args.what}")
+        raise ValueError(f"the {args.engine} engine does not apply to --what {args.what}")
     spec = parse_graph_spec(args.spec)
     verify.check_guard(spec.n, _guard_value(args))
     graph = spec.build()
@@ -134,13 +134,13 @@ def _run_bounds(args) -> int:
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise SpecParseError(f"range must look like a..b, got {text!r}")
+        raise ValueError(f"range must look like a..b, got {text!r}")
     try:
         a, b = int(lo), int(hi)
     except ValueError:
-        raise SpecParseError(f"range endpoints must be integers in {text!r}") from None
+        raise ValueError(f"range endpoints must be integers in {text!r}") from None
     if b < a:
-        raise SpecParseError(f"range {text!r} is empty: {b} < {a}")
+        raise ValueError(f"range {text!r} is empty: {b} < {a}")
     return range(a, b + 1)
 
 
@@ -150,9 +150,7 @@ def _run_verify(args) -> int:
         _emit(report.to_dict())
         return 0 if report.ok else 1
     if args.verify_command == "sweep":
-        orders, guard = _parse_range(args.range), _guard_value(args)
-        verify.check_guard(orders[-1], guard)  # before any report is built
-        reports = verify.sweep_bounds(args.family, orders, max_n=guard)
+        reports = verify.sweep_bounds(args.family, _parse_range(args.range), _guard_value(args))
         if args.format == "csv":
             sys.stdout.write(verify.reports_to_csv(reports))
         else:
@@ -161,7 +159,7 @@ def _run_verify(args) -> int:
     # decomposition
     spec = parse_graph_spec(args.spec)
     if spec.riordan is None:
-        raise SpecParseError(f"spec {args.spec!r} does not describe a Riordan graph")
+        raise ValueError(f"spec {args.spec!r} does not describe a Riordan graph")
     check = verify.verify_decomposition(spec.riordan)
     _emit({"spec": args.spec, **check._asdict()})
     return 0 if check.ok else 1

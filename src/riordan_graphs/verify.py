@@ -42,7 +42,7 @@ _HOLDS = {"lower": operator.le, "upper": operator.ge, "exact": operator.eq}
 
 
 def check_guard(n: int, max_n: int) -> None:
-    """The size guard shared by `riordan count` and the bound reports."""
+    """The size guard of `riordan count`, of every bound report and of each order a sweep reads."""
     if n > max_n:
         raise ValueError(f"n={n} exceeds the guard {max_n}; raise --max-n or pass --force")
 
@@ -190,17 +190,18 @@ def bound_report(text: str, max_n: int = DEFAULT_MAX_N) -> BoundReport:
 def sweep_bounds(
     family_template: str, n_values, max_n: int = DEFAULT_MAX_N
 ) -> list[BoundReport]:
-    """Bound reports for a family across a range of orders.
+    """Bound reports for a family across a range of orders, sorted by n.
 
     The template must contain an {n} placeholder, e.g. "pascal:n={n}".
-    Reports come back sorted by n.
+    The first order above the guard is refused before a later one is read or any report built.
     """
     if "{n}" not in family_template:
         raise ValueError("family template must contain an {n} placeholder")
-    reports = []
-    for n in sorted(set(n_values)):
-        reports.append(bound_report(family_template.replace("{n}", str(n)), max_n=max_n))
-    return reports
+    orders = set()
+    for n in n_values:
+        check_guard(n, max_n)
+        orders.add(n)
+    return [bound_report(family_template.replace("{n}", str(n)), max_n) for n in sorted(orders)]
 
 
 def all_reports_ok(reports) -> bool:

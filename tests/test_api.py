@@ -5,9 +5,9 @@ the one path of the bit-matrix transpose, the byte conversions that must
 run on the oldest supported Python, the one place that runs generated
 source, with no transition of its own, the banded sweep, which reads no
 rows, the one U + Uᵀ assembly of built rows, the one stored form of every
-graph, the CLI's engine policy, which reads the graph, not its spec, and the
+graph, the CLI's engine policy, which reads the graph, not its spec, the
 one statement of the spec grammar, the only function that splits a spec
-body."""
+body, and the one size guard of a sweep, which the CLI does not repeat."""
 
 import ast
 import re
@@ -133,6 +133,27 @@ def test_only_the_spec_parser_splits_a_spec_body():
         ("graphs.py", "parse_graph_spec", "split", ";"),
         ("graphs.py", "parse_graph_spec", "partition", "="),
     ]
+
+
+def test_the_size_guard_is_checked_once_per_route():
+    # `riordan count` checks its one order, a bound report its own, and a
+    # sweep each order as it reads it; no caller of sweep_bounds checks the
+    # range again
+    callers = []
+
+    def visit(node, path, function):
+        if isinstance(node, ast.Call) and "check_guard" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            callers.append(f"{path.stem}.{function}")
+        inner = node.name if isinstance(node, ast.FunctionDef) else function
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, inner)
+
+    for path in sorted(Path(riordan_graphs.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert sorted(callers) == ["cli._run_count", "verify.bound_report", "verify.sweep_bounds"]
 
 
 def test_only_graphs_names_the_unchecked_constructor():

@@ -555,20 +555,22 @@ class TestBoundsAndVerify:
         assert err == "error: range '5..2' is empty: 2 < 5\n"
 
     def test_verify_sweep_refuses_an_over_guard_range_first(self, capsys, monkeypatch):
-        # the guard reads the range's top order before any report is built
+        # a range is refused at its first order above the guard, the one
+        # bound_report itself would refuse, before any report is built
         monkeypatch.delenv("RIORDAN_MAX_N", raising=False)
         built, real = [], verify.bound_report
 
-        def counted(text, **options):
+        def counted(text, *options, **keywords):
             built.append(text)
-            return real(text, **options)
+            return real(text, *options, **keywords)
 
         monkeypatch.setattr(verify, "bound_report", counted)
-        code, out, err = run_cli(
-            capsys, "verify", "sweep", "--family", "pascal:n={n}", "--range", "1..41"
-        )
-        assert (code, out, built) == (2, "", [])
-        assert err == "error: n=41 exceeds the guard 40; raise --max-n or pass --force\n"
+        for orders in ("1..41", "1..2000000"):
+            code, out, err = run_cli(
+                capsys, "verify", "sweep", "--family", "pascal:n={n}", "--range", orders
+            )
+            assert (code, out, built) == (2, "", []), orders
+            assert err == "error: n=41 exceeds the guard 40; raise --max-n or pass --force\n"
 
     def test_verify_decomposition(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "decomposition", "--spec", "catalan:n=12")

@@ -321,6 +321,20 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_bounds("pascal:n=4", range(4, 6))
 
+    def test_an_over_guard_order_is_refused_before_the_rest_is_read(self):
+        drawn = []
+
+        def orders():
+            for n in range(41, 44):
+                drawn.append(n)
+                yield n
+            raise AssertionError(f"drawn past its third order after {drawn}")
+
+        with pytest.raises(ValueError) as exc:
+            sweep_bounds("pascal:n={n}", orders())
+        assert str(exc.value) == "n=41 exceeds the guard 40; raise --max-n or pass --force"
+        assert drawn == [41]
+
     def test_full_family_sweeps_report_zero_violations(self):
         assert all_reports_ok(sweep_bounds("pascal:n={n}", range(5, 25)))
         assert all_reports_ok(sweep_bounds("catalan:n={n}", range(5, 25)))
