@@ -174,8 +174,10 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         if args.command == "series":
-            series = evaluate(parse(args.expr), args.order)
-            _emit({"expr": args.expr, "order": args.order, "coefficients": list(series.coeffs)})
+            bits = evaluate(parse(args.expr), args.order).bits
+            head = json.dumps({"expr": args.expr, "order": args.order})[:-1]
+            digits = ", ".join(format(bits, f"0{args.order}b")[::-1])  # digit k: coefficient k
+            print(f'{head}, "coefficients": [{digits}]}}')  # the text json.dumps gives the payload
             return 0
         if args.command == "graph":
             print(export_graph(parse_graph_spec(args.spec).build(), args.format))

@@ -222,8 +222,10 @@ def _sweep(keys: list, gap: int, runs: dict, limit: float = inf) -> BigCount | N
     from i on, if the live sets are those p steps back (`lives` holds the
     recent ones) and the keys from i stay p-periodic for KERNEL_CUT steps
     or more, the whole run goes through one `_kernel` over at most
-    KERNEL_STATES live sets; every other step is a `_step`.  `runs` holds
-    the kernels compiled so far, by their keys, gap and live sets.  Past
+    KERNEL_STATES live sets; every other step is a `_step`.  The run's end
+    is counted on each of its p strides and checked by one slice compare;
+    only a key that recurs after the run makes the sweep walk the keys.
+    `runs` holds the kernels compiled, by keys, gap and live sets.  Past
     `limit` live sets the sweep stops and returns None."""
     counts, lives = {0: 1}, [None] * 3
     i = 0
@@ -236,7 +238,9 @@ def _sweep(keys: list, gap: int, runs: dict, limit: float = inf) -> BigCount | N
             and lives[(i - p) % 3] == (i - p, counts.keys())
             and keys[i - p : i - p + KERNEL_CUT] == keys[i : i + KERNEL_CUT]
         ):
-            end = next(compress(count(i), map(operator.ne, keys[i:], keys[i - p :])), len(keys))
+            end = min(i + r + p * keys[i + r :: p].count(keys[i + r]) for r in range(p))
+            if keys[i:end] != keys[i - p : end - p]:  # a key recurs after the run: walk
+                end = next(compress(count(i), map(operator.ne, keys[i:], keys[i - p :])), len(keys))
             spot = (tuple(keys[i : i + p]), gap, tuple(counts))
             if spot not in runs:
                 runs[spot] = _kernel(keys[i : i + p], gap, [*counts])
@@ -301,9 +305,9 @@ def exact_count(graph: BitGraph, what: str = "is", engine: str = "auto") -> tupl
     if engine == "auto":
         d = graph._laters[0]  # vertex 1's later neighbours; w is its longest edge, 0 if none
         w = max(d.bit_length(), 1) - 1
-        # the last w vertices' later neighbours: d cut at vertex n
+        # the last w later neighbours: d cut at vertex n, all below d, so none counts as d
         cut = [d & ~(-1 << k) for k in range(w, 0, -1)] if w <= BANDWIDTH_LIMIT else None
-        toeplitz = cut is not None and graph._laters == [d] * (graph.n - w) + cut
+        toeplitz = cut == graph._laters[graph.n - w :] and graph._laters.count(d) == graph.n - w
         engine = "banded" if what == "is" and toeplitz else "branch"
     if what == "cliques" and engine == "banded":
         raise ValueError("the banded engine does not apply to clique counting")

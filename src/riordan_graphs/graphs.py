@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
-from itertools import compress, count, cycle, islice, pairwise
+from itertools import compress, count, pairwise
 from typing import NamedTuple
 
 from .series import (
@@ -87,7 +87,7 @@ class BitGraph:
         if cut:
             full = (1 << n) - 1  # first: an order too large to shift fails before any list
             low = max(n - max(patterns).bit_length(), 0)
-            patterns = [*islice(cycle(patterns), n)]
+            patterns = (list(patterns) * -(-n // len(patterns)))[:n]
             patterns[low:] = map(operator.and_, patterns[low:], map(full.__rshift__, range(low, n)))
         graph = object.__new__(cls)
         graph.n = n

@@ -1,6 +1,8 @@
 """CLI contract tests: output shapes, engines, guards, and exit codes."""
 
+import contextlib
 import errno
+import importlib.util
 import io
 import json
 import os
@@ -8,6 +10,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +18,7 @@ from riordan_graphs import cli, counting, formulas, verify
 from riordan_graphs.cli import main, run
 from riordan_graphs.counting import brute_force_is, count_is_banded
 from riordan_graphs.graphs import build_toeplitz, parse_graph_spec
+from riordan_graphs.series import evaluate, parse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -437,11 +441,55 @@ def _generated_commands(count, seed):
     return [rng.choice(makers)() for _ in range(count)]
 
 
+def _rational_exprs():
+    """The rational expressions of the benchmark's `series eval` requests."""
+    path = SRC.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.RATIONAL_EXPRS)
+
+
+def _series_eval_stdout(expr, order):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run(["series", "eval", "--expr", expr, "--order", str(order)]) == 0
+    return stdout.getvalue()
+
+
+def _series_payload_text(expr, order):
+    """`series eval`'s output as json.dumps writes the whole payload."""
+    coefficients = list(evaluate(parse(expr), order).coeffs)
+    return json.dumps({"expr": expr, "order": order, "coefficients": coefficients}) + "\n"
+
+
 class TestSeriesAndGraph:
     def test_series_eval(self, capsys):
         code, out, _ = run_cli(capsys, "series", "eval", "--expr", "1/(1-z)", "--order", "6")
         assert code == 0
         assert json.loads(out)["coefficients"] == [1, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("expr", ["catalan", "motzkin", *_rational_exprs()])
+    def test_series_text_is_the_payloads_json(self, expr):
+        for order in [*range(1, 71), 2048]:
+            assert _series_eval_stdout(expr, order) == _series_payload_text(expr, order)
+
+    @pytest.mark.parametrize("expr", ["1/(1-z)\t+ z^3", "z^٣ + catalan"])
+    def test_series_text_escapes_the_expression_as_json_does(self, expr):
+        # a tab and a non-ASCII digit: the escaping comes from json.dumps
+        for order in (1, 8, 64):
+            assert _series_eval_stdout(expr, order) == _series_payload_text(expr, order)
+
+    def test_no_coefficient_list_reaches_json_dumps(self, monkeypatch):
+        payloads = []
+
+        def dumps(payload):
+            payloads.append(payload)
+            return json.dumps(payload)
+
+        monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=dumps))
+        assert json.loads(_series_eval_stdout("catalan", 64))["coefficients"][:3] == [1, 1, 0]
+        assert payloads and not [v for p in payloads for v in p.values() if isinstance(v, list)]
 
     def test_series_error_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "series", "eval", "--expr", "1/(1-z", "--order", "6")

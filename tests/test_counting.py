@@ -294,8 +294,9 @@ def interleaved_matching():
 
 
 def _without_edge(graph, u, v):
-    """graph minus the edge {u, v}, 1-based labels."""
+    """graph minus the edge {u, v}, 1-based labels; the edge must be there."""
     rows = list(graph.rows)
+    assert rows[u - 1] >> (v - 1) & 1, f"no edge ({u}, {v}) to remove"
     rows[u - 1] ^= 1 << (v - 1)
     rows[v - 1] ^= 1 << (u - 1)
     return BitGraph(graph.n, rows)
@@ -1148,6 +1149,29 @@ class TestSweepKernel:
         assert count_is_banded(graph) == expected
         assert len(_kernel_work(monkeypatch, graph)[1]) == kernels
 
+    @pytest.mark.parametrize(
+        "variant, u, work",
+        [
+            ("plain", 601, (10, [596, 594])),
+            ("plain", 201, (206, [994])),
+            ("tilde", 600, (8, [596, 596])),
+            ("tilde", 200, (204, [996])),
+        ],
+    )
+    def test_a_missing_rung_ends_one_stride_two_run_and_a_second_starts(
+        self, monkeypatch, variant, u, work
+    ):
+        # plain rungs start at odd labels, tilde rungs at even ones; past the
+        # rung at 600 the second run has the first one's keys, so the strides'
+        # counts pass the first run's end and the keys are walked
+        graph = _without_edge(build_delta(1200, variant), u, u + 2)
+        expected = self.step_sweep(monkeypatch, graph)
+        ne = _CountedNe()
+        monkeypatch.setattr(counting, "operator", ne)
+        assert count_is_banded(graph) == expected
+        assert (ne.calls > 0) == (u > 500)
+        assert _kernel_work(monkeypatch, graph) == work
+
     def test_a_missing_path_edge_leaves_two_fibonacci_factors(self):
         graph = _without_edge(build_toeplitz(1200, (1,)), 500, 501)
         # fibonacci(m + 1) independent sets on an m-vertex path
@@ -1249,6 +1273,71 @@ class TestSweepKernelWork:
             monkeypatch.setattr(counting, "KERNEL_STATES", cap)
             assert len(_kernel_work(monkeypatch, graph)[1]) == kernels
             monkeypatch.undo()
+
+
+class _CountedNe:
+    """`operator` whose `ne` counts its calls: the walk for a run's end."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(operator, name)
+
+    def ne(self, a, b):
+        self.calls += 1
+        return a != b
+
+
+def _fold(keys):
+    """Independent sets by a plain `_step` fold over keys one label apart."""
+    counts = {0: 1}
+    for key in keys:
+        counts = counting._step(counts, key, 1)
+    return sum(counts.values())
+
+
+class TestRunEnd:
+    """A kernel run's end is counted on each of its p strides and checked by
+    one slice compare; the keys are walked only when a key recurs after the
+    run."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_planted_runs_match_a_plain_fold(self, monkeypatch, p, seed):
+        # a run of at least KERNEL_CUT keys ends where one stride takes another
+        # key for one period, after which the run's keys come back: counting
+        # passes the end, so the keys are walked; the second run ends in
+        # random keys
+        rng = random.Random(seed)
+        pattern = [rng.randrange(2, 32, 2) for _ in range(p)]
+        keys = [rng.randrange(0, 32, 2) for _ in range(rng.randrange(8))]
+        for _ in range(2):
+            keys += pattern * rng.randint(counting.KERNEL_CUT + 8, 700 // p)
+            broken = [*pattern]
+            broken[rng.randrange(p)] ^= rng.randrange(2, 32, 2)  # the stride that ends first
+            keys += broken
+        keys += [rng.randrange(0, 32, 2) for _ in range(rng.randrange(8))]
+        ne = _CountedNe()
+        monkeypatch.setattr(counting, "operator", ne)
+        kernel, compiled = counting._kernel, []
+        monkeypatch.setattr(counting, "_kernel", lambda *a: compiled.append(a) or kernel(*a))
+        assert counting._sweep(keys, 1, {}) == _fold(keys)
+        assert compiled and ne.calls > 0
+
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            (build_toeplitz(3000, (1, 2)), formulas.well_based_series_count((1, 2), 3000)),
+            (build_delta(3000), formulas.delta(3000, "plain")),
+        ],
+        ids=["d=1,2", "delta"],
+    )
+    def test_no_key_is_walked_at_3000(self, monkeypatch, graph, expected):
+        ne = _CountedNe()
+        monkeypatch.setattr(counting, "operator", ne)
+        assert count_is_banded(graph) == expected
+        assert ne.calls == 0
 
 
 class TestNoCycles:
